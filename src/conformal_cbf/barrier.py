@@ -16,6 +16,11 @@ term grad_agent . xdot_agent, and alpha(h).  Both the true constraint
 (actual agent state) and the deployed constraint (predicted agent state,
 plus an additive calibration margin) are produced here as affine rows
 for the projection QP.
+
+barrier_terms evaluates h and its ego gradient over any stack of
+ego-minus-agent offsets in one call; constraint rows, window scoring and
+the noise oracle's flow check all go through it, and the per-pair
+functions below are thin validating wrappers around it.
 """
 
 import math
@@ -26,6 +31,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from conformal_cbf.errors import InputError, SingularityError
+
+_ATAN = np.vectorize(math.atan, otypes=[np.float64])
 
 
 @dataclass(frozen=True)
@@ -55,9 +62,13 @@ class ClassKappa:
     def arctan(slope: float = 1.0) -> "ClassKappa":
         return ClassKappa(kind="arctan", slope=slope)
 
-    def value(self, r: float) -> float:
+    def value(self, r):
+        """alpha(r) for a float or elementwise over an array."""
         if self.kind == "linear":
             return self.slope * r
+        if np.ndim(r):
+            # math.atan elementwise: np.arctan may differ from it in the last bit
+            return self.slope * _ATAN(r) / math.pi
         return self.slope * math.atan(r) / math.pi
 
     @property
@@ -145,7 +156,10 @@ class AffineConstraint:
         n = np.asarray(self.normal, dtype=np.float64)
         if n.shape != (2,):
             raise InputError("constraint normal must be planar")
-        if not (np.all(np.isfinite(n)) and np.isfinite(self.offset)):
+        # scalar checks: rows are built every frame
+        if not (
+            math.isfinite(n[0]) and math.isfinite(n[1]) and math.isfinite(self.offset)
+        ):
             raise InputError("constraint entries must be finite")
         object.__setattr__(self, "normal", n)
 
@@ -173,18 +187,66 @@ class BoundSet:
                 raise InputError(f"{name} must be nonnegative and finite")
 
 
-def cbf_value(cbf: PotentialFieldCbf, ego_position, agent_position) -> float:
-    """Barrier value h at the given ego/agent positions."""
+def barrier_terms(cbf: PotentialFieldCbf, diff) -> tuple[np.ndarray, np.ndarray]:
+    """Barrier value h and its ego gradient over ego-minus-agent offsets.
+
+    It evaluates the same floating-point operations, in the same order,
+    as the scalar potential and radial_derivative at the distance
+    np.linalg.norm gives, so its results are bitwise those of evaluating
+    them offset by offset (tests/test_kernels.py checks this).
+
+    Args:
+        diff: ego position minus agent position, shape (..., 2).
+
+    Returns:
+        (h, grad_ego) with shapes (...) and (..., 2).  The agent-side
+        gradient is -grad_ego; both are exactly zero at distances >= rho0.
+
+    Raises:
+        SingularityError: some offset is zero.
+    """
+    diff = np.asarray(diff, dtype=np.float64)
+    d = np.sqrt(np.vecdot(diff, diff))
+    if not d.all():
+        raise SingularityError("barrier undefined for coincident positions")
+    # Beyond rho0 the distance is clipped to rho0, where w is exactly 0 and
+    # so are the potential and the slope.
+    dc = np.minimum(d, cbf.rho0)
+    w = 1.0 / dc - 1.0 / cbf.rho0
+    potential = 0.5 * cbf.k_rep * np.float_power(w, 2.0)
+    u = 0.5 * cbf.k_rep * w * w
+    slope = cbf.k_rep * w / (dc * dc * np.float_power(1.0 + u, 2.0))
+    h = 1.0 / (1.0 + potential) - cbf.delta
+    return h, (slope / d)[..., None] * diff
+
+
+def barrier_rows(
+    cbf: PotentialFieldCbf, alpha: ClassKappa, diff, velocity
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normals and offsets of the barrier condition for a batch of agents.
+
+    Row i is grad_ego_i . u + (grad_agent_i . velocity_i + alpha(h_i)) >= 0
+    for the agent at ego-minus-agent offset diff[i] moving with
+    velocity[i]; no margin is added.
+    """
+    h, grad_ego = barrier_terms(cbf, diff)
+    return grad_ego, np.vecdot(-grad_ego, velocity) + alpha.value(h)
+
+
+def _offset(ego_position, agent_position) -> np.ndarray:
     p = np.asarray(ego_position, dtype=np.float64)
     q = np.asarray(agent_position, dtype=np.float64)
     if p.shape != (2,) or q.shape != (2,):
         raise InputError("positions must be planar")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise InputError("positions must be finite")
-    d = float(np.linalg.norm(p - q))
-    if d == 0.0:
-        raise SingularityError("barrier undefined for coincident positions")
-    return 1.0 / (1.0 + cbf.potential(d)) - cbf.delta
+    return p - q
+
+
+def cbf_value(cbf: PotentialFieldCbf, ego_position, agent_position) -> float:
+    """Barrier value h at the given ego/agent positions."""
+    h, _ = barrier_terms(cbf, _offset(ego_position, agent_position))
+    return float(h)
 
 
 def cbf_gradient(
@@ -197,18 +259,7 @@ def cbf_gradient(
         depends on the positions only through their difference.  Both
         are exactly zero at distances >= rho0.
     """
-    p = np.asarray(ego_position, dtype=np.float64)
-    q = np.asarray(agent_position, dtype=np.float64)
-    if p.shape != (2,) or q.shape != (2,):
-        raise InputError("positions must be planar")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise InputError("positions must be finite")
-    diff = p - q
-    d = float(np.linalg.norm(diff))
-    if d == 0.0:
-        raise SingularityError("gradient undefined for coincident positions")
-    slope = cbf.radial_derivative(d)
-    grad_ego = (slope / d) * diff
+    _, grad_ego = barrier_terms(cbf, _offset(ego_position, agent_position))
     return grad_ego, -grad_ego
 
 
@@ -223,10 +274,10 @@ def build_true_constraint(
     The row is grad_ego . u + (grad_agent . v_agent + alpha(h)) >= 0,
     everything evaluated at the true agent position and velocity.
     """
-    h = cbf_value(cbf, ego_position, agent.position)
-    grad_ego, grad_agent = cbf_gradient(cbf, ego_position, agent.position)
-    offset = float(grad_agent @ agent.velocity) + alpha.value(h)
-    return AffineConstraint(normal=grad_ego, offset=offset, agent_id=agent.agent_id)
+    normal, offset = barrier_rows(
+        cbf, alpha, _offset(ego_position, agent.position), agent.velocity
+    )
+    return AffineConstraint(normal=normal, offset=float(offset), agent_id=agent.agent_id)
 
 
 def build_conformal_constraint(

@@ -28,12 +28,7 @@ from conformal_cbf.errors import (
     InputError,
     ParseError,
 )
-from conformal_cbf.predictor import (
-    CONSTANT_VELOCITY,
-    GROUND_TRUTH,
-    NOISE_BOUNDED,
-    PredictorKind,
-)
+from conformal_cbf.predictor import _KINDS, CONSTANT_VELOCITY, PredictorKind
 from conformal_cbf.scenario import (
     RobotTask,
     load_annotations,
@@ -45,7 +40,6 @@ CSV_HEADER = "epsilon,eta,tau,t_goal,n_collide,d_min,l_avg,inflation_events"
 WORKERS_ENV = "CONFORMAL_CBF_WORKERS"
 
 _TASK_KEYS = ("start", "start_velocity", "goal", "goal_radius", "attract_gain")
-_PREDICTOR_KINDS = (CONSTANT_VELOCITY, GROUND_TRUTH, NOISE_BOUNDED)
 # sweep flags accept the usual short spellings for the swept quantities
 _GRID_ALIASES = {
     "eps": "epsilon",
@@ -171,10 +165,10 @@ def build_setup(doc: dict, seed_override=None):
         if key in _TASK_KEYS:
             task_kwargs[key] = value
         elif key == "predictor":
-            if value not in _PREDICTOR_KINDS:
+            if value not in _KINDS:
                 raise ConfigError(
                     f"unknown predictor {value!r}; "
-                    f"expected one of {', '.join(_PREDICTOR_KINDS)}"
+                    f"expected one of {', '.join(_KINDS)}"
                 )
             kind = value
         elif key == "predictor_value_bound":

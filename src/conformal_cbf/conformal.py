@@ -41,16 +41,19 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from conformal_cbf.barrier import (
     AgentState,
     BoundSet,
     ClassKappa,
     PotentialFieldCbf,
+    barrier_terms,
     cbf_gradient,
     cbf_value,
 )
 from conformal_cbf.errors import ConfigError, InputError
-from conformal_cbf.predictor import SampledTrajectory, differentiate
+from conformal_cbf.predictor import SampledTrajectory, velocities
 
 #: Window verdict when no agent was in range: the margin must not move.
 NO_AGENTS = None
@@ -216,31 +219,19 @@ def window_loss(
                 f"trajectory of agent {traj.agent_id} does not match the ego window"
             )
 
-    worst = -math.inf
-    for agent_id in sorted(pred_by_id):
-        pred = pred_by_id[agent_id]
-        act = act_by_id[agent_id]
-        for i in range(ego.n_samples):
-            frame = ego.start_frame + i
-            g = gap(
-                cbf,
-                alpha,
-                ego.positions[i],
-                AgentState(
-                    agent_id=agent_id,
-                    position=act.positions[i],
-                    velocity=differentiate(act, frame),
-                ),
-                AgentState(
-                    agent_id=agent_id,
-                    position=pred.positions[i],
-                    velocity=differentiate(pred, frame),
-                ),
-                lam,
-            )
-            if g > worst:
-                worst = g
-    return squash.value(worst)
+    if not math.isfinite(float(lam)):
+        raise InputError("margin must be finite")
+    ids = sorted(pred_by_id)
+    # (predicted/actual, agent, sample, xy): one kernel call scores them all
+    tracks = np.array(
+        [[pred_by_id[i].positions for i in ids], [act_by_id[i].positions for i in ids]]
+    )
+    h, grad_ego = barrier_terms(cbf, ego.positions - tracks)
+    q = np.vecdot(-grad_ego, velocities(tracks, ego.dt))
+    a = alpha.value(h)
+    # the gap formula of gap, grouped the same way
+    gaps = (q[0] - q[1]) + (a[0] - a[1]) + lam
+    return squash.value(float(gaps.max()))
 
 
 def lambda_safe_bound(

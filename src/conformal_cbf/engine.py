@@ -9,7 +9,9 @@ and re-predicted over the horizon.  Inside a window every frame builds
 one inflated barrier constraint per predicted agent from the prediction
 at that frame, projects the goal-attracting reference velocity onto the
 constraints, converts the projected command to an acceleration, and
-integrates one frame with that acceleration held.
+integrates one frame with that acceleration held.  The window's
+predictions are stacked into arrays once, so each frame's rows come from
+one call of the barrier kernel.
 
 Windows without a scorable agent leave the margin untouched and record
 no loss.  The first window never has predictions (there is no history
@@ -25,10 +27,10 @@ from itertools import product
 import numpy as np
 
 from conformal_cbf.barrier import (
-    AgentState,
+    AffineConstraint,
     ClassKappa,
     PotentialFieldCbf,
-    build_conformal_constraint,
+    barrier_rows,
 )
 from conformal_cbf.conformal import NO_AGENTS, ConformalState, window_loss
 from conformal_cbf.dynamics import (
@@ -50,8 +52,8 @@ from conformal_cbf.predictor import (
     NOISE_BOUNDED,
     PredictorKind,
     SampledTrajectory,
-    differentiate,
     predict,
+    velocities,
 )
 from conformal_cbf.qp import QpProblem, solve_with_relaxation
 from conformal_cbf.scenario import (
@@ -211,6 +213,7 @@ def run(
     tau = config.tau_frames
 
     predictions: dict = {}
+    stacked = _stack(predictions)
     ego_window: list = []
     window_start = start
     lambda_trace = [(1, margin.lam)]
@@ -232,16 +235,15 @@ def run(
                     margin.update(loss)
                     lambda_trace.append((offset // tau + 1, margin.lam))
                 predictions = _predict_window(config, kind, cbf, scene, state, frame)
+                stacked = _stack(predictions)
                 ego_window = []
                 window_start = frame
 
             ego_window.append(np.array(state.position, dtype=np.float64))
             actual = scene.agents_at(frame)
             if actual:
-                nearest = min(
-                    float(np.linalg.norm(pos - state.position))
-                    for pos in actual.values()
-                )
+                apart = np.array(list(actual.values())) - state.position
+                nearest = float(np.sqrt(np.vecdot(apart, apart)).min())
                 d_min = min(d_min, nearest)
                 if nearest < collision_d:
                     n_collide += 1
@@ -249,28 +251,10 @@ def run(
                 t_goal = offset * dt
                 break
 
-            rows = []
-            for agent_id in sorted(predictions):
-                ptraj = predictions[agent_id]
-                if not ptraj.contains(frame):
-                    continue
-                pos = ptraj.position_at(frame)
-                dist = float(np.linalg.norm(pos - state.position))
-                if dist <= 0.0 or dist >= config.rho0:
-                    continue
-                rows.append(
-                    build_conformal_constraint(
-                        cbf,
-                        alpha,
-                        state.position,
-                        AgentState(
-                            agent_id=agent_id,
-                            position=pos,
-                            velocity=differentiate(ptraj, frame),
-                        ),
-                        margin.lam,
-                    )
-                )
+            rows = _rows(
+                cbf, alpha, stacked, frame - window_start, state.position,
+                config.rho0, margin.lam,
+            )
             reference = reference_control(task, state)
             try:
                 solution, inflation = solve_with_relaxation(
@@ -351,9 +335,9 @@ def run(
 def _predict_window(config, kind, cbf, scene, state, frame):
     """Predictions for the agents sensed at a window boundary.
 
-    Agents without two frames of contiguous history, or without a
-    recorded future when an oracle kind needs one, are left out; they
-    simply contribute no constraint this window.
+    Agents without two frames of contiguous history, or without two
+    frames of recorded future when an oracle kind needs one, are left
+    out; they simply contribute no constraint this window.
     """
     sensed = sensed_agents(scene, state.position, config.rho0, frame)
     histories = {}
@@ -374,7 +358,7 @@ def _predict_window(config, kind, cbf, scene, state, frame):
                 futures[agent_id] = fut
         if not histories:
             return {}
-    return predict(
+    predictions = predict(
         kind,
         histories,
         config.horizon_frames,
@@ -382,6 +366,44 @@ def _predict_window(config, kind, cbf, scene, state, frame):
         cbf=cbf,
         ego_positions=np.array(state.position, dtype=np.float64),
     )
+    # a one-sample oracle prediction has no velocity to build a row from
+    return {i: p for i, p in predictions.items() if p.n_samples >= 2}
+
+
+def _stack(predictions):
+    """A window's predictions as arrays: sorted ids, (m, H, 2) positions
+    and velocities (zero past each agent's own length), and lengths."""
+    ids = sorted(predictions)
+    horizon = max((predictions[i].n_samples for i in ids), default=0)
+    positions = np.zeros((len(ids), horizon, 2))
+    vels = np.zeros((len(ids), horizon, 2))
+    lengths = np.zeros(len(ids), dtype=np.intp)
+    for j, agent_id in enumerate(ids):
+        traj = predictions[agent_id]
+        n = traj.n_samples
+        positions[j, :n] = traj.positions
+        vels[j, :n] = velocities(traj.positions, traj.dt)
+        lengths[j] = n
+    return np.array(ids, dtype=np.intp), positions, vels, lengths
+
+
+def _rows(cbf, alpha, stacked, k, ego, rho0, lam):
+    """Deployed constraint rows at sample k of the window, one per agent
+    predicted there strictly between distance 0 and rho0, in id order."""
+    ids, positions, vels, lengths = stacked
+    if k >= positions.shape[1]:
+        return []
+    diff = ego - positions[:, k]
+    dist = np.sqrt(np.vecdot(diff, diff))
+    keep = (lengths > k) & (dist > 0.0) & (dist < rho0)
+    if not keep.any():
+        return []
+    normals, offsets = barrier_rows(cbf, alpha, diff[keep], vels[keep, k])
+    offsets = offsets + lam
+    return [
+        AffineConstraint(normal=n, offset=float(b), agent_id=int(i))
+        for n, b, i in zip(normals, offsets, ids[keep])
+    ]
 
 
 def _score_window(cbf, alpha, lam, predictions, ego_positions, window_start, dt, scene):

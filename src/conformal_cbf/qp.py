@@ -24,8 +24,6 @@ import numpy as np
 from conformal_cbf.barrier import AffineConstraint
 from conformal_cbf.errors import InfeasibleError, InputError
 
-MAX_CONSTRAINTS = 64
-
 # Residuals within this band of zero count as active.
 ACTIVE_TOL = 1e-8
 # Norm below which a row is treated as having a zero normal.
@@ -49,8 +47,6 @@ class QpProblem:
         if not np.all(np.isfinite(ref)):
             raise InputError("reference must be finite")
         rows = tuple(constraints)
-        if len(rows) > MAX_CONSTRAINTS:
-            raise InputError(f"at most {MAX_CONSTRAINTS} constraints supported")
         for row in rows:
             if not isinstance(row, AffineConstraint):
                 raise InputError("constraints must be AffineConstraint rows")
@@ -86,18 +82,25 @@ def solve(problem: QpProblem) -> QpSolution:
     offsets = np.array([row.offset for row in rows])
     norms = np.linalg.norm(normals, axis=1)
 
+    def active_ids(u):
+        # row by row this is AffineConstraint.residual, bit for bit
+        resid = np.abs(np.vecdot(normals, u) + offsets)
+        return tuple(rows[i].agent_id for i in np.flatnonzero(resid <= ACTIVE_TOL))
+
     # Zero-normal rows constrain nothing or everything.
     degenerate = norms <= _ZERO_NORMAL
     if np.any(degenerate):
         if np.any(offsets[degenerate] < -ACTIVE_TOL):
             raise InfeasibleError("zero-normal row with negative offset")
         keep = ~degenerate
-        normals, offsets, norms = normals[keep], offsets[keep], norms[keep]
-        if normals.shape[0] == 0:
-            return QpSolution(decision=ref.copy(), active_set=_active_ids(rows, ref))
+        if not keep.any():
+            return QpSolution(decision=ref.copy(), active_set=active_ids(ref))
+        a, b, norms = normals[keep], offsets[keep], norms[keep]
+    else:
+        a, b = normals, offsets
 
-    a = normals / norms[:, None]
-    b = offsets / norms
+    a = a / norms[:, None]
+    b = b / norms
     m = a.shape[0]
     stop_tol = 1e-9 / max(1.0, float(np.max(norms)))
 
@@ -109,7 +112,7 @@ def solve(problem: QpProblem) -> QpSolution:
         viol = a @ u + b
         p = int(np.argmin(viol))
         if viol[p] >= -stop_tol:
-            return QpSolution(decision=u, active_set=_active_ids(rows, u))
+            return QpSolution(decision=u, active_set=active_ids(u))
         mu_p = 0.0
         for _ in range(2 * (m + 1)):
             a_p = a[p]
@@ -165,12 +168,6 @@ def solve(problem: QpProblem) -> QpSolution:
         else:
             raise RuntimeError("active-set inner loop failed to settle")
     raise RuntimeError("active-set iteration limit exceeded")
-
-
-def _active_ids(rows, u) -> tuple:
-    return tuple(
-        row.agent_id for row in rows if abs(row.residual(u)) <= ACTIVE_TOL
-    )
 
 
 def solve_with_relaxation(

@@ -21,6 +21,8 @@ from conformal_cbf.errors import ConfigError, InputError, ParseError
 from conformal_cbf.predictor import SampledTrajectory
 
 DEFAULT_LABEL_FILTER = ("Pedestrian",)
+# libyaml's parser when present: a scene spec holds hundreds of waypoints
+_SPEC_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass
@@ -269,13 +271,11 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
                 f"agent {agent_id} has a non-monotone waypoint schedule"
             )
         labels[agent_id] = label
-        n_frames = int(round(duration * fps)) + 1
-        for frame in range(n_frames):
-            t = frame / fps
-            if t < times[0] or t > times[-1]:
-                continue
-            x = float(np.interp(t, times, points[:, 0]))
-            y = float(np.interp(t, times, points[:, 1]))
+        t = np.arange(int(round(duration * fps)) + 1) / fps
+        present = np.flatnonzero((t >= times[0]) & (t <= times[-1]))
+        xs = np.interp(t[present], times, points[:, 0])
+        ys = np.interp(t[present], times, points[:, 1])
+        for frame, x, y in zip(present.tolist(), xs.tolist(), ys.tolist()):
             frames.setdefault(frame, {})[agent_id] = np.array([x, y])
     return ScenarioFrameSet(scene_name=name, fps=fps, frames=frames, labels=labels)
 
@@ -284,7 +284,7 @@ def load_scene_spec(path) -> dict:
     """Read a YAML scene spec; validation happens in synth_scene."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            spec = yaml.safe_load(fh)
+            spec = yaml.load(fh, Loader=_SPEC_LOADER)
         except yaml.YAMLError as exc:
             raise ParseError(f"bad scene spec file {path}: {exc}") from None
     if not isinstance(spec, dict):

@@ -177,6 +177,27 @@ class TestGroundTruthFixedPoint:
         assert metrics.l_avg == 0.0
         assert all(lam == 0.0 for _, lam in metrics.lambda_trace)
 
+    def test_agent_leaving_one_frame_after_a_boundary_is_skipped(self, tmp_path):
+        # sensed at the frame-5 boundary, gone after it: a one-sample
+        # future gives no velocity, so the agent adds no row that window
+        scene = synth_scene(
+            {
+                "scene_name": "leaving",
+                "fps": 10.0,
+                "duration": 3.0,
+                "agents": [
+                    {"id": 1, "waypoints": [[0.0, [20.0, 5.0]], [0.5, [18.0, 5.0]]]}
+                ],
+            }
+        )
+        trace = tmp_path / "trace.jsonl"
+        metrics = run(
+            replace(self.CFG, max_frames=20), scene, self._task(), trace_path=trace
+        )
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert rows[5]["frame"] == 5 and rows[5]["n_constraints"] == 0
+        assert math.isnan(metrics.l_avg)
+
     def test_commands_satisfy_the_true_constraints(self, tmp_path):
         # with perfect predictions the constraints the QP saw are the
         # true ones, so every logged command must clear them

@@ -1,0 +1,206 @@
+"""The array kernels against the scalar routines they replace, compared with ==.
+
+barrier_terms, barrier_rows and velocities evaluate the same floating-point
+operations as the per-sample code, so their results must be bitwise equal to
+it, not merely close.  Distances and dot products go through np.vecdot and
+squares through np.float_power; if a numpy build stops matching
+np.linalg.norm, @ and Python's ** there, these tests fail first.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conformal_cbf.barrier import (
+    AgentState,
+    ClassKappa,
+    PotentialFieldCbf,
+    barrier_rows,
+    barrier_terms,
+    build_conformal_constraint,
+    cbf_gradient,
+    cbf_value,
+)
+from conformal_cbf.conformal import gap, window_loss
+from conformal_cbf.engine import _rows, _stack
+from conformal_cbf.predictor import SampledTrajectory, differentiate, velocities
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+coord = st.floats(-300.0, 300.0, allow_nan=False, allow_infinity=False)
+point = st.tuples(coord, coord)
+cbfs = st.builds(
+    PotentialFieldCbf,
+    k_rep=st.floats(0.01, 5000.0),
+    rho0=st.floats(1.0, 500.0),
+    delta=st.floats(0.05, 0.95),
+)
+alphas = st.one_of(
+    st.builds(ClassKappa.linear, st.floats(0.01, 50.0)),
+    st.builds(ClassKappa.arctan, st.floats(0.01, 50.0)),
+)
+
+
+def scalar_terms(cbf, ego, agent):
+    """h and grad_ego exactly as the per-pair scalar code computes them."""
+    diff = np.asarray(ego, dtype=np.float64) - np.asarray(agent, dtype=np.float64)
+    d = float(np.linalg.norm(diff))
+    h = 1.0 / (1.0 + cbf.potential(d)) - cbf.delta
+    return h, (cbf.radial_derivative(d) / d) * diff
+
+
+def scalar_row(cbf, alpha, ego, agent, velocity, lam):
+    h, grad_ego = scalar_terms(cbf, ego, agent)
+    return grad_ego, float(-grad_ego @ np.asarray(velocity)) + alpha.value(h) + lam
+
+
+def offsets_of(ego, agents):
+    return np.asarray(ego, dtype=np.float64) - np.asarray(agents, dtype=np.float64)
+
+
+@SETTINGS
+@given(cbf=cbfs, ego=point, agents=st.lists(point, min_size=1, max_size=12))
+def test_barrier_terms_match_scalar_barrier(cbf, ego, agents):
+    # below ~1e-77 the scalar (1 + U) ** 2 overflows and raises
+    agents = [a for a in agents if math.dist(a, ego) > 1e-60]
+    if not agents:
+        return
+    h, grad = barrier_terms(cbf, offsets_of(ego, agents))
+    for i, agent in enumerate(agents):
+        h_ref, grad_ref = scalar_terms(cbf, ego, agent)
+        assert h[i] == h_ref
+        assert np.all(grad[i] == grad_ref)
+        assert h[i] == cbf_value(cbf, ego, agent)
+        assert np.all(grad[i] == cbf_gradient(cbf, ego, agent)[0])
+
+
+@SETTINGS
+@given(cbf=cbfs, ego=point, bearing=st.floats(0.0, 2.0 * math.pi), excess=st.floats(1.0, 50.0))
+def test_barrier_terms_vanish_beyond_rho0(cbf, ego, bearing, excess):
+    d = cbf.rho0 * excess
+    agent = (ego[0] + d * math.cos(bearing), ego[1] + d * math.sin(bearing))
+    diff = offsets_of(ego, [agent])
+    if np.linalg.norm(diff[0]) < cbf.rho0:
+        return  # rounding pulled the agent back inside
+    h, grad = barrier_terms(cbf, diff)
+    assert h[0] == 1.0 - cbf.delta == cbf_value(cbf, ego, agent)
+    assert np.all(grad[0] == 0.0)
+
+
+@SETTINGS
+@given(
+    positions=st.lists(point, min_size=2, max_size=15),
+    dt=st.floats(0.001, 2.0),
+    start=st.integers(-50, 50),
+)
+def test_velocities_match_differentiate_at_every_frame(positions, dt, start):
+    traj = SampledTrajectory(agent_id=1, start_frame=start, dt=dt, positions=positions)
+    got = velocities(traj.positions, dt)
+    for i in range(traj.n_samples):
+        assert np.all(got[i] == differentiate(traj, start + i))
+
+
+@SETTINGS
+@given(
+    cbf=cbfs,
+    alpha=alphas,
+    ego=point,
+    agents=st.lists(st.tuples(point, point), min_size=1, max_size=10),
+    lam=st.floats(-5.0, 5.0),
+)
+def test_batched_rows_match_build_conformal_constraint(cbf, alpha, ego, agents, lam):
+    agents = [(p, v) for p, v in agents if math.dist(p, ego) > 1e-60]
+    if not agents:
+        return
+    normals, offsets = barrier_rows(
+        cbf, alpha, offsets_of(ego, [p for p, _ in agents]), np.array([v for _, v in agents])
+    )
+    offsets = offsets + lam
+    for i, (p, v) in enumerate(agents):
+        row = build_conformal_constraint(
+            cbf, alpha, ego, AgentState(agent_id=i, position=p, velocity=v), lam
+        )
+        normal_ref, offset_ref = scalar_row(cbf, alpha, ego, p, v, lam)
+        assert np.all(normals[i] == row.normal) and np.all(row.normal == normal_ref)
+        assert offsets[i] == row.offset == offset_ref
+
+
+@SETTINGS
+@given(
+    cbf=cbfs,
+    ego=point,
+    tracks=st.lists(st.lists(point, min_size=4, max_size=4), min_size=1, max_size=6),
+    lengths=st.lists(st.integers(1, 4), min_size=6, max_size=6),
+    k=st.integers(0, 3),
+    lam=st.floats(-5.0, 5.0),
+)
+def test_engine_frame_rows_match_build_conformal_constraint(cbf, ego, tracks, lengths, k, lam):
+    alpha = ClassKappa.linear(10.0)
+    if any(0.0 < math.dist(p, ego) <= 1e-60 for track in tracks for p in track):
+        return
+    predictions = {
+        3 * j + 1: SampledTrajectory(
+            agent_id=3 * j + 1, start_frame=40, dt=0.1, positions=track[: max(n, 2)]
+        )
+        for j, (track, n) in enumerate(zip(tracks, lengths))
+    }
+    rows = _rows(cbf, alpha, _stack(predictions), k, np.asarray(ego, dtype=np.float64), cbf.rho0, lam)
+    expected = []
+    for agent_id in sorted(predictions):
+        traj = predictions[agent_id]
+        if not traj.contains(40 + k):
+            continue
+        pos = traj.position_at(40 + k)
+        dist = float(np.linalg.norm(pos - np.asarray(ego)))
+        if dist <= 0.0 or dist >= cbf.rho0:
+            continue
+        agent = AgentState(agent_id=agent_id, position=pos, velocity=differentiate(traj, 40 + k))
+        expected.append(build_conformal_constraint(cbf, alpha, ego, agent, lam))
+    assert [r.agent_id for r in rows] == [r.agent_id for r in expected]
+    for got, want in zip(rows, expected):
+        assert np.all(got.normal == want.normal)
+        assert got.offset == want.offset
+
+
+@SETTINGS
+@given(
+    cbf=cbfs,
+    alpha=alphas,
+    windows=st.lists(
+        st.tuples(st.lists(point, min_size=5, max_size=5), st.lists(point, min_size=5, max_size=5)),
+        min_size=1,
+        max_size=5,
+    ),
+    ego=st.lists(point, min_size=5, max_size=5),
+    lam=st.floats(-5.0, 5.0),
+)
+def test_window_loss_matches_per_sample_gaps(cbf, alpha, windows, ego, lam):
+    def traj(agent_id, positions):
+        return SampledTrajectory(agent_id=agent_id, start_frame=7, dt=0.1, positions=positions)
+
+    ego_traj = traj(-1, ego)
+    predicted = {i: traj(i, p) for i, (p, _) in enumerate(windows)}
+    actual = {i: traj(i, a) for i, (_, a) in enumerate(windows)}
+    worst = -math.inf
+    for i in predicted:
+        for f in range(7, 12):
+            states = [
+                AgentState(agent_id=i, position=t.position_at(f), velocity=differentiate(t, f))
+                for t in (actual[i], predicted[i])
+            ]
+            if any(math.dist(s.position, ego_traj.position_at(f)) <= 1e-60 for s in states):
+                return  # coincident (or overflowing) sample
+            worst = max(worst, gap(cbf, alpha, ego_traj.position_at(f), *states, lam))
+    got = window_loss(cbf, alpha, predicted, actual, ego_traj, lam)
+    assert got == math.atan(worst) / math.pi
+
+
+@SETTINGS
+@given(slope=st.floats(0.01, 50.0), r=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))
+def test_class_kappa_on_arrays_matches_scalars(slope, r):
+    for alpha in (ClassKappa.linear(slope), ClassKappa.arctan(slope)):
+        got = alpha.value(np.array(r))
+        assert got.shape == (len(r),)
+        assert all(got[i] == alpha.value(x) for i, x in enumerate(r))

@@ -114,10 +114,24 @@ def test_parallel_rows_keep_the_tight_one():
     assert 2 in sol.active_set
 
 
-def test_too_many_rows_rejected():
-    rows = [row(1.0, 0.0, float(i), agent_id=i) for i in range(65)]
-    with pytest.raises(InputError):
-        QpProblem(reference=[0.0, 0.0], constraints=rows)
+def test_eighty_rows_match_enumeration_oracle():
+    # a dense crowd frame can carry more rows than any fixed cap
+    rng = np.random.default_rng(80)
+    interior = np.array([0.2, -0.1])
+    rows = []
+    for i in range(80):
+        normal = rng.normal(size=2)
+        normal /= np.linalg.norm(normal)
+        slack = rng.uniform(0.05, 1.0)
+        rows.append(row(normal[0], normal[1], float(slack - normal @ interior), agent_id=i))
+    problem = QpProblem(reference=[3.0, -2.0], constraints=rows)
+    assert min(c.residual(problem.reference) for c in rows) < 0.0
+    sol = solve(problem)
+    expected = enumerate_projection(problem.reference, rows)
+    assert expected is not None
+    assert np.linalg.norm(sol.decision - expected) <= 1e-9
+    assert kkt_residual(problem.reference, rows, sol.decision) <= 1e-6
+    assert len(sol.active_set) >= 1
 
 
 def test_matches_enumeration_oracle():
