@@ -324,7 +324,7 @@ def _cmd_validate(args) -> int:
         where = f" line {exc.line}" if exc.line is not None else ""
         print(f"{args.annotations}:{where}: {exc}", file=sys.stderr)
         return 3
-    n_frames = len(scene.frames)
+    n_frames = scene.n_frames
     print(
         f"{args.annotations}: ok: scene {scene.scene_name!r}, "
         f"{len(scene.labels)} agents, {n_frames} frames in "

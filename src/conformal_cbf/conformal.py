@@ -127,11 +127,6 @@ class ConformalState:
         return self
 
 
-def update_lambda(state: ConformalState, loss) -> ConformalState:
-    """Margin update lam <- lam + eta * (epsilon - loss); see ConformalState.update."""
-    return state.update(loss)
-
-
 @dataclass(frozen=True)
 class SafetyCertificate:
     """A loss level epsilon_safe and a margin level lambda_safe at or
@@ -181,8 +176,10 @@ def window_loss(
 
     Args:
         predicted: SampledTrajectory per agent, as an iterable or an
-            id-keyed mapping.
-        actual: realized trajectories over the same agents.
+            id-keyed mapping; or the positions of m agents as one
+            (m, n, 2) array aligned sample by sample with the ego window.
+        actual: realized trajectories over the same agents, in the same
+            form (for arrays, the same agent order).
         ego: the ego's realized positions over the same window.
         lam: margin the window was driven with.
 
@@ -193,14 +190,39 @@ def window_loss(
         InputError: agent sets differ, or any trajectory disagrees with
             the ego window's start frame, dt, or sample count.
     """
+    if ego.n_samples < 2:
+        raise InputError("ego window needs at least 2 samples")
+    if isinstance(predicted, np.ndarray):
+        actual = np.asarray(actual, dtype=np.float64)
+        if predicted.shape != actual.shape or predicted.shape[1:] != (ego.n_samples, 2):
+            raise InputError("predicted and actual arrays must be (m, ego samples, 2)")
+        if not len(predicted):
+            return NO_AGENTS
+        tracks = np.stack([predicted, actual])
+    else:
+        tracks = _stack_windows(predicted, actual, ego)
+        if tracks is None:
+            return NO_AGENTS
+    if not math.isfinite(float(lam)):
+        raise InputError("margin must be finite")
+    # (predicted/actual, agent, sample, xy): one kernel call scores them all
+    h, grad_ego = barrier_terms(cbf, ego.positions - tracks)
+    q = np.vecdot(-grad_ego, velocities(tracks, ego.dt))
+    a = alpha.value(h)
+    # the gap formula of gap, grouped the same way
+    gaps = (q[0] - q[1]) + (a[0] - a[1]) + lam
+    return squash.value(float(gaps.max()))
+
+
+def _stack_windows(predicted, actual, ego):
+    """(2, m, n, 2) positions of per-agent trajectories in id order, or
+    None when no agent is present."""
     if isinstance(predicted, Mapping):
         predicted = predicted.values()
     if isinstance(actual, Mapping):
         actual = actual.values()
     predicted = list(predicted)
     actual = list(actual)
-    if ego.n_samples < 2:
-        raise InputError("ego window needs at least 2 samples")
     pred_by_id = {t.agent_id: t for t in predicted}
     act_by_id = {t.agent_id: t for t in actual}
     if len(pred_by_id) != len(predicted) or len(act_by_id) != len(actual):
@@ -208,7 +230,7 @@ def window_loss(
     if set(pred_by_id) != set(act_by_id):
         raise InputError("predicted and actual windows cover different agents")
     if not pred_by_id:
-        return NO_AGENTS
+        return None
     for traj in predicted + actual:
         if (
             traj.start_frame != ego.start_frame
@@ -218,20 +240,10 @@ def window_loss(
             raise InputError(
                 f"trajectory of agent {traj.agent_id} does not match the ego window"
             )
-
-    if not math.isfinite(float(lam)):
-        raise InputError("margin must be finite")
     ids = sorted(pred_by_id)
-    # (predicted/actual, agent, sample, xy): one kernel call scores them all
-    tracks = np.array(
+    return np.array(
         [[pred_by_id[i].positions for i in ids], [act_by_id[i].positions for i in ids]]
     )
-    h, grad_ego = barrier_terms(cbf, ego.positions - tracks)
-    q = np.vecdot(-grad_ego, velocities(tracks, ego.dt))
-    a = alpha.value(h)
-    # the gap formula of gap, grouped the same way
-    gaps = (q[0] - q[1]) + (a[0] - a[1]) + lam
-    return squash.value(float(gaps.max()))
 
 
 def lambda_safe_bound(

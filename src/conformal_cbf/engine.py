@@ -11,7 +11,10 @@ at that frame, projects the goal-attracting reference velocity onto the
 constraints, converts the projected command to an acceleration, and
 integrates one frame with that acceleration held.  The window's
 predictions are stacked into arrays once, so each frame's rows come from
-one call of the barrier kernel.
+one call of the barrier kernel.  The scene is a track table (see
+scenario), so sensing, histories and the revealed motion a window is
+scored against are slices of it, and a window is scored with one
+window_loss call per distinct prefix length (normally one).
 
 Windows without a scorable agent leave the margin untouched and record
 no loss.  The first window never has predictions (there is no history
@@ -193,7 +196,7 @@ def run(
     kind = replace(config.predictor, seed=config.seed)
     if config.k_att is not None:
         task = replace(task, attract_gain=config.k_att)
-    if scene.frames:
+    if scene.n_frames:
         if not math.isclose(config.dt, scene.dt, rel_tol=1e-9, abs_tol=0.0):
             raise ConfigError(
                 f"config dt {config.dt} does not match scene frame rate "
@@ -212,8 +215,7 @@ def run(
     start = scene.start_frame
     tau = config.tau_frames
 
-    predictions: dict = {}
-    stacked = _stack(predictions)
+    stacked = _stack({})
     ego_window: list = []
     window_start = start
     lambda_trace = [(1, margin.lam)]
@@ -229,20 +231,21 @@ def run(
             if offset % tau == 0:
                 if offset > 0:
                     loss = _score_window(
-                        cbf, alpha, margin.lam, predictions, ego_window,
+                        cbf, alpha, margin.lam, stacked, ego_window,
                         window_start, dt, scene,
                     )
                     margin.update(loss)
                     lambda_trace.append((offset // tau + 1, margin.lam))
-                predictions = _predict_window(config, kind, cbf, scene, state, frame)
-                stacked = _stack(predictions)
+                stacked = _stack(
+                    _predict_window(config, kind, cbf, scene, state, frame)
+                )
                 ego_window = []
                 window_start = frame
 
             ego_window.append(np.array(state.position, dtype=np.float64))
-            actual = scene.agents_at(frame)
-            if actual:
-                apart = np.array(list(actual.values())) - state.position
+            _, actual = scene.rows_at(frame)
+            if len(actual):
+                apart = actual - state.position
                 nearest = float(np.sqrt(np.vecdot(apart, apart)).min())
                 d_min = min(d_min, nearest)
                 if nearest < collision_d:
@@ -309,7 +312,7 @@ def run(
             # the run ended exactly on a window boundary; score the
             # completed window so its loss is not silently dropped
             loss = _score_window(
-                cbf, alpha, margin.lam, predictions, ego_window,
+                cbf, alpha, margin.lam, stacked, ego_window,
                 window_start, dt, scene,
             )
             margin.update(loss)
@@ -340,24 +343,26 @@ def _predict_window(config, kind, cbf, scene, state, frame):
     out; they simply contribute no constraint this window.
     """
     sensed = sensed_agents(scene, state.position, config.rho0, frame)
-    histories = {}
-    for agent_id, _ in sensed:
-        hist = scene.history_of(agent_id, frame, config.tau_frames)
-        if hist is not None and hist.n_samples >= 2:
-            histories[agent_id] = hist
-    if not histories:
-        return {}
+    ids = [agent_id for agent_id, _ in sensed]
+    row, before, _ = scene.runs_at(ids, frame - 1)
+    n = np.minimum(before, config.tau_frames).tolist()
+    histories = {
+        i: scene.trajectory(i, r + 1 - k, k, frame - k)
+        for i, r, k in zip(ids, row.tolist(), n)
+        if k >= 2
+    }
     futures = None
     if kind.kind in (GROUND_TRUTH, NOISE_BOUNDED):
-        futures = {}
-        for agent_id in list(histories):
-            fut = scene.future_of(agent_id, frame, config.horizon_frames)
-            if fut is None:
-                del histories[agent_id]
-            else:
-                futures[agent_id] = fut
-        if not histories:
-            return {}
+        row, _, after = scene.runs_at(list(histories), frame)
+        n = np.minimum(after, config.horizon_frames).tolist()
+        futures = {
+            i: scene.trajectory(i, r, k, frame)
+            for i, r, k in zip(histories, row.tolist(), n)
+            if k > 0
+        }
+        histories = {i: h for i, h in histories.items() if i in futures}
+    if not histories:
+        return {}
     predictions = predict(
         kind,
         histories,
@@ -384,7 +389,7 @@ def _stack(predictions):
         positions[j, :n] = traj.positions
         vels[j, :n] = velocities(traj.positions, traj.dt)
         lengths[j] = n
-    return np.array(ids, dtype=np.intp), positions, vels, lengths
+    return np.array(ids) if ids else np.zeros(0, np.intp), positions, vels, lengths
 
 
 def _rows(cbf, alpha, stacked, k, ego, rho0, lam):
@@ -406,42 +411,38 @@ def _rows(cbf, alpha, stacked, k, ego, rho0, lam):
     ]
 
 
-def _score_window(cbf, alpha, lam, predictions, ego_positions, window_start, dt, scene):
+def _score_window(cbf, alpha, lam, stacked, ego_positions, window_start, dt, scene):
     """Worst per-agent window loss against the revealed ground truth.
 
     Each agent is scored over the prefix where its prediction, its
-    actual track, and the ego window all exist; the squash map is
-    monotone, so the max over per-agent losses is the loss over the
-    union of their instants.
+    actual track, and the ego window all exist.  Agents sharing a prefix
+    length are scored in one window_loss call; the squash map is
+    monotone, so the max over those calls is the max over per-agent
+    losses.
     """
-    if not predictions or len(ego_positions) < 2:
+    ids, positions, _, lengths = stacked
+    if not len(ids) or len(ego_positions) < 2:
         return NO_AGENTS
-    ego = SampledTrajectory(
-        agent_id=-1,
-        start_frame=window_start,
-        dt=dt,
-        positions=np.asarray(ego_positions, dtype=np.float64),
-    )
-    worst = None
-    for agent_id in sorted(predictions):
-        ptraj = predictions[agent_id]
-        actual = scene.future_of(agent_id, window_start, ego.n_samples)
-        if actual is None:
-            continue
-        n = min(ego.n_samples, actual.n_samples, ptraj.n_samples)
-        if n < 2:
-            continue
+    ego = np.array(ego_positions)
+    row, _, after = scene.runs_at(ids, window_start)
+    n = np.minimum(np.minimum(after, lengths), len(ego))
+    worst = NO_AGENTS
+    for k in np.unique(n[n >= 2]).tolist():
+        group = n == k
+        actual = scene.track_positions[row[group, None] + np.arange(k)]
         loss = window_loss(
             cbf,
             alpha,
-            {agent_id: ptraj.prefix(n)},
-            {agent_id: actual.prefix(n)},
-            ego.prefix(n),
+            positions[group, :k],
+            actual,
+            SampledTrajectory(
+                agent_id=-1, start_frame=window_start, dt=dt, positions=ego[:k]
+            ),
             lam,
         )
         if worst is None or loss > worst:
             worst = loss
-    return NO_AGENTS if worst is None else worst
+    return worst
 
 
 @dataclass(frozen=True)
@@ -454,8 +455,21 @@ class SweepRow:
     error: str | None
 
 
+# the sweep's scene and task inside a pool worker, set once by _init_worker
+_worker_scene = None
+
+
+def _init_worker(scene, task):
+    global _worker_scene
+    _worker_scene = (scene, task)
+
+
 def _run_cell(payload):
-    cell, config, scene, task, error = payload
+    """Pool entry point: a payload is (cell, config, error)."""
+    return _cell_row(*payload, *_worker_scene)
+
+
+def _cell_row(cell, config, error, scene, task):
     if error is not None:
         return SweepRow(params=cell, metrics=None, error=error)
     try:
@@ -476,7 +490,8 @@ def sweep(
     Cells are ordered by grid position (first key outermost).  Each run
     is independent and uses the base seed, so results do not depend on
     workers; failures become rows with error text and the sweep
-    continues.
+    continues.  Each worker receives the scene and task once, when the
+    pool starts, and each cell only its parameters.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError("workers must be a positive integer")
@@ -492,10 +507,12 @@ def sweep(
         cell = dict(zip(names, combo))
         try:
             cfg = replace(base, **cell)
-            payloads.append((cell, cfg, scene, task, None))
+            payloads.append((cell, cfg, None))
         except (ConfigError, InputError) as exc:
-            payloads.append((cell, None, scene, task, f"{type(exc).__name__}: {exc}"))
+            payloads.append((cell, None, f"{type(exc).__name__}: {exc}"))
     if workers == 1 or len(payloads) <= 1:
-        return [_run_cell(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [_cell_row(*p, scene, task) for p in payloads]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(scene, task)
+    ) as pool:
         return list(pool.map(_run_cell, payloads))

@@ -1,17 +1,33 @@
 """Scene replay: annotation parsing, synthetic scenes, and the robot task.
 
-Scenes are frame-indexed sets of agent positions in pixel coordinates,
-either parsed from drone-footage annotation files or synthesized from
-waypoint schedules.  Annotation rows follow the ten-column layout
+A scene is one table of rows (track, frame, x, y) in pixel coordinates,
+parsed from drone-footage annotation files or synthesized from waypoint
+schedules.  The table is sorted by track, then frame, so an agent's
+recorded path is contiguous: histories, futures and window scoring read
+slices of it.  A frame index lists the table's rows by frame, then
+track, so the agents present at a frame are one slice in id order:
+agents_at, sensed_agents and the engine's distance scan read it.  Each
+index entry also holds its table row and how many samples of its run
+(the stretch of consecutive frames its track covers without a gap) lie
+up to and from its frame, so the contiguous history or future of any
+set of agents at a frame costs one lookup, not a frame-by-frame walk.
+Memory is proportional to the number of rows.
+
+Annotation rows follow the ten-column layout
 
     track_id xmin ymin xmax ymax frame lost occluded generated "label"
 
 where the position is taken as the bounding-box center, rows flagged
 lost are dropped, and rows whose label is filtered out are ignored.
+Every box center must be finite.
 """
 
+import math
+import operator
+import string
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import yaml
@@ -25,83 +41,177 @@ DEFAULT_LABEL_FILTER = ("Pedestrian",)
 _SPEC_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-@dataclass
 class ScenarioFrameSet:
-    """Agent positions per frame, plus agent labels for serialization.
+    """Agent positions per frame, stored as a track table, plus labels.
 
-    frames maps frame index -> {agent_id -> (2,) position}; labels maps
-    agent_id -> label.  Frames with no agents simply have no entry.
+    Built from frames (frame index -> {agent_id -> (2,) position}) and
+    labels (agent_id -> label); load_annotations and synth_scene fill the
+    table directly.  frames gives that mapping back, read-only, built on
+    first access; the replay itself only uses the table queries.
     """
 
-    scene_name: str
-    fps: float
-    frames: dict
-    labels: dict
+    def __init__(self, scene_name: str, fps: float, frames: dict, labels: dict):
+        track, frame, xy = [], [], []
+        try:
+            for f, row in frames.items():
+                for agent_id, pos in row.items():
+                    frame.append(operator.index(f))
+                    track.append(operator.index(agent_id))
+                    xy.append(pos)
+            xy = np.array(xy, dtype=np.float64).reshape(len(track), 2)
+        except (TypeError, ValueError):
+            raise InputError(
+                "frames must map integer frames to {integer id: (2,) position}"
+            ) from None
+        if not np.isfinite(xy).all():
+            raise InputError("positions must be finite")
+        self._fill(scene_name, fps, track, frame, xy, labels)
 
-    def __post_init__(self):
-        if not (np.isfinite(self.fps) and self.fps > 0.0):
+    @classmethod
+    def from_rows(cls, scene_name, fps, track, frame, xy, labels):
+        """Scene from table columns: integer track and frame per row and
+        finite (n, 2) positions; at most one row per (track, frame)."""
+        scene = cls.__new__(cls)
+        scene._fill(scene_name, fps, track, frame, xy, labels)
+        return scene
+
+    def _fill(self, scene_name, fps, track, frame, xy, labels):
+        if not (np.isfinite(fps) and fps > 0.0):
             raise InputError("fps must be positive and finite")
+        self.scene_name = scene_name
+        self.fps = fps
+        self.labels = labels
+        self._view = None
+        track, frame = _int_column(track), _int_column(frame)
+        by_track = np.lexsort((frame, track))
+        track, frame = track[by_track], frame[by_track]
+        same = track[1:] == track[:-1]
+        twin = np.flatnonzero(same & (frame[1:] == frame[:-1]))
+        if twin.size:
+            i = twin[0]
+            raise InputError(f"duplicate row for agent {track[i]} at frame {frame[i]}")
+        # runs: maximal stretches of one track on consecutive frames
+        cut = np.flatnonzero(~same | (frame[1:] != frame[:-1] + 1)) + 1
+        start = np.concatenate(([0], cut)).astype(np.intp)
+        end = np.concatenate((cut, [len(track)])).astype(np.intp)
+        run_start = np.repeat(start, end - start)
+        run_end = np.repeat(end, end - start)
+        self.track_positions = np.asarray(xy, dtype=np.float64)[by_track]
+        # the frame index, in (frame, track) order: each entry's track, its
+        # table row and the samples of its run up to and from its frame
+        row = np.lexsort((track, frame))
+        self._track = track[row]
+        self._runs = np.stack([row, row + 1 - run_start[row], run_end[row] - row], axis=1)
+        self._frame_positions = self.track_positions[row]
+        for a in (self.track_positions, self._track, self._runs, self._frame_positions):
+            a.flags.writeable = False
+        frame = frame[row]
+        lo = [0] + (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist() if len(frame) else []
+        present = frame[lo].tolist()
+        # frame -> (lo, hi) slice of the index, one entry per frame present
+        self._at = dict(zip(present, zip(lo, lo[1:] + [len(frame)])))
+        self.n_frames = len(present)
+        self.start_frame = present[0] if present else 0
+        self.end_frame = present[-1] + 1 if present else 0  # first frame past the data
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_view"] = None
+        return state
 
     @property
     def dt(self) -> float:
         return 1.0 / self.fps
 
     @property
-    def start_frame(self) -> int:
-        return min(self.frames) if self.frames else 0
+    def frames(self):
+        """Read-only frame index -> {agent_id -> (2,) position}."""
+        if self._view is None:
+            self._view = MappingProxyType(
+                {f: MappingProxyType(self.agents_at(f)) for f in self._at}
+            )
+        return self._view
 
-    @property
-    def end_frame(self) -> int:
-        """First frame past the recorded range."""
-        return max(self.frames) + 1 if self.frames else 0
+    def rows_at(self, frame: int):
+        """Ids (ascending) and (k, 2) positions of the agents at a frame."""
+        lo, hi = self._at.get(frame, (0, 0))
+        return self._track[lo:hi], self._frame_positions[lo:hi]
 
     def agents_at(self, frame: int) -> dict:
-        return self.frames.get(frame, {})
+        ids, pos = self.rows_at(frame)
+        return dict(zip(ids.tolist(), pos))
+
+    def runs_at(self, ids, frame: int):
+        """Where each agent's contiguous run through a frame lies.
+
+        Args:
+            ids: agent ids, any order.
+
+        Returns:
+            (row, before, after) arrays aligned with ids: the agent's row
+            at the frame in track_positions, the number of contiguous
+            samples ending at the frame, and the number starting at it;
+            -1, 0 and 0 for an agent absent at the frame.
+        """
+        ids = np.asarray(ids, dtype=self._track.dtype)
+        absent = (-1, 0, 0)
+        lo, hi = self._at.get(frame, (0, 0))
+        if lo == hi:
+            return np.full((len(ids), 3), absent).T
+        k = lo + np.minimum(np.searchsorted(self._track[lo:hi], ids), hi - lo - 1)
+        runs = self._runs[k]
+        runs[self._track[k] != ids] = absent
+        return runs.T
+
+    def _run_of(self, agent_id, frame):
+        try:
+            ids = np.array([agent_id], dtype=self._track.dtype)
+        except (OverflowError, TypeError, ValueError):
+            return -1, 0, 0
+        row, before, after = self.runs_at(ids, frame)
+        return int(row[0]), int(before[0]), int(after[0])
+
+    def trajectory(self, agent_id, row, n, start_frame) -> SampledTrajectory:
+        """n samples of one agent's recorded path from a table row on;
+        rows and lengths come from runs_at."""
+        return SampledTrajectory(
+            agent_id=agent_id,
+            start_frame=start_frame,
+            dt=self.dt,
+            positions=self.track_positions[row : row + n],
+        )
 
     def history_of(
         self, agent_id: int, end_frame: int, max_frames: int
     ) -> SampledTrajectory | None:
         """Longest contiguous presence of the agent ending right before
         end_frame, capped at max_frames samples."""
-        rows = []
-        frame = end_frame - 1
-        while frame >= end_frame - max_frames:
-            pos = self.frames.get(frame, {}).get(agent_id)
-            if pos is None:
-                break
-            rows.append(pos)
-            frame -= 1
-        if not rows:
+        row, before, _ = self._run_of(agent_id, end_frame - 1)
+        n = min(before, max_frames)
+        if n <= 0:
             return None
-        rows.reverse()
-        return SampledTrajectory(
-            agent_id=agent_id,
-            start_frame=frame + 1,
-            dt=self.dt,
-            positions=np.array(rows),
-        )
+        return self.trajectory(agent_id, row + 1 - n, n, end_frame - n)
 
     def future_of(
         self, agent_id: int, start_frame: int, max_frames: int
     ) -> SampledTrajectory | None:
         """Contiguous presence of the agent from start_frame on, capped
         at max_frames samples."""
-        rows = []
-        frame = start_frame
-        while frame < start_frame + max_frames:
-            pos = self.frames.get(frame, {}).get(agent_id)
-            if pos is None:
-                break
-            rows.append(pos)
-            frame += 1
-        if not rows:
+        row, _, after = self._run_of(agent_id, start_frame)
+        n = min(after, max_frames)
+        if n <= 0:
             return None
-        return SampledTrajectory(
-            agent_id=agent_id,
-            start_frame=start_frame,
-            dt=self.dt,
-            positions=np.array(rows),
-        )
+        return self.trajectory(agent_id, row, n, start_frame)
+
+
+def _int_column(values) -> np.ndarray:
+    """int64 when every value fits, else Python ints in an object array."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "i":
+        return np.asarray(values, dtype=np.int64)
+    try:
+        return np.array(values, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        return np.array(values, dtype=object).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -138,6 +248,13 @@ def load_annotations(
 ) -> ScenarioFrameSet:
     """Parse an annotation file into a frame set.
 
+    A file of plain ASCII tokens is parsed column-wise by numpy's C
+    reader, which reads such tokens exactly as Python's int() and
+    float() do; any token it refuses (an integer beyond int64, say)
+    sends the file to the line-by-line parser.  That parser defines the
+    format: it accepts the same files, gives the same table, and names
+    the first bad line.
+
     Args:
         path: annotation text file in the ten-column layout above.
         label_filter: labels to keep, or None for all.
@@ -145,50 +262,130 @@ def load_annotations(
         scene_name: defaults to the file stem.
 
     Raises:
-        ParseError: malformed row; carries the 1-based line number.
+        ParseError: malformed row, non-finite box, duplicate (track,
+            frame) or text that is not UTF-8; carries the 1-based line
+            number.
     """
-    frames: dict[int, dict] = {}
-    labels: dict[int, str] = {}
     keep = None if label_filter is None else set(label_filter)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            tokens = text.split()
-            if len(tokens) != 10:
-                raise ParseError(
-                    f"line {lineno}: expected 10 columns, got {len(tokens)}",
-                    line=lineno,
-                )
-            try:
-                track = int(tokens[0])
-                xmin, ymin, xmax, ymax = (float(t) for t in tokens[1:5])
-                frame = int(tokens[5])
-                lost = int(tokens[6])
-                int(tokens[7])
-                int(tokens[8])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}", line=lineno) from None
-            label = tokens[9].strip('"')
-            if lost == 1:
-                continue
-            if keep is not None and label not in keep:
-                continue
-            row = frames.setdefault(frame, {})
-            if track in row:
-                raise ParseError(
-                    f"line {lineno}: duplicate row for agent {track} at frame {frame}",
-                    line=lineno,
-                )
-            row[track] = np.array([0.5 * (xmin + xmax), 0.5 * (ymin + ymax)])
-            labels.setdefault(track, label)
-    if not frames:
-        warnings.warn(f"no agents survived parsing {path}", stacklevel=2)
     name = scene_name
     if name is None:
         name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return ScenarioFrameSet(scene_name=name, fps=fps, frames=frames, labels=labels)
+    columns = _parse_plain(path, keep)
+    scene = None
+    if columns is not None:
+        try:
+            scene = ScenarioFrameSet.from_rows(name, fps, *columns)
+        except InputError:
+            pass  # a duplicate row: the line parser names its line
+    if scene is None:
+        scene = ScenarioFrameSet.from_rows(name, fps, *_parse_lines(path, keep))
+    if not scene.n_frames:
+        warnings.warn(f"no agents survived parsing {path}", stacklevel=2)
+    return scene
+
+
+# bytes of the files the column reader takes: tokens of these characters,
+# split by spaces and tabs, cannot be read differently by numpy and Python
+_PLAIN = (string.ascii_letters + string.digits + '+-."\t\r\n ').encode("ascii")
+# numpy refuses a token out of its column's range, so narrow columns only
+# send rare files (flags beyond int8) to the line parser; a label as long
+# as its column may have been cut, so it does too
+_PLAIN_ROW = np.dtype(
+    [("track", np.int64)]
+    + [(c, np.float64) for c in ("xmin", "ymin", "xmax", "ymax")]
+    + [("frame", np.int64)]
+    + [(c, np.int8) for c in ("lost", "occluded", "generated")]
+    + [("label", "S24")]
+)
+
+
+def _parse_plain(path, keep):
+    """Columns of a plain file, or None when it needs _parse_lines."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.translate(None, _PLAIN):
+        return None
+    if not raw.strip():
+        return [], [], np.zeros((0, 2)), {}
+    del raw  # numpy reads the file itself, with universal newlines
+    try:
+        rows = np.loadtxt(
+            path, dtype=_PLAIN_ROW, comments=None, quotechar=None, ndmin=1,
+            encoding="ascii",
+        )
+    except (ValueError, OverflowError):
+        return None
+    label = rows["label"]
+    if np.strings.str_len(label).max() == label.itemsize:
+        return None
+    kept = rows["lost"] != 1
+    label = np.strings.strip(label, b'"')
+    if keep is not None:
+        kept &= np.isin(label, [k.encode() for k in keep if isinstance(k, str)])
+    label = label[kept]
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        x = 0.5 * (rows["xmin"] + rows["xmax"])
+        y = 0.5 * (rows["ymin"] + rows["ymax"])
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return None
+    xy = np.stack([x[kept], y[kept]], axis=1)
+    track, frame = rows["track"][kept], rows["frame"][kept]
+    del rows, x, y
+    ids, first = np.unique(track, return_index=True)
+    labels = dict(zip(ids.tolist(), (v.decode() for v in label[first].tolist())))
+    return track, frame, xy, labels
+
+
+def _parse_lines(path, keep):
+    """Columns of any annotation file, line by line; raises ParseError at
+    the first bad line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # universal newlines, as text-mode reading applies them
+    raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {line}: not UTF-8 text", line=line) from None
+    track, frame, xy = [], [], []
+    labels: dict = {}
+    seen = set()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 10:
+            raise ParseError(
+                f"line {lineno}: expected 10 columns, got {len(tokens)}",
+                line=lineno,
+            )
+        try:
+            t = int(tokens[0])
+            xmin, ymin, xmax, ymax = (float(v) for v in tokens[1:5])
+            f = int(tokens[5])
+            lost = int(tokens[6])
+            int(tokens[7])
+            int(tokens[8])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}", line=lineno) from None
+        center = (0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
+        if not (math.isfinite(center[0]) and math.isfinite(center[1])):
+            raise ParseError(f"line {lineno}: box center is not finite", line=lineno)
+        label = tokens[9].strip('"')
+        if lost == 1 or (keep is not None and label not in keep):
+            continue
+        if (t, f) in seen:
+            raise ParseError(
+                f"line {lineno}: duplicate row for agent {t} at frame {f}",
+                line=lineno,
+            )
+        seen.add((t, f))
+        track.append(t)
+        frame.append(f)
+        xy.append(center)
+        labels.setdefault(t, label)
+    return track, frame, np.array(xy, dtype=np.float64).reshape(-1, 2), labels
 
 
 def save_annotations(scene: ScenarioFrameSet, path) -> None:
@@ -215,13 +412,10 @@ def sensed_agents(
     ordered by agent id.  An agent exactly at distance rho0 is not sensed."""
     if not (np.isfinite(rho0) and rho0 > 0.0):
         raise InputError("rho0 must be positive and finite")
-    ego = np.asarray(ego_position, dtype=np.float64)
-    out = []
-    for agent_id in sorted(scene.agents_at(frame)):
-        pos = scene.frames[frame][agent_id]
-        if float(np.linalg.norm(pos - ego)) < rho0:
-            out.append((agent_id, pos))
-    return out
+    ids, pos = scene.rows_at(frame)
+    apart = pos - np.asarray(ego_position, dtype=np.float64)
+    near = np.sqrt(np.vecdot(apart, apart)) < rho0
+    return list(zip(ids[near].tolist(), pos[near]))
 
 
 def synth_scene(spec: dict) -> ScenarioFrameSet:
@@ -247,7 +441,9 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
     if not (np.isfinite(duration) and duration > 0.0):
         raise ConfigError("duration must be positive")
 
-    frames: dict[int, dict] = {}
+    track: list = []
+    frame: list = []
+    xy = []
     labels: dict[int, str] = {}
     seen = set()
     for entry in agents:
@@ -273,11 +469,14 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
         labels[agent_id] = label
         t = np.arange(int(round(duration * fps)) + 1) / fps
         present = np.flatnonzero((t >= times[0]) & (t <= times[-1]))
-        xs = np.interp(t[present], times, points[:, 0])
-        ys = np.interp(t[present], times, points[:, 1])
-        for frame, x, y in zip(present.tolist(), xs.tolist(), ys.tolist()):
-            frames.setdefault(frame, {})[agent_id] = np.array([x, y])
-    return ScenarioFrameSet(scene_name=name, fps=fps, frames=frames, labels=labels)
+        track += [agent_id] * len(present)
+        frame += present.tolist()
+        xy.append(np.stack([
+            np.interp(t[present], times, points[:, 0]),
+            np.interp(t[present], times, points[:, 1]),
+        ], axis=1))
+    xy = np.concatenate(xy) if xy else np.zeros((0, 2))
+    return ScenarioFrameSet.from_rows(name, fps, track, frame, xy, labels)
 
 
 def load_scene_spec(path) -> dict:

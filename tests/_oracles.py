@@ -4,10 +4,12 @@ Everything here is deliberately written from the defining equations
 rather than by calling into the package internals: extended-precision
 central differences for gradients, brute-force candidate enumeration and
 dense grids for the projection QP, and sub-stepped integration for the
-dynamics.
+dynamics.  The scene references are the line-by-line annotation parser
+and the dict-of-frames queries the track table replaced.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -168,3 +170,89 @@ def kkt_residual(reference, constraints, decision, active_tol=1e-7):
     basis = a[active].T
     _, rnorm = nnls(basis, target)
     return float(rnorm)
+
+
+def parse_annotations_reference(path, label_filter=("Pedestrian",)):
+    """Line-by-line annotation parser: frames (frame -> {track -> (2,)
+    center}) and labels, or ParseError with the first bad line.  This is
+    the original parser with one rule added: a box center must be finite.
+    """
+    from conformal_cbf.errors import ParseError
+
+    frames = {}
+    labels = {}
+    keep = None if label_filter is None else set(label_filter)
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            tokens = text.split()
+            if len(tokens) != 10:
+                raise ParseError(f"line {lineno}: columns", line=lineno)
+            try:
+                track = int(tokens[0])
+                xmin, ymin, xmax, ymax = (float(t) for t in tokens[1:5])
+                frame = int(tokens[5])
+                lost = int(tokens[6])
+                int(tokens[7])
+                int(tokens[8])
+            except ValueError:
+                raise ParseError(f"line {lineno}: value", line=lineno) from None
+            center = np.array([0.5 * (xmin + xmax), 0.5 * (ymin + ymax)])
+            if not (math.isfinite(center[0]) and math.isfinite(center[1])):
+                raise ParseError(f"line {lineno}: non-finite", line=lineno)
+            label = tokens[9].strip('"')
+            if lost == 1:
+                continue
+            if keep is not None and label not in keep:
+                continue
+            row = frames.setdefault(frame, {})
+            if track in row:
+                raise ParseError(f"line {lineno}: duplicate", line=lineno)
+            row[track] = center
+            labels.setdefault(track, label)
+    return frames, labels
+
+
+def history_reference(frames, agent_id, end_frame, max_frames):
+    """(start_frame, positions) of the contiguous presence ending right
+    before end_frame, walked frame by frame; None when absent."""
+    rows = []
+    frame = end_frame - 1
+    while frame >= end_frame - max_frames:
+        pos = frames.get(frame, {}).get(agent_id)
+        if pos is None:
+            break
+        rows.append(pos)
+        frame -= 1
+    if not rows:
+        return None
+    return frame + 1, np.array(rows[::-1])
+
+
+def future_reference(frames, agent_id, start_frame, max_frames):
+    """(start_frame, positions) of the contiguous presence from
+    start_frame on, walked frame by frame; None when absent."""
+    rows = []
+    frame = start_frame
+    while frame < start_frame + max_frames:
+        pos = frames.get(frame, {}).get(agent_id)
+        if pos is None:
+            break
+        rows.append(pos)
+        frame += 1
+    if not rows:
+        return None
+    return start_frame, np.array(rows)
+
+
+def sensed_reference(frames, ego, rho0, frame):
+    """(agent_id, position) strictly within rho0, by id, one norm each."""
+    ego = np.asarray(ego, dtype=np.float64)
+    row = frames.get(frame, {})
+    return [
+        (agent_id, row[agent_id])
+        for agent_id in sorted(row)
+        if float(np.linalg.norm(row[agent_id] - ego)) < rho0
+    ]

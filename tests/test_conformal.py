@@ -15,7 +15,6 @@ from conformal_cbf.conformal import (
     lambda_safe_bound,
     make_certificate,
     risk_bound,
-    update_lambda,
     window_loss,
 )
 from conformal_cbf.errors import ConfigError, InputError
@@ -252,11 +251,6 @@ class TestUpdate:
         for bad_loss in (-0.5, 0.5, math.nan):
             with pytest.raises(InputError):
                 state.update(bad_loss)
-
-    def test_update_lambda_delegates(self):
-        state = ConformalState(lam=0.0, eta=1.0, epsilon=0.0)
-        update_lambda(state, 0.25)
-        assert state.lam == -0.25
 
 
 class TestSafetyThreshold:
