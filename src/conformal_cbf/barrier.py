@@ -24,11 +24,10 @@ functions below are thin validating wrappers around it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from conformal_cbf.errors import InputError, SingularityError
 
@@ -300,36 +299,28 @@ def build_conformal_constraint(
     )
 
 
-@lru_cache(maxsize=64)
-def _gradient_norm_bound(k_rep: float, rho0: float) -> float:
-    # Parameterize by w = 1/d - 1/rho0 in (0, inf); the gradient norm is
-    #   phi(w) = k_rep * w * (w + 1/rho0)^2 / (1 + (k_rep/2) w^2)^2
-    # which vanishes at both ends, so a log-spaced scan plus a bounded
-    # local refinement pins the interior maximum.
-    c = 1.0 / rho0
-
-    def phi(w):
-        return k_rep * w * (w + c) ** 2 / (1.0 + 0.5 * k_rep * w * w) ** 2
-
-    grid = np.logspace(-12.0, 12.0, 240001)
-    values = phi(grid)
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    result = minimize_scalar(
-        lambda w: -phi(w), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    return float(max(values[i], phi(float(result.x))))
-
-
 def gradient_norm_bound(cbf: PotentialFieldCbf) -> float:
-    """Global bound on the agent-side gradient norm of h, found numerically.
+    """Global bound on the agent-side gradient norm of h, in closed form.
 
-    The bound does not depend on delta; results are cached per
-    (k_rep, rho0) pair.
+    With w = 1/d - 1/rho0 and c = 1/rho0 the gradient norm is
+
+        phi(w) = k_rep * w * (w + c)^2 / (1 + (k_rep/2) w^2)^2,
+
+    which vanishes at both ends of (0, inf).  Setting d/dw log phi = 0
+    gives (k_rep/2) w^3 + (3 c k_rep/2) w^2 - 3 w - c = 0, and with
+    w = x * sqrt(2/k_rep) this is x^3 + 3 b x^2 - 3 x - b = 0 for
+    b = c * sqrt(k_rep/2), i.e. tan(3 theta) = -b for x = tan(theta).
+    Its one positive root is x = tan((pi - atan(b)) / 3).  The value is
+    rounded up by 16 machine epsilons, more than the rounding error of
+    evaluating phi, so it does not read below a numerical maximization
+    of phi (tests/test_barrier.py checks this).  The bound does not
+    depend on delta.
     """
-    return _gradient_norm_bound(cbf.k_rep, cbf.rho0)
+    k, c = cbf.k_rep, 1.0 / cbf.rho0
+    x = math.tan((math.pi - math.atan(c * math.sqrt(0.5 * k))) / 3.0)
+    w = x * math.sqrt(2.0 / k)
+    phi = k * w * (w + c) ** 2 / (1.0 + 0.5 * k * w * w) ** 2
+    return phi * (1.0 + 16.0 * sys.float_info.epsilon)
 
 
 def bound_set_for(cbf: PotentialFieldCbf, e_v: float, e_d: float) -> BoundSet:

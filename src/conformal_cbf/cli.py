@@ -53,7 +53,6 @@ _INT_FIELDS = {
     "max_frames",
     "seed",
     "relax_max_steps",
-    "integration_substeps",
 }
 
 

@@ -1,40 +1,21 @@
-"""Ego dynamics: control-affine model, RK4 stepping, velocity tracking.
+"""Ego dynamics: the planar double integrator and velocity tracking.
 
 The simulated robot is a planar double integrator
 
-    d/dt (x, y, vx, vy) = (vx, vy, 0, 0) + (0, 0, ux, uy)
+    d/dt (p, v) = (v, a)
 
 driven at acceleration level.  The safety filter decides a velocity, and
-a proportional tracking law converts it into acceleration commands.
-Integration uses a single classical RK4 step per control period with the
-control held constant over the step.  For the double integrator the
-vector field is linear with nilpotent drift, so one RK4 step reproduces
-the exact discretization; sub-stepping changes nothing but roundoff.
+a proportional tracking law converts it into an acceleration held over
+the control period.  With the acceleration held, the discretization is
+exact; step evaluates it with the operations one classical RK4 step
+performs for this model, so its results are bitwise those of that step.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from conformal_cbf.errors import InputError
-
-
-@dataclass(frozen=True)
-class ControlAffineModel:
-    """Dynamics of the form xdot = f(x) + g(x) u.
-
-    Attributes:
-        f: drift field, maps state (n,) to (n,).
-        g: actuation matrix field, maps state (n,) to (n, m).
-        state_dim: n.
-        control_dim: m.
-    """
-
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
-    state_dim: int
-    control_dim: int
 
 
 @dataclass(frozen=True)
@@ -54,16 +35,6 @@ class RobotState:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.position, self.velocity])
-
-    @staticmethod
-    def from_vector(x: np.ndarray) -> "RobotState":
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (4,):
-            raise InputError("state vector must have 4 entries")
-        return RobotState(position=x[:2].copy(), velocity=x[2:].copy())
-
 
 @dataclass(frozen=True)
 class TrackingActuator:
@@ -76,58 +47,26 @@ class TrackingActuator:
             raise InputError("tracking gain must be positive and finite")
 
 
-def double_integrator() -> ControlAffineModel:
-    """Planar double integrator with acceleration input."""
+def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
+    """Advance the state by dt seconds with the acceleration held.
 
-    def f(x: np.ndarray) -> np.ndarray:
-        return np.array([x[2], x[3], 0.0, 0.0])
-
-    def g(x: np.ndarray) -> np.ndarray:
-        return np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-    return ControlAffineModel(f=f, g=g, state_dim=4, control_dim=2)
-
-
-def step(
-    model: ControlAffineModel,
-    state: RobotState,
-    control: np.ndarray,
-    dt: float,
-) -> RobotState:
-    """Advance the state by one RK4 step with zero-order-hold control.
-
-    Args:
-        model: dynamics with state_dim 4 (position, velocity layout).
-        state: current ego state.
-        control: control vector of length model.control_dim, held
-            constant over the step.
-        dt: step length in seconds, strictly positive.
-
-    Returns:
-        The state after dt seconds.
+    The RK4 stages of the double integrator are k1 = (v, a),
+    k2 = k3 = (v + dt/2 a, a) and k4 = (v + dt a, a); they are combined
+    in RK4's order.
     """
-    if model.state_dim != 4:
-        raise InputError("step expects a position/velocity state of dimension 4")
     if not (np.isfinite(dt) and dt > 0.0):
         raise InputError("dt must be positive and finite")
-    u = np.asarray(control, dtype=np.float64)
-    if u.shape != (model.control_dim,):
-        raise InputError(
-            f"control must have shape ({model.control_dim},), got {u.shape}"
-        )
-    if not np.all(np.isfinite(u)):
-        raise InputError("control entries must be finite")
-
-    def xdot(x: np.ndarray) -> np.ndarray:
-        return model.f(x) + model.g(x) @ u
-
-    x0 = state.as_vector()
-    k1 = xdot(x0)
-    k2 = xdot(x0 + 0.5 * dt * k1)
-    k3 = xdot(x0 + 0.5 * dt * k2)
-    k4 = xdot(x0 + dt * k3)
-    x1 = x0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return RobotState.from_vector(x1)
+    a = np.asarray(accel, dtype=np.float64)
+    if a.shape != (2,) or not np.all(np.isfinite(a)):
+        raise InputError("acceleration must be a finite planar vector")
+    v = state.velocity
+    k2 = v + 0.5 * dt * a
+    k4 = v + dt * a
+    h = dt / 6.0
+    return RobotState(
+        position=state.position + h * (v + 2.0 * k2 + 2.0 * k2 + k4),
+        velocity=v + h * (a + 2.0 * a + 2.0 * a + a),
+    )
 
 
 def track_velocity(

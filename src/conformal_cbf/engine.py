@@ -36,13 +36,7 @@ from conformal_cbf.barrier import (
     barrier_rows,
 )
 from conformal_cbf.conformal import NO_AGENTS, ConformalState, window_loss
-from conformal_cbf.dynamics import (
-    RobotState,
-    TrackingActuator,
-    double_integrator,
-    step,
-    track_velocity,
-)
+from conformal_cbf.dynamics import TrackingActuator, step, track_velocity
 from conformal_cbf.errors import (
     ConfigError,
     InfeasibleError,
@@ -96,7 +90,6 @@ class SimConfig:
     collision_distance: float | None = None
     relax_lambda_step: float | None = None
     relax_max_steps: int = 8
-    integration_substeps: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -130,8 +123,6 @@ class SimConfig:
             raise ConfigError("relax_lambda_step must be positive when given")
         if not isinstance(self.relax_max_steps, int) or self.relax_max_steps < 0:
             raise ConfigError("relax_max_steps must be a nonnegative integer")
-        if not isinstance(self.integration_substeps, int) or self.integration_substeps < 1:
-            raise ConfigError("integration_substeps must be a positive integer")
 
     def cbf(self) -> PotentialFieldCbf:
         return PotentialFieldCbf(k_rep=self.k_rep, rho0=self.rho0, delta=self.delta)
@@ -191,7 +182,6 @@ def run(
     """
     cbf = config.cbf()
     alpha = config.class_kappa()
-    model = double_integrator()
     actuator = TrackingActuator(gain=config.k_acc)
     kind = replace(config.predictor, seed=config.seed)
     if config.k_att is not None:
@@ -304,9 +294,7 @@ def run(
                 )
 
             accel = track_velocity(actuator, state.velocity, solution.decision)
-            sub_dt = dt / config.integration_substeps
-            for _ in range(config.integration_substeps):
-                state = step(model, state, accel, sub_dt)
+            state = step(state, accel, dt)
 
         if len(ego_window) == tau:
             # the run ended exactly on a window boundary; score the

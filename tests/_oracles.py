@@ -2,10 +2,11 @@
 
 Everything here is deliberately written from the defining equations
 rather than by calling into the package internals: extended-precision
-central differences for gradients, brute-force candidate enumeration and
-dense grids for the projection QP, and sub-stepped integration for the
-dynamics.  The scene references are the line-by-line annotation parser
-and the dict-of-frames queries the track table replaced.
+central differences for gradients, a scan-and-refine maximization for
+the gradient-norm bound, brute-force candidate enumeration and dense
+grids for the projection QP, and the generic RK4 step for the dynamics.
+The scene references are the line-by-line annotation parser and the
+dict-of-frames queries the track table replaced.
 """
 
 import itertools
@@ -45,6 +46,55 @@ def gradient_relative_error(analytic, numeric, floor=1e-9):
     gradient boundary, where a relative measure is ill-posed."""
     scale = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), floor)
     return float(np.linalg.norm(np.asarray(analytic) - np.asarray(numeric))) / scale
+
+
+def gradient_norm_bound_scan(k_rep, rho0):
+    """Numerical maximum of the agent-side gradient norm of the barrier:
+    a 240,001-point log-spaced scan of phi(w) = k w (w + c)^2 /
+    (1 + k w^2 / 2)^2, w = 1/d - 1/rho0, c = 1/rho0, refined by a bounded
+    scalar search around the best grid point."""
+    from scipy.optimize import minimize_scalar
+
+    c = 1.0 / rho0
+
+    def phi(w):
+        return k_rep * w * (w + c) ** 2 / (1.0 + 0.5 * k_rep * w * w) ** 2
+
+    grid = np.logspace(-12.0, 12.0, 240001)
+    values = phi(grid)
+    i = int(np.argmax(values))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, grid.size - 1)]
+    result = minimize_scalar(
+        lambda w: -phi(w), bounds=(lo, hi), method="bounded",
+        options={"xatol": 1e-14},
+    )
+    return float(max(values[i], phi(float(result.x))))
+
+
+def rk4_double_integrator(position, velocity, accel, dt):
+    """One classical RK4 step of the planar double integrator
+    d/dt (p, v) = (v, 0) + [0; I] a on the stacked state, acceleration
+    held; returns (position, velocity)."""
+    g = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    def xdot(x):
+        return np.array([x[2], x[3], 0.0, 0.0]) + g @ accel
+
+    x0 = np.concatenate([position, velocity])
+    k1 = xdot(x0)
+    k2 = xdot(x0 + 0.5 * dt * k1)
+    k3 = xdot(x0 + 0.5 * dt * k2)
+    k4 = xdot(x0 + dt * k3)
+    x1 = x0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x1[:2], x1[2:]
+
+
+def rows_to_arrays(constraints):
+    """(normals (m, 2), offsets (m,), ids (m,)) of a list of rows, the
+    arrays a QpProblem takes."""
+    a, b = _rows(constraints)
+    return a, b, np.array([c.agent_id for c in constraints], dtype=np.int64)
 
 
 def _rows(constraints):

@@ -1,9 +1,14 @@
 """Tests for the barrier function, its gradients, and the constraint rows."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from _oracles import fd_gradient, gradient_relative_error
+from _oracles import fd_gradient, gradient_norm_bound_scan, gradient_relative_error
 from conformal_cbf.barrier import (
     AgentState,
     ClassKappa,
@@ -108,6 +113,29 @@ def test_gradient_norm_bound_dominates_samples():
         )
         for d in ds:
             assert abs(cbf.radial_derivative(float(d))) <= m_h * (1.0 + 1e-12)
+
+
+def test_gradient_norm_bound_closed_form_matches_scan():
+    # the closed form may round up, never down, and only in the last digits
+    for k_rep in np.logspace(-6.0, 4.0, 8):
+        for rho0 in np.logspace(-6.0, 4.0, 6):
+            cbf = PotentialFieldCbf(k_rep=float(k_rep), rho0=float(rho0), delta=0.5)
+            scan = gradient_norm_bound_scan(float(k_rep), float(rho0))
+            m_h = gradient_norm_bound(cbf)
+            assert m_h >= scan
+            assert (m_h - scan) / scan <= 1e-14
+
+
+def test_cli_import_leaves_scipy_out():
+    import conformal_cbf
+
+    src = str(Path(conformal_cbf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, conformal_cbf.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_bound_set_for_uses_gradient_bound():

@@ -3,78 +3,83 @@
 import numpy as np
 import pytest
 
-from conformal_cbf.dynamics import (
-    RobotState,
-    TrackingActuator,
-    double_integrator,
-    step,
-    track_velocity,
-)
+from _oracles import rk4_double_integrator
+from conformal_cbf.dynamics import RobotState, TrackingActuator, step, track_velocity
 from conformal_cbf.errors import InputError
 
 
-def substepped(model, state, control, dt, n):
+def substepped(state, control, dt, n):
     """Reference integration: the same step split into n pieces."""
     out = state
     for _ in range(n):
-        out = step(model, out, control, dt / n)
+        out = step(out, control, dt / n)
     return out
 
 
 def test_coasting_unit_velocity():
-    model = double_integrator()
     s0 = RobotState(position=[0.0, 0.0], velocity=[1.0, 0.0])
-    s1 = step(model, s0, np.zeros(2), 1.0)
+    s1 = step(s0, np.zeros(2), 1.0)
     assert np.array_equal(s1.position, [1.0, 0.0])
     assert np.array_equal(s1.velocity, [1.0, 0.0])
 
 
 def test_constant_acceleration_from_rest():
-    model = double_integrator()
     s0 = RobotState(position=[0.0, 0.0], velocity=[0.0, 0.0])
-    s1 = step(model, s0, np.array([2.0, 0.0]), 1.0)
+    s1 = step(s0, np.array([2.0, 0.0]), 1.0)
     assert np.allclose(s1.velocity, [2.0, 0.0], atol=1e-15)
     assert np.allclose(s1.position, [1.0, 0.0], atol=1e-15)
 
 
 def test_step_matches_substepped_reference():
-    """One RK4 step agrees with a 100x finer integration of the same
+    """One step agrees with a 100x finer integration of the same
     interval; the double integrator makes the discretization exact."""
-    model = double_integrator()
     rng = np.random.default_rng(7)
     for _ in range(50):
         s0 = RobotState(position=rng.normal(size=2), velocity=rng.normal(size=2))
         u = rng.normal(size=2) * 3.0
-        coarse = step(model, s0, u, 1.0 / 30.0)
-        fine = substepped(model, s0, u, 1.0 / 30.0, 100)
+        coarse = step(s0, u, 1.0 / 30.0)
+        fine = substepped(s0, u, 1.0 / 30.0, 100)
         assert np.linalg.norm(coarse.position - fine.position) <= 1e-9
         assert np.linalg.norm(coarse.velocity - fine.velocity) <= 1e-9
 
 
+def test_step_is_bitwise_the_rk4_step():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+        s0 = RobotState(
+            position=rng.normal(size=2) * scale[0], velocity=rng.normal(size=2) * scale[1]
+        )
+        u = rng.normal(size=2) * scale[2]
+        dt = float(10.0 ** rng.uniform(-3.0, 0.0))
+        position, velocity = rk4_double_integrator(s0.position, s0.velocity, u, dt)
+        s1 = step(s0, u, dt)
+        assert np.array_equal(s1.position, position)
+        assert np.array_equal(s1.velocity, velocity)
+
+
 def test_two_steps_compose_to_double_step():
-    model = double_integrator()
     rng = np.random.default_rng(11)
     for _ in range(20):
         s0 = RobotState(position=rng.normal(size=2), velocity=rng.normal(size=2))
         u = rng.normal(size=2)
         dt = 1.0 / 30.0
-        twice = step(model, step(model, s0, u, dt), u, dt)
-        once = step(model, s0, u, 2.0 * dt)
+        twice = step(step(s0, u, dt), u, dt)
+        once = step(s0, u, 2.0 * dt)
         assert np.linalg.norm(twice.position - once.position) <= 1e-12
         assert np.linalg.norm(twice.velocity - once.velocity) <= 1e-12
 
 
 def test_step_input_validation():
-    model = double_integrator()
     s0 = RobotState(position=[0.0, 0.0], velocity=[0.0, 0.0])
     with pytest.raises(InputError):
-        step(model, s0, np.zeros(2), 0.0)
+        step(s0, np.zeros(2), 0.0)
     with pytest.raises(InputError):
-        step(model, s0, np.zeros(2), -0.1)
+        step(s0, np.zeros(2), -0.1)
     with pytest.raises(InputError):
-        step(model, s0, np.zeros(3), 0.1)
+        step(s0, np.zeros(3), 0.1)
     with pytest.raises(InputError):
-        step(model, s0, np.array([np.nan, 0.0]), 0.1)
+        step(s0, np.array([np.nan, 0.0]), 0.1)
 
 
 def test_robot_state_validation():

@@ -121,7 +121,6 @@ class TestConfigValidation:
             {"collision_distance": -2.0},
             {"relax_lambda_step": 0.0},
             {"relax_max_steps": -1},
-            {"integration_substeps": 0},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -285,27 +284,6 @@ class TestStandingPedestrian:
             for line in trace.read_text().splitlines()
         ]
         assert max(abs(y) for y in ys) > 1.0
-
-    def test_substeps_only_change_rounding(self, tmp_path):
-        # the acceleration is held over the frame and the integrator is
-        # exact for held accelerations, so substeps must not change the
-        # trajectory beyond accumulated rounding
-        cfg, scene, task = self._setup()
-        coarse, fine = tmp_path / "coarse.jsonl", tmp_path / "fine.jsonl"
-        m1 = run(cfg, scene, task, trace_path=coarse)
-        m10 = run(replace(cfg, integration_substeps=10), scene, task, trace_path=fine)
-        assert m1.t_goal == pytest.approx(m10.t_goal, abs=1e-9)
-        assert m1.d_min == pytest.approx(m10.d_min, abs=1e-9)
-        assert m1.n_collide == m10.n_collide
-        r1 = [json.loads(line) for line in coarse.read_text().splitlines()]
-        r10 = [json.loads(line) for line in fine.read_text().splitlines()]
-        assert len(r1) == len(r10)
-        worst = max(
-            abs(a["position"][0] - b["position"][0])
-            + abs(a["position"][1] - b["position"][1])
-            for a, b in zip(r1, r10)
-        )
-        assert worst <= 1e-9
 
 
 class TestMarginAdaptation:
