@@ -320,8 +320,8 @@ def _cmd_validate(args) -> int:
     try:
         scene = load_annotations(args.annotations)
     except ParseError as exc:
-        where = f" line {exc.line}" if exc.line is not None else ""
-        print(f"{args.annotations}:{where}: {exc}", file=sys.stderr)
+        # the message already names the line
+        print(f"{args.annotations}: {exc}", file=sys.stderr)
         return 3
     n_frames = scene.n_frames
     print(
@@ -407,8 +407,7 @@ def main(argv=None) -> int:
         print(json.dumps(exc.diagnostics, sort_keys=True), file=sys.stderr)
         return 4
     except ParseError as exc:
-        where = f" line {exc.line}" if exc.line is not None else ""
-        print(f"data error:{where} {exc}", file=sys.stderr)
+        print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

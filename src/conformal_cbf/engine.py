@@ -29,12 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from conformal_cbf.barrier import (
-    AffineConstraint,
-    ClassKappa,
-    PotentialFieldCbf,
-    barrier_rows,
-)
+from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, barrier_rows
 from conformal_cbf.conformal import NO_AGENTS, ConformalState, window_loss
 from conformal_cbf.dynamics import TrackingActuator, step, track_velocity
 from conformal_cbf.errors import (
@@ -244,14 +239,14 @@ def run(
                 t_goal = offset * dt
                 break
 
-            rows = _rows(
+            normals, offsets, ids = _rows(
                 cbf, alpha, stacked, frame - window_start, state.position,
                 config.rho0, margin.lam,
             )
             reference = reference_control(task, state)
             try:
                 solution, inflation = solve_with_relaxation(
-                    QpProblem(reference=reference, constraints=rows),
+                    QpProblem(reference, normals, offsets, ids),
                     relax_step,
                     config.relax_max_steps,
                 )
@@ -264,8 +259,8 @@ def run(
                         "position": [float(v) for v in state.position],
                         "velocity": [float(v) for v in state.velocity],
                         "lambda": float(margin.lam),
-                        "n_constraints": len(rows),
-                        "agent_ids": [c.agent_id for c in rows],
+                        "n_constraints": len(ids),
+                        "agent_ids": ids.tolist(),
                         "relax_lambda_step": relax_step,
                         "relax_max_steps": config.relax_max_steps,
                     },
@@ -281,7 +276,7 @@ def run(
                             "position": [float(v) for v in state.position],
                             "velocity": [float(v) for v in state.velocity],
                             "lambda": float(margin.lam),
-                            "n_constraints": len(rows),
+                            "n_constraints": len(ids),
                             "status": "relaxed" if inflation > 0.0 else "ok",
                             "inflation": float(inflation),
                             "command": [float(v) for v in solution.decision],
@@ -381,22 +376,19 @@ def _stack(predictions):
 
 
 def _rows(cbf, alpha, stacked, k, ego, rho0, lam):
-    """Deployed constraint rows at sample k of the window, one per agent
-    predicted there strictly between distance 0 and rho0, in id order."""
+    """Deployed constraint rows at sample k of the window as (normals,
+    offsets, agent ids), one row per agent predicted there strictly
+    between distance 0 and rho0, in id order."""
     ids, positions, vels, lengths = stacked
     if k >= positions.shape[1]:
-        return []
+        return np.zeros((0, 2)), np.zeros(0), ids[:0]
     diff = ego - positions[:, k]
     dist = np.sqrt(np.vecdot(diff, diff))
     keep = (lengths > k) & (dist > 0.0) & (dist < rho0)
     if not keep.any():
-        return []
+        return np.zeros((0, 2)), np.zeros(0), ids[:0]
     normals, offsets = barrier_rows(cbf, alpha, diff[keep], vels[keep, k])
-    offsets = offsets + lam
-    return [
-        AffineConstraint(normal=n, offset=float(b), agent_id=int(i))
-        for n, b, i in zip(normals, offsets, ids[keep])
-    ]
+    return normals, offsets + lam, ids[keep]
 
 
 def _score_window(cbf, alpha, lam, stacked, ego_positions, window_start, dt, scene):

@@ -1,17 +1,21 @@
-"""Projection of a reference velocity onto the safety polyhedron.
+"""Projection of a reference velocity onto the safety polygon.
 
 The per-step problem is
 
     min_u ||u - u_ref||^2   s.t.   a_i . u + b_i >= 0  for every row i
 
-a strictly convex QP whose solution is the Euclidean projection of the
-reference onto the feasible set.  It is solved exactly by a dual
-active-set method: start from the unconstrained optimum, repeatedly pick
-a violated row, and step toward its plane while trading off working-set
-rows whose multipliers would go negative.  Multipliers stay nonnegative
-throughout, every working set is visited at most once, and an empty
-polyhedron surfaces as a distinct infeasibility error rather than a
-silently relaxed answer.
+over a planar u: the Euclidean projection of the reference onto a convex
+polygon.  It is solved exactly.  If the reference satisfies every row it
+is the answer.  Otherwise the optimum lies on the line of some row the
+reference violates: writing u* - u_ref = sum mu_j a_j over the rows
+active at u* (mu_j >= 0, not all zero) gives
+|u* - u_ref|^2 = -sum mu_j (a_j . u_ref + b_j), so some active row with
+mu_j > 0 is violated at u_ref.  On that line the optimum is the
+reference's foot point clipped to the interval the other rows allow, and
+every such clipped point is feasible, so the nearest clipped point over
+the violated rows is the projection.  No violated row with a nonempty
+interval means the polygon is empty, which surfaces as a distinct
+infeasibility error rather than a silently relaxed answer.
 
 Rows are normalized internally so tolerances are scale-free; results are
 reported against the original rows.
@@ -28,146 +32,105 @@ from conformal_cbf.errors import InfeasibleError, InputError
 ACTIVE_TOL = 1e-8
 # Norm below which a row is treated as having a zero normal.
 _ZERO_NORMAL = 1e-300
-# Squared norm below which a candidate normal is dependent on the working set.
-_DEP_TOL = 1e-12
-_DUAL_TOL = 1e-12
+# Sine of the angle below which two rows count as parallel.
+_PARALLEL = 1e-12
 
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Reference decision plus the affine rows constraining it."""
+    """Reference decision plus the rows normals[i] . u + offsets[i] >= 0,
+    each labelled with the id of the agent it comes from."""
 
     reference: np.ndarray
-    constraints: tuple
+    normals: np.ndarray
+    offsets: np.ndarray
+    ids: np.ndarray
 
-    def __init__(self, reference, constraints):
+    def __init__(self, reference, normals, offsets, ids):
         ref = np.asarray(reference, dtype=np.float64)
+        a = np.asarray(normals, dtype=np.float64)
+        b = np.asarray(offsets, dtype=np.float64)
+        ids = np.asarray(ids)
         if ref.shape != (2,):
             raise InputError("reference must be a planar vector")
-        if not np.all(np.isfinite(ref)):
-            raise InputError("reference must be finite")
-        rows = tuple(constraints)
-        for row in rows:
-            if not isinstance(row, AffineConstraint):
-                raise InputError("constraints must be AffineConstraint rows")
+        m = len(b)
+        if a.shape != (m, 2) or b.shape != (m,) or ids.shape != (m,):
+            raise InputError("rows need (m, 2) normals and (m,) offsets and ids")
+        if not np.isfinite(np.concatenate([ref, a.ravel(), b])).all():
+            raise InputError("reference and rows must be finite")
         object.__setattr__(self, "reference", ref)
-        object.__setattr__(self, "constraints", rows)
+        object.__setattr__(self, "normals", a)
+        object.__setattr__(self, "offsets", b)
+        object.__setattr__(self, "ids", ids)
+
+    @property
+    def constraints(self) -> tuple:
+        """The rows as AffineConstraint objects, built on each access."""
+        return tuple(
+            AffineConstraint(normal=n, offset=b, agent_id=i)
+            for n, b, i in zip(self.normals, self.offsets.tolist(), self.ids.tolist())
+        )
 
 
 @dataclass(frozen=True)
 class QpSolution:
-    """Optimal decision with the rows active there.
-
-    relaxation_used is None for a plain solve and carries the offset
-    inflation when the relaxing wrapper had to loosen the rows.
-    """
+    """Optimal decision with the ids of the rows active there."""
 
     decision: np.ndarray
     active_set: tuple
-    relaxation_used: float | None = None
 
 
 def solve(problem: QpProblem) -> QpSolution:
-    """Exact projection onto the constraint polyhedron.
+    """Exact projection onto the constraint polygon.
 
     Raises:
-        InfeasibleError: the polyhedron is empty.
+        InfeasibleError: the polygon is empty.
     """
     ref = problem.reference
-    rows = problem.constraints
-    if not rows:
-        return QpSolution(decision=ref.copy(), active_set=())
+    normals, offsets = problem.normals, problem.offsets
 
-    normals = np.array([row.normal for row in rows])
-    offsets = np.array([row.offset for row in rows])
-    norms = np.linalg.norm(normals, axis=1)
-
-    def active_ids(u):
+    def solution(u):
         # row by row this is AffineConstraint.residual, bit for bit
         resid = np.abs(np.vecdot(normals, u) + offsets)
-        return tuple(rows[i].agent_id for i in np.flatnonzero(resid <= ACTIVE_TOL))
+        return QpSolution(
+            decision=u, active_set=tuple(problem.ids[resid <= ACTIVE_TOL].tolist())
+        )
 
     # Zero-normal rows constrain nothing or everything.
-    degenerate = norms <= _ZERO_NORMAL
-    if np.any(degenerate):
-        if np.any(offsets[degenerate] < -ACTIVE_TOL):
+    a, b, norms = normals, offsets, np.linalg.norm(normals, axis=1)
+    zero = norms <= _ZERO_NORMAL
+    if zero.any():
+        if (b[zero] < -ACTIVE_TOL).any():
             raise InfeasibleError("zero-normal row with negative offset")
-        keep = ~degenerate
-        if not keep.any():
-            return QpSolution(decision=ref.copy(), active_set=active_ids(ref))
-        a, b, norms = normals[keep], offsets[keep], norms[keep]
-    else:
-        a, b = normals, offsets
-
+        a, b, norms = a[~zero], b[~zero], norms[~zero]
     a = a / norms[:, None]
     b = b / norms
-    m = a.shape[0]
-    stop_tol = 1e-9 / max(1.0, float(np.max(norms)))
+    tol = 1e-9 / norms.max(initial=1.0)
 
-    u = ref.copy()
-    work: list[int] = []
-    mu: list[float] = []
+    dist = a @ ref + b
+    violated = dist < -tol
+    if not violated.any():
+        return solution(ref.copy())
 
-    for _ in range(20 * (m + 1) * (m + 1)):
-        viol = a @ u + b
-        p = int(np.argmin(viol))
-        if viol[p] >= -stop_tol:
-            return QpSolution(decision=u, active_set=active_ids(u))
-        mu_p = 0.0
-        for _ in range(2 * (m + 1)):
-            a_p = a[p]
-            if work:
-                a_w = a[work]
-                gram = a_w @ a_w.T
-                d = np.linalg.solve(gram, a_w @ a_p)
-                z = a_p - a_w.T @ d
-            else:
-                d = np.zeros(0)
-                z = a_p.copy()
-            zz = float(z @ z)
-            if zz > _DEP_TOL:
-                t_full = -(float(a_p @ u) + b[p]) / zz
-                t_block = np.inf
-                blocker = -1
-                for idx in range(len(work)):
-                    if d[idx] > _DUAL_TOL:
-                        ratio = mu[idx] / d[idx]
-                        if ratio < t_block:
-                            t_block = ratio
-                            blocker = idx
-                t = min(t_full, t_block)
-                u = u + t * z
-                for idx in range(len(work)):
-                    mu[idx] -= t * d[idx]
-                mu_p += t
-                if t_block < t_full:
-                    work.pop(blocker)
-                    mu.pop(blocker)
-                    continue
-                work.append(p)
-                mu.append(mu_p)
-                break
-            # The candidate normal lies in the span of the working set: only a
-            # dual exchange can make room.  No admissible exchange means the
-            # polyhedron is empty.
-            if not any(d[idx] > _DUAL_TOL for idx in range(len(work))):
-                raise InfeasibleError("constraint polyhedron is empty")
-            t_block = np.inf
-            blocker = -1
-            for idx in range(len(work)):
-                if d[idx] > _DUAL_TOL:
-                    ratio = mu[idx] / d[idx]
-                    if ratio < t_block:
-                        t_block = ratio
-                        blocker = idx
-            for idx in range(len(work)):
-                mu[idx] -= t_block * d[idx]
-            mu_p += t_block
-            work.pop(blocker)
-            mu.pop(blocker)
-        else:
-            raise RuntimeError("active-set inner loop failed to settle")
-    raise RuntimeError("active-set iteration limit exceeded")
+    # Foot points on the violated rows' lines, and the lines' directions.
+    foot = ref - dist[violated, None] * a[violated]
+    along = a[violated] @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+    # Row j at foot + t * along reads slope[v, j] * t + level[v, j] >= 0; a
+    # row parallel to the line bounds no t and is only checked below.
+    slope = along @ a.T
+    level = foot @ a.T + b
+    rising, falling = slope > _PARALLEL, slope < -_PARALLEL
+    bound = -level / np.where(rising | falling, slope, 1.0)
+    lo = np.max(np.where(rising, bound, -np.inf), axis=1)
+    hi = np.min(np.where(falling, bound, np.inf), axis=1)
+    t = np.minimum(np.maximum(0.0, lo), hi)
+    ok = np.all(slope * t[:, None] + level >= -tol, axis=1)
+    if not ok.any():
+        raise InfeasibleError("constraint polygon is empty")
+    # |candidate - ref|^2 = dist^2 + t^2 on each line
+    cost = np.where(ok, dist[violated] ** 2 + t * t, np.inf)
+    best = int(np.argmin(cost))
+    return solution(foot[best] + t[best] * along[best])
 
 
 def solve_with_relaxation(
@@ -181,7 +144,7 @@ def solve_with_relaxation(
 
     Returns:
         (solution, inflation); inflation is 0.0 when no loosening was
-        needed and then solution.relaxation_used is None.
+        needed.
 
     Raises:
         InfeasibleError: still empty at the largest inflation.
@@ -190,35 +153,15 @@ def solve_with_relaxation(
         raise InputError("lambda_step must be positive and finite")
     if max_steps < 0:
         raise InputError("max_steps must be nonnegative")
-    try:
-        return solve(problem), 0.0
-    except InfeasibleError:
-        pass
-    for k in range(1, max_steps + 1):
+    for k in range(max_steps + 1):
         inflation = k * lambda_step
-        inflated = QpProblem(
-            reference=problem.reference,
-            constraints=[
-                AffineConstraint(
-                    normal=row.normal,
-                    offset=row.offset + inflation,
-                    agent_id=row.agent_id,
-                )
-                for row in problem.constraints
-            ],
+        attempt = problem if k == 0 else QpProblem(
+            problem.reference, problem.normals, problem.offsets + inflation, problem.ids
         )
         try:
-            base = solve(inflated)
+            return solve(attempt), inflation
         except InfeasibleError:
-            continue
-        return (
-            QpSolution(
-                decision=base.decision,
-                active_set=base.active_set,
-                relaxation_used=inflation,
-            ),
-            inflation,
-        )
+            pass
     raise InfeasibleError(
         f"still infeasible after {max_steps} relaxation steps of {lambda_step}"
     )

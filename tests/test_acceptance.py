@@ -20,7 +20,13 @@ import numpy as np
 import pytest
 import yaml
 
-from _oracles import fd_gradient, gradient_relative_error, grid_projection, kkt_residual
+from _oracles import (
+    fd_gradient,
+    gradient_relative_error,
+    grid_projection,
+    kkt_residual,
+    rows_to_arrays,
+)
 from conformal_cbf.barrier import (
     AffineConstraint,
     ClassKappa,
@@ -233,7 +239,7 @@ def test_04_projection_matches_grid_oracle():
                     offset = -float(normal @ anchor) + float(rng.uniform(0.01, 3.0))
                 rows.append(AffineConstraint(normal=normal, offset=offset, agent_id=j))
             reference = rng.uniform(-6.0, 6.0, 2)
-            solution = solve(QpProblem(reference, rows))
+            solution = solve(QpProblem(reference, *rows_to_arrays(rows)))
             for row in rows:
                 assert row.residual(solution.decision) >= -1e-8
             assert kkt_residual(reference, rows, solution.decision) <= 1e-6

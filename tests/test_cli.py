@@ -217,6 +217,22 @@ class TestValidateAnnotations:
         assert main(["validate-annotations", "--annotations", str(path)]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate-annotations", "run"])
+    def test_nonfinite_box_names_its_line_once(self, tmp_path, capsys, command):
+        path = tmp_path / "nan.txt"
+        path.write_text(
+            '1 10 20 30 40 0 0 0 0 "Pedestrian"\n'
+            '1 nan 20 30 40 1 0 0 0 "Pedestrian"\n',
+            encoding="utf-8",
+        )
+        argv = [command, "--annotations", str(path)]
+        if command == "run":
+            config = tmp_path / "config.yaml"
+            config.write_text("dt: 0.1\ngoal: [10.0, 0.0]\n", encoding="utf-8")
+            argv += ["--config", str(config), "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.count("line 2") == 1
+
 
 class TestSweepCommand:
     def test_rows_follow_grid_order(self, tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _oracles import rows_to_arrays
 from conformal_cbf.barrier import AgentState, BoundSet, ClassKappa, PotentialFieldCbf
 from conformal_cbf.conformal import (
     NO_AGENTS,
@@ -378,7 +379,7 @@ class TestTightDecisionSemantics:
         # (the ego-side normal points away from the agent, so a reference
         # charging toward the agent violates it)
         reference = np.array([50.0, 0.0])
-        sol = solve(QpProblem(reference=reference, constraints=[inflated]))
+        sol = solve(QpProblem(reference, *rows_to_arrays([inflated])))
         assert abs(inflated.residual(sol.decision)) <= 1e-8
 
         g = gap(CBF, ALPHA, ego_pos, actual, predicted, lam=lam)

@@ -146,7 +146,9 @@ def test_engine_frame_rows_match_build_conformal_constraint(cbf, ego, tracks, le
         )
         for j, (track, n) in enumerate(zip(tracks, lengths))
     }
-    rows = _rows(cbf, alpha, _stack(predictions), k, np.asarray(ego, dtype=np.float64), cbf.rho0, lam)
+    normals, offsets, ids = _rows(
+        cbf, alpha, _stack(predictions), k, np.asarray(ego, dtype=np.float64), cbf.rho0, lam
+    )
     expected = []
     for agent_id in sorted(predictions):
         traj = predictions[agent_id]
@@ -158,10 +160,10 @@ def test_engine_frame_rows_match_build_conformal_constraint(cbf, ego, tracks, le
             continue
         agent = AgentState(agent_id=agent_id, position=pos, velocity=differentiate(traj, 40 + k))
         expected.append(build_conformal_constraint(cbf, alpha, ego, agent, lam))
-    assert [r.agent_id for r in rows] == [r.agent_id for r in expected]
-    for got, want in zip(rows, expected):
-        assert np.all(got.normal == want.normal)
-        assert got.offset == want.offset
+    assert ids.tolist() == [r.agent_id for r in expected]
+    for normal, offset, want in zip(normals, offsets, expected):
+        assert np.all(normal == want.normal)
+        assert offset == want.offset
 
 
 @SETTINGS
