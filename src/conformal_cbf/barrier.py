@@ -155,7 +155,6 @@ class AffineConstraint:
         n = np.asarray(self.normal, dtype=np.float64)
         if n.shape != (2,):
             raise InputError("constraint normal must be planar")
-        # scalar checks: rows are built every frame
         if not (
             math.isfinite(n[0]) and math.isfinite(n[1]) and math.isfinite(self.offset)
         ):

@@ -53,8 +53,7 @@ class QpProblem:
         ids = np.asarray(ids)
         if ref.shape != (2,):
             raise InputError("reference must be a planar vector")
-        m = len(b)
-        if a.shape != (m, 2) or b.shape != (m,) or ids.shape != (m,):
+        if a.ndim != 2 or a.shape[1] != 2 or b.shape != (len(a),) or ids.shape != b.shape:
             raise InputError("rows need (m, 2) normals and (m,) offsets and ids")
         if not np.isfinite(np.concatenate([ref, a.ravel(), b])).all():
             raise InputError("reference and rows must be finite")

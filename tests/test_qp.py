@@ -262,6 +262,8 @@ def test_problem_validation_and_rows():
     with pytest.raises(InputError):
         QpProblem([0.0, 0.0], np.zeros((2, 2)), np.zeros(3), np.arange(2))
     with pytest.raises(InputError):
+        QpProblem([0.0, 0.0], np.zeros(2), 0.0, 0)
+    with pytest.raises(InputError):
         QpProblem([0.0, 0.0], [[1.0, np.inf]], [0.0], [0])
     with pytest.raises(InputError):
         QpProblem([0.0, np.nan], np.zeros((0, 2)), np.zeros(0), np.zeros(0))
