@@ -12,7 +12,9 @@ Cases:
   scene (the config of the determinism acceptance check);
 - ``crowd16``: sixteen pedestrians on seeded piecewise-linear paths around
   the ego's corridor; the scene spec is stored next to the outputs so the
-  case does not depend on the generator below.
+  case does not depend on the generator below;
+- ``crowd16_ground_truth``: the same run with the ground-truth oracle, whose
+  predictions are the recorded futures, cut short where a track ends.
 
 Regenerate with ``PYTHONPATH=src python tests/_golden.py`` only in a change
 that states the drift it causes.
@@ -73,6 +75,7 @@ STANDING_NOISE = {
 }
 
 CROWD = dict(CROSSING, max_frames=600, epsilon=-0.2)
+CROWD_GROUND_TRUTH = dict(CROWD, predictor="ground-truth-oracle")
 
 
 def crowd_spec(seed=16, agents=16, duration=60.0):
@@ -111,7 +114,9 @@ def cases():
         )
     out["standing_noise"] = (STANDING_NOISE, BUILTIN_SCENES["standing"])
     with open(GOLDEN / "crowd16_scene.yaml", encoding="utf-8") as fh:
-        out["crowd16"] = (CROWD, yaml.safe_load(fh))
+        crowd = yaml.safe_load(fh)
+    out["crowd16"] = (CROWD, crowd)
+    out["crowd16_ground_truth"] = (CROWD_GROUND_TRUTH, crowd)
     return out
 
 
