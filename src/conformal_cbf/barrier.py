@@ -26,12 +26,16 @@ functions below are thin validating wrappers around it.
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from conformal_cbf.errors import InputError, SingularityError
 
 _ATAN = np.vectorize(math.atan, otypes=[np.float64])
+# Largest potential (and, for tiny k_rep, largest w) the barrier is
+# evaluated at; see PotentialFieldCbf.min_distance.
+_U_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -101,17 +105,30 @@ class PotentialFieldCbf:
         if not (np.isfinite(self.delta) and 0.0 < self.delta < 1.0):
             raise InputError("delta must lie in (0, 1)")
 
+    @cached_property
+    def min_distance(self) -> float:
+        """Shortest distance at which the barrier is evaluated.
+
+        Closer offsets, coincident positions among them, raise
+        SingularityError.  At this distance U is 1e150 (or
+        w = 1/d - 1/rho0 is 1e150, for tiny k_rep), so every square the
+        value and the gradient take stays finite; much closer, (1 + U)^2
+        would overflow.
+        """
+        w = min(math.sqrt(2.0 * _U_MAX / self.k_rep), _U_MAX)
+        return 1.0 / (w + 1.0 / self.rho0)
+
     def potential(self, d: float) -> float:
-        if d <= 0.0:
-            raise SingularityError("potential undefined at non-positive distance")
+        if d < self.min_distance:
+            raise SingularityError(f"potential undefined at distance {d!r}")
         if d >= self.rho0:
             return 0.0
         return 0.5 * self.k_rep * (1.0 / d - 1.0 / self.rho0) ** 2
 
     def radial_derivative(self, d: float) -> float:
         """dh/dd, zero at and beyond rho0."""
-        if d <= 0.0:
-            raise SingularityError("gradient undefined at non-positive distance")
+        if d < self.min_distance:
+            raise SingularityError(f"gradient undefined at distance {d!r}")
         if d >= self.rho0:
             return 0.0
         w = 1.0 / d - 1.0 / self.rho0
@@ -201,12 +218,13 @@ def barrier_terms(cbf: PotentialFieldCbf, diff) -> tuple[np.ndarray, np.ndarray]
         gradient is -grad_ego; both are exactly zero at distances >= rho0.
 
     Raises:
-        SingularityError: some offset is zero.
+        SingularityError: some offset is shorter than cbf.min_distance
+            (zero, for coincident positions).
     """
     diff = np.asarray(diff, dtype=np.float64)
     d = np.sqrt(np.vecdot(diff, diff))
-    if not d.all():
-        raise SingularityError("barrier undefined for coincident positions")
+    if d.min(initial=math.inf) < cbf.min_distance:
+        raise SingularityError("barrier undefined for (nearly) coincident positions")
     # Beyond rho0 the distance is clipped to rho0, where w is exactly 0 and
     # so are the potential and the slope.
     dc = np.minimum(d, cbf.rho0)

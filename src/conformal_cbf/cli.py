@@ -7,7 +7,9 @@ predictor_dynamics_bound).  Flags override file values.  Metric tables
 are CSV with a fixed header and repr-formatted floats, so an identical
 invocation produces a byte-identical file.
 
-Exit codes: 0 success, 2 configuration, 3 data, 4 infeasible run.
+Exit codes: 0 success, 2 configuration, 3 data (a malformed or unreadable
+file, or a scene that puts an agent on the ego, where the barrier is
+undefined), 4 infeasible run.
 """
 
 import argparse
@@ -27,6 +29,7 @@ from conformal_cbf.errors import (
     InfeasibleRunError,
     InputError,
     ParseError,
+    SingularityError,
 )
 from conformal_cbf.predictor import _KINDS, CONSTANT_VELOCITY, PredictorKind
 from conformal_cbf.scenario import (
@@ -414,6 +417,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except SingularityError as exc:
+        print(f"data error: the scene puts an agent on the ego: {exc}", file=sys.stderr)
         return 3
 
 

@@ -39,7 +39,7 @@ is plain Python so exact number types pass through unchanged.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,10 +53,22 @@ from conformal_cbf.barrier import (
     cbf_value,
 )
 from conformal_cbf.errors import ConfigError, InputError
-from conformal_cbf.predictor import SampledTrajectory, velocities
+from conformal_cbf.predictor import velocities
 
 #: Window verdict when no agent was in range: the margin must not move.
 NO_AGENTS = None
+
+
+class EgoWindow(NamedTuple):
+    """The ego's realized positions over a window, (n, 2), sampled every
+    dt seconds; window_loss takes it for the array form."""
+
+    positions: np.ndarray
+    dt: float
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
@@ -168,7 +180,7 @@ def window_loss(
     alpha: ClassKappa,
     predicted,
     actual,
-    ego: SampledTrajectory,
+    ego,
     lam: float,
     squash: Squashing = _DEFAULT_SQUASH,
 ):
@@ -180,7 +192,9 @@ def window_loss(
             (m, n, 2) array aligned sample by sample with the ego window.
         actual: realized trajectories over the same agents, in the same
             form (for arrays, the same agent order).
-        ego: the ego's realized positions over the same window.
+        ego: the ego's realized positions over the same window, as an
+            EgoWindow or a SampledTrajectory; the mapping form needs the
+            latter, whose start frame the trajectories must share.
         lam: margin the window was driven with.
 
     Returns:

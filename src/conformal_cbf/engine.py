@@ -9,11 +9,15 @@ and re-predicted over the horizon.  Inside a window every frame builds
 one inflated barrier constraint per predicted agent from the prediction
 at that frame, projects the goal-attracting reference velocity onto the
 constraints, converts the projected command to an acceleration, and
-integrates one frame with that acceleration held.  The window's
-predictions are stacked into arrays once, so each frame's rows come from
-one call of the barrier kernel.  The scene is a track table (see
-scenario), so sensing, histories and the revealed motion a window is
-scored against are slices of it, and a window is scored with one
+integrates one frame with that acceleration held.
+
+Everything per window is an array.  The scene is a track table (see
+scenario), so the sensed agents' histories and recorded futures are one
+fancy index into it each, and one predict call returns the whole
+window's predictions stacked as (m, H, 2) positions and velocities with
+per-agent lengths; no per-agent trajectory object is built.  Each
+frame's rows come from one call of the barrier kernel on those arrays,
+and a window is scored against the revealed track slices with one
 window_loss call per distinct prefix length (normally one).
 
 Windows without a scorable agent leave the margin untouched and record
@@ -30,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, barrier_rows
-from conformal_cbf.conformal import NO_AGENTS, ConformalState, window_loss
+from conformal_cbf.conformal import NO_AGENTS, ConformalState, EgoWindow, window_loss
 from conformal_cbf.dynamics import TrackingActuator, step, track_velocity
 from conformal_cbf.errors import (
     ConfigError,
@@ -40,12 +44,9 @@ from conformal_cbf.errors import (
 )
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,
-    GROUND_TRUTH,
-    NOISE_BOUNDED,
+    NO_PREDICTIONS,
     PredictorKind,
-    SampledTrajectory,
     predict,
-    velocities,
 )
 from conformal_cbf.qp import QpProblem, solve_with_relaxation
 from conformal_cbf.scenario import (
@@ -200,7 +201,7 @@ def run(
     start = scene.start_frame
     tau = config.tau_frames
 
-    stacked = _stack({})
+    predicted = NO_PREDICTIONS
     ego_window: list = []
     window_start = start
     lambda_trace = [(1, margin.lam)]
@@ -216,14 +217,12 @@ def run(
             if offset % tau == 0:
                 if offset > 0:
                     loss = _score_window(
-                        cbf, alpha, margin.lam, stacked, ego_window,
+                        cbf, alpha, margin.lam, predicted, ego_window,
                         window_start, dt, scene,
                     )
                     margin.update(loss)
                     lambda_trace.append((offset // tau + 1, margin.lam))
-                stacked = _stack(
-                    _predict_window(config, kind, cbf, scene, state, frame)
-                )
+                predicted = _predict_window(config, kind, cbf, scene, state, frame, dt)
                 ego_window = []
                 window_start = frame
 
@@ -240,7 +239,7 @@ def run(
                 break
 
             normals, offsets, ids = _rows(
-                cbf, alpha, stacked, frame - window_start, state.position,
+                cbf, alpha, predicted, frame - window_start, state.position,
                 config.rho0, margin.lam,
             )
             reference = reference_control(task, state)
@@ -295,7 +294,7 @@ def run(
             # the run ended exactly on a window boundary; score the
             # completed window so its loss is not silently dropped
             loss = _score_window(
-                cbf, alpha, margin.lam, stacked, ego_window,
+                cbf, alpha, margin.lam, predicted, ego_window,
                 window_start, dt, scene,
             )
             margin.update(loss)
@@ -318,80 +317,72 @@ def run(
     )
 
 
-def _predict_window(config, kind, cbf, scene, state, frame):
+# rows of the last two history samples, relative to the row at the frame
+_LAST_TWO = np.array([-2, -1])
+
+
+def _predict_window(config, kind, cbf, scene, state, frame, dt):
     """Predictions for the agents sensed at a window boundary.
 
-    Agents without two frames of contiguous history, or without two
-    frames of recorded future when an oracle kind needs one, are left
-    out; they simply contribute no constraint this window.
+    Agents without two frames of contiguous history before the frame
+    are left out, and so, for the oracle kinds, are agents without two
+    frames of recorded future from it; they contribute no constraint
+    this window.  Every kind reads at most the last two history samples,
+    so those are what is gathered.
     """
     sensed = sensed_agents(scene, state.position, config.rho0, frame)
-    ids = [agent_id for agent_id, _ in sensed]
-    row, before, _ = scene.runs_at(ids, frame - 1)
-    n = np.minimum(before, config.tau_frames).tolist()
-    histories = {
-        i: scene.trajectory(i, r + 1 - k, k, frame - k)
-        for i, r, k in zip(ids, row.tolist(), n)
-        if k >= 2
-    }
+    if not sensed:
+        return NO_PREDICTIONS
+    ids = np.array([agent_id for agent_id, _ in sensed])
+    # a sensed agent is present at the frame, so its run holds before - 1
+    # samples of history and after samples of future
+    row, before, after = scene.runs_at(ids, frame)
+    keep = before >= 3
+    if not keep.any():
+        return NO_PREDICTIONS
+    ids, row, after = ids[keep], row[keep], after[keep]
+    histories = scene.track_positions[row[:, None] + _LAST_TWO]
     futures = None
-    if kind.kind in (GROUND_TRUTH, NOISE_BOUNDED):
-        row, _, after = scene.runs_at(list(histories), frame)
-        n = np.minimum(after, config.horizon_frames).tolist()
-        futures = {
-            i: scene.trajectory(i, r, k, frame)
-            for i, r, k in zip(histories, row.tolist(), n)
-            if k > 0
-        }
-        histories = {i: h for i, h in histories.items() if i in futures}
-    if not histories:
-        return {}
-    predictions = predict(
+    if kind.kind != CONSTANT_VELOCITY:
+        after = np.minimum(after, config.horizon_frames)
+        # past its run's end a future repeats its last sample; predict
+        # reads only the first `after`
+        sample = np.minimum(np.arange(after.max()), after[:, None] - 1)
+        futures = scene.track_positions[row[:, None] + sample]
+    return predict(
         kind,
+        ids,
         histories,
         config.horizon_frames,
+        dt,
         futures=futures,
+        future_lengths=after,
+        start_frame=frame,
         cbf=cbf,
-        ego_positions=np.array(state.position, dtype=np.float64),
+        ego_positions=state.position,
     )
-    # a one-sample oracle prediction has no velocity to build a row from
-    return {i: p for i, p in predictions.items() if p.n_samples >= 2}
 
 
-def _stack(predictions):
-    """A window's predictions as arrays: sorted ids, (m, H, 2) positions
-    and velocities (zero past each agent's own length), and lengths."""
-    ids = sorted(predictions)
-    horizon = max((predictions[i].n_samples for i in ids), default=0)
-    positions = np.zeros((len(ids), horizon, 2))
-    vels = np.zeros((len(ids), horizon, 2))
-    lengths = np.zeros(len(ids), dtype=np.intp)
-    for j, agent_id in enumerate(ids):
-        traj = predictions[agent_id]
-        n = traj.n_samples
-        positions[j, :n] = traj.positions
-        vels[j, :n] = velocities(traj.positions, traj.dt)
-        lengths[j] = n
-    return np.array(ids) if ids else np.zeros(0, np.intp), positions, vels, lengths
-
-
-def _rows(cbf, alpha, stacked, k, ego, rho0, lam):
+def _rows(cbf, alpha, predicted, k, ego, rho0, lam):
     """Deployed constraint rows at sample k of the window as (normals,
-    offsets, agent ids), one row per agent predicted there strictly
-    between distance 0 and rho0, in id order."""
-    ids, positions, vels, lengths = stacked
+    offsets, agent ids), one row per agent predicted there at a distance
+    from cbf.min_distance up to (not including) rho0, in prediction
+    order."""
+    ids, positions, lengths = predicted.ids, predicted.positions, predicted.lengths
     if k >= positions.shape[1]:
         return np.zeros((0, 2)), np.zeros(0), ids[:0]
     diff = ego - positions[:, k]
     dist = np.sqrt(np.vecdot(diff, diff))
-    keep = (lengths > k) & (dist > 0.0) & (dist < rho0)
+    keep = (lengths > k) & (dist >= cbf.min_distance) & (dist < rho0)
     if not keep.any():
         return np.zeros((0, 2)), np.zeros(0), ids[:0]
-    normals, offsets = barrier_rows(cbf, alpha, diff[keep], vels[keep, k])
+    normals, offsets = barrier_rows(
+        cbf, alpha, diff[keep], predicted.velocities[keep, k]
+    )
     return normals, offsets + lam, ids[keep]
 
 
-def _score_window(cbf, alpha, lam, stacked, ego_positions, window_start, dt, scene):
+def _score_window(cbf, alpha, lam, predicted, ego_positions, window_start, dt, scene):
     """Worst per-agent window loss against the revealed ground truth.
 
     Each agent is scored over the prefix where its prediction, its
@@ -400,7 +391,7 @@ def _score_window(cbf, alpha, lam, stacked, ego_positions, window_start, dt, sce
     monotone, so the max over those calls is the max over per-agent
     losses.
     """
-    ids, positions, _, lengths = stacked
+    ids, positions, lengths = predicted.ids, predicted.positions, predicted.lengths
     if not len(ids) or len(ego_positions) < 2:
         return NO_AGENTS
     ego = np.array(ego_positions)
@@ -411,14 +402,7 @@ def _score_window(cbf, alpha, lam, stacked, ego_positions, window_start, dt, sce
         group = n == k
         actual = scene.track_positions[row[group, None] + np.arange(k)]
         loss = window_loss(
-            cbf,
-            alpha,
-            positions[group, :k],
-            actual,
-            SampledTrajectory(
-                agent_id=-1, start_frame=window_start, dt=dt, positions=ego[:k]
-            ),
-            lam,
+            cbf, alpha, positions[group, :k], actual, EgoWindow(ego[:k], dt), lam
         )
         if worst is None or loss > worst:
             worst = loss

@@ -15,7 +15,8 @@ class ConfigError(ValueError):
 
 
 class SingularityError(ArithmeticError):
-    """A quantity is undefined at the requested point (coincident positions)."""
+    """A quantity is undefined at the requested point (coincident or nearly
+    coincident positions)."""
 
 
 class ParseError(ValueError):

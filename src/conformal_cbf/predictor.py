@@ -7,17 +7,25 @@ windows at once and differentiate at one frame; the two agree bitwise,
 so predicted and revealed motion are differentiated identically wherever
 they are compared.
 
-Three predictor kinds are available.  "constant-velocity" extrapolates
-the last observed displacement.  The two oracle kinds replay the actual
-future and exist for tests and calibration studies: "ground-truth-oracle"
-returns it untouched, and "noise-bounded-oracle" perturbs it while
-enforcing stated bounds on the position error and on the error of the
-agent-side barrier flow term.  The enforcement checks derivatives of the
-trajectory it returns, so bounds hold exactly for consumers that
-differentiate the same window.
+predict works on a whole window at once: it takes the ids, histories
+and recorded futures of m agents as arrays and returns Predictions, the
+(m, H, 2) positions and velocities with one length per agent.  Three
+predictor kinds are available.  "constant-velocity" extrapolates the
+last observed displacement, one broadcast for all agents.  The two
+oracle kinds replay the actual future and exist for tests and
+calibration studies: "ground-truth-oracle" returns it untouched, and
+"noise-bounded-oracle" perturbs it while enforcing stated bounds on the
+position error and on the error of the agent-side barrier flow term.
+The enforcement checks derivatives of the trajectory it returns, so
+bounds hold exactly for consumers that differentiate the same window.
+Velocities are taken per agent length, never across the zero padding,
+so the one-sided edge sits at each agent's own last sample.
+
+SampledTrajectory, one agent's window as an object, serves the scene's
+per-agent queries (history_of, future_of) and the test references; the
+run path does not build it.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -25,8 +33,6 @@ import numpy as np
 
 from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms
 from conformal_cbf.errors import InputError, SingularityError
-
-logger = logging.getLogger(__name__)
 
 CONSTANT_VELOCITY = "constant-velocity"
 GROUND_TRUTH = "ground-truth-oracle"
@@ -143,130 +149,173 @@ def velocities(positions, dt: float) -> np.ndarray:
     return v
 
 
+@dataclass(frozen=True)
+class Predictions:
+    """One window's predictions for m agents, stacked.
+
+    ids is (m,); positions and velocities are (m, H, 2), sample k being k
+    frames after the window's first frame, and exactly zero past each
+    agent's own length; lengths is (m,), every entry at least 2.  Each
+    agent's velocities are velocities() of its own samples.  len() is m.
+    """
+
+    ids: np.ndarray
+    positions: np.ndarray
+    velocities: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+NO_PREDICTIONS = Predictions(
+    ids=np.zeros(0, np.intp),
+    positions=np.zeros((0, 0, 2)),
+    velocities=np.zeros((0, 0, 2)),
+    lengths=np.zeros(0, np.intp),
+)
+
+# the noise oracle's shrink steps 2^-k, k = 0..79, each exact
+_SCALES = np.ldexp(1.0, -np.arange(80))
+
+
 def predict(
     kind: PredictorKind,
-    histories: dict,
+    ids,
+    histories,
     horizon_frames: int,
+    dt: float,
     *,
-    futures: dict | None = None,
+    futures=None,
+    future_lengths=None,
+    start_frame: int | None = None,
     cbf: PotentialFieldCbf | None = None,
-    ego_positions: np.ndarray | None = None,
-) -> dict:
-    """Predicted trajectories per agent over the coming horizon.
+    ego_positions=None,
+) -> Predictions:
+    """Predicted positions of m agents over the coming horizon.
 
     Args:
         kind: predictor selection and configuration.
-        histories: agent_id -> SampledTrajectory of observed motion; all
-            windows must end at the same frame, where prediction starts.
-        horizon_frames: number of future frames to produce.
-        futures: agent_id -> SampledTrajectory of the actual future,
-            starting where the history ends.  Required by the oracle
-            kinds, ignored by constant-velocity.
+        ids: the agents' ids, (m,); the output keeps their order.
+        histories: the last n >= 2 observed positions of each agent,
+            (m, n, 2), all ending the frame before prediction starts.
+        horizon_frames: number of future frames to produce, at least 2.
+        dt: sampling interval of histories and futures.
+        futures: each agent's recorded positions from the frame where
+            prediction starts, (m, F, 2).  Required by the oracle kinds,
+            ignored by constant-velocity.
+        future_lengths: recorded samples of each future, (m,); entries
+            of futures past them are never read.
+        start_frame: frame where prediction starts; the noise-bounded
+            oracle keys its random draws on (seed, start_frame, id).
         cbf: barrier whose flow term the noise-bounded oracle must
             respect; required by that kind only.
         ego_positions: ego position(s) the noise-bounded oracle checks
-            its dynamics bound against, either one (2,) point or an
-            (horizon, 2) path.
+            its dynamics bound against, either one (2,) point or one per
+            future sample, (F, 2).
 
     Returns:
-        agent_id -> SampledTrajectory.  Agents with fewer than two
-        history samples are skipped with a log warning; oracle
-        predictions may be shorter than the horizon when the recorded
-        future ends early.
+        Constant-velocity predicts every agent over the whole horizon.
+        The oracles predict an agent over its recorded future, cut to
+        the horizon, and leave out agents with fewer than two recorded
+        samples, which have no velocity.
+
+    Raises:
+        InputError: shapes disagree, an input the kind needs is missing,
+            or a predicted position is not finite.
     """
-    if horizon_frames < 1:
-        raise InputError("horizon_frames must be at least 1")
-    if kind.kind in (GROUND_TRUTH, NOISE_BOUNDED) and futures is None:
-        raise InputError(f"{kind.kind} needs the recorded future")
-    if kind.kind == NOISE_BOUNDED and (cbf is None or ego_positions is None):
-        raise InputError("noise-bounded-oracle needs cbf and ego_positions")
+    if horizon_frames < 2:
+        raise InputError("horizon_frames must be at least 2")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InputError("dt must be positive and finite")
+    ids = np.asarray(ids)
+    histories = np.asarray(histories, dtype=np.float64)
+    m = len(ids)
+    if ids.ndim != 1 or histories.ndim != 3 or histories.shape[0] != m or (
+        histories.shape[1] < 2 or histories.shape[2] != 2
+    ):
+        raise InputError("histories must be (m, n >= 2, 2), one per id")
 
-    out: dict[int, SampledTrajectory] = {}
-    for agent_id in sorted(histories):
-        history = histories[agent_id]
-        if history.n_samples < 2:
-            logger.warning(
-                "agent %s has %d history sample(s), skipping prediction",
-                agent_id,
-                history.n_samples,
-            )
-            continue
-        if kind.kind == CONSTANT_VELOCITY:
-            out[agent_id] = _constant_velocity(history, horizon_frames)
-            continue
-        future = futures.get(agent_id) if futures else None
-        if future is None or future.n_samples == 0:
-            logger.warning("agent %s has no recorded future, skipping", agent_id)
-            continue
-        if future.start_frame != history.end_frame:
-            raise InputError(
-                f"future of agent {agent_id} starts at {future.start_frame}, "
-                f"expected {history.end_frame}"
-            )
-        n = min(horizon_frames, future.n_samples)
-        truth = future.prefix(n)
-        if kind.kind == GROUND_TRUTH:
-            out[agent_id] = truth
-        else:
-            out[agent_id] = _noise_bounded(kind, truth, cbf, ego_positions)
-    return out
-
-
-def _constant_velocity(history: SampledTrajectory, horizon: int) -> SampledTrajectory:
-    step = history.positions[-1] - history.positions[-2]
-    offsets = np.arange(1, horizon + 1, dtype=np.float64)[:, None]
-    return SampledTrajectory(
-        agent_id=history.agent_id,
-        start_frame=history.end_frame,
-        dt=history.dt,
-        positions=history.positions[-1] + offsets * step,
-    )
-
-
-def _noise_bounded(
-    kind: PredictorKind,
-    truth: SampledTrajectory,
-    cbf: PotentialFieldCbf,
-    ego_positions: np.ndarray,
-) -> SampledTrajectory:
-    n = truth.n_samples
-    ego = np.asarray(ego_positions, dtype=np.float64)
-    if ego.shape == (2,):
-        ego = np.broadcast_to(ego, (n, 2))
-    elif ego.shape != (n, 2):
-        raise InputError("ego_positions must be one point or one per sample")
-
-    rng = np.random.default_rng([kind.seed, truth.start_frame, int(truth.agent_id)])
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    radii = kind.value_bound * rng.uniform(0.0, 1.0, size=n)
-    noise = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-    # Shrink the perturbation toward the truth until the flow-term error
-    # stays within the dynamics bound; the zero perturbation always
-    # complies, so the loop terminates.
-    scale = 1.0
-    for _ in range(80):
-        candidate = SampledTrajectory(
-            agent_id=truth.agent_id,
-            start_frame=truth.start_frame,
-            dt=truth.dt,
-            positions=truth.positions + scale * noise,
+    if kind.kind == CONSTANT_VELOCITY:
+        last = histories[:, -1:]
+        step = last - histories[:, -2:-1]
+        offsets = np.arange(1, horizon_frames + 1, dtype=np.float64)[:, None]
+        positions = last + offsets * step
+        lengths = np.full(m, horizon_frames, dtype=np.intp)
+    else:
+        if futures is None or future_lengths is None:
+            raise InputError(f"{kind.kind} needs the recorded future")
+        futures = np.asarray(futures, dtype=np.float64)
+        n = np.asarray(future_lengths, dtype=np.intp)
+        if futures.ndim != 3 or futures.shape[0] != m or futures.shape[2] != 2 or (
+            n.shape != (m,) or (n < 0).any() or (n > futures.shape[1]).any()
+        ):
+            raise InputError("futures must be (m, F, 2) with m lengths in [0, F]")
+        keep = n >= 2
+        ids, lengths = ids[keep], np.minimum(n[keep], horizon_frames)
+        width = lengths.max(initial=0)
+        valid = np.arange(width) < lengths[:, None]
+        positions = np.where(valid[..., None], futures[keep, :width], 0.0)
+    if kind.kind == NOISE_BOUNDED:
+        if cbf is None or ego_positions is None or start_frame is None:
+            raise InputError("noise-bounded-oracle needs cbf, ego_positions and start_frame")
+        ego = np.asarray(ego_positions, dtype=np.float64)
+        if ego.shape == (futures.shape[1], 2):
+            ego = ego[:width]
+        elif ego.shape != (2,):
+            raise InputError("ego_positions must be one point or one per sample")
+        positions, vels = _noise_bounded(
+            kind, ids, positions, lengths, valid, start_frame, dt, cbf, ego
         )
-        if _flow_error_ok(kind.dynamics_bound, cbf, ego, truth, candidate):
-            return candidate
-        scale *= 0.5
-    return truth
+    if not np.isfinite(positions).all():
+        raise InputError("predicted positions must be finite")
+    if kind.kind != NOISE_BOUNDED:
+        vels = _velocities_by_length(positions, lengths, dt)
+    return Predictions(ids=ids, positions=positions, velocities=vels, lengths=lengths)
 
 
-def _flow_error_ok(bound, cbf, ego, truth, candidate) -> bool:
-    if truth.n_samples < 2:
-        return True
-    try:
-        _, g_true = barrier_terms(cbf, ego - truth.positions)
-        _, g_pred = barrier_terms(cbf, ego - candidate.positions)
-    except SingularityError:
-        return False
+def _velocities_by_length(positions, lengths, dt):
+    """velocities of each agent's own samples along axis -2, one call per
+    distinct length, and zero past them."""
+    v = np.zeros_like(positions)
+    for n in np.unique(lengths).tolist():
+        group = lengths == n
+        v[group, ..., :n, :] = velocities(positions[group, ..., :n, :], dt)
+    return v
+
+
+def _noise_bounded(kind, ids, truth, lengths, valid, start_frame, dt, cbf, ego):
+    """Perturbed truths and their velocities.
+
+    Each agent's perturbation is drawn from its own generator, keyed on
+    (seed, start_frame, agent id), with radius at most value_bound.  It
+    is then shrunk by the first factor 2^-k, k = 0..79, for which the
+    flow-term error stays within dynamics_bound at every sample; no
+    factor passing leaves the truth.  All factors of all agents are
+    checked in one barrier_terms call.  A factor putting a sample on the
+    ego fails, and so does every factor when the truth itself does.
+    """
+    noise = np.zeros_like(truth)
+    for j, (agent_id, n) in enumerate(zip(ids.tolist(), lengths.tolist())):
+        rng = np.random.default_rng([kind.seed, start_frame, agent_id])
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        radii = kind.value_bound * rng.uniform(0.0, 1.0, size=n)
+        noise[j, :n] = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    # (agent, truth then factor k, sample, xy)
+    tracks = np.concatenate(
+        [truth[:, None], truth[:, None] + _SCALES[:, None, None] * noise[:, None]],
+        axis=1,
+    )
+    vels = _velocities_by_length(tracks, lengths, dt)
+    diff = ego - tracks
+    singular = np.sqrt(np.vecdot(diff, diff)) < cbf.min_distance
+    diff[singular] = cbf.rho0  # an offset the barrier is defined at
+    _, grad_ego = barrier_terms(cbf, diff)
     # the agent-side gradient is -grad_ego
-    q_true = np.vecdot(-g_true, velocities(truth.positions, truth.dt))
-    q_pred = np.vecdot(-g_pred, velocities(candidate.positions, candidate.dt))
-    return not np.any(np.abs(q_pred - q_true) > bound)
+    q = np.vecdot(-grad_ego, vels)
+    fails = (np.abs(q[:, 1:] - q[:, :1]) > kind.dynamics_bound) | singular[:, 1:]
+    fails |= singular[:, :1]
+    passes = ~(fails & valid[:, None]).any(axis=-1)
+    pick = np.where(passes.any(axis=1), passes.argmax(axis=1) + 1, 0)
+    rows = np.arange(len(ids))
+    return tracks[rows, pick], vels[rows, pick]

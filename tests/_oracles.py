@@ -6,7 +6,9 @@ central differences for gradients, a scan-and-refine maximization for
 the gradient-norm bound, brute-force candidate enumeration and dense
 grids for the projection QP, and the generic RK4 step for the dynamics.
 The scene references are the line-by-line annotation parser and the
-dict-of-frames queries the track table replaced.
+dict-of-frames queries the track table replaced, and the prediction
+reference is the per-agent predictor, one SampledTrajectory per agent,
+that the array form in predictor.predict replaced.
 """
 
 import itertools
@@ -306,3 +308,123 @@ def sensed_reference(frames, ego, rho0, frame):
         for agent_id in sorted(row)
         if float(np.linalg.norm(row[agent_id] - ego)) < rho0
     ]
+
+
+def predict_reference(
+    kind, histories, horizon_frames, *, futures=None, cbf=None, ego_positions=None
+):
+    """The per-agent predictor the array form replaced: agent_id ->
+    SampledTrajectory, in id order, from id-keyed history and future
+    SampledTrajectory mappings.  Agents with fewer than two history
+    samples or no recorded future are skipped; each prediction is its
+    own object, checked for finiteness on construction."""
+    from conformal_cbf.errors import InputError
+    from conformal_cbf.predictor import CONSTANT_VELOCITY, GROUND_TRUTH
+
+    out = {}
+    for agent_id in sorted(histories):
+        history = histories[agent_id]
+        if history.n_samples < 2:
+            continue
+        if kind.kind == CONSTANT_VELOCITY:
+            out[agent_id] = _constant_velocity_reference(history, horizon_frames)
+            continue
+        future = futures.get(agent_id) if futures else None
+        if future is None or future.n_samples == 0:
+            continue
+        if future.start_frame != history.end_frame:
+            raise InputError(f"future of agent {agent_id} does not abut its history")
+        truth = future.prefix(min(horizon_frames, future.n_samples))
+        if kind.kind == GROUND_TRUTH:
+            out[agent_id] = truth
+        else:
+            out[agent_id] = _noise_bounded_reference(kind, truth, cbf, ego_positions)
+    return out
+
+
+def _constant_velocity_reference(history, horizon):
+    from conformal_cbf.predictor import SampledTrajectory
+
+    step = history.positions[-1] - history.positions[-2]
+    offsets = np.arange(1, horizon + 1, dtype=np.float64)[:, None]
+    return SampledTrajectory(
+        agent_id=history.agent_id,
+        start_frame=history.end_frame,
+        dt=history.dt,
+        positions=history.positions[-1] + offsets * step,
+    )
+
+
+def noise_reference(kind, start_frame, agent_id, n):
+    """The (n, 2) perturbation the noise-bounded oracle draws for one
+    agent before shrinking it."""
+    rng = np.random.default_rng([kind.seed, start_frame, int(agent_id)])
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    radii = kind.value_bound * rng.uniform(0.0, 1.0, size=n)
+    return radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _noise_bounded_reference(kind, truth, cbf, ego_positions):
+    """Halve the perturbation until the flow-term error stays within the
+    dynamics bound, at most 80 times; the truth when none complies."""
+    from conformal_cbf.predictor import SampledTrajectory
+
+    n = truth.n_samples
+    ego = np.asarray(ego_positions, dtype=np.float64)
+    if ego.shape == (2,):
+        ego = np.broadcast_to(ego, (n, 2))
+    noise = noise_reference(kind, truth.start_frame, truth.agent_id, n)
+    scale = 1.0
+    for _ in range(80):
+        candidate = SampledTrajectory(
+            agent_id=truth.agent_id,
+            start_frame=truth.start_frame,
+            dt=truth.dt,
+            positions=truth.positions + scale * noise,
+        )
+        if _flow_error_ok(kind.dynamics_bound, cbf, ego, truth, candidate):
+            return candidate
+        scale *= 0.5
+    return truth
+
+
+def _flow_error_ok(bound, cbf, ego, truth, candidate):
+    from conformal_cbf.barrier import barrier_terms
+    from conformal_cbf.errors import SingularityError
+    from conformal_cbf.predictor import velocities
+
+    if truth.n_samples < 2:
+        return True
+    try:
+        _, g_true = barrier_terms(cbf, ego - truth.positions)
+        _, g_pred = barrier_terms(cbf, ego - candidate.positions)
+    except SingularityError:
+        return False
+    q_true = np.vecdot(-g_true, velocities(truth.positions, truth.dt))
+    q_pred = np.vecdot(-g_pred, velocities(candidate.positions, candidate.dt))
+    return not np.any(np.abs(q_pred - q_true) > bound)
+
+
+def stack_reference(predictions):
+    """A window's id-keyed predictions as the engine's arrays: sorted ids,
+    (m, H, 2) positions and velocities (zero past each agent's own
+    length) and lengths, with one velocities call per agent."""
+    from conformal_cbf.predictor import Predictions, velocities
+
+    ids = sorted(predictions)
+    horizon = max((predictions[i].n_samples for i in ids), default=0)
+    positions = np.zeros((len(ids), horizon, 2))
+    vels = np.zeros((len(ids), horizon, 2))
+    lengths = np.zeros(len(ids), dtype=np.intp)
+    for j, agent_id in enumerate(ids):
+        traj = predictions[agent_id]
+        n = traj.n_samples
+        positions[j, :n] = traj.positions
+        vels[j, :n] = velocities(traj.positions, traj.dt)
+        lengths[j] = n
+    return Predictions(
+        ids=np.array(ids) if ids else np.zeros(0, np.intp),
+        positions=positions,
+        velocities=vels,
+        lengths=lengths,
+    )

@@ -25,6 +25,7 @@ from _oracles import (
     gradient_relative_error,
     grid_projection,
     kkt_residual,
+    predict_reference,
     rows_to_arrays,
 )
 from conformal_cbf.barrier import (
@@ -38,6 +39,7 @@ from conformal_cbf.cli import BUILTIN_SCENES, main
 from conformal_cbf.conformal import (
     NO_AGENTS,
     ConformalState,
+    EgoWindow,
     lambda_safe_bound,
     window_loss,
 )
@@ -189,30 +191,23 @@ def test_03_certified_margin_keeps_window_loss_at_target():
                         agent[j] = ego[j] + (6.0 / d if d > 0.0 else 1.0) * (
                             gap_v if d > 0.0 else np.array([6.0, 0.0])
                         )
-                truth = SampledTrajectory(agent_id=9, start_frame=100, dt=dt, positions=agent)
-                history = SampledTrajectory(
-                    agent_id=9,
-                    start_frame=98,
-                    dt=dt,
-                    positions=np.vstack([agent[0] - rng.uniform(-4.0, 4.0, 2), agent[0]]),
-                )
+                history = np.vstack([agent[0] - rng.uniform(-4.0, 4.0, 2), agent[0]])
                 predicted = predict(
                     PredictorKind(
                         kind=NOISE_BOUNDED, value_bound=e_v, dynamics_bound=e_d, seed=i
                     ),
-                    {9: history},
+                    [9],
+                    history[None],
                     n,
-                    futures={9: truth},
+                    dt,
+                    futures=agent[None],
+                    future_lengths=[n],
+                    start_frame=100,
                     cbf=cbf,
                     ego_positions=ego,
                 )
                 loss = window_loss(
-                    cbf,
-                    alpha,
-                    predicted,
-                    {9: truth},
-                    SampledTrajectory(agent_id=-1, start_frame=100, dt=dt, positions=ego),
-                    lam,
+                    cbf, alpha, predicted.positions, agent[None], EgoWindow(ego, dt), lam
                 )
                 assert loss is not NO_AGENTS
                 if loss > eps_safe:
@@ -311,8 +306,9 @@ CROSSING_TASK = RobotTask(
 def _replay_window_losses(config, scene, trace_path):
     """Rebuild every scored window loss from the frame trace.
 
-    Mirrors the run loop with public pieces only: predictions are
-    reconstructed from the scene at each window start, the ego window
+    Mirrors the run loop with public pieces and the per-agent predictor
+    reference: predictions are reconstructed from the scene at each
+    window start, the ego window
     comes from the traced positions, and each agent is scored over the
     common prefix of its prediction and its realized path.
     """
@@ -338,11 +334,7 @@ def _replay_window_losses(config, scene, trace_path):
             history = scene.history_of(agent_id, w0, tau)
             if history is not None and history.n_samples >= 2:
                 histories[agent_id] = history
-        predicted = (
-            predict(config.predictor, histories, config.horizon_frames)
-            if histories
-            else {}
-        )
+        predicted = predict_reference(config.predictor, histories, config.horizon_frames)
         worst = None
         for agent_id in sorted(predicted):
             actual = scene.future_of(agent_id, w0, ego.n_samples)

@@ -1,8 +1,10 @@
 """Tests for the barrier function, its gradients, and the constraint rows."""
 
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from conformal_cbf.barrier import (
     AgentState,
     ClassKappa,
     PotentialFieldCbf,
+    barrier_terms,
     bound_set_for,
     build_conformal_constraint,
     build_true_constraint,
@@ -45,6 +48,26 @@ def test_value_approaches_negative_delta_at_contact():
 def test_value_coincident_positions_raise():
     with pytest.raises(SingularityError):
         cbf_value(CBF, (1.0, 2.0), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("k_rep", [1e-300, 1e-6, 20.0, 2000.0, 1e6])
+def test_offsets_below_min_distance_raise_and_the_rest_stay_finite(k_rep):
+    cbf = PotentialFieldCbf(k_rep=k_rep, rho0=400.0, delta=0.5)
+    floor = cbf.min_distance
+    assert floor < 1e-60  # far below any distance two distinct pixel positions have
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow anywhere
+        for d in (floor, math.nextafter(floor, 1.0), 3.0 * floor, 1e-40, 1.0):
+            h, grad = barrier_terms(cbf, [[d, 0.0]])
+            values = (cbf.potential(d), cbf.radial_derivative(d), h[0], grad[0, 0])
+            assert all(math.isfinite(v) for v in values)
+            assert grad[0, 0] > 0.0
+        for d in (math.nextafter(floor, 0.0), floor / 2.0, 1e-160, 5e-324, 0.0):
+            for f in (cbf.potential, cbf.radial_derivative):
+                with pytest.raises(SingularityError):
+                    f(d)
+            with pytest.raises(SingularityError):
+                barrier_terms(cbf, [[3.0, 4.0], [d, 0.0]])
 
 
 def test_value_depends_only_on_distance():

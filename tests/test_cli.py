@@ -5,6 +5,7 @@ touches the engine internals directly.
 """
 
 import math
+import warnings
 
 import yaml
 import pytest
@@ -198,6 +199,50 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert "infeasible" in err and '"frame"' in err
+
+
+    @pytest.mark.parametrize(
+        "start, box",
+        [
+            # walks along y = 100 through the ego at (100, 100) on frame 30
+            ([100.0, 100.0], lambda f: (35 + 2 * f, 95, 45 + 2 * f, 105)),
+            # stands 1e-80 px from the ego, where (1 + U)^2 would overflow
+            ([0.0, 0.0], lambda f: (0, -1, 2e-80, 1)),
+        ],
+        ids=["walks-through", "stands-on"],
+    )
+    def test_an_agent_on_the_ego_exits_3(self, tmp_path, capsys, start, box):
+        ann = tmp_path / "walk.txt"
+        ann.write_text(
+            "".join(
+                '1 {} {} {} {} {} 0 0 0 "Pedestrian"\n'.format(*box(f), f) for f in range(80)
+            ),
+            encoding="utf-8",
+        )
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            yaml.safe_dump(
+                {
+                    "start": start,
+                    "goal": [500.0, 500.0],
+                    "attract_gain": 1e-300,
+                    "lambda_initial": 1e6,
+                    "eta": 0.001,
+                    "max_frames": 70,
+                    "dt": 1.0 / 30.0,
+                }
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["run", "--config", str(path), "--annotations", str(ann), "--out", str(out)]
+            )
+        assert code == 3
+        assert "agent on the ego" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidateAnnotations:

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _oracles import predict_reference
 from conformal_cbf.barrier import AgentState, build_conformal_constraint
 from conformal_cbf.dynamics import RobotState
 from conformal_cbf.engine import SimConfig, run, sweep
@@ -23,7 +24,6 @@ from conformal_cbf.predictor import (
     NOISE_BOUNDED,
     PredictorKind,
     differentiate,
-    predict,
 )
 from conformal_cbf.scenario import (
     RobotTask,
@@ -225,7 +225,7 @@ class TestGroundTruthFixedPoint:
                 agent_id: scene.future_of(agent_id, wstart, cfg.horizon_frames)
                 for agent_id in histories
             }
-            preds = predict(kind, histories, cfg.horizon_frames, futures=futures)
+            preds = predict_reference(kind, histories, cfg.horizon_frames, futures=futures)
 
             here = np.array(r["position"])
             rows = []

@@ -10,6 +10,7 @@ np.linalg.norm, @ and Python's ** there, these tests fail first.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,14 +24,21 @@ from conformal_cbf.barrier import (
     cbf_gradient,
     cbf_value,
 )
+from _oracles import stack_reference
 from conformal_cbf.conformal import gap, window_loss
-from conformal_cbf.engine import _rows, _stack
+from conformal_cbf.engine import _rows
+from conformal_cbf.errors import SingularityError
 from conformal_cbf.predictor import SampledTrajectory, differentiate, velocities
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
 coord = st.floats(-300.0, 300.0, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord)
+# offsets from a point down to where the barrier overflows and below: each
+# axis is zero or +-10^e, e in [-170, 1]
+tiny = st.builds(
+    lambda s, e: s * 10.0**e, st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-170.0, 1.0)
+)
 cbfs = st.builds(
     PotentialFieldCbf,
     k_rep=st.floats(0.01, 5000.0),
@@ -51,6 +59,22 @@ def scalar_terms(cbf, ego, agent):
     return h, (cbf.radial_derivative(d) / d) * diff
 
 
+def singular(cbf, ego, agents):
+    """Whether the scalar code rejects some pair as coincident; when it
+    does, so must the kernels, with no other error or warning."""
+    try:
+        for agent in agents:
+            scalar_terms(cbf, ego, agent)
+    except SingularityError:
+        return True
+    return False
+
+
+def near(ego, offsets):
+    """Agents at the given offsets from the ego."""
+    return [(ego[0] + dx, ego[1] + dy) for dx, dy in offsets]
+
+
 def scalar_row(cbf, alpha, ego, agent, velocity, lam):
     h, grad_ego = scalar_terms(cbf, ego, agent)
     return grad_ego, float(-grad_ego @ np.asarray(velocity)) + alpha.value(h) + lam
@@ -61,11 +85,19 @@ def offsets_of(ego, agents):
 
 
 @SETTINGS
-@given(cbf=cbfs, ego=point, agents=st.lists(point, min_size=1, max_size=12))
-def test_barrier_terms_match_scalar_barrier(cbf, ego, agents):
-    # below ~1e-77 the scalar (1 + U) ** 2 overflows and raises
-    agents = [a for a in agents if math.dist(a, ego) > 1e-60]
+@given(
+    cbf=cbfs,
+    ego=st.one_of(point, st.tuples(tiny, tiny)),
+    agents=st.lists(point, max_size=12),
+    close=st.lists(st.tuples(tiny, tiny), max_size=2),
+)
+def test_barrier_terms_match_scalar_barrier(cbf, ego, agents, close):
+    agents = agents + near(ego, close)
     if not agents:
+        return
+    if singular(cbf, ego, agents):
+        with pytest.raises(SingularityError):
+            barrier_terms(cbf, offsets_of(ego, agents))
         return
     h, grad = barrier_terms(cbf, offsets_of(ego, agents))
     for i, agent in enumerate(agents):
@@ -108,11 +140,17 @@ def test_velocities_match_differentiate_at_every_frame(positions, dt, start):
     alpha=alphas,
     ego=point,
     agents=st.lists(st.tuples(point, point), min_size=1, max_size=10),
+    close=st.lists(st.tuples(tiny, tiny), max_size=2),
     lam=st.floats(-5.0, 5.0),
 )
-def test_batched_rows_match_build_conformal_constraint(cbf, alpha, ego, agents, lam):
-    agents = [(p, v) for p, v in agents if math.dist(p, ego) > 1e-60]
-    if not agents:
+def test_batched_rows_match_build_conformal_constraint(cbf, alpha, ego, agents, close, lam):
+    agents = agents + [(p, (1.0, -2.0)) for p in near(ego, close)]
+    if singular(cbf, ego, [p for p, _ in agents]):
+        with pytest.raises(SingularityError):
+            barrier_rows(
+                cbf, alpha, offsets_of(ego, [p for p, _ in agents]),
+                np.array([v for _, v in agents]),
+            )
         return
     normals, offsets = barrier_rows(
         cbf, alpha, offsets_of(ego, [p for p, _ in agents]), np.array([v for _, v in agents])
@@ -134,12 +172,16 @@ def test_batched_rows_match_build_conformal_constraint(cbf, alpha, ego, agents, 
     tracks=st.lists(st.lists(point, min_size=4, max_size=4), min_size=1, max_size=6),
     lengths=st.lists(st.integers(1, 4), min_size=6, max_size=6),
     k=st.integers(0, 3),
+    close=st.lists(st.tuples(st.integers(0, 5), tiny, tiny), max_size=3),
     lam=st.floats(-5.0, 5.0),
 )
-def test_engine_frame_rows_match_build_conformal_constraint(cbf, ego, tracks, lengths, k, lam):
+def test_engine_frame_rows_match_build_conformal_constraint(
+    cbf, ego, tracks, lengths, k, close, lam
+):
     alpha = ClassKappa.linear(10.0)
-    if any(0.0 < math.dist(p, ego) <= 1e-60 for track in tracks for p in track):
-        return
+    for j, dx, dy in close:  # samples on or next to the ego, which give no row
+        if j < len(tracks):
+            tracks[j][k] = near(ego, [(dx, dy)])[0]
     predictions = {
         3 * j + 1: SampledTrajectory(
             agent_id=3 * j + 1, start_frame=40, dt=0.1, positions=track[: max(n, 2)]
@@ -147,7 +189,8 @@ def test_engine_frame_rows_match_build_conformal_constraint(cbf, ego, tracks, le
         for j, (track, n) in enumerate(zip(tracks, lengths))
     }
     normals, offsets, ids = _rows(
-        cbf, alpha, _stack(predictions), k, np.asarray(ego, dtype=np.float64), cbf.rho0, lam
+        cbf, alpha, stack_reference(predictions), k, np.asarray(ego, dtype=np.float64),
+        cbf.rho0, lam,
     )
     expected = []
     for agent_id in sorted(predictions):
@@ -156,7 +199,7 @@ def test_engine_frame_rows_match_build_conformal_constraint(cbf, ego, tracks, le
             continue
         pos = traj.position_at(40 + k)
         dist = float(np.linalg.norm(pos - np.asarray(ego)))
-        if dist <= 0.0 or dist >= cbf.rho0:
+        if dist < cbf.min_distance or dist >= cbf.rho0:
             continue
         agent = AgentState(agent_id=agent_id, position=pos, velocity=differentiate(traj, 40 + k))
         expected.append(build_conformal_constraint(cbf, alpha, ego, agent, lam))
@@ -186,15 +229,18 @@ def test_window_loss_matches_per_sample_gaps(cbf, alpha, windows, ego, lam):
     predicted = {i: traj(i, p) for i, (p, _) in enumerate(windows)}
     actual = {i: traj(i, a) for i, (_, a) in enumerate(windows)}
     worst = -math.inf
-    for i in predicted:
-        for f in range(7, 12):
-            states = [
-                AgentState(agent_id=i, position=t.position_at(f), velocity=differentiate(t, f))
-                for t in (actual[i], predicted[i])
-            ]
-            if any(math.dist(s.position, ego_traj.position_at(f)) <= 1e-60 for s in states):
-                return  # coincident (or overflowing) sample
-            worst = max(worst, gap(cbf, alpha, ego_traj.position_at(f), *states, lam))
+    try:
+        for i in predicted:
+            for f in range(7, 12):
+                states = [
+                    AgentState(agent_id=i, position=t.position_at(f), velocity=differentiate(t, f))
+                    for t in (actual[i], predicted[i])
+                ]
+                worst = max(worst, gap(cbf, alpha, ego_traj.position_at(f), *states, lam))
+    except SingularityError:  # a coincident sample: the window has no loss
+        with pytest.raises(SingularityError):
+            window_loss(cbf, alpha, predicted, actual, ego_traj, lam)
+        return
     got = window_loss(cbf, alpha, predicted, actual, ego_traj, lam)
     assert got == math.atan(worst) / math.pi
 

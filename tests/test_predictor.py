@@ -1,12 +1,12 @@
-"""Tests for trajectory windows, differencing and the predictors."""
-
-import logging
+"""Tests for trajectory windows, differencing and the array predictors."""
 
 import numpy as np
 import pytest
 
-from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf
-from conformal_cbf.conformal import window_loss
+from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, cbf_gradient
+from conformal_cbf.conformal import EgoWindow, window_loss
+from conformal_cbf.dynamics import RobotState
+from conformal_cbf.engine import SimConfig, _predict_window
 from conformal_cbf.errors import InputError
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,
@@ -16,7 +16,9 @@ from conformal_cbf.predictor import (
     SampledTrajectory,
     differentiate,
     predict,
+    velocities,
 )
+from conformal_cbf.scenario import ScenarioFrameSet
 
 CBF = PotentialFieldCbf(k_rep=2.0, rho0=10.0, delta=0.5)
 
@@ -100,93 +102,117 @@ class TestDifferentiate:
             differentiate(t, 2)
 
 
+def predict_one(kind, history, horizon, future=None, **kwargs):
+    """predict for one agent, id 1, from (n, 2) history and future arrays."""
+    if future is not None:
+        future = np.asarray(future, dtype=np.float64)
+        kwargs.update(futures=future[None], future_lengths=[len(future)])
+    return predict(kind, [1], np.asarray(history, dtype=np.float64)[None], horizon, 0.1, **kwargs)
+
+
+def scene_of(tracks):
+    """Scene at 10 fps from agent_id -> {frame: (x, y)}."""
+    frames = {}
+    for agent_id, samples in tracks.items():
+        for f, xy in samples.items():
+            frames.setdefault(f, {})[agent_id] = np.array(xy, dtype=np.float64)
+    return ScenarioFrameSet(scene_name="p", fps=10.0, frames=frames, labels={})
+
+
+def window_at(scene, frame, kind=PredictorKind(kind=CONSTANT_VELOCITY), horizon=4):
+    config = SimConfig(dt=0.1, tau_frames=2, horizon_frames=horizon, rho0=1000.0)
+    state = RobotState(position=np.zeros(2), velocity=np.zeros(2))
+    return _predict_window(config, kind, config.cbf(), scene, state, frame, scene.dt)
+
+
 class TestConstantVelocity:
     def test_extrapolates_linear_motion_exactly(self):
-        hist = traj(1, [[0.0, 0.0], [0.5, 0.25], [1.0, 0.5]], dt=0.1)
-        out = predict(PredictorKind(kind=CONSTANT_VELOCITY), {1: hist}, 4)
-        got = out[1]
-        assert got.start_frame == hist.end_frame
-        assert got.n_samples == 4
+        hist = [[0.0, 0.0], [0.5, 0.25], [1.0, 0.5]]
+        out = predict_one(PredictorKind(kind=CONSTANT_VELOCITY), hist, 4)
+        assert out.ids.tolist() == [1] and out.lengths.tolist() == [4]
         expected = np.array([[1.5, 0.75], [2.0, 1.0], [2.5, 1.25], [3.0, 1.5]])
-        assert np.allclose(got.positions, expected, atol=1e-12)
+        assert np.allclose(out.positions[0], expected, atol=1e-12)
+        assert np.allclose(out.velocities[0], [[5.0, 2.5]] * 4, atol=1e-9)
 
     def test_uses_last_displacement_only(self):
-        hist = traj(1, [[9.0, 9.0], [0.0, 0.0], [1.0, 0.0]])
-        out = predict(PredictorKind(kind=CONSTANT_VELOCITY), {1: hist}, 2)
-        assert np.allclose(out[1].positions, [[2.0, 0.0], [3.0, 0.0]])
+        out = predict_one(
+            PredictorKind(kind=CONSTANT_VELOCITY), [[9.0, 9.0], [0.0, 0.0], [1.0, 0.0]], 2
+        )
+        assert np.allclose(out.positions[0], [[2.0, 0.0], [3.0, 0.0]])
 
-    def test_skips_short_history_with_warning(self, caplog):
-        hist = {1: traj(1, [[0.0, 0.0]]), 2: traj(2, [[0.0, 0.0], [1.0, 0.0]])}
-        with caplog.at_level(logging.WARNING, logger="conformal_cbf.predictor"):
-            out = predict(PredictorKind(kind=CONSTANT_VELOCITY), hist, 3)
-        assert set(out) == {2}
-        assert any("skipping" in r.getMessage() for r in caplog.records)
+    def test_agents_without_two_history_samples_are_left_out(self):
+        # agent 1 appears one frame before the boundary, agent 2 two frames
+        scene = scene_of({1: {4: (0.0, 0.0), 5: (1.0, 0.0)}, 2: {3: (0.0, 5.0), 4: (1.0, 5.0), 5: (2.0, 5.0)}})
+        assert window_at(scene, 5).ids.tolist() == [2]
+        with pytest.raises(InputError):
+            predict_one(PredictorKind(kind=CONSTANT_VELOCITY), [[0.0, 0.0]], 3)
 
     def test_horizon_validation(self):
-        with pytest.raises(InputError):
-            predict(PredictorKind(kind=CONSTANT_VELOCITY), {}, 0)
+        for horizon in (0, 1):
+            with pytest.raises(InputError):
+                predict_one(PredictorKind(kind=CONSTANT_VELOCITY), [[0.0, 0.0], [1.0, 0.0]], horizon)
 
 
 class TestGroundTruthOracle:
+    HIST = [[0.0, 0.0], [1.0, 0.0]]
+
     def test_returns_future_bitwise(self):
-        hist = traj(1, [[0.0, 0.0], [1.0, 0.0]])
-        future = traj(1, [[2.0, 0.5], [3.3, 1.0], [4.0, 1.5]], start_frame=2)
-        out = predict(
-            PredictorKind(kind=GROUND_TRUTH), {1: hist}, 3, futures={1: future}
-        )
-        assert np.array_equal(out[1].positions, future.positions)
-        assert out[1].start_frame == 2
+        future = np.array([[2.0, 0.5], [3.3, 1.0], [4.0, 1.5]])
+        out = predict_one(PredictorKind(kind=GROUND_TRUTH), self.HIST, 3, future)
+        assert out.positions[0].tobytes() == future.tobytes()
+        assert out.velocities[0].tobytes() == velocities(future, 0.1).tobytes()
 
     def test_truncates_to_horizon(self):
-        hist = traj(1, [[0.0, 0.0], [1.0, 0.0]])
-        future = traj(1, [[2.0, 0.0], [3.0, 0.0], [4.0, 0.0]], start_frame=2)
-        out = predict(
-            PredictorKind(kind=GROUND_TRUTH), {1: hist}, 2, futures={1: future}
-        )
-        assert out[1].n_samples == 2
+        future = [[2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]
+        out = predict_one(PredictorKind(kind=GROUND_TRUTH), self.HIST, 2, future)
+        assert out.lengths.tolist() == [2] and out.positions.shape == (1, 2, 2)
 
     def test_requires_futures(self):
-        hist = traj(1, [[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(InputError):
-            predict(PredictorKind(kind=GROUND_TRUTH), {1: hist}, 2)
+            predict_one(PredictorKind(kind=GROUND_TRUTH), self.HIST, 2)
 
-    def test_future_must_abut_history(self):
-        hist = traj(1, [[0.0, 0.0], [1.0, 0.0]])
-        future = traj(1, [[2.0, 0.0]], start_frame=3)
-        with pytest.raises(InputError):
-            predict(
-                PredictorKind(kind=GROUND_TRUTH), {1: hist}, 2, futures={1: future}
-            )
+    def test_future_lengths_must_fit_the_futures(self):
+        kind = PredictorKind(kind=GROUND_TRUTH)
+        hist = np.array([self.HIST])
+        for lengths in ([4], [-1], [2, 2]):
+            with pytest.raises(InputError):
+                predict(kind, [1], hist, 2, 0.1, futures=np.zeros((1, 3, 2)), future_lengths=lengths)
 
-    def test_missing_future_skips_agent(self, caplog):
-        hist = {1: traj(1, [[0.0, 0.0], [1.0, 0.0]])}
-        with caplog.at_level(logging.WARNING, logger="conformal_cbf.predictor"):
-            out = predict(PredictorKind(kind=GROUND_TRUTH), hist, 2, futures={})
-        assert out == {}
+    def test_missing_future_skips_agent(self):
+        # agent 1 leaves at the boundary and agent 2 one frame after it;
+        # neither has a velocity to predict from
+        out = predict(
+            PredictorKind(kind=GROUND_TRUTH),
+            [1, 2, 3],
+            np.zeros((3, 2, 2)),
+            4,
+            0.1,
+            futures=np.arange(18.0).reshape(3, 3, 2),
+            future_lengths=[0, 1, 3],
+        )
+        assert out.ids.tolist() == [3] and out.lengths.tolist() == [3]
+        assert out.positions[0].tolist() == [[12.0, 13.0], [14.0, 15.0], [16.0, 17.0]]
 
     def test_perfect_prediction_gives_zero_window_loss(self):
         # the whole point of the oracle: replaying the future through the
         # same differencing yields a loss of exactly zero at lam = 0
         alpha = ClassKappa.linear(1.0)
-        hist = traj(7, [[6.0, 0.0], [6.0, 0.5]], dt=0.1)
-        future = traj(
-            7, [[6.0, 1.0], [5.5, 1.5], [5.0, 2.0], [5.0, 2.5]], start_frame=2, dt=0.1
+        future = np.array([[6.0, 1.0], [5.5, 1.5], [5.0, 2.0], [5.0, 2.5]])
+        out = predict_one(
+            PredictorKind(kind=GROUND_TRUTH), [[6.0, 0.0], [6.0, 0.5]], 4, future
         )
-        out = predict(
-            PredictorKind(kind=GROUND_TRUTH), {7: hist}, 4, futures={7: future}
-        )
-        ego = traj(-1, [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0]], start_frame=2, dt=0.1)
-        loss = window_loss(CBF, alpha, out, {7: future}, ego, lam=0.0)
+        ego = EgoWindow(np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]), 0.1)
+        loss = window_loss(CBF, alpha, out.positions, future[None], ego, lam=0.0)
         assert loss == 0.0
 
 
 class TestNoiseBoundedOracle:
+    HIST = [[5.0, 0.0], [5.0, 0.5]]
+    ORIGIN = dict(cbf=CBF, ego_positions=np.array([0.0, 0.0]), start_frame=2)
+
     def future_fixture(self, agent_id=4, n=6):
         rng = np.random.default_rng(agent_id)
-        base = np.array([5.0, 1.0]) + np.cumsum(
-            rng.uniform(-0.3, 0.3, size=(n, 2)), axis=0
-        )
-        return traj(agent_id, base, start_frame=2, dt=0.1)
+        return np.array([5.0, 1.0]) + np.cumsum(rng.uniform(-0.3, 0.3, size=(n, 2)), axis=0)
 
     def kind(self, value_bound, dynamics_bound, seed=0):
         return PredictorKind(
@@ -197,23 +223,16 @@ class TestNoiseBoundedOracle:
         )
 
     def test_zero_bounds_reproduce_truth(self):
-        hist = traj(4, [[5.0, 0.0], [5.0, 0.5]], dt=0.1)
         future = self.future_fixture()
-        out = predict(
-            self.kind(0.0, 0.0),
-            {4: hist},
-            6,
-            futures={4: future},
-            cbf=CBF,
-            ego_positions=np.array([0.0, 0.0]),
-        )
-        assert np.array_equal(out[4].positions, future.positions)
+        out = predict_one(self.kind(0.0, 0.0), self.HIST, 6, future, **self.ORIGIN)
+        assert np.array_equal(out.positions[0], future)
 
     def test_requires_cbf_and_ego(self):
-        hist = traj(4, [[5.0, 0.0], [5.0, 0.5]], dt=0.1)
         future = self.future_fixture()
         with pytest.raises(InputError):
-            predict(self.kind(0.1, 0.1), {4: hist}, 6, futures={4: future})
+            predict_one(self.kind(0.1, 0.1), self.HIST, 6, future)
+        with pytest.raises(InputError):
+            predict_one(self.kind(0.1, 0.1), self.HIST, 6, future, cbf=CBF, start_frame=2)
 
     def test_bounds_hold_over_many_draws(self):
         # both stated bounds must hold at every instant of the returned
@@ -224,80 +243,54 @@ class TestNoiseBoundedOracle:
         for seed in range(40):
             rng = np.random.default_rng(1000 + seed)
             n = int(rng.integers(3, 8))
-            future = traj(
-                4,
-                np.array([6.0, -2.0])
-                + np.cumsum(rng.uniform(-0.4, 0.4, size=(n, 2)), axis=0),
-                start_frame=int(rng.integers(0, 50)),
-                dt=0.1,
-            )
-            hist = traj(
-                4,
-                [future.positions[0] - 0.2, future.positions[0] - 0.1],
-                start_frame=future.start_frame - 2,
-                dt=0.1,
-            )
+            future = np.array([6.0, -2.0]) + np.cumsum(rng.uniform(-0.4, 0.4, size=(n, 2)), axis=0)
+            hist = [future[0] - 0.2, future[0] - 0.1]
             ego = rng.uniform(-1.0, 1.0, size=2)
-            out = predict(
+            out = predict_one(
                 self.kind(value_bound, dynamics_bound, seed=seed),
-                {4: hist},
+                hist,
                 n,
-                futures={4: future},
+                future,
                 cbf=CBF,
                 ego_positions=ego,
+                start_frame=int(rng.integers(0, 50)),
             )
-            got = out[4]
-            from conformal_cbf.barrier import cbf_gradient
-
+            got = out.positions[0]
+            v_true, v_pred = velocities(future, 0.1), velocities(got, 0.1)
+            assert v_pred.tobytes() == out.velocities[0].tobytes()
             for i in range(n):
-                frame = got.start_frame + i
                 instants += 1
-                if (
-                    np.linalg.norm(got.positions[i] - future.positions[i])
-                    > value_bound + 1e-12
-                ):
+                if np.linalg.norm(got[i] - future[i]) > value_bound + 1e-12:
                     violations += 1
-                _, g_true = cbf_gradient(CBF, ego, future.positions[i])
-                _, g_pred = cbf_gradient(CBF, ego, got.positions[i])
-                q_true = float(g_true @ differentiate(future, frame))
-                q_pred = float(g_pred @ differentiate(got, frame))
+                _, g_true = cbf_gradient(CBF, ego, future[i])
+                _, g_pred = cbf_gradient(CBF, ego, got[i])
+                q_true = float(g_true @ v_true[i])
+                q_pred = float(g_pred @ v_pred[i])
                 if abs(q_pred - q_true) > dynamics_bound + 1e-12:
                     violations += 1
         assert instants >= 150
         assert violations == 0
 
     def test_actually_perturbs(self):
-        hist = traj(4, [[5.0, 0.0], [5.0, 0.5]], dt=0.1)
         future = self.future_fixture()
-        out = predict(
-            self.kind(0.5, 10.0, seed=3),
-            {4: hist},
-            6,
-            futures={4: future},
-            cbf=CBF,
-            ego_positions=np.array([0.0, 0.0]),
-        )
-        assert not np.array_equal(out[4].positions, future.positions)
+        out = predict_one(self.kind(0.5, 10.0, seed=3), self.HIST, 6, future, **self.ORIGIN)
+        assert not np.array_equal(out.positions[0], future)
 
     def test_deterministic_per_seed(self):
-        hist = traj(4, [[5.0, 0.0], [5.0, 0.5]], dt=0.1)
         future = self.future_fixture()
-        kwargs = dict(futures={4: future}, cbf=CBF, ego_positions=np.array([0.0, 0.0]))
-        a = predict(self.kind(0.5, 0.1, seed=9), {4: hist}, 6, **kwargs)
-        b = predict(self.kind(0.5, 0.1, seed=9), {4: hist}, 6, **kwargs)
-        c = predict(self.kind(0.5, 0.1, seed=10), {4: hist}, 6, **kwargs)
-        assert np.array_equal(a[4].positions, b[4].positions)
-        assert not np.array_equal(a[4].positions, c[4].positions)
+        a = predict_one(self.kind(0.5, 0.1, seed=9), self.HIST, 6, future, **self.ORIGIN)
+        b = predict_one(self.kind(0.5, 0.1, seed=9), self.HIST, 6, future, **self.ORIGIN)
+        c = predict_one(self.kind(0.5, 0.1, seed=10), self.HIST, 6, future, **self.ORIGIN)
+        assert np.array_equal(a.positions, b.positions)
+        assert not np.array_equal(a.positions, c.positions)
 
 
 def test_predict_output_sorted_by_agent_id():
-    hists = {
-        9: traj(9, [[1.0, 0.0], [1.1, 0.0]]),
-        2: traj(2, [[2.0, 0.0], [2.1, 0.0]]),
-        5: traj(5, [[3.0, 0.0], [3.1, 0.0]]),
-    }
-    out = predict(PredictorKind(kind=CONSTANT_VELOCITY), hists, 2)
-    assert list(out) == [2, 5, 9]
+    # the scene lists agents 9, 2 and 5 in that order
+    scene = scene_of({a: {f: (float(a), 0.1 * f) for f in range(3)} for a in (9, 2, 5)})
+    out = window_at(scene, 2)
+    assert out.ids.tolist() == [2, 5, 9]
+    assert out.positions[:, 0].tolist() == [[2.0, 0.2], [5.0, 0.2], [9.0, 0.2]]
 
 
 def test_unknown_kind_rejected():

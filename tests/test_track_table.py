@@ -22,10 +22,11 @@ from _oracles import (
     history_reference,
     parse_annotations_reference,
     sensed_reference,
+    stack_reference,
 )
 from conformal_cbf.cli import main
-from conformal_cbf.conformal import window_loss
-from conformal_cbf.engine import SimConfig, _score_window, _stack
+from conformal_cbf.conformal import EgoWindow, window_loss
+from conformal_cbf.engine import SimConfig, _score_window
 from conformal_cbf.errors import ParseError
 from conformal_cbf.predictor import SampledTrajectory
 from conformal_cbf.scenario import (
@@ -315,7 +316,7 @@ def test_scoring_groups_match_one_call_per_agent():
             chosen = {i: predictions[i] for i in subset}
             want = reference_window_score(cbf, alpha, -0.3, chosen, ego_traj, scene)
             got = _score_window(
-                cbf, alpha, -0.3, _stack(chosen), ego, window_start, 0.1, scene
+                cbf, alpha, -0.3, stack_reference(chosen), ego, window_start, 0.1, scene
             )
             assert got == want
             scored += want is not None
@@ -334,5 +335,8 @@ def test_array_window_loss_equals_the_mapping_form():
 
     args = (cfg.cbf(), cfg.class_kappa())
     assert window_loss(*args, pred, act, ego, 0.2) == window_loss(*args, trajs(pred), trajs(act), ego, 0.2)
+    assert window_loss(*args, pred, act, EgoWindow(ego.positions, 0.1), 0.2) == window_loss(
+        *args, pred, act, ego, 0.2
+    )
     assert window_loss(*args, pred[:0], act[:0], ego, 0.2) is None
     assert not math.isnan(window_loss(*args, pred[:1], act[:1], ego, -1.0))
