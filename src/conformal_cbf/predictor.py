@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms
-from conformal_cbf.errors import InputError, SingularityError
+from conformal_cbf.errors import InputError
 
 CONSTANT_VELOCITY = "constant-velocity"
 GROUND_TRUTH = "ground-truth-oracle"
@@ -313,8 +313,8 @@ def _noise_bounded(kind, ids, truth, lengths, valid, start_frame, dt, cbf, ego):
     _, grad_ego = barrier_terms(cbf, diff)
     # the agent-side gradient is -grad_ego
     q = np.vecdot(-grad_ego, vels)
-    fails = (np.abs(q[:, 1:] - q[:, :1]) > kind.dynamics_bound) | singular[:, 1:]
-    fails |= singular[:, :1]
+    over = np.abs(q[:, 1:] - q[:, :1]) > kind.dynamics_bound
+    fails = over | singular[:, 1:] | singular[:, :1]
     passes = ~(fails & valid[:, None]).any(axis=-1)
     pick = np.where(passes.any(axis=1), passes.argmax(axis=1) + 1, 0)
     rows = np.arange(len(ids))

@@ -142,7 +142,9 @@ class TestConstantVelocity:
 
     def test_agents_without_two_history_samples_are_left_out(self):
         # agent 1 appears one frame before the boundary, agent 2 two frames
-        scene = scene_of({1: {4: (0.0, 0.0), 5: (1.0, 0.0)}, 2: {3: (0.0, 5.0), 4: (1.0, 5.0), 5: (2.0, 5.0)}})
+        scene = scene_of(
+            {1: {4: (0.0, 0.0), 5: (1.0, 0.0)}, 2: {3: (0.0, 5.0), 4: (1.0, 5.0), 5: (2.0, 5.0)}}
+        )
         assert window_at(scene, 5).ids.tolist() == [2]
         with pytest.raises(InputError):
             predict_one(PredictorKind(kind=CONSTANT_VELOCITY), [[0.0, 0.0]], 3)
@@ -150,7 +152,9 @@ class TestConstantVelocity:
     def test_horizon_validation(self):
         for horizon in (0, 1):
             with pytest.raises(InputError):
-                predict_one(PredictorKind(kind=CONSTANT_VELOCITY), [[0.0, 0.0], [1.0, 0.0]], horizon)
+                predict_one(
+                    PredictorKind(kind=CONSTANT_VELOCITY), [[0.0, 0.0], [1.0, 0.0]], horizon
+                )
 
 
 class TestGroundTruthOracle:
@@ -176,7 +180,9 @@ class TestGroundTruthOracle:
         hist = np.array([self.HIST])
         for lengths in ([4], [-1], [2, 2]):
             with pytest.raises(InputError):
-                predict(kind, [1], hist, 2, 0.1, futures=np.zeros((1, 3, 2)), future_lengths=lengths)
+                predict(
+                    kind, [1], hist, 2, 0.1, futures=np.zeros((1, 3, 2)), future_lengths=lengths
+                )
 
     def test_missing_future_skips_agent(self):
         # agent 1 leaves at the boundary and agent 2 one frame after it;

@@ -182,15 +182,18 @@ def test_predict_checks_its_inputs():
         predict(cv, ids, histories, 4, 0.0)
     with pytest.raises(InputError), np.errstate(over="ignore"):
         predict(cv, ids, np.full((2, 2, 2), 1e308) * [[[0.0], [1.0]]], 4, 0.1)
-    gt = PredictorKind(kind=GROUND_TRUTH)
     with pytest.raises(InputError):
-        predict(gt, ids, histories, 4, 0.1, futures=np.zeros((2, 3, 2)), future_lengths=[3, 4])
-    with pytest.raises(InputError):
-        predict(gt, ids, histories, 4, 0.1, futures=np.zeros((1, 3, 2)), future_lengths=[3])
+        predict(
+            PredictorKind(kind=GROUND_TRUTH), ids, histories, 4, 0.1,
+            futures=np.zeros((1, 3, 2)), future_lengths=[3],
+        )
     noise = PredictorKind(kind=NOISE_BOUNDED, value_bound=1.0, dynamics_bound=1.0)
     futures = dict(futures=np.ones((2, 3, 2)), future_lengths=[3, 2])
     with pytest.raises(InputError):
-        predict(noise, ids, histories, 4, 0.1, cbf=SimConfig().cbf(), ego_positions=[0.0, 0.0], **futures)
+        predict(
+            noise, ids, histories, 4, 0.1, cbf=SimConfig().cbf(), ego_positions=[0.0, 0.0],
+            **futures,
+        )
     with pytest.raises(InputError):
         predict(
             noise, ids, histories, 4, 0.1, start_frame=0, cbf=SimConfig().cbf(),
