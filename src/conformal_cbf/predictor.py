@@ -269,7 +269,9 @@ def predict(
         )
     if not np.isfinite(positions).all():
         raise InputError("predicted positions must be finite")
-    if kind.kind != NOISE_BOUNDED:
+    if kind.kind == CONSTANT_VELOCITY:
+        vels = velocities(positions, dt)
+    elif kind.kind == GROUND_TRUTH:
         vels = _velocities_by_length(positions, lengths, dt)
     return Predictions(ids=ids, positions=positions, velocities=vels, lengths=lengths)
 
