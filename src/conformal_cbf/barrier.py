@@ -18,9 +18,13 @@ plus an additive calibration margin) are produced here as affine rows
 for the projection QP.
 
 barrier_terms evaluates h and its ego gradient over any stack of
-ego-minus-agent offsets in one call; constraint rows, window scoring and
-the noise oracle's flow check all go through it, and the per-pair
-functions below are thin validating wrappers around it.
+ego-minus-agent offsets in one call; window scoring, the noise oracle's
+flow check and the per-pair functions below all go through it.  It
+checks the distances and then runs the arithmetic, which lives once, in
+barrier_terms_unchecked.  The engine's per-frame rows call that inner
+kernel directly: they have already computed the distances to drop the
+agents outside [min_distance, rho0), so checking them again would only
+repeat the work.
 """
 
 import math
@@ -91,6 +95,16 @@ class PotentialFieldCbf:
         rho0: sensing radius beyond which the potential vanishes, > 0.
         delta: level shift in (0, 1); 1/delta - 1 is the potential at
             which h crosses zero.
+
+    The barrier must be defined over at least the outer half of the
+    sensing radius: min_distance may not exceed rho0 / 2.  That caps
+    k_rep at about 2e150 * rho0**2 (and rho0 at no less than about
+    1e-150); past the cap (1 + U)^2 would overflow almost everywhere
+    inside rho0, and every sensed agent would read as standing on the
+    ego.
+
+    These checks are the only ones on the three parameters: SimConfig
+    builds its barrier to validate them.
     """
 
     k_rep: float
@@ -104,6 +118,12 @@ class PotentialFieldCbf:
             raise InputError("rho0 must be positive and finite")
         if not (np.isfinite(self.delta) and 0.0 < self.delta < 1.0):
             raise InputError("delta must lie in (0, 1)")
+        if self.min_distance > 0.5 * self.rho0:
+            raise InputError(
+                f"k_rep {self.k_rep!r} is too large for rho0 {self.rho0!r}: "
+                "the barrier must be defined from rho0 / 2 outward, which "
+                "needs k_rep <= about 2e150 * rho0**2"
+            )
 
     @cached_property
     def min_distance(self) -> float:
@@ -225,6 +245,17 @@ def barrier_terms(cbf: PotentialFieldCbf, diff) -> tuple[np.ndarray, np.ndarray]
     d = np.sqrt(np.vecdot(diff, diff))
     if d.min(initial=math.inf) < cbf.min_distance:
         raise SingularityError("barrier undefined for (nearly) coincident positions")
+    return barrier_terms_unchecked(cbf, diff, d)
+
+
+def barrier_terms_unchecked(
+    cbf: PotentialFieldCbf, diff: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """barrier_terms for a caller that already has the distances.
+
+    d must be np.sqrt(np.vecdot(diff, diff)), every entry at least
+    cbf.min_distance; nothing is checked.
+    """
     # Beyond rho0 the distance is clipped to rho0, where w is exactly 0 and
     # so are the potential and the slope.
     dc = np.minimum(d, cbf.rho0)

@@ -9,8 +9,15 @@ a proportional tracking law converts it into an acceleration held over
 the control period.  With the acceleration held, the discretization is
 exact; step evaluates it with the operations one classical RK4 step
 performs for this model, so its results are bitwise those of that step.
+
+Each function checks the shapes of its arguments but the finiteness of
+its result only: a non-finite input, or an overflow, always makes the
+result non-finite, so one check of the result rejects both as
+InputError.  RobotState checks its own entries, and that check is step's
+result check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +37,7 @@ class RobotState:
         vel = np.asarray(self.velocity, dtype=np.float64)
         if pos.shape != (2,) or vel.shape != (2,):
             raise InputError("RobotState needs planar position and velocity")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
+        if not all(map(math.isfinite, pos.tolist() + vel.tolist())):
             raise InputError("RobotState entries must be finite")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
@@ -53,12 +60,17 @@ def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
     The RK4 stages of the double integrator are k1 = (v, a),
     k2 = k3 = (v + dt/2 a, a) and k4 = (v + dt a, a); they are combined
     in RK4's order.
+
+    Raises:
+        InputError: dt is not positive and finite, the acceleration is
+            not planar, or the new state is not finite (a non-finite
+            acceleration, or one that overflows the state).
     """
-    if not (np.isfinite(dt) and dt > 0.0):
+    if not (math.isfinite(dt) and dt > 0.0):
         raise InputError("dt must be positive and finite")
     a = np.asarray(accel, dtype=np.float64)
-    if a.shape != (2,) or not np.all(np.isfinite(a)):
-        raise InputError("acceleration must be a finite planar vector")
+    if a.shape != (2,):
+        raise InputError("acceleration must be a planar vector")
     v = state.velocity
     k2 = v + 0.5 * dt * a
     k4 = v + dt * a
@@ -74,11 +86,17 @@ def track_velocity(
     velocity: np.ndarray,
     commanded: np.ndarray,
 ) -> np.ndarray:
-    """Acceleration command steering the current velocity to the commanded one."""
+    """Acceleration command steering the current velocity to the commanded one.
+
+    Raises:
+        InputError: the velocities are not planar, or the acceleration
+            is not finite (a non-finite velocity, or an overflow).
+    """
     v = np.asarray(velocity, dtype=np.float64)
     c = np.asarray(commanded, dtype=np.float64)
     if v.shape != (2,) or c.shape != (2,):
         raise InputError("track_velocity expects planar velocities")
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(c))):
-        raise InputError("velocities must be finite")
-    return -actuator.gain * (v - c)
+    accel = -actuator.gain * (v - c)
+    if not all(map(math.isfinite, accel.tolist())):
+        raise InputError("acceleration must be a finite planar vector")
+    return accel

@@ -16,8 +16,9 @@ scenario), so the sensed agents' histories and recorded futures are one
 fancy index into it each, and one predict call returns the whole
 window's predictions stacked as (m, H, 2) positions and velocities with
 per-agent lengths; no per-agent trajectory object is built.  Each
-frame's rows come from one call of the barrier kernel on those arrays,
-and a window is scored against the revealed track slices with one
+frame's rows come from one call of the unchecked barrier kernel on
+those arrays, given the distances the frame already filtered the agents
+on, and a window is scored against the revealed track slices with one
 window_loss call per distinct prefix length (normally one).
 
 Windows without a scorable agent leave the margin untouched and record
@@ -33,7 +34,7 @@ from itertools import product
 
 import numpy as np
 
-from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, barrier_rows
+from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, barrier_terms_unchecked
 from conformal_cbf.conformal import NO_AGENTS, ConformalState, EgoWindow, window_loss
 from conformal_cbf.dynamics import TrackingActuator, step, track_velocity
 from conformal_cbf.errors import (
@@ -64,8 +65,9 @@ class SimConfig:
     k_att, when set, overrides the task's attraction gain so sweeps can
     vary it.  collision_distance and relax_lambda_step default to the
     barrier's zero-level distance and eta * (1/2 - epsilon).  The run
-    seed is forwarded to the predictor, which derives all of its own
-    randomness from it.
+    seed, a nonnegative integer, is forwarded to the predictor, which
+    derives all of its own randomness from it.  The barrier checks k_rep,
+    rho0 and delta; a config it refuses is a ConfigError.
     """
 
     dt: float = 1.0 / 30.0
@@ -95,12 +97,15 @@ class SimConfig:
             raise ConfigError("tau_frames must be an integer >= 2")
         if not isinstance(self.horizon_frames, int) or self.horizon_frames < self.tau_frames:
             raise ConfigError("horizon_frames must cover at least one window")
-        for name in ("alpha_slope", "k_acc", "k_rep", "rho0", "eta"):
+        for name in ("alpha_slope", "k_acc", "eta"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"{name} must be positive and finite")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta must lie in (0, 1)")
+        try:
+            # the barrier owns the checks of k_rep, rho0 and delta
+            self.cbf()
+        except InputError as exc:
+            raise ConfigError(str(exc)) from None
         if not -0.5 < self.epsilon < 0.5:
             raise ConfigError("epsilon must lie in (-1/2, 1/2)")
         if not math.isfinite(self.lambda_initial):
@@ -109,6 +114,8 @@ class SimConfig:
             raise ConfigError("k_att must be positive when given")
         if not isinstance(self.max_frames, int) or self.max_frames < 1:
             raise ConfigError("max_frames must be a positive integer")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
         if self.collision_distance is not None and not (
             math.isfinite(self.collision_distance) and self.collision_distance > 0.0
         ):
@@ -226,15 +233,19 @@ def run(
                 ego_window = []
                 window_start = frame
 
-            ego_window.append(np.array(state.position, dtype=np.float64))
+            ego_window.append(state.position)
             _, actual = scene.rows_at(frame)
             if len(actual):
                 apart = actual - state.position
-                nearest = float(np.sqrt(np.vecdot(apart, apart)).min())
+                # sqrt is monotone and correctly rounded: the sqrt of the
+                # least square is the least distance, bit for bit
+                nearest = math.sqrt(np.vecdot(apart, apart).min())
                 d_min = min(d_min, nearest)
                 if nearest < collision_d:
                     n_collide += 1
-            if float(np.linalg.norm(task.goal - state.position)) <= task.goal_radius:
+            to_goal = task.goal - state.position
+            # bitwise the 1-D np.linalg.norm
+            if math.sqrt(np.vecdot(to_goal, to_goal)) <= task.goal_radius:
                 t_goal = offset * dt
                 break
 
@@ -272,13 +283,13 @@ def run(
                     json.dumps(
                         {
                             "frame": frame,
-                            "position": [float(v) for v in state.position],
-                            "velocity": [float(v) for v in state.velocity],
+                            "position": state.position.tolist(),
+                            "velocity": state.velocity.tolist(),
                             "lambda": float(margin.lam),
                             "n_constraints": len(ids),
                             "status": "relaxed" if inflation > 0.0 else "ok",
                             "inflation": float(inflation),
-                            "command": [float(v) for v in solution.decision],
+                            "command": solution.decision.tolist(),
                             "tracking_error": float(
                                 np.linalg.norm(state.velocity - solution.decision)
                             ),
@@ -376,9 +387,9 @@ def _rows(cbf, alpha, predicted, k, ego, rho0, lam):
     keep = (lengths > k) & (dist >= cbf.min_distance) & (dist < rho0)
     if not keep.any():
         return np.zeros((0, 2)), np.zeros(0), ids[:0]
-    normals, offsets = barrier_rows(
-        cbf, alpha, diff[keep], predicted.velocities[keep, k]
-    )
+    # the rows of barrier_rows, on the distances just computed and checked
+    h, normals = barrier_terms_unchecked(cbf, diff[keep], dist[keep])
+    offsets = np.vecdot(-normals, predicted.velocities[keep, k]) + alpha.value(h)
     return normals, offsets + lam, ids[keep]
 
 

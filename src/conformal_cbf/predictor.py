@@ -286,20 +286,31 @@ def _velocities_by_length(positions, lengths, dt):
     return v
 
 
+def _key_entry(x) -> int:
+    """A frame or agent id as an entry of a generator key, which numpy
+    requires to be nonnegative: a nonnegative x stays itself, a negative
+    one is taken modulo 2**64.  A negative int64 so lands in
+    [2**63, 2**64), where no nonnegative int64 lies."""
+    x = int(x)
+    return x if x >= 0 else x % 2**64
+
+
 def _noise_bounded(kind, ids, truth, lengths, valid, start_frame, dt, cbf, ego):
     """Perturbed truths and their velocities.
 
     Each agent's perturbation is drawn from its own generator, keyed on
-    (seed, start_frame, agent id), with radius at most value_bound.  It
-    is then shrunk by the first factor 2^-k, k = 0..79, for which the
-    flow-term error stays within dynamics_bound at every sample; no
-    factor passing leaves the truth.  All factors of all agents are
-    checked in one barrier_terms call.  A factor putting a sample on the
-    ego fails, and so does every factor when the truth itself does.
+    (seed, start_frame, agent id) through _key_entry, with radius at most
+    value_bound.  It is then shrunk by the first factor 2^-k, k = 0..79,
+    for which the flow-term error stays within dynamics_bound at every
+    sample; no factor passing leaves the truth.  All factors of all
+    agents are checked in one barrier_terms call.  A factor putting a
+    sample on the ego fails, and so does every factor when the truth
+    itself does.
     """
     noise = np.zeros_like(truth)
+    frame_key = _key_entry(start_frame)
     for j, (agent_id, n) in enumerate(zip(ids.tolist(), lengths.tolist())):
-        rng = np.random.default_rng([kind.seed, start_frame, agent_id])
+        rng = np.random.default_rng([kind.seed, frame_key, _key_entry(agent_id)])
         angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
         radii = kind.value_bound * rng.uniform(0.0, 1.0, size=n)
         noise[j, :n] = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)

@@ -18,10 +18,15 @@ interval means the polygon is empty, which surfaces as a distinct
 infeasibility error rather than a silently relaxed answer.
 
 Rows are normalized internally so tolerances are scale-free; results are
-reported against the original rows.
+reported against the original rows.  A problem without rows returns its
+reference at once.  The ids of the rows active at the answer are worked
+out only when QpSolution.active_set is first read, since the closed loop
+never reads them.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,10 +78,19 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSolution:
-    """Optimal decision with the ids of the rows active there."""
+    """Optimal decision of the problem solved."""
 
     decision: np.ndarray
-    active_set: tuple
+    problem: QpProblem
+
+    @cached_property
+    def active_set(self) -> tuple:
+        """Ids of the rows whose residual at the decision is within
+        ACTIVE_TOL of zero, in row order."""
+        p = self.problem
+        # row by row this is AffineConstraint.residual, bit for bit
+        resid = np.abs(np.vecdot(p.normals, self.decision) + p.offsets)
+        return tuple(p.ids[resid <= ACTIVE_TOL].tolist())
 
 
 def solve(problem: QpProblem) -> QpSolution:
@@ -86,17 +100,13 @@ def solve(problem: QpProblem) -> QpSolution:
         InfeasibleError: the polygon is empty.
     """
     ref = problem.reference
-    normals, offsets = problem.normals, problem.offsets
+    a, b = problem.normals, problem.offsets
+    if not len(b):
+        return QpSolution(ref.copy(), problem)
 
-    def solution(u):
-        # row by row this is AffineConstraint.residual, bit for bit
-        resid = np.abs(np.vecdot(normals, u) + offsets)
-        return QpSolution(
-            decision=u, active_set=tuple(problem.ids[resid <= ACTIVE_TOL].tolist())
-        )
-
-    # Zero-normal rows constrain nothing or everything.
-    a, b, norms = normals, offsets, np.linalg.norm(normals, axis=1)
+    # Zero-normal rows constrain nothing or everything.  The row norms
+    # are computed as np.linalg.norm(a, axis=1) computes them.
+    norms = np.sqrt(np.add.reduce(a * a, axis=1))
     zero = norms <= _ZERO_NORMAL
     if zero.any():
         if (b[zero] < -ACTIVE_TOL).any():
@@ -109,7 +119,7 @@ def solve(problem: QpProblem) -> QpSolution:
     dist = a @ ref + b
     violated = dist < -tol
     if not violated.any():
-        return solution(ref.copy())
+        return QpSolution(ref.copy(), problem)
 
     # Foot points on the violated rows' lines, and the lines' directions.
     foot = ref - dist[violated, None] * a[violated]
@@ -129,7 +139,7 @@ def solve(problem: QpProblem) -> QpSolution:
     # |candidate - ref|^2 = dist^2 + t^2 on each line
     cost = np.where(ok, dist[violated] ** 2 + t * t, np.inf)
     best = int(np.argmin(cost))
-    return solution(foot[best] + t[best] * along[best])
+    return QpSolution(foot[best] + t[best] * along[best], problem)
 
 
 def solve_with_relaxation(
@@ -148,7 +158,7 @@ def solve_with_relaxation(
     Raises:
         InfeasibleError: still empty at the largest inflation.
     """
-    if not (np.isfinite(lambda_step) and lambda_step > 0.0):
+    if not (math.isfinite(lambda_step) and lambda_step > 0.0):
         raise InputError("lambda_step must be positive and finite")
     if max_steps < 0:
         raise InputError("max_steps must be nonnegative")

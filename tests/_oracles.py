@@ -357,8 +357,10 @@ def _constant_velocity_reference(history, horizon):
 
 def noise_reference(kind, start_frame, agent_id, n):
     """The (n, 2) perturbation the noise-bounded oracle draws for one
-    agent before shrinking it."""
-    rng = np.random.default_rng([kind.seed, start_frame, int(agent_id)])
+    agent before shrinking it.  A negative frame or id enters the key
+    as its 64-bit two's-complement pattern."""
+    key = [kind.seed] + [x if x >= 0 else x + 2**64 for x in (int(start_frame), int(agent_id))]
+    rng = np.random.default_rng(key)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     radii = kind.value_bound * rng.uniform(0.0, 1.0, size=n)
     return radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)

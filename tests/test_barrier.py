@@ -216,6 +216,16 @@ def test_cbf_param_validation():
         PotentialFieldCbf(k_rep=1.0, rho0=10.0, delta=0.0)
 
 
+@pytest.mark.parametrize("rho0", [0.01, 25.0, 400.0, 1e6])
+def test_cbf_caps_k_rep_where_the_barrier_stops_being_defined(rho0):
+    # the cap keeps min_distance at most rho0 / 2; it is about 2e150 * rho0**2
+    cap = 2e150 * rho0**2
+    below = PotentialFieldCbf(k_rep=0.9 * cap, rho0=rho0, delta=0.5)
+    assert below.min_distance <= 0.5 * rho0
+    with pytest.raises(InputError, match="k_rep"):
+        PotentialFieldCbf(k_rep=1.1 * cap, rho0=rho0, delta=0.5)
+
+
 def test_zero_level_distance_is_barrier_root():
     for cbf in (CBF, PotentialFieldCbf(k_rep=2000.0, rho0=400.0, delta=0.5)):
         d0 = cbf.zero_level_distance()

@@ -4,12 +4,14 @@ Every test drives main() in process with argv lists; nothing here
 touches the engine internals directly.
 """
 
+import json
 import math
 import warnings
 
 import yaml
 import pytest
 
+from _golden import CROSSING
 from conformal_cbf.cli import BUILTIN_SCENES, CSV_HEADER, main
 from conformal_cbf.scenario import synth_scene
 
@@ -243,6 +245,93 @@ class TestExitCodes:
         assert code == 3
         assert "agent on the ego" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # the noise oracle keys numpy generators on the seed, which must
+        # not be negative
+        cfg = write_config(
+            tmp_path,
+            predictor="noise-bounded-oracle",
+            predictor_value_bound=2.0,
+            predictor_dynamics_bound=0.5,
+        )
+        out = tmp_path / "m.csv"
+        code = main(
+            ["run", "--config", cfg, "--scene", make_scene(tmp_path),
+             "--out", str(out), "--seed", "-1"]
+        )
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noise_oracle_runs_on_negative_frames_and_ids(self, tmp_path):
+        # track -3 walks past the ego's corridor on frames -40..39
+        ann = tmp_path / "negative.txt"
+        ann.write_text(
+            "".join(
+                '-3 {} 4 {} 6 {} 0 0 0 "Pedestrian"\n'.format(x - 1, x + 1, f)
+                for f, x in zip(range(-40, 40), range(0, 80))
+            ),
+            encoding="utf-8",
+        )
+        cfg = write_config(
+            tmp_path,
+            predictor="noise-bounded-oracle",
+            predictor_value_bound=2.0,
+            predictor_dynamics_bound=0.5,
+            max_frames=60,
+        )
+        out, trace = tmp_path / "m.csv", tmp_path / "t.jsonl"
+        code = main(
+            ["run", "--config", cfg, "--annotations", str(ann),
+             "--out", str(out), "--trace", str(trace)]
+        )
+        assert code == 0
+        frames = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        assert frames[0]["frame"] == -40
+        assert any(f["n_constraints"] for f in frames)  # the oracle predicted track -3
+        assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[6] != "nan"
+
+    def test_too_strong_a_barrier_is_a_config_error(self, tmp_path, capsys):
+        # (1 + U)^2 would overflow everywhere inside rho0, so every sensed
+        # agent would read as standing on the ego
+        out = tmp_path / "m.csv"
+        code = main(
+            ["run", "--config", write_config(tmp_path, k_rep=1e200),
+             "--scene", make_scene(tmp_path), "--out", str(out)]
+        )
+        assert code == 2
+        assert "config error: k_rep" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "k_acc, max_frames, message, frames",
+        [
+            # the first tracking acceleration overflows
+            (1e308, 50, "acceleration must be a finite planar vector", 1),
+            # k_acc * dt > 2: the tracked velocity swings ever wider until
+            # the state overflows on frame 320
+            (100.0, 1150, "RobotState entries must be finite", 321),
+        ],
+        ids=["first-frame", "mid-run"],
+    )
+    def test_blow_up_exits_2(self, tmp_path, capsys, k_acc, max_frames, message, frames):
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            yaml.safe_dump(dict(CROSSING, k_acc=k_acc, max_frames=max_frames)), encoding="utf-8"
+        )
+        out, trace = tmp_path / "m.csv", tmp_path / "t.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(
+                ["run", "--config", str(path), "--scene", make_scene(tmp_path, "crossing"),
+                 "--out", str(out), "--trace", str(trace)]
+            )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        # the trace stops at the frame whose integration failed
+        assert len(trace.read_text(encoding="utf-8").splitlines()) == frames
 
 
 class TestValidateAnnotations:

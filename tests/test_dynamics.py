@@ -1,5 +1,7 @@
 """Tests for the ego dynamics and velocity tracking."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,75 @@ def test_robot_state_validation():
         RobotState(position=[0.0, 0.0, 0.0], velocity=[0.0, 0.0])
     with pytest.raises(InputError):
         RobotState(position=[np.inf, 0.0], velocity=[0.0, 0.0])
+
+
+# each function checks only that its result is finite; these are the
+# inputs the per-argument checks used to reject
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ([np.nan, 0.0], [0.0, 0.0]),
+        ([0.0, -np.inf], [0.0, 0.0]),
+        ([0.0, 0.0], [np.inf, 0.0]),
+        ([0.0, 0.0], [0.0, np.nan]),
+    ],
+)
+def test_robot_state_rejects_each_nonfinite_entry(entries):
+    with pytest.raises(InputError, match="finite"):
+        RobotState(position=entries[0], velocity=entries[1])
+
+
+@pytest.mark.parametrize(
+    "accel", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0], [1e308, 0.0], [0.0, -1e308]]
+)
+def test_step_rejects_nonfinite_and_overflowing_accelerations(accel):
+    # 6 * 1e308 overflows the velocity update even though 1e308 is finite
+    s0 = RobotState(position=[1.0, 2.0], velocity=[0.5, -0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(InputError, match="finite"):
+            step(s0, np.array(accel), 1.0)
+
+
+def test_step_rejects_a_position_overflow():
+    s0 = RobotState(position=[1.7e308, 0.0], velocity=[1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(InputError, match="finite"):
+            step(s0, np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_step_rejects_a_nonfinite_dt(dt):
+    s0 = RobotState(position=[0.0, 0.0], velocity=[0.0, 0.0])
+    with pytest.raises(InputError, match="dt"):
+        step(s0, np.zeros(2), dt)
+
+
+@pytest.mark.parametrize(
+    "velocity, commanded",
+    [
+        ([np.nan, 0.0], [0.0, 0.0]),
+        ([0.0, np.inf], [0.0, 0.0]),
+        ([0.0, 0.0], [-np.inf, 0.0]),
+        ([0.0, 0.0], [0.0, np.nan]),
+        ([np.inf, 0.0], [np.inf, 0.0]),  # inf - inf is nan
+    ],
+)
+def test_track_velocity_rejects_nonfinite_velocities(velocity, commanded):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(InputError, match="acceleration must be a finite planar vector"):
+            track_velocity(TrackingActuator(gain=2.0), np.array(velocity), np.array(commanded))
+
+
+def test_track_velocity_rejects_an_overflowing_acceleration():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(InputError, match="acceleration must be a finite planar vector"):
+            track_velocity(TrackingActuator(gain=1e308), np.array([3.0, 0.0]), np.zeros(2))
 
 
 def test_track_velocity_formula():

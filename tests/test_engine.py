@@ -9,13 +9,17 @@ used per frame, constraint counts) and not just the headline metrics.
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from _golden import CROSSING
 from _oracles import predict_reference
+from conformal_cbf import barrier, engine
 from conformal_cbf.barrier import AgentState, build_conformal_constraint
+from conformal_cbf.cli import BUILTIN_SCENES, build_setup
 from conformal_cbf.dynamics import RobotState
 from conformal_cbf.engine import SimConfig, run, sweep
 from conformal_cbf.errors import ConfigError, InfeasibleRunError
@@ -121,6 +125,13 @@ class TestConfigValidation:
             {"collision_distance": -2.0},
             {"relax_lambda_step": 0.0},
             {"relax_max_steps": -1},
+            {"k_rep": 0.0},
+            {"k_rep": 1e200},
+            {"rho0": -1.0},
+            {"rho0": 1e-200},
+            {"delta": math.nan},
+            {"seed": -1},
+            {"seed": 1.5},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -485,3 +496,38 @@ class TestSweep:
             sweep(self.CFG, {"epsilon": []}, self.SCENE, self._task())
         with pytest.raises(ConfigError):
             sweep(self.CFG, {}, self.SCENE, self._task(), workers=0)
+
+
+def test_checked_barrier_terms_runs_only_in_window_scoring(monkeypatch):
+    """A frame's rows reuse the distances they were filtered on, so on the
+    acceptance crossing config the checked barrier_terms runs once per
+    window_loss call and never per frame."""
+    real_terms, real_loss = barrier.barrier_terms, engine.window_loss
+    calls = {"terms": 0, "terms outside scoring": 0, "window_loss": 0}
+    scoring = []
+
+    def terms(*args, **kwargs):
+        calls["terms"] += 1
+        calls["terms outside scoring"] += not scoring
+        return real_terms(*args, **kwargs)
+
+    def window_loss(*args, **kwargs):
+        calls["window_loss"] += 1
+        scoring.append(True)
+        try:
+            return real_loss(*args, **kwargs)
+        finally:
+            scoring.pop()
+
+    # every module that bound the name at import, barrier itself included
+    for name, module in list(sys.modules.items()):
+        if name.startswith("conformal_cbf") and getattr(module, "barrier_terms", None) is real_terms:
+            monkeypatch.setattr(module, "barrier_terms", terms)
+    monkeypatch.setattr(engine, "window_loss", window_loss)
+
+    config, task = build_setup(dict(CROSSING, epsilon=0.0))
+    metrics = run(config, synth_scene(BUILTIN_SCENES["crossing"]), task)
+    assert metrics.t_goal is None  # all 1150 frames ran
+    assert calls["window_loss"] == 225
+    assert calls["terms"] == calls["window_loss"]
+    assert calls["terms outside scoring"] == 0
