@@ -49,7 +49,8 @@ class ClassKappa:
     Two kinds are supported.  "linear" is alpha(r) = slope * r with
     Lipschitz constant slope.  "arctan" is the squashing-shaped
     alpha(r) = slope * arctan(r) / pi, bounded in (-slope/2, slope/2),
-    with Lipschitz constant slope / pi.
+    with Lipschitz constant slope / pi.  This is the only check of the
+    slope: SimConfig builds its function to validate alpha_slope.
     """
 
     kind: str
@@ -59,7 +60,7 @@ class ClassKappa:
         if self.kind not in ("linear", "arctan"):
             raise InputError(f"unknown class-kappa kind {self.kind!r}")
         if not (np.isfinite(self.slope) and self.slope > 0.0):
-            raise InputError("class-kappa slope must be positive and finite")
+            raise InputError("class-kappa slope (alpha_slope) must be positive and finite")
 
     @staticmethod
     def linear(slope: float) -> "ClassKappa":
@@ -222,7 +223,9 @@ class BoundSet:
                 raise InputError(f"{name} must be nonnegative and finite")
 
 
-def barrier_terms(cbf: PotentialFieldCbf, diff) -> tuple[np.ndarray, np.ndarray]:
+def barrier_terms(
+    cbf: PotentialFieldCbf, diff, where=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Barrier value h and its ego gradient over ego-minus-agent offsets.
 
     It evaluates the same floating-point operations, in the same order,
@@ -232,17 +235,25 @@ def barrier_terms(cbf: PotentialFieldCbf, diff) -> tuple[np.ndarray, np.ndarray]
 
     Args:
         diff: ego position minus agent position, shape (..., 2).
+        where: optional mask broadcastable to diff.shape[:-1] selecting
+            the offsets to evaluate, such as the samples of a padded
+            window stack.  An offset outside it is read as lying at
+            distance rho0, whatever finite value it holds: its h is
+            1 - delta, its gradient zero, and it is not checked, so a
+            padded sample on the ego raises nothing and warns nothing.
 
     Returns:
         (h, grad_ego) with shapes (...) and (..., 2).  The agent-side
         gradient is -grad_ego; both are exactly zero at distances >= rho0.
 
     Raises:
-        SingularityError: some offset is shorter than cbf.min_distance
-            (zero, for coincident positions).
+        SingularityError: some offset (in where) is shorter than
+            cbf.min_distance (zero, for coincident positions).
     """
     diff = np.asarray(diff, dtype=np.float64)
     d = np.sqrt(np.vecdot(diff, diff))
+    if where is not None:
+        d = np.where(where, d, cbf.rho0)
     if d.min(initial=math.inf) < cbf.min_distance:
         raise SingularityError("barrier undefined for (nearly) coincident positions")
     return barrier_terms_unchecked(cbf, diff, d)
@@ -254,7 +265,8 @@ def barrier_terms_unchecked(
     """barrier_terms for a caller that already has the distances.
 
     d must be np.sqrt(np.vecdot(diff, diff)), every entry at least
-    cbf.min_distance; nothing is checked.
+    cbf.min_distance, or rho0 where a finite offset is to read as out of
+    range; nothing is checked.
     """
     # Beyond rho0 the distance is clipped to rho0, where w is exactly 0 and
     # so are the potential and the slope.

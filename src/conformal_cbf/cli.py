@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -57,6 +58,29 @@ _INT_FIELDS = {
     "seed",
     "relax_max_steps",
 }
+# keys whose value must be a YAML number (null where the field is optional)
+_FLOAT_KEYS = {
+    "dt", "alpha_slope", "k_acc", "k_rep", "rho0", "delta", "eta", "epsilon",
+    "lambda_initial", "predictor_value_bound", "predictor_dynamics_bound",
+    "goal_radius", "attract_gain",
+}
+_OPTIONAL_FLOAT_KEYS = {"k_att", "collision_distance", "relax_lambda_step"}
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads exponent numbers as floats.
+
+    PyYAML's float pattern needs a dot and a signed exponent, so it reads
+    1e6, 1.0e6 and 2E-3 as strings; YAML 1.2 reads them as numbers, and
+    so does this loader.  yaml.SafeLoader itself is left as it is.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 def _sine_waypoints(x, amp, period, phase, duration):
@@ -145,7 +169,7 @@ BUILTIN_SCENES = _builtin_scenes()
 def read_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_ConfigLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"bad config file {path}: {exc}") from None
     if doc is None:
@@ -164,6 +188,7 @@ def build_setup(doc: dict, seed_override=None):
     value_bound = 0.0
     dynamics_bound = 0.0
     for key, value in doc.items():
+        _check_number(key, value)
         if key in _TASK_KEYS:
             task_kwargs[key] = value
         elif key == "predictor":
@@ -210,6 +235,17 @@ def build_setup(doc: dict, seed_override=None):
             raise
         raise ConfigError(f"bad task value: {exc}") from None
     return config, task
+
+
+def _check_number(key, value) -> None:
+    """A number-valued key must hold a number: a string such as "abc" or
+    a boolean is a ConfigError that names the key.  SimConfig checks the
+    integer keys' values further."""
+    if key in _OPTIONAL_FLOAT_KEYS and value is None:
+        return
+    if key in _FLOAT_KEYS or key in _OPTIONAL_FLOAT_KEYS or key in _INT_FIELDS:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
 def load_scene_for(config: SimConfig, args):

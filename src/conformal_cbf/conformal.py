@@ -183,6 +183,8 @@ def window_loss(
     ego,
     lam: float,
     squash: Squashing = _DEFAULT_SQUASH,
+    *,
+    lengths=None,
 ):
     """Squashed worst gap over every agent and sample instant of a window.
 
@@ -196,16 +198,26 @@ def window_loss(
             EgoWindow or a SampledTrajectory; the mapping form needs the
             latter, whose start frame the trajectories must share.
         lam: margin the window was driven with.
+        lengths: array form only: the (m,) integer samples each agent is
+            scored over, each in [2, n].  Agent j is then scored over
+            its first lengths[j] samples alone, with velocities
+            differenced within them; its samples past that, in either
+            array, count for nothing, even one on the ego.  The result equals the max of
+            the losses of one call per distinct length, because the
+            squash map is monotone.  None scores every agent over all n.
 
     Returns:
         The loss in (-1/2, 1/2), or NO_AGENTS when no agent is present.
 
     Raises:
-        InputError: agent sets differ, or any trajectory disagrees with
-            the ego window's start frame, dt, or sample count.
+        InputError: agent sets differ, any trajectory disagrees with
+            the ego window's start frame, dt, or sample count, or lengths
+            do not fit the arrays.
+        SingularityError: an agent is on the ego at a scored sample.
     """
     if ego.n_samples < 2:
         raise InputError("ego window needs at least 2 samples")
+    valid = None
     if isinstance(predicted, np.ndarray):
         actual = np.asarray(actual, dtype=np.float64)
         if predicted.shape != actual.shape or predicted.shape[1:] != (ego.n_samples, 2):
@@ -213,18 +225,34 @@ def window_loss(
         if not len(predicted):
             return NO_AGENTS
         tracks = np.stack([predicted, actual])
+        if lengths is not None:
+            lengths = np.asarray(lengths)
+            # a few agents: Python's min and max cost less than numpy's
+            fits = lengths.shape == (len(predicted),) and lengths.dtype.kind in "iu"
+            counts = lengths.tolist() if fits else [0]
+            shortest = min(counts)
+            if shortest < 2 or max(counts) > ego.n_samples:
+                raise InputError("lengths must be one integer in [2, n] per agent")
+            if shortest < ego.n_samples:
+                valid = np.arange(ego.n_samples) < lengths[:, None]
     else:
+        if lengths is not None:
+            raise InputError("lengths need the array form")
         tracks = _stack_windows(predicted, actual, ego)
         if tracks is None:
             return NO_AGENTS
     if not math.isfinite(float(lam)):
         raise InputError("margin must be finite")
-    # (predicted/actual, agent, sample, xy): one kernel call scores them all
-    h, grad_ego = barrier_terms(cbf, ego.positions - tracks)
-    q = np.vecdot(-grad_ego, velocities(tracks, ego.dt))
+    # (predicted/actual, agent, sample, xy): one kernel call scores them all,
+    # and when some agent's prefix is short its later samples are masked
+    h, grad_ego = barrier_terms(cbf, ego.positions - tracks, where=valid)
+    vels = velocities(tracks, ego.dt, None if valid is None else lengths)
+    q = np.vecdot(-grad_ego, vels)
     a = alpha.value(h)
     # the gap formula of gap, grouped the same way
     gaps = (q[0] - q[1]) + (a[0] - a[1]) + lam
+    if valid is not None:
+        gaps = np.where(valid, gaps, -np.inf)
     return squash.value(float(gaps.max()))
 
 

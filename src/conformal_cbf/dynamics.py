@@ -10,6 +10,19 @@ the control period.  With the acceleration held, the discretization is
 exact; step evaluates it with the operations one classical RK4 step
 performs for this model, so its results are bitwise those of that step.
 
+The ego is one 2-vector, so step and track_velocity read their vectors
+into Python floats with tolist() and compute on those: a numpy call on a
+2-vector costs far more than the two float operations it performs.  The
+float expressions are the numpy ones written out per coordinate, with
+the same operations in the same order; IEEE arithmetic on a Python float
+and on a float64 array element round identically, so the results are
+bitwise those of the array formulas (tests/test_dynamics.py compares
+them with ==).  Only elementwise arithmetic is moved this way.
+Distances stay on numpy: a reduction such as np.vecdot need not equal
+x*x + y*y bit for bit, so the engine's goal distance, d_min and
+tracking error keep their numpy forms.  None of the float expressions
+divides by anything that can be zero (dt is checked positive first).
+
 Each function checks the shapes of its arguments but the finiteness of
 its result only: a non-finite input, or an overflow, always makes the
 result non-finite, so one check of the result rejects both as
@@ -45,13 +58,17 @@ class RobotState:
 
 @dataclass(frozen=True)
 class TrackingActuator:
-    """Proportional velocity-tracking law u = -gain * (v - v_cmd)."""
+    """Proportional velocity-tracking law u = -gain * (v - v_cmd).
+
+    This is the only check of the gain: SimConfig builds its actuator to
+    validate k_acc.
+    """
 
     gain: float
 
     def __post_init__(self):
         if not (np.isfinite(self.gain) and self.gain > 0.0):
-            raise InputError("tracking gain must be positive and finite")
+            raise InputError("tracking gain (k_acc) must be positive and finite")
 
 
 def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
@@ -71,13 +88,23 @@ def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
     a = np.asarray(accel, dtype=np.float64)
     if a.shape != (2,):
         raise InputError("acceleration must be a planar vector")
-    v = state.velocity
-    k2 = v + 0.5 * dt * a
-    k4 = v + dt * a
+    ax, ay = a.tolist()
+    px, py = state.position.tolist()
+    vx, vy = state.velocity.tolist()
+    # v + 0.5 * dt * a and v + dt * a, coordinate by coordinate
+    half = 0.5 * dt
+    k2x, k2y = vx + half * ax, vy + half * ay
+    k4x, k4y = vx + dt * ax, vy + dt * ay
     h = dt / 6.0
     return RobotState(
-        position=state.position + h * (v + 2.0 * k2 + 2.0 * k2 + k4),
-        velocity=v + h * (a + 2.0 * a + 2.0 * a + a),
+        position=np.array([
+            px + h * (vx + 2.0 * k2x + 2.0 * k2x + k4x),
+            py + h * (vy + 2.0 * k2y + 2.0 * k2y + k4y),
+        ]),
+        velocity=np.array([
+            vx + h * (ax + 2.0 * ax + 2.0 * ax + ax),
+            vy + h * (ay + 2.0 * ay + 2.0 * ay + ay),
+        ]),
     )
 
 
@@ -96,7 +123,10 @@ def track_velocity(
     c = np.asarray(commanded, dtype=np.float64)
     if v.shape != (2,) or c.shape != (2,):
         raise InputError("track_velocity expects planar velocities")
-    accel = -actuator.gain * (v - c)
-    if not all(map(math.isfinite, accel.tolist())):
+    vx, vy = v.tolist()
+    cx, cy = c.tolist()
+    gain = -actuator.gain
+    ax, ay = gain * (vx - cx), gain * (vy - cy)
+    if not (math.isfinite(ax) and math.isfinite(ay)):
         raise InputError("acceleration must be a finite planar vector")
-    return accel
+    return np.array([ax, ay])

@@ -15,11 +15,15 @@ Everything per window is an array.  The scene is a track table (see
 scenario), so the sensed agents' histories and recorded futures are one
 fancy index into it each, and one predict call returns the whole
 window's predictions stacked as (m, H, 2) positions and velocities with
-per-agent lengths; no per-agent trajectory object is built.  Each
-frame's rows come from one call of the unchecked barrier kernel on
+per-agent lengths; no per-agent trajectory object is built.  A window
+boundary looks the sensed agents' runs up in the table once: the
+prediction reads histories and futures from that lookup, and the
+window's scoring later reads the revealed tracks from the same rows.
+Each frame's rows come from one call of the unchecked barrier kernel on
 those arrays, given the distances the frame already filtered the agents
-on, and a window is scored against the revealed track slices with one
-window_loss call per distinct prefix length (normally one).
+on, and a window is scored with one window_loss call, each agent over
+its own prefix length.  The ego's own arithmetic (reference, tracking,
+integration) runs on Python floats; see dynamics.
 
 Windows without a scorable agent leave the margin untouched and record
 no loss.  The first window never has predictions (there is no history
@@ -67,7 +71,10 @@ class SimConfig:
     barrier's zero-level distance and eta * (1/2 - epsilon).  The run
     seed, a nonnegative integer, is forwarded to the predictor, which
     derives all of its own randomness from it.  The barrier checks k_rep,
-    rho0 and delta; a config it refuses is a ConfigError.
+    rho0 and delta, the class-kappa function alpha_slope and the tracking
+    actuator k_acc; a config one of them refuses is a ConfigError.
+    k_acc * dt must also be below 2: tracking maps the velocity error e
+    to (1 - k_acc * dt) e each frame, which shrinks only then.
     """
 
     dt: float = 1.0 / 30.0
@@ -97,15 +104,21 @@ class SimConfig:
             raise ConfigError("tau_frames must be an integer >= 2")
         if not isinstance(self.horizon_frames, int) or self.horizon_frames < self.tau_frames:
             raise ConfigError("horizon_frames must cover at least one window")
-        for name in ("alpha_slope", "k_acc", "eta"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ConfigError(f"{name} must be positive and finite")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ConfigError("eta must be positive and finite")
         try:
-            # the barrier owns the checks of k_rep, rho0 and delta
+            # the parts a run builds own the checks of their parameters
             self.cbf()
+            self.class_kappa()
+            self.actuator()
         except InputError as exc:
             raise ConfigError(str(exc)) from None
+        if self.k_acc * self.dt >= 2.0:
+            # tracking maps the velocity error e to (1 - k_acc * dt) e
+            raise ConfigError(
+                f"k_acc * dt must be below 2 for velocity tracking to settle; "
+                f"k_acc {self.k_acc!r} and dt {self.dt!r} give {self.k_acc * self.dt!r}"
+            )
         if not -0.5 < self.epsilon < 0.5:
             raise ConfigError("epsilon must lie in (-1/2, 1/2)")
         if not math.isfinite(self.lambda_initial):
@@ -132,6 +145,9 @@ class SimConfig:
 
     def class_kappa(self) -> ClassKappa:
         return ClassKappa.linear(self.alpha_slope)
+
+    def actuator(self) -> TrackingActuator:
+        return TrackingActuator(gain=self.k_acc)
 
     def collision_threshold(self) -> float:
         if self.collision_distance is not None:
@@ -185,7 +201,7 @@ def run(
     """
     cbf = config.cbf()
     alpha = config.class_kappa()
-    actuator = TrackingActuator(gain=config.k_acc)
+    actuator = config.actuator()
     kind = replace(config.predictor, seed=config.seed)
     if config.k_att is not None:
         task = replace(task, attract_gain=config.k_att)
@@ -208,7 +224,7 @@ def run(
     start = scene.start_frame
     tau = config.tau_frames
 
-    predicted = NO_PREDICTIONS
+    predicted, runs = NO_PREDICTIONS, None
     ego_window: list = []
     window_start = start
     lambda_trace = [(1, margin.lam)]
@@ -224,12 +240,14 @@ def run(
             if offset % tau == 0:
                 if offset > 0:
                     loss = _score_window(
-                        cbf, alpha, margin.lam, predicted, ego_window,
-                        window_start, dt, scene,
+                        cbf, alpha, margin.lam, predicted, runs, ego_window,
+                        dt, scene,
                     )
                     margin.update(loss)
                     lambda_trace.append((offset // tau + 1, margin.lam))
-                predicted = _predict_window(config, kind, cbf, scene, state, frame, dt)
+                predicted, runs = _predict_window(
+                    config, kind, cbf, scene, state, frame, dt
+                )
                 ego_window = []
                 window_start = frame
 
@@ -305,8 +323,7 @@ def run(
             # the run ended exactly on a window boundary; score the
             # completed window so its loss is not silently dropped
             loss = _score_window(
-                cbf, alpha, margin.lam, predicted, ego_window,
-                window_start, dt, scene,
+                cbf, alpha, margin.lam, predicted, runs, ego_window, dt, scene
             )
             margin.update(loss)
             lambda_trace.append(
@@ -333,45 +350,56 @@ _LAST_TWO = np.array([-2, -1])
 
 
 def _predict_window(config, kind, cbf, scene, state, frame, dt):
-    """Predictions for the agents sensed at a window boundary.
+    """Predictions for the agents sensed at a window boundary, and where
+    the predicted agents' runs lie in the scene's table.
 
     Agents without two frames of contiguous history before the frame
     are left out, and so, for the oracle kinds, are agents without two
     frames of recorded future from it; they contribute no constraint
     this window.  Every kind reads at most the last two history samples,
     so those are what is gathered.
+
+    Returns:
+        (predictions, runs): runs is (row, after) aligned with the
+        predictions' ids, from the runs_at lookup at the frame, so the
+        window's scoring need not repeat it; None without predictions.
     """
     sensed = sensed_agents(scene, state.position, config.rho0, frame)
     if not sensed:
-        return NO_PREDICTIONS
+        return NO_PREDICTIONS, None
     ids = np.array([agent_id for agent_id, _ in sensed])
     # a sensed agent is present at the frame, so its run holds before - 1
     # samples of history and after samples of future
     row, before, after = scene.runs_at(ids, frame)
     keep = before >= 3
     if not keep.any():
-        return NO_PREDICTIONS
+        return NO_PREDICTIONS, None
     ids, row, after = ids[keep], row[keep], after[keep]
     histories = scene.track_positions[row[:, None] + _LAST_TWO]
-    futures = None
+    futures = horizon = None
     if kind.kind != CONSTANT_VELOCITY:
-        after = np.minimum(after, config.horizon_frames)
+        horizon = np.minimum(after, config.horizon_frames)
         # past its run's end a future repeats its last sample; predict
-        # reads only the first `after`
-        sample = np.minimum(np.arange(after.max()), after[:, None] - 1)
+        # reads only the first `horizon`
+        sample = np.minimum(np.arange(horizon.max()), horizon[:, None] - 1)
         futures = scene.track_positions[row[:, None] + sample]
-    return predict(
+    predicted = predict(
         kind,
         ids,
         histories,
         config.horizon_frames,
         dt,
         futures=futures,
-        future_lengths=after,
+        future_lengths=horizon,
         start_frame=frame,
         cbf=cbf,
         ego_positions=state.position,
     )
+    if len(predicted) < len(ids):
+        # the oracles drop agents, keeping the order; sensed ids ascend
+        at = np.searchsorted(ids, predicted.ids)
+        row, after = row[at], after[at]
+    return predicted, (row, after)
 
 
 def _rows(cbf, alpha, predicted, k, ego, rho0, lam):
@@ -393,31 +421,31 @@ def _rows(cbf, alpha, predicted, k, ego, rho0, lam):
     return normals, offsets + lam, ids[keep]
 
 
-def _score_window(cbf, alpha, lam, predicted, ego_positions, window_start, dt, scene):
+def _score_window(cbf, alpha, lam, predicted, runs, ego_positions, dt, scene):
     """Worst per-agent window loss against the revealed ground truth.
 
     Each agent is scored over the prefix where its prediction, its
-    actual track, and the ego window all exist.  Agents sharing a prefix
-    length are scored in one window_loss call; the squash map is
-    monotone, so the max over those calls is the max over per-agent
-    losses.
+    actual track, and the ego window all exist, as runs (the window's
+    _predict_window lookup) gives it.  All agents are scored in one
+    window_loss call, each over its own prefix length.
     """
     ids, positions, lengths = predicted.ids, predicted.positions, predicted.lengths
     if not len(ids) or len(ego_positions) < 2:
         return NO_AGENTS
-    ego = np.array(ego_positions)
-    row, _, after = scene.runs_at(ids, window_start)
-    n = np.minimum(np.minimum(after, lengths), len(ego))
-    worst = NO_AGENTS
-    for k in np.unique(n[n >= 2]).tolist():
-        group = n == k
-        actual = scene.track_positions[row[group, None] + np.arange(k)]
-        loss = window_loss(
-            cbf, alpha, positions[group, :k], actual, EgoWindow(ego[:k], dt), lam
-        )
-        if worst is None or loss > worst:
-            worst = loss
-    return worst
+    row, after = runs
+    n = np.minimum(np.minimum(after, lengths), len(ego_positions))
+    scored = n >= 2
+    if not scored.all():
+        if not scored.any():
+            return NO_AGENTS
+        row, n, positions = row[scored], n[scored], positions[scored]
+    width = int(n.max())
+    # past an agent's prefix its actual track repeats its last sample;
+    # window_loss does not score those samples
+    sample = np.minimum(np.arange(width), n[:, None] - 1)
+    actual = scene.track_positions[row[:, None] + sample]
+    ego = EgoWindow(np.array(ego_positions[:width]), dt)
+    return window_loss(cbf, alpha, positions[:, :width], actual, ego, lam, lengths=n)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ position error and on the error of the agent-side barrier flow term.
 The enforcement checks derivatives of the trajectory it returns, so
 bounds hold exactly for consumers that differentiate the same window.
 Velocities are taken per agent length, never across the zero padding,
-so the one-sided edge sits at each agent's own last sample.
+so the one-sided edge sits at each agent's own last sample: velocities
+takes the lengths and does this for the whole stack in one call.
 
 SampledTrajectory, one agent's window as an object, serves the scene's
 per-agent queries (history_of, future_of) and the test references; the
@@ -129,23 +130,52 @@ def differentiate(traj: SampledTrajectory, frame: int) -> np.ndarray:
     return (p[i + 1] - p[i - 1]) / (2.0 * traj.dt)
 
 
-def velocities(positions, dt: float) -> np.ndarray:
+def velocities(positions, dt: float, lengths=None) -> np.ndarray:
     """differentiate at every sample in one call.
 
     Args:
-        positions: samples along axis -2, shape (..., n, 2) with n >= 2.
+        positions: samples along axis -2, shape (..., n, 2) with n >= 2;
+            a stack of no windows, such as (0, 0, 2), gives zeros.
+        lengths: optional integer samples of each window,
+            broadcastable to positions.shape[:-2], each in [2, n].  A window then ends at
+            its own last sample, which takes the one-sided backward
+            difference, and its velocities past that are zero; its
+            positions past its length do not affect the result.
 
     Returns:
         Velocities of the same shape, bitwise equal to differentiate at
-        each frame of each window.
+        each frame of each window (of each window's own samples).
+
+    Raises:
+        InputError: fewer than two samples, or a length that is not an
+            integer in [2, n].
     """
     p = np.asarray(positions, dtype=np.float64)
-    if p.shape[-2] < 2:
+    n = p.shape[-2]
+    if n < 2:
+        if not math.prod(p.shape[:-2]):
+            return np.zeros(p.shape)  # a stack of no windows
         raise InputError("cannot differentiate a single-sample trajectory")
-    v = np.empty_like(p)
+    v = np.empty(p.shape)
     v[..., 1:-1, :] = (p[..., 2:, :] - p[..., :-2, :]) / (2.0 * dt)
     v[..., 0, :] = (p[..., 1, :] - p[..., 0, :]) / dt
     v[..., -1, :] = (p[..., -1, :] - p[..., -2, :]) / dt
+    if lengths is None:
+        return v
+    lengths = np.broadcast_to(lengths, p.shape[:-2]).reshape(-1)
+    if lengths.dtype.kind not in "iu" or (
+        lengths.min(initial=n) < 2 or lengths.max(initial=n) > n
+    ):
+        raise InputError("window lengths must be integers in [2, samples]")
+    short = np.flatnonzero(lengths < n)
+    if len(short):
+        # the windows as rows of (windows, n, 2); v is C-ordered, so its
+        # reshape is a view
+        pw, vw = p.reshape(-1, *p.shape[-2:]), v.reshape(-1, *p.shape[-2:])
+        last = lengths[short] - 1
+        vw[short, last] = (pw[short, last] - pw[short, last - 1]) / dt
+        window, sample = np.nonzero(np.arange(n) > last[:, None])
+        vw[short[window], sample] = 0.0
     return v
 
 
@@ -272,18 +302,8 @@ def predict(
     if kind.kind == CONSTANT_VELOCITY:
         vels = velocities(positions, dt)
     elif kind.kind == GROUND_TRUTH:
-        vels = _velocities_by_length(positions, lengths, dt)
+        vels = velocities(positions, dt, lengths)
     return Predictions(ids=ids, positions=positions, velocities=vels, lengths=lengths)
-
-
-def _velocities_by_length(positions, lengths, dt):
-    """velocities of each agent's own samples along axis -2, one call per
-    distinct length, and zero past them."""
-    v = np.zeros_like(positions)
-    for n in np.unique(lengths).tolist():
-        group = lengths == n
-        v[group, ..., :n, :] = velocities(positions[group, ..., :n, :], dt)
-    return v
 
 
 def _key_entry(x) -> int:
@@ -319,7 +339,7 @@ def _noise_bounded(kind, ids, truth, lengths, valid, start_frame, dt, cbf, ego):
         [truth[:, None], truth[:, None] + _SCALES[:, None, None] * noise[:, None]],
         axis=1,
     )
-    vels = _velocities_by_length(tracks, lengths, dt)
+    vels = velocities(tracks, dt, lengths[:, None])
     diff = ego - tracks
     singular = np.sqrt(np.vecdot(diff, diff)) < cbf.min_distance
     diff[singular] = cbf.rho0  # an offset the barrier is defined at

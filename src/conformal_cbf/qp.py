@@ -18,7 +18,12 @@ interval means the polygon is empty, which surfaces as a distinct
 infeasibility error rather than a silently relaxed answer.
 
 Rows are normalized internally so tolerances are scale-free; results are
-reported against the original rows.  A problem without rows returns its
+reported against the original rows.  The search over the violated rows
+is one pass of array calls: their normals and distances are gathered
+once, and every foot point, interval and cost comes from them.  A frame
+has only a few rows, so the cost of solve is its fixed count of numpy
+calls; it uses array methods rather than the np.max-style wrappers,
+which add a dispatch each.  A problem without rows returns its
 reference at once.  The ids of the rows active at the answer are worked
 out only when QpSolution.active_set is first read, since the closed loop
 never reads them.
@@ -39,6 +44,8 @@ ACTIVE_TOL = 1e-8
 _ZERO_NORMAL = 1e-300
 # Sine of the angle below which two rows count as parallel.
 _PARALLEL = 1e-12
+# Turns a row's unit normal a quarter turn, onto the row's line.
+_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -122,23 +129,24 @@ def solve(problem: QpProblem) -> QpSolution:
         return QpSolution(ref.copy(), problem)
 
     # Foot points on the violated rows' lines, and the lines' directions.
-    foot = ref - dist[violated, None] * a[violated]
-    along = a[violated] @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+    av, dv = a[violated], dist[violated]
+    foot = ref - dv[:, None] * av
+    along = av @ _QUARTER_TURN
     # Row j at foot + t * along reads slope[v, j] * t + level[v, j] >= 0; a
     # row parallel to the line bounds no t and is only checked below.
     slope = along @ a.T
     level = foot @ a.T + b
     rising, falling = slope > _PARALLEL, slope < -_PARALLEL
     bound = -level / np.where(rising | falling, slope, 1.0)
-    lo = np.max(np.where(rising, bound, -np.inf), axis=1)
-    hi = np.min(np.where(falling, bound, np.inf), axis=1)
+    lo = np.where(rising, bound, -np.inf).max(axis=1)
+    hi = np.where(falling, bound, np.inf).min(axis=1)
     t = np.minimum(np.maximum(0.0, lo), hi)
-    ok = np.all(slope * t[:, None] + level >= -tol, axis=1)
+    ok = (slope * t[:, None] + level >= -tol).all(axis=1)
     if not ok.any():
         raise InfeasibleError("constraint polygon is empty")
     # |candidate - ref|^2 = dist^2 + t^2 on each line
-    cost = np.where(ok, dist[violated] ** 2 + t * t, np.inf)
-    best = int(np.argmin(cost))
+    cost = np.where(ok, dv**2 + t * t, np.inf)
+    best = int(cost.argmin())
     return QpSolution(foot[best] + t[best] * along[best], problem)
 
 

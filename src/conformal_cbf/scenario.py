@@ -236,8 +236,14 @@ class RobotTask:
 
 def reference_control(task: RobotTask, state: RobotState) -> np.ndarray:
     """Goal-attracting reference velocity: the descent direction of the
-    quadratic attraction potential, attract_gain * (goal - position)."""
-    return task.attract_gain * (task.goal - state.position)
+    quadratic attraction potential, attract_gain * (goal - position).
+
+    It is evaluated on Python floats, coordinate by coordinate, with
+    bitwise the result of the array expression (see dynamics)."""
+    gain = task.attract_gain
+    gx, gy = task.goal.tolist()
+    px, py = state.position.tolist()
+    return np.array([gain * (gx - px), gain * (gy - py)])
 
 
 def load_annotations(

@@ -4,7 +4,8 @@ Everything here is deliberately written from the defining equations
 rather than by calling into the package internals: extended-precision
 central differences for gradients, a scan-and-refine maximization for
 the gradient-norm bound, brute-force candidate enumeration and dense
-grids for the projection QP, and the generic RK4 step for the dynamics.
+grids for the projection QP, the generic RK4 step for the dynamics, and
+the array expressions the dynamics evaluate on Python floats.
 The scene references are the line-by-line annotation parser and the
 dict-of-frames queries the track table replaced, and the prediction
 reference is the per-agent predictor, one SampledTrajectory per agent,
@@ -90,6 +91,28 @@ def rk4_double_integrator(position, velocity, accel, dt):
     k4 = xdot(x0 + dt * k3)
     x1 = x0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x1[:2], x1[2:]
+
+
+def step_formula(position, velocity, accel, dt):
+    """step's arithmetic as numpy array expressions, the form the float
+    code in dynamics writes out per coordinate; returns (position,
+    velocity), non-finite where the step overflows."""
+    p, v, a = (np.asarray(x, dtype=np.float64) for x in (position, velocity, accel))
+    k2 = v + 0.5 * dt * a
+    k4 = v + dt * a
+    h = dt / 6.0
+    return p + h * (v + 2.0 * k2 + 2.0 * k2 + k4), v + h * (a + 2.0 * a + 2.0 * a + a)
+
+
+def track_velocity_formula(gain, velocity, commanded):
+    """track_velocity's arithmetic as one numpy expression."""
+    v, c = (np.asarray(x, dtype=np.float64) for x in (velocity, commanded))
+    return -gain * (v - c)
+
+
+def reference_control_formula(gain, goal, position):
+    """reference_control's arithmetic as one numpy expression."""
+    return gain * (np.asarray(goal, dtype=np.float64) - np.asarray(position, dtype=np.float64))
 
 
 def rows_to_arrays(constraints):

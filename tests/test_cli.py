@@ -305,20 +305,20 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "k_acc, max_frames, message, frames",
+        "overrides, message, frames",
         [
             # the first tracking acceleration overflows
-            (1e308, 50, "acceleration must be a finite planar vector", 1),
-            # k_acc * dt > 2: the tracked velocity swings ever wider until
-            # the state overflows on frame 320
-            (100.0, 1150, "RobotState entries must be finite", 321),
+            ({"start_velocity": [1e308, 0.0]}, "acceleration must be a finite planar vector", 1),
+            # the ego is flung so far that the reference velocity of the
+            # third frame overflows
+            ({"attract_gain": 1e150}, "reference and rows must be finite", 2),
         ],
         ids=["first-frame", "mid-run"],
     )
-    def test_blow_up_exits_2(self, tmp_path, capsys, k_acc, max_frames, message, frames):
+    def test_blow_up_exits_2(self, tmp_path, capsys, overrides, message, frames):
         path = tmp_path / "config.yaml"
         path.write_text(
-            yaml.safe_dump(dict(CROSSING, k_acc=k_acc, max_frames=max_frames)), encoding="utf-8"
+            yaml.safe_dump(dict(CROSSING, **overrides)), encoding="utf-8"
         )
         out, trace = tmp_path / "m.csv", tmp_path / "t.jsonl"
         with warnings.catch_warnings():
@@ -332,6 +332,73 @@ class TestExitCodes:
         assert not out.exists()
         # the trace stops at the frame whose integration failed
         assert len(trace.read_text(encoding="utf-8").splitlines()) == frames
+
+
+    @pytest.mark.parametrize("k_acc", [1e308, 100.0, 20.0])
+    def test_unsettling_tracking_gain_is_a_config_error(self, tmp_path, capsys, k_acc):
+        # tracking maps the velocity error e to (1 - k_acc * dt) e, which
+        # does not shrink once k_acc * dt reaches 2 (dt is 0.1 here)
+        out, trace = tmp_path / "m.csv", tmp_path / "t.jsonl"
+        code = main(
+            ["run", "--config", write_config(tmp_path, k_acc=k_acc),
+             "--scene", make_scene(tmp_path), "--out", str(out), "--trace", str(trace)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: k_acc * dt") and "dt 0.1" in err
+        assert not out.exists() and not trace.exists()
+
+
+class TestConfigNumbers:
+    def _run(self, tmp_path, name, text):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        code = main(
+            ["run", "--config", str(config), "--scene", make_scene(tmp_path),
+             "--out", str(out)]
+        )
+        return code, out
+
+    @pytest.mark.parametrize("spelling", ["1e3", "1E3", "1e+3", "1.0e3", "1.e3", ".1e4"])
+    def test_exponent_numbers_read_as_floats(self, tmp_path, spelling):
+        base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != "k_rep"})
+        code, out = self._run(tmp_path, "exp", base + f"k_rep: {spelling}\n")
+        assert code == 0
+        want_code, want = self._run(tmp_path, "dot", base + "k_rep: 1000.0\n")
+        assert want_code == 0
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_big_exponent_number_matches_its_dotted_form(self, tmp_path):
+        base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != "k_rep"})
+        code, out = self._run(tmp_path, "exp", base + "k_rep: 1e6\n")
+        want_code, want = self._run(tmp_path, "dot", base + "k_rep: 1.0e6\n")
+        assert code == want_code == 0
+        assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("eta", "abc"), ("k_acc", "[1, 2]"), ("dt", "true"), ("attract_gain", "fast"),
+         ("k_att", "x"), ("predictor_value_bound", "1e"), ("max_frames", "true"),
+         ("seed", "yes")],
+    )
+    def test_non_numeric_value_names_its_key(self, tmp_path, capsys, key, value):
+        base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != key})
+        code, out = self._run(tmp_path, "bad", base + f"{key}: {value}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be a number")
+        assert not out.exists()
+
+    def test_null_leaves_an_optional_key_unset(self, tmp_path):
+        base = yaml.safe_dump(BASE_CONFIG)
+        code, out = self._run(tmp_path, "null", base + "k_att: null\n")
+        want_code, want = self._run(tmp_path, "plain", base)
+        assert code == want_code == 0
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_safe_loader_is_untouched(self):
+        assert yaml.safe_load("k: 1e6") == {"k": "1e6"}
 
 
 class TestValidateAnnotations:

@@ -1,13 +1,32 @@
 """Tests for the ego dynamics and velocity tracking."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from _oracles import rk4_double_integrator
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import (
+    reference_control_formula,
+    rk4_double_integrator,
+    step_formula,
+    track_velocity_formula,
+)
 from conformal_cbf.dynamics import RobotState, TrackingActuator, step, track_velocity
 from conformal_cbf.errors import InputError
+from conformal_cbf.scenario import RobotTask, reference_control
+
+SETTINGS = settings(max_examples=400, deadline=None)
+# every finite double, so +-0.0, subnormals and values near the overflow
+# edge all come up, plus a few hand-picked ones
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e308]
+)
+vec = st.tuples(finite, finite)
+positive = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
 
 
 def substepped(state, control, dt, n):
@@ -179,3 +198,64 @@ def test_actuator_gain_validation():
         TrackingActuator(gain=0.0)
     with pytest.raises(InputError):
         TrackingActuator(gain=-1.0)
+
+
+def _formula(fn, *args):
+    with np.errstate(all="ignore"):
+        return fn(*args)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@SETTINGS
+@given(position=vec, velocity=vec, accel=vec, dt=positive)
+def test_float_step_is_bitwise_the_array_formula(position, velocity, accel, dt):
+    state = RobotState(position=position, velocity=velocity)
+    want_p, want_v = _formula(step_formula, position, velocity, accel, dt)
+    if np.isfinite(want_p).all() and np.isfinite(want_v).all():
+        got = step(state, np.array(accel), dt)
+        assert _bits(got.position) == _bits(want_p)
+        assert _bits(got.velocity) == _bits(want_v)
+    else:
+        with pytest.raises(InputError, match="RobotState entries must be finite"):
+            step(state, np.array(accel), dt)
+
+
+@SETTINGS
+@given(velocity=vec, commanded=vec, gain=positive)
+def test_float_track_velocity_is_bitwise_the_array_formula(velocity, commanded, gain):
+    actuator = TrackingActuator(gain=gain)
+    want = _formula(track_velocity_formula, gain, velocity, commanded)
+    if np.isfinite(want).all():
+        got = track_velocity(actuator, np.array(velocity), np.array(commanded))
+        assert _bits(got) == _bits(want)
+    else:
+        with pytest.raises(InputError, match="acceleration must be a finite planar vector"):
+            track_velocity(actuator, np.array(velocity), np.array(commanded))
+
+
+@SETTINGS
+@given(goal=vec, position=vec, gain=positive)
+def test_float_reference_control_is_bitwise_the_array_formula(goal, position, gain):
+    task = RobotTask(
+        start=RobotState(position=[0.0, 0.0], velocity=[0.0, 0.0]),
+        goal=goal, attract_gain=gain, goal_radius=1.0,
+    )
+    state = RobotState(position=position, velocity=[0.0, 0.0])
+    # an overflow here is left to the projection's finiteness check
+    got = reference_control(task, state)
+    assert got.shape == (2,) and got.dtype == np.float64
+    assert _bits(got) == _bits(_formula(reference_control_formula, gain, goal, position))
+
+
+def test_signed_zeros_and_subnormals_keep_their_bits():
+    tiny = 5e-324
+    state = RobotState(position=[-0.0, tiny], velocity=[-0.0, -tiny])
+    got = step(state, np.array([-0.0, 0.0]), 0.5)
+    want_p, want_v = step_formula(state.position, state.velocity, [-0.0, 0.0], 0.5)
+    assert _bits(got.position) == _bits(want_p) and _bits(got.velocity) == _bits(want_v)
+    assert math.copysign(1.0, got.position[0]) == -1.0
+    accel = track_velocity(TrackingActuator(gain=1.0), np.array([tiny, -0.0]), np.array([0.0, 0.0]))
+    assert _bits(accel) == _bits(track_velocity_formula(1.0, [tiny, -0.0], [0.0, 0.0]))

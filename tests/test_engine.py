@@ -15,12 +15,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _golden import CROSSING
+from _golden import CROSSING, cases
 from _oracles import predict_reference
 from conformal_cbf import barrier, engine
 from conformal_cbf.barrier import AgentState, build_conformal_constraint
 from conformal_cbf.cli import BUILTIN_SCENES, build_setup
 from conformal_cbf.dynamics import RobotState
+from conformal_cbf.conformal import ConformalState
 from conformal_cbf.engine import SimConfig, run, sweep
 from conformal_cbf.errors import ConfigError, InfeasibleRunError
 from conformal_cbf.predictor import (
@@ -531,3 +532,61 @@ def test_checked_barrier_terms_runs_only_in_window_scoring(monkeypatch):
     assert calls["window_loss"] == 225
     assert calls["terms"] == calls["window_loss"]
     assert calls["terms outside scoring"] == 0
+
+
+@pytest.mark.parametrize("case", ["crowd16", "crowd16_ground_truth"])
+def test_one_lookup_and_one_scoring_call_per_window(monkeypatch, case):
+    """On the crowd16 golden config each window boundary that senses
+    anyone looks the agents' runs up once, for prediction, and scoring
+    reuses that lookup; each scored window is one window_loss call,
+    whatever mix of prefix lengths its agents have."""
+    calls = {"runs_at": 0, "runs_at in scoring": 0, "sensing": 0, "window_loss": 0,
+             "scored": 0, "short prefixes": 0}
+    scoring = []
+    real_runs_at, real_loss = ScenarioFrameSet.runs_at, engine.window_loss
+    real_sensed, real_score = engine.sensed_agents, engine._score_window
+    real_update = ConformalState.update
+
+    def runs_at(self, *args):
+        calls["runs_at"] += 1
+        calls["runs_at in scoring"] += bool(scoring)
+        return real_runs_at(self, *args)
+
+    def sensed_agents(*args):
+        out = real_sensed(*args)
+        calls["sensing"] += bool(out)
+        return out
+
+    def score_window(*args):
+        scoring.append(True)
+        try:
+            return real_score(*args)
+        finally:
+            scoring.pop()
+
+    def window_loss(*args, **kwargs):
+        calls["window_loss"] += 1
+        lengths = kwargs.get("lengths")
+        calls["short prefixes"] += lengths is not None and bool((lengths < args[4].n_samples).any())
+        return real_loss(*args, **kwargs)
+
+    def update(self, loss):
+        calls["scored"] += loss is not None
+        return real_update(self, loss)
+
+    monkeypatch.setattr(ScenarioFrameSet, "runs_at", runs_at)
+    monkeypatch.setattr(engine, "sensed_agents", sensed_agents)
+    monkeypatch.setattr(engine, "_score_window", score_window)
+    monkeypatch.setattr(engine, "window_loss", window_loss)
+    monkeypatch.setattr(ConformalState, "update", update)
+
+    doc, spec = cases()[case]
+    config, task = build_setup(doc)
+    metrics = run(config, synth_scene(spec), task)
+    assert metrics.t_goal is None  # all 600 frames ran: 120 windows
+    assert calls["runs_at in scoring"] == 0
+    # the parent looked up 115 + 114 times: again in each scored window
+    assert calls["runs_at"] == calls["sensing"] == 115
+    assert calls["window_loss"] == calls["scored"] == 114
+    # tracks ending inside a window give its agents unequal prefixes
+    assert calls["short prefixes"] == 4

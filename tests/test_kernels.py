@@ -8,6 +8,7 @@ np.linalg.norm, @ and Python's ** there, these tests fail first.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from conformal_cbf.barrier import (
     cbf_value,
 )
 from _oracles import stack_reference
-from conformal_cbf.conformal import gap, window_loss
+from conformal_cbf.conformal import EgoWindow, gap, window_loss
 from conformal_cbf.engine import _rows
-from conformal_cbf.errors import SingularityError
+from conformal_cbf.errors import InputError, SingularityError
 from conformal_cbf.predictor import SampledTrajectory, differentiate, velocities
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -252,3 +253,142 @@ def test_class_kappa_on_arrays_matches_scalars(slope, r):
         got = alpha.value(np.array(r))
         assert got.shape == (len(r),)
         assert all(got[i] == alpha.value(x) for i, x in enumerate(r))
+
+
+# a stack of m windows of up to n samples, each with its own length
+stacks = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n + 1),
+        st.lists(st.integers(2, n + 1), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+@SETTINGS
+@given(stack=stacks, dt=st.floats(0.001, 2.0), lead=st.integers(1, 3))
+def test_velocities_by_length_match_per_window_calls(stack, dt, lead):
+    n, lengths, seed = stack
+    p = np.random.default_rng(seed).uniform(-300.0, 300.0, size=(lead, len(lengths), n, 2))
+    lengths = np.array(lengths)
+    got = velocities(p, dt, lengths)
+    # the noise oracle's layout: lengths per agent over (agent, factor)
+    swapped = velocities(p.swapaxes(0, 1), dt, lengths[:, None])
+    for i in range(lead):
+        for j, k in enumerate(lengths.tolist()):
+            want = np.zeros((n, 2))
+            want[:k] = velocities(p[i, j, :k], dt)
+            assert got[i, j].tobytes() == want.tobytes()
+            assert swapped[j, i].tobytes() == want.tobytes()
+    assert velocities(p, dt, np.full(len(lengths), n)).tobytes() == velocities(p, dt).tobytes()
+
+
+def test_velocities_reject_lengths_outside_the_window():
+    p = np.zeros((2, 4, 2))
+    for lengths in ([1, 4], [2, 5], [2.0, 4.0]):
+        with pytest.raises(InputError, match="lengths"):
+            velocities(p, 0.1, lengths)
+
+
+def _per_length_loss(cbf, alpha, predicted, actual, ego, dt, lam, lengths):
+    """The max over one window_loss call per distinct length, the
+    scoring the lengths argument replaced."""
+    worst = None
+    for k in sorted(set(lengths.tolist())):
+        group = lengths == k
+        loss = window_loss(
+            cbf, alpha, predicted[group, :k], actual[group, :k], EgoWindow(ego[:k], dt), lam
+        )
+        worst = loss if worst is None or loss > worst else worst
+    return worst
+
+
+@SETTINGS
+@given(
+    cbf=cbfs,
+    alpha=alphas,
+    stack=stacks,
+    lam=st.floats(-5.0, 5.0),
+    padded_on_ego=st.booleans(),
+)
+def test_masked_window_loss_is_the_max_over_per_length_calls(cbf, alpha, stack, lam, padded_on_ego):
+    n, lengths, seed = stack
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths)
+    scale = 1.5 * cbf.rho0
+    predicted = rng.uniform(-scale, scale, size=(len(lengths), n, 2))
+    actual = rng.uniform(-scale, scale, size=(len(lengths), n, 2))
+    ego = rng.uniform(-scale, scale, size=(n, 2))
+    if padded_on_ego:
+        # a sample past an agent's length may sit on the ego: it is not scored
+        for j, k in enumerate(lengths.tolist()):
+            if k < n:
+                predicted[j, k] = actual[j, k] = ego[k]
+    try:
+        want = _per_length_loss(cbf, alpha, predicted, actual, ego, 0.1, lam, lengths)
+    except SingularityError:
+        with pytest.raises(SingularityError):
+            window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), lam, lengths=lengths)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), lam, lengths=lengths)
+    assert got == want
+
+
+def test_a_coincident_scored_sample_still_raises():
+    cbf, alpha = PotentialFieldCbf(k_rep=50.0, rho0=60.0, delta=0.5), ClassKappa.linear(1.0)
+    rng = np.random.default_rng(3)
+    predicted, actual = rng.uniform(-40, 40, size=(2, 2, 5, 2))
+    ego = rng.uniform(-5, 5, size=(5, 2))
+    lengths = np.array([3, 5])
+    predicted[0, 2] = ego[2]  # the last scored sample of agent 0
+    with pytest.raises(SingularityError):
+        window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), 0.0, lengths=lengths)
+    predicted[0, 2], predicted[0, 3] = ego[2] + 10.0, ego[3]  # now past agent 0's length
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), 0.0, lengths=lengths)
+    assert got == _per_length_loss(cbf, alpha, predicted, actual, ego, 0.1, 0.0, lengths)
+
+
+def test_padded_samples_do_not_raise_the_loss():
+    # predicted agents standing close where the actual ones stand out of
+    # range: every scored gap is below lam, while a padded sample's would
+    # read exactly lam
+    cbf, alpha = PotentialFieldCbf(k_rep=50.0, rho0=60.0, delta=0.5), ClassKappa.linear(1.0)
+    ego = np.zeros((5, 2))
+    predicted = np.broadcast_to([[10.0, 0.0]], (2, 5, 2)).copy()
+    actual = np.broadcast_to([[100.0, 0.0]], (2, 5, 2)).copy()
+    lengths = np.array([3, 4])
+    got = window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), 0.5, lengths=lengths)
+    assert got == _per_length_loss(cbf, alpha, predicted, actual, ego, 0.1, 0.5, lengths)
+    assert got < math.atan(0.5) / math.pi
+
+
+def test_barrier_terms_reads_masked_offsets_as_out_of_range():
+    cbf = PotentialFieldCbf(k_rep=50.0, rho0=60.0, delta=0.5)
+    diff = np.array([[0.0, 0.0], [3.0, 4.0], [1e-200, 0.0]])
+    where = np.array([False, True, False])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, grad = barrier_terms(cbf, diff, where=where)
+    want_h, want_grad = barrier_terms(cbf, diff[1:2])
+    assert h[1] == want_h[0] and grad[1].tobytes() == want_grad[0].tobytes()
+    assert h[0] == h[2] == 1.0 - cbf.delta
+    assert not grad[[0, 2]].any()
+    with pytest.raises(SingularityError):
+        barrier_terms(cbf, diff, where=~where)
+
+
+def test_lengths_need_the_array_form_and_must_fit():
+    cbf, alpha = PotentialFieldCbf(k_rep=50.0, rho0=60.0, delta=0.5), ClassKappa.linear(1.0)
+    pred = np.full((2, 4, 2), 30.0)
+    ego = EgoWindow(np.zeros((4, 2)), 0.1)
+    for lengths in ([1, 4], [2, 5], [2, 3, 4], [2.0, 4.0]):
+        with pytest.raises(InputError, match="lengths"):
+            window_loss(cbf, alpha, pred, pred, ego, 0.0, lengths=lengths)
+    traj = SampledTrajectory(agent_id=1, start_frame=0, dt=0.1, positions=pred[0])
+    ego_traj = SampledTrajectory(agent_id=-1, start_frame=0, dt=0.1, positions=np.zeros((4, 2)))
+    with pytest.raises(InputError, match="lengths"):
+        window_loss(cbf, alpha, {1: traj}, {1: traj}, ego_traj, 0.0, lengths=[4])

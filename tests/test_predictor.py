@@ -122,7 +122,8 @@ def scene_of(tracks):
 def window_at(scene, frame, kind=PredictorKind(kind=CONSTANT_VELOCITY), horizon=4):
     config = SimConfig(dt=0.1, tau_frames=2, horizon_frames=horizon, rho0=1000.0)
     state = RobotState(position=np.zeros(2), velocity=np.zeros(2))
-    return _predict_window(config, kind, config.cbf(), scene, state, frame, scene.dt)
+    predicted, _ = _predict_window(config, kind, config.cbf(), scene, state, frame, scene.dt)
+    return predicted
 
 
 class TestConstantVelocity:

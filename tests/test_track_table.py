@@ -315,9 +315,9 @@ def test_scoring_groups_match_one_call_per_agent():
         for subset in [[i] for i in predictions] + [list(predictions)]:
             chosen = {i: predictions[i] for i in subset}
             want = reference_window_score(cbf, alpha, -0.3, chosen, ego_traj, scene)
-            got = _score_window(
-                cbf, alpha, -0.3, stack_reference(chosen), ego, window_start, 0.1, scene
-            )
+            stacked = stack_reference(chosen)
+            row, _, after = scene.runs_at(stacked.ids, window_start)
+            got = _score_window(cbf, alpha, -0.3, stacked, (row, after), ego, 0.1, scene)
             assert got == want
             scored += want is not None
     assert scored > 10

@@ -89,7 +89,8 @@ def assert_same(got, want):
 
 def predicted_window(config, kind, scene, ego, frame):
     state = RobotState(position=np.asarray(ego, dtype=np.float64), velocity=np.zeros(2))
-    return _predict_window(config, kind, config.cbf(), scene, state, frame, scene.dt)
+    predicted, _ = _predict_window(config, kind, config.cbf(), scene, state, frame, scene.dt)
+    return predicted
 
 
 @SETTINGS
