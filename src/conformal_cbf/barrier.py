@@ -1,4 +1,4 @@
-"""Potential-field barrier function and the affine safety constraints.
+"""Potential-field barrier function and the terms of its safety condition.
 
 Safety against one agent is encoded by a barrier built from a repulsive
 potential of the distance d between ego and agent:
@@ -12,19 +12,19 @@ smoothly.  The zero level of h marks the collision distance.
 
 With a velocity u as the decision variable, the barrier condition
 dh/dt + alpha(h) >= 0 splits into an ego term grad_ego . u, an agent
-term grad_agent . xdot_agent, and alpha(h).  Both the true constraint
-(actual agent state) and the deployed constraint (predicted agent state,
-plus an additive calibration margin) are produced here as affine rows
-for the projection QP.
+term grad_agent . xdot_agent, and alpha(h).  The engine builds the
+deployed condition (predicted agent state, plus an additive calibration
+margin) as affine rows for the projection QP from the terms computed
+here; the agent-side gradient is -grad_ego.
 
 barrier_terms evaluates h and its ego gradient over any stack of
-ego-minus-agent offsets in one call; window scoring, the noise oracle's
-flow check and the per-pair functions below all go through it.  It
-checks the distances and then runs the arithmetic, which lives once, in
-barrier_terms_unchecked.  The engine's per-frame rows call that inner
-kernel directly: they have already computed the distances to drop the
-agents outside [min_distance, rho0), so checking them again would only
-repeat the work.
+ego-minus-agent offsets in one call; window scoring and the noise
+oracle's flow check go through it.  It checks the distances and then
+runs the arithmetic, which lives once, in barrier_terms_unchecked.  The
+engine's per-frame rows call that inner kernel directly: they have
+already computed the distances to drop the agents outside
+[min_distance, rho0), so checking them again would only repeat the
+work.
 """
 
 import math
@@ -163,25 +163,6 @@ class PotentialFieldCbf:
 
 
 @dataclass(frozen=True)
-class AgentState:
-    """Position and velocity of one sensed (or predicted) agent."""
-
-    agent_id: int
-    position: np.ndarray
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64)
-        vel = np.asarray(self.velocity, dtype=np.float64)
-        if pos.shape != (2,) or vel.shape != (2,):
-            raise InputError("AgentState needs planar position and velocity")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-            raise InputError("AgentState entries must be finite")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "velocity", vel)
-
-
-@dataclass(frozen=True)
 class AffineConstraint:
     """One halfplane row normal . u + offset >= 0 of the safety QP."""
 
@@ -277,86 +258,6 @@ def barrier_terms_unchecked(
     slope = cbf.k_rep * w / (dc * dc * np.float_power(1.0 + u, 2.0))
     h = 1.0 / (1.0 + potential) - cbf.delta
     return h, (slope / d)[..., None] * diff
-
-
-def barrier_rows(
-    cbf: PotentialFieldCbf, alpha: ClassKappa, diff, velocity
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normals and offsets of the barrier condition for a batch of agents.
-
-    Row i is grad_ego_i . u + (grad_agent_i . velocity_i + alpha(h_i)) >= 0
-    for the agent at ego-minus-agent offset diff[i] moving with
-    velocity[i]; no margin is added.
-    """
-    h, grad_ego = barrier_terms(cbf, diff)
-    return grad_ego, np.vecdot(-grad_ego, velocity) + alpha.value(h)
-
-
-def _offset(ego_position, agent_position) -> np.ndarray:
-    p = np.asarray(ego_position, dtype=np.float64)
-    q = np.asarray(agent_position, dtype=np.float64)
-    if p.shape != (2,) or q.shape != (2,):
-        raise InputError("positions must be planar")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise InputError("positions must be finite")
-    return p - q
-
-
-def cbf_value(cbf: PotentialFieldCbf, ego_position, agent_position) -> float:
-    """Barrier value h at the given ego/agent positions."""
-    h, _ = barrier_terms(cbf, _offset(ego_position, agent_position))
-    return float(h)
-
-
-def cbf_gradient(
-    cbf: PotentialFieldCbf, ego_position, agent_position
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of h with respect to ego and agent position.
-
-    Returns:
-        (grad_ego, grad_agent); the two are exact negatives since h
-        depends on the positions only through their difference.  Both
-        are exactly zero at distances >= rho0.
-    """
-    _, grad_ego = barrier_terms(cbf, _offset(ego_position, agent_position))
-    return grad_ego, -grad_ego
-
-
-def build_true_constraint(
-    cbf: PotentialFieldCbf,
-    alpha: ClassKappa,
-    ego_position,
-    agent: AgentState,
-) -> AffineConstraint:
-    """Barrier condition against the agent's actual state, affine in u.
-
-    The row is grad_ego . u + (grad_agent . v_agent + alpha(h)) >= 0,
-    everything evaluated at the true agent position and velocity.
-    """
-    normal, offset = barrier_rows(
-        cbf, alpha, _offset(ego_position, agent.position), agent.velocity
-    )
-    return AffineConstraint(normal=normal, offset=float(offset), agent_id=agent.agent_id)
-
-
-def build_conformal_constraint(
-    cbf: PotentialFieldCbf,
-    alpha: ClassKappa,
-    ego_position,
-    predicted: AgentState,
-    lam: float,
-) -> AffineConstraint:
-    """Deployed constraint: the barrier condition at the predicted agent
-    state with the calibration margin lam added to the offset.
-
-    With a perfect prediction and lam = 0 this is the true constraint.
-    """
-    if not np.isfinite(lam):
-        raise InputError("margin must be finite")
-    base = build_true_constraint(cbf, alpha, ego_position, predicted)
-    return AffineConstraint(
-        normal=base.normal, offset=base.offset + lam, agent_id=predicted.agent_id
-    )
 
 
 def gradient_norm_bound(cbf: PotentialFieldCbf) -> float:

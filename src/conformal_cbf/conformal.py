@@ -37,21 +37,12 @@ is plain Python so exact number types pass through unchanged.
 """
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from conformal_cbf.barrier import (
-    AgentState,
-    BoundSet,
-    ClassKappa,
-    PotentialFieldCbf,
-    barrier_terms,
-    cbf_gradient,
-    cbf_value,
-)
+from conformal_cbf.barrier import BoundSet, ClassKappa, PotentialFieldCbf, barrier_terms
 from conformal_cbf.errors import ConfigError, InputError
 from conformal_cbf.predictor import velocities
 
@@ -61,7 +52,7 @@ NO_AGENTS = None
 
 class EgoWindow(NamedTuple):
     """The ego's realized positions over a window, (n, 2), sampled every
-    dt seconds; window_loss takes it for the array form."""
+    dt seconds, as window_loss takes them."""
 
     positions: np.ndarray
     dt: float
@@ -108,6 +99,9 @@ class ConformalState:
     A single owner updates the state sequentially; loss_history holds
     every recorded window loss in order, and lambda_initial keeps the
     margin the state started from so prefix identities can be checked.
+    These are the only checks of the starting margin, eta and epsilon:
+    SimConfig builds its margin state to validate them, so each message
+    names the config key.
     """
 
     lam: float
@@ -119,7 +113,7 @@ class ConformalState:
 
     def __post_init__(self):
         if not math.isfinite(float(self.lam)):
-            raise ConfigError("lam must be finite")
+            raise ConfigError("lambda_initial (the starting margin lam) must be finite")
         if not (math.isfinite(float(self.eta)) and float(self.eta) > 0.0):
             raise ConfigError("eta must be positive and finite")
         if not -0.5 < float(self.epsilon) < 0.5:
@@ -148,33 +142,6 @@ class SafetyCertificate:
     lambda_safe: float
 
 
-def gap(
-    cbf: PotentialFieldCbf,
-    alpha: ClassKappa,
-    ego_position,
-    actual: AgentState,
-    predicted: AgentState,
-    lam: float,
-) -> float:
-    """Looseness of the deployed constraint relative to the true one at
-    one sample; see the module docstring for the formula."""
-    if actual.agent_id != predicted.agent_id:
-        raise InputError(
-            f"gap compares one agent with itself, got ids "
-            f"{actual.agent_id} and {predicted.agent_id}"
-        )
-    if not math.isfinite(float(lam)):
-        raise InputError("margin must be finite")
-    h_true = cbf_value(cbf, ego_position, actual.position)
-    h_pred = cbf_value(cbf, ego_position, predicted.position)
-    _, g_true = cbf_gradient(cbf, ego_position, actual.position)
-    _, g_pred = cbf_gradient(cbf, ego_position, predicted.position)
-    q_true = float(g_true @ actual.velocity)
-    q_pred = float(g_pred @ predicted.velocity)
-    # grouped as differences so a perfect prediction cancels exactly
-    return (q_pred - q_true) + (alpha.value(h_pred) - alpha.value(h_true)) + lam
-
-
 def window_loss(
     cbf: PotentialFieldCbf,
     alpha: ClassKappa,
@@ -189,58 +156,47 @@ def window_loss(
     """Squashed worst gap over every agent and sample instant of a window.
 
     Args:
-        predicted: SampledTrajectory per agent, as an iterable or an
-            id-keyed mapping; or the positions of m agents as one
-            (m, n, 2) array aligned sample by sample with the ego window.
-        actual: realized trajectories over the same agents, in the same
-            form (for arrays, the same agent order).
-        ego: the ego's realized positions over the same window, as an
-            EgoWindow or a SampledTrajectory; the mapping form needs the
-            latter, whose start frame the trajectories must share.
+        predicted: the predicted positions of m agents, (m, n, 2),
+            aligned sample by sample with the ego window.
+        actual: their realized positions, same shape and agent order.
+        ego: the ego's realized positions over the same window.
         lam: margin the window was driven with.
-        lengths: array form only: the (m,) integer samples each agent is
-            scored over, each in [2, n].  Agent j is then scored over
-            its first lengths[j] samples alone, with velocities
-            differenced within them; its samples past that, in either
-            array, count for nothing, even one on the ego.  The result equals the max of
+        lengths: optional (m,) integer samples each agent is scored
+            over, each in [2, n].  Agent j is then scored over its first
+            lengths[j] samples alone, with velocities differenced within
+            them; its samples past that, in either array, count for
+            nothing, even one on the ego.  The result equals the max of
             the losses of one call per distinct length, because the
             squash map is monotone.  None scores every agent over all n.
 
     Returns:
-        The loss in (-1/2, 1/2), or NO_AGENTS when no agent is present.
+        The loss in (-1/2, 1/2), or NO_AGENTS when m is 0.
 
     Raises:
-        InputError: agent sets differ, any trajectory disagrees with
-            the ego window's start frame, dt, or sample count, or lengths
-            do not fit the arrays.
+        InputError: the arrays disagree in shape with each other or with
+            the ego window, or lengths do not fit them.
         SingularityError: an agent is on the ego at a scored sample.
     """
     if ego.n_samples < 2:
         raise InputError("ego window needs at least 2 samples")
+    predicted = np.asarray(predicted, dtype=np.float64)
+    actual = np.asarray(actual, dtype=np.float64)
+    if predicted.shape != actual.shape or predicted.shape[1:] != (ego.n_samples, 2):
+        raise InputError("predicted and actual arrays must be (m, ego samples, 2)")
+    if not len(predicted):
+        return NO_AGENTS
+    tracks = np.stack([predicted, actual])
     valid = None
-    if isinstance(predicted, np.ndarray):
-        actual = np.asarray(actual, dtype=np.float64)
-        if predicted.shape != actual.shape or predicted.shape[1:] != (ego.n_samples, 2):
-            raise InputError("predicted and actual arrays must be (m, ego samples, 2)")
-        if not len(predicted):
-            return NO_AGENTS
-        tracks = np.stack([predicted, actual])
-        if lengths is not None:
-            lengths = np.asarray(lengths)
-            # a few agents: Python's min and max cost less than numpy's
-            fits = lengths.shape == (len(predicted),) and lengths.dtype.kind in "iu"
-            counts = lengths.tolist() if fits else [0]
-            shortest = min(counts)
-            if shortest < 2 or max(counts) > ego.n_samples:
-                raise InputError("lengths must be one integer in [2, n] per agent")
-            if shortest < ego.n_samples:
-                valid = np.arange(ego.n_samples) < lengths[:, None]
-    else:
-        if lengths is not None:
-            raise InputError("lengths need the array form")
-        tracks = _stack_windows(predicted, actual, ego)
-        if tracks is None:
-            return NO_AGENTS
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        # a few agents: Python's min and max cost less than numpy's
+        fits = lengths.shape == (len(predicted),) and lengths.dtype.kind in "iu"
+        counts = lengths.tolist() if fits else [0]
+        shortest = min(counts)
+        if shortest < 2 or max(counts) > ego.n_samples:
+            raise InputError("lengths must be one integer in [2, n] per agent")
+        if shortest < ego.n_samples:
+            valid = np.arange(ego.n_samples) < lengths[:, None]
     if not math.isfinite(float(lam)):
         raise InputError("margin must be finite")
     # (predicted/actual, agent, sample, xy): one kernel call scores them all,
@@ -249,43 +205,12 @@ def window_loss(
     vels = velocities(tracks, ego.dt, None if valid is None else lengths)
     q = np.vecdot(-grad_ego, vels)
     a = alpha.value(h)
-    # the gap formula of gap, grouped the same way
+    # the gap of the module docstring, grouped as differences so a
+    # perfect prediction cancels exactly
     gaps = (q[0] - q[1]) + (a[0] - a[1]) + lam
     if valid is not None:
         gaps = np.where(valid, gaps, -np.inf)
     return squash.value(float(gaps.max()))
-
-
-def _stack_windows(predicted, actual, ego):
-    """(2, m, n, 2) positions of per-agent trajectories in id order, or
-    None when no agent is present."""
-    if isinstance(predicted, Mapping):
-        predicted = predicted.values()
-    if isinstance(actual, Mapping):
-        actual = actual.values()
-    predicted = list(predicted)
-    actual = list(actual)
-    pred_by_id = {t.agent_id: t for t in predicted}
-    act_by_id = {t.agent_id: t for t in actual}
-    if len(pred_by_id) != len(predicted) or len(act_by_id) != len(actual):
-        raise InputError("duplicate agent ids in a window")
-    if set(pred_by_id) != set(act_by_id):
-        raise InputError("predicted and actual windows cover different agents")
-    if not pred_by_id:
-        return None
-    for traj in predicted + actual:
-        if (
-            traj.start_frame != ego.start_frame
-            or traj.n_samples != ego.n_samples
-            or traj.dt != ego.dt
-        ):
-            raise InputError(
-                f"trajectory of agent {traj.agent_id} does not match the ego window"
-            )
-    ids = sorted(pred_by_id)
-    return np.array(
-        [[pred_by_id[i].positions for i in ids], [act_by_id[i].positions for i in ids]]
-    )
 
 
 def lambda_safe_bound(

@@ -71,8 +71,9 @@ class SimConfig:
     barrier's zero-level distance and eta * (1/2 - epsilon).  The run
     seed, a nonnegative integer, is forwarded to the predictor, which
     derives all of its own randomness from it.  The barrier checks k_rep,
-    rho0 and delta, the class-kappa function alpha_slope and the tracking
-    actuator k_acc; a config one of them refuses is a ConfigError.
+    rho0 and delta, the class-kappa function alpha_slope, the tracking
+    actuator k_acc and the margin state eta, epsilon and lambda_initial;
+    a config one of them refuses is a ConfigError.
     k_acc * dt must also be below 2: tracking maps the velocity error e
     to (1 - k_acc * dt) e each frame, which shrinks only then.
     """
@@ -104,8 +105,6 @@ class SimConfig:
             raise ConfigError("tau_frames must be an integer >= 2")
         if not isinstance(self.horizon_frames, int) or self.horizon_frames < self.tau_frames:
             raise ConfigError("horizon_frames must cover at least one window")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ConfigError("eta must be positive and finite")
         try:
             # the parts a run builds own the checks of their parameters
             self.cbf()
@@ -113,16 +112,13 @@ class SimConfig:
             self.actuator()
         except InputError as exc:
             raise ConfigError(str(exc)) from None
+        self.margin()
         if self.k_acc * self.dt >= 2.0:
             # tracking maps the velocity error e to (1 - k_acc * dt) e
             raise ConfigError(
                 f"k_acc * dt must be below 2 for velocity tracking to settle; "
                 f"k_acc {self.k_acc!r} and dt {self.dt!r} give {self.k_acc * self.dt!r}"
             )
-        if not -0.5 < self.epsilon < 0.5:
-            raise ConfigError("epsilon must lie in (-1/2, 1/2)")
-        if not math.isfinite(self.lambda_initial):
-            raise ConfigError("lambda_initial must be finite")
         if self.k_att is not None and not (math.isfinite(self.k_att) and self.k_att > 0.0):
             raise ConfigError("k_att must be positive when given")
         if not isinstance(self.max_frames, int) or self.max_frames < 1:
@@ -148,6 +144,10 @@ class SimConfig:
 
     def actuator(self) -> TrackingActuator:
         return TrackingActuator(gain=self.k_acc)
+
+    def margin(self) -> ConformalState:
+        """A fresh margin state at lambda_initial."""
+        return ConformalState(lam=self.lambda_initial, eta=self.eta, epsilon=self.epsilon)
 
     def collision_threshold(self) -> float:
         if self.collision_distance is not None:
@@ -217,9 +217,7 @@ def run(
 
     collision_d = config.collision_threshold()
     relax_step = config.relaxation_step()
-    margin = ConformalState(
-        lam=config.lambda_initial, eta=config.eta, epsilon=config.epsilon
-    )
+    margin = config.margin()
     state = task.start
     start = scene.start_frame
     tau = config.tau_frames
@@ -415,7 +413,8 @@ def _rows(cbf, alpha, predicted, k, ego, rho0, lam):
     keep = (lengths > k) & (dist >= cbf.min_distance) & (dist < rho0)
     if not keep.any():
         return np.zeros((0, 2)), np.zeros(0), ids[:0]
-    # the rows of barrier_rows, on the distances just computed and checked
+    # grad_ego . u + (grad_agent . v + alpha(h)) + lam >= 0, on the
+    # distances just computed and checked; grad_agent is -grad_ego
     h, normals = barrier_terms_unchecked(cbf, diff[keep], dist[keep])
     offsets = np.vecdot(-normals, predicted.velocities[keep, k]) + alpha.value(h)
     return normals, offsets + lam, ids[keep]
@@ -515,7 +514,10 @@ def sweep(
             payloads.append((cell, None, f"{type(exc).__name__}: {exc}"))
     if workers == 1 or len(payloads) <= 1:
         return [_cell_row(*p, scene, task) for p in payloads]
+    # the pool forks all its workers up front: no more than there are cells
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(scene, task)
+        max_workers=min(workers, len(payloads)),
+        initializer=_init_worker,
+        initargs=(scene, task),
     ) as pool:
         return list(pool.map(_run_cell, payloads))

@@ -3,9 +3,8 @@
 Trajectories are uniform samplings of planar positions.  Velocities are
 recovered by central differences in the interior and one-sided
 differences at the window edges.  velocities applies the rule to whole
-windows at once and differentiate at one frame; the two agree bitwise,
-so predicted and revealed motion are differentiated identically wherever
-they are compared.
+stacks of windows at once, so predicted and revealed motion are
+differentiated identically wherever they are compared.
 
 predict works on a whole window at once: it takes the ids, histories
 and recorded futures of m agents as arrays and returns Predictions, the
@@ -21,10 +20,6 @@ bounds hold exactly for consumers that differentiate the same window.
 Velocities are taken per agent length, never across the zero padding,
 so the one-sided edge sits at each agent's own last sample: velocities
 takes the lengths and does this for the whole stack in one call.
-
-SampledTrajectory, one agent's window as an object, serves the scene's
-per-agent queries (history_of, future_of) and the test references; the
-run path does not build it.
 """
 
 import math
@@ -39,55 +34,6 @@ CONSTANT_VELOCITY = "constant-velocity"
 GROUND_TRUTH = "ground-truth-oracle"
 NOISE_BOUNDED = "noise-bounded-oracle"
 _KINDS = (CONSTANT_VELOCITY, GROUND_TRUTH, NOISE_BOUNDED)
-
-
-@dataclass(frozen=True)
-class SampledTrajectory:
-    """Positions of one agent sampled every dt seconds from start_frame."""
-
-    agent_id: int
-    start_frame: int
-    dt: float
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-            raise InputError("positions must be an (n, 2) array with n >= 1")
-        if not np.isfinite(pos).all():
-            raise InputError("positions must be finite")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise InputError("dt must be positive and finite")
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def n_samples(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def end_frame(self) -> int:
-        """First frame past the window."""
-        return self.start_frame + self.n_samples
-
-    def contains(self, frame: int) -> bool:
-        return self.start_frame <= frame < self.end_frame
-
-    def position_at(self, frame: int) -> np.ndarray:
-        if not self.contains(frame):
-            raise InputError(
-                f"frame {frame} outside window [{self.start_frame}, {self.end_frame})"
-            )
-        return self.positions[frame - self.start_frame]
-
-    def prefix(self, n: int) -> "SampledTrajectory":
-        if not 1 <= n <= self.n_samples:
-            raise InputError("prefix length out of range")
-        return SampledTrajectory(
-            agent_id=self.agent_id,
-            start_frame=self.start_frame,
-            dt=self.dt,
-            positions=self.positions[:n].copy(),
-        )
 
 
 @dataclass(frozen=True)
@@ -112,26 +58,11 @@ class PredictorKind:
                 raise InputError(f"{name} must be nonnegative and finite")
 
 
-def differentiate(traj: SampledTrajectory, frame: int) -> np.ndarray:
-    """Velocity at a frame of the window, central differences inside,
-    one-sided at the first and last sample."""
-    if traj.n_samples < 2:
-        raise InputError("cannot differentiate a single-sample trajectory")
-    if not traj.contains(frame):
-        raise InputError(
-            f"frame {frame} outside window [{traj.start_frame}, {traj.end_frame})"
-        )
-    i = frame - traj.start_frame
-    p = traj.positions
-    if i == 0:
-        return (p[1] - p[0]) / traj.dt
-    if i == traj.n_samples - 1:
-        return (p[i] - p[i - 1]) / traj.dt
-    return (p[i + 1] - p[i - 1]) / (2.0 * traj.dt)
-
-
 def velocities(positions, dt: float, lengths=None) -> np.ndarray:
-    """differentiate at every sample in one call.
+    """Velocity at every sample of a stack of windows: the central
+    difference (p[i+1] - p[i-1]) / (2 dt) inside a window, the one-sided
+    (p[1] - p[0]) / dt and (p[-1] - p[-2]) / dt at its first and last
+    sample.
 
     Args:
         positions: samples along axis -2, shape (..., n, 2) with n >= 2;
@@ -143,8 +74,8 @@ def velocities(positions, dt: float, lengths=None) -> np.ndarray:
             positions past its length do not affect the result.
 
     Returns:
-        Velocities of the same shape, bitwise equal to differentiate at
-        each frame of each window (of each window's own samples).
+        Velocities of the same shape, each window's computed from its
+        own samples alone.
 
     Raises:
         InputError: fewer than two samples, or a length that is not an

@@ -6,11 +6,12 @@ schedules.  The table is sorted by track, then frame, so an agent's
 recorded path is contiguous: histories, futures and window scoring read
 slices of it.  A frame index lists the table's rows by frame, then
 track, so the agents present at a frame are one slice in id order:
-agents_at, sensed_agents and the engine's distance scan read it.  Each
+rows_at returns it, for sensing and the engine's distance scan.  Each
 index entry also holds its table row and how many samples of its run
 (the stretch of consecutive frames its track covers without a gap) lie
-up to and from its frame, so the contiguous history or future of any
-set of agents at a frame costs one lookup, not a frame-by-frame walk.
+up to and from its frame, so runs_at finds the contiguous history or
+future of any set of agents at a frame in one lookup, not a
+frame-by-frame walk.
 Memory is proportional to the number of rows.
 
 Annotation rows follow the ten-column layout
@@ -23,7 +24,6 @@ Every box center must be finite.
 """
 
 import math
-import operator
 import string
 import warnings
 from dataclasses import dataclass
@@ -34,7 +34,6 @@ import yaml
 
 from conformal_cbf.dynamics import RobotState
 from conformal_cbf.errors import ConfigError, InputError, ParseError
-from conformal_cbf.predictor import SampledTrajectory
 
 DEFAULT_LABEL_FILTER = ("Pedestrian",)
 # libyaml's parser when present: a scene spec holds hundreds of waypoints
@@ -44,28 +43,12 @@ _SPEC_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 class ScenarioFrameSet:
     """Agent positions per frame, stored as a track table, plus labels.
 
-    Built from frames (frame index -> {agent_id -> (2,) position}) and
-    labels (agent_id -> label); load_annotations and synth_scene fill the
-    table directly.  frames gives that mapping back, read-only, built on
-    first access; the replay itself only uses the table queries.
+    Built by from_rows from the table's columns; load_annotations and
+    synth_scene do so.  labels maps agent_id -> label.  frames gives the
+    frame index -> {agent_id -> (2,) position} mapping back, read-only,
+    built on first access; the replay itself only uses the table
+    queries.
     """
-
-    def __init__(self, scene_name: str, fps: float, frames: dict, labels: dict):
-        track, frame, xy = [], [], []
-        try:
-            for f, row in frames.items():
-                for agent_id, pos in row.items():
-                    frame.append(operator.index(f))
-                    track.append(operator.index(agent_id))
-                    xy.append(pos)
-            xy = np.array(xy, dtype=np.float64).reshape(len(track), 2)
-        except (TypeError, ValueError):
-            raise InputError(
-                "frames must map integer frames to {integer id: (2,) position}"
-            ) from None
-        if not np.isfinite(xy).all():
-            raise InputError("positions must be finite")
-        self._fill(scene_name, fps, track, frame, xy, labels)
 
     @classmethod
     def from_rows(cls, scene_name, fps, track, frame, xy, labels):
@@ -96,7 +79,10 @@ class ScenarioFrameSet:
         end = np.concatenate((cut, [len(track)])).astype(np.intp)
         run_start = np.repeat(start, end - start)
         run_end = np.repeat(end, end - start)
-        self.track_positions = np.asarray(xy, dtype=np.float64)[by_track]
+        xy = np.asarray(xy, dtype=np.float64)
+        if xy.shape != (len(track), 2) or not np.isfinite(xy).all():
+            raise InputError("positions must be finite, one (x, y) per row")
+        self.track_positions = xy[by_track]
         # the frame index, in (frame, track) order: each entry's track, its
         # table row and the samples of its run up to and from its frame
         row = np.lexsort((track, frame))
@@ -127,19 +113,17 @@ class ScenarioFrameSet:
     def frames(self):
         """Read-only frame index -> {agent_id -> (2,) position}."""
         if self._view is None:
-            self._view = MappingProxyType(
-                {f: MappingProxyType(self.agents_at(f)) for f in self._at}
-            )
+            view = {}
+            for f in self._at:
+                ids, pos = self.rows_at(f)
+                view[f] = MappingProxyType(dict(zip(ids.tolist(), pos)))
+            self._view = MappingProxyType(view)
         return self._view
 
     def rows_at(self, frame: int):
         """Ids (ascending) and (k, 2) positions of the agents at a frame."""
         lo, hi = self._at.get(frame, (0, 0))
         return self._track[lo:hi], self._frame_positions[lo:hi]
-
-    def agents_at(self, frame: int) -> dict:
-        ids, pos = self.rows_at(frame)
-        return dict(zip(ids.tolist(), pos))
 
     def runs_at(self, ids, frame: int):
         """Where each agent's contiguous run through a frame lies.
@@ -162,46 +146,6 @@ class ScenarioFrameSet:
         runs = self._runs[k]
         runs[self._track[k] != ids] = absent
         return runs.T
-
-    def _run_of(self, agent_id, frame):
-        try:
-            ids = np.array([agent_id], dtype=self._track.dtype)
-        except (OverflowError, TypeError, ValueError):
-            return -1, 0, 0
-        row, before, after = self.runs_at(ids, frame)
-        return int(row[0]), int(before[0]), int(after[0])
-
-    def trajectory(self, agent_id, row, n, start_frame) -> SampledTrajectory:
-        """n samples of one agent's recorded path from a table row on;
-        rows and lengths come from runs_at."""
-        return SampledTrajectory(
-            agent_id=agent_id,
-            start_frame=start_frame,
-            dt=self.dt,
-            positions=self.track_positions[row : row + n],
-        )
-
-    def history_of(
-        self, agent_id: int, end_frame: int, max_frames: int
-    ) -> SampledTrajectory | None:
-        """Longest contiguous presence of the agent ending right before
-        end_frame, capped at max_frames samples."""
-        row, before, _ = self._run_of(agent_id, end_frame - 1)
-        n = min(before, max_frames)
-        if n <= 0:
-            return None
-        return self.trajectory(agent_id, row + 1 - n, n, end_frame - n)
-
-    def future_of(
-        self, agent_id: int, start_frame: int, max_frames: int
-    ) -> SampledTrajectory | None:
-        """Contiguous presence of the agent from start_frame on, capped
-        at max_frames samples."""
-        row, _, after = self._run_of(agent_id, start_frame)
-        n = min(after, max_frames)
-        if n <= 0:
-            return None
-        return self.trajectory(agent_id, row, n, start_frame)
 
 
 def _int_column(values) -> np.ndarray:
@@ -392,23 +336,6 @@ def _parse_lines(path, keep):
         xy.append(center)
         labels.setdefault(t, label)
     return track, frame, np.array(xy, dtype=np.float64).reshape(-1, 2), labels
-
-
-def save_annotations(scene: ScenarioFrameSet, path) -> None:
-    """Write the frame set back out in the annotation layout.
-
-    Positions are stored as zero-area boxes with full float precision,
-    so loading the file again reproduces the frame set exactly.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame in sorted(scene.frames):
-            row = scene.frames[frame]
-            for agent_id in sorted(row):
-                x, y = (float(v) for v in row[agent_id])
-                label = scene.labels.get(agent_id, "Pedestrian")
-                fh.write(
-                    f"{agent_id} {x!r} {y!r} {x!r} {y!r} {frame} 0 0 0 \"{label}\"\n"
-                )
 
 
 def sensed_agents(

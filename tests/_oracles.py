@@ -6,18 +6,98 @@ central differences for gradients, a scan-and-refine maximization for
 the gradient-norm bound, brute-force candidate enumeration and dense
 grids for the projection QP, the generic RK4 step for the dynamics, and
 the array expressions the dynamics evaluate on Python floats.
-The scene references are the line-by-line annotation parser and the
-dict-of-frames queries the track table replaced, and the prediction
-reference is the per-agent predictor, one SampledTrajectory per agent,
-that the array form in predictor.predict replaced.
+The barrier reference is the per-pair scalar code: h, its gradient, a
+frame's constraint row and a sample's gap from the scalar potential and
+radial_derivative at one distance.  The scene references are the
+line-by-line annotation parser and the dict-of-frames queries the track
+table replaced, and the prediction reference is the per-agent predictor,
+one Window record per agent, that the array form in predictor.predict
+replaced.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 LD = np.longdouble
+
+
+def scalar_terms(cbf, ego, agent):
+    """h and grad_ego exactly as the per-pair scalar code computes them."""
+    diff = np.asarray(ego, dtype=np.float64) - np.asarray(agent, dtype=np.float64)
+    d = float(np.linalg.norm(diff))
+    h = 1.0 / (1.0 + cbf.potential(d)) - cbf.delta
+    return h, (cbf.radial_derivative(d) / d) * diff
+
+
+def scalar_row(cbf, alpha, ego, agent, velocity, lam):
+    """(normal, offset) of the deployed constraint row against one agent:
+    grad_ego . u + (grad_agent . velocity + alpha(h)) + lam >= 0."""
+    h, grad_ego = scalar_terms(cbf, ego, agent)
+    return grad_ego, float(-grad_ego @ np.asarray(velocity)) + alpha.value(h) + lam
+
+
+def gap_reference(cbf, alpha, ego, actual, actual_velocity, predicted, predicted_velocity, lam):
+    """Looseness of the deployed constraint relative to the true one at
+    one sample, q_pred + alpha(h_pred) + lam - q_true - alpha(h_true),
+    grouped as differences so a perfect prediction cancels exactly."""
+    h_true, g_true = scalar_terms(cbf, ego, actual)
+    h_pred, g_pred = scalar_terms(cbf, ego, predicted)
+    q_true = float(-g_true @ np.asarray(actual_velocity))
+    q_pred = float(-g_pred @ np.asarray(predicted_velocity))
+    return (q_pred - q_true) + (alpha.value(h_pred) - alpha.value(h_true)) + lam
+
+
+@dataclass(frozen=True)
+class Window:
+    """One agent's positions, (n, 2), sampled every dt from start_frame."""
+
+    agent_id: int
+    start_frame: int
+    dt: float
+    positions: np.ndarray
+
+    @property
+    def n_samples(self):
+        return len(self.positions)
+
+    @property
+    def end_frame(self):
+        return self.start_frame + self.n_samples
+
+    def contains(self, frame):
+        return self.start_frame <= frame < self.end_frame
+
+    def position_at(self, frame):
+        return self.positions[frame - self.start_frame]
+
+    def prefix(self, n):
+        return Window(self.agent_id, self.start_frame, self.dt, self.positions[:n])
+
+
+def differentiate(window, frame):
+    """Velocity at one frame of a window: central differences inside,
+    one-sided at the first and last sample."""
+    i = frame - window.start_frame
+    p, dt = window.positions, window.dt
+    if i == 0:
+        return (p[1] - p[0]) / dt
+    if i == window.n_samples - 1:
+        return (p[i] - p[i - 1]) / dt
+    return (p[i + 1] - p[i - 1]) / (2.0 * dt)
+
+
+def scene_from_frames(frames, labels=None, fps=10.0, name="s"):
+    """ScenarioFrameSet from frame -> {agent_id -> (2,) position}."""
+    from conformal_cbf.scenario import ScenarioFrameSet
+
+    rows = [(a, f, p) for f, row in frames.items() for a, p in row.items()]
+    xy = np.array([p for _, _, p in rows], dtype=np.float64).reshape(len(rows), 2)
+    return ScenarioFrameSet.from_rows(
+        name, fps, [a for a, _, _ in rows], [f for _, f, _ in rows], xy, labels or {}
+    )
 
 
 def barrier_value_ld(k_rep, rho0, delta, ego, agent):
@@ -322,6 +402,18 @@ def future_reference(frames, agent_id, start_frame, max_frames):
     return start_frame, np.array(rows)
 
 
+def history_window(frames, agent_id, end_frame, max_frames, dt):
+    """history_reference as a Window, or None."""
+    found = history_reference(frames, agent_id, end_frame, max_frames)
+    return None if found is None else Window(agent_id, found[0], dt, found[1])
+
+
+def future_window(frames, agent_id, start_frame, max_frames, dt):
+    """future_reference as a Window, or None."""
+    found = future_reference(frames, agent_id, start_frame, max_frames)
+    return None if found is None else Window(agent_id, found[0], dt, found[1])
+
+
 def sensed_reference(frames, ego, rho0, frame):
     """(agent_id, position) strictly within rho0, by id, one norm each."""
     ego = np.asarray(ego, dtype=np.float64)
@@ -337,10 +429,9 @@ def predict_reference(
     kind, histories, horizon_frames, *, futures=None, cbf=None, ego_positions=None
 ):
     """The per-agent predictor the array form replaced: agent_id ->
-    SampledTrajectory, in id order, from id-keyed history and future
-    SampledTrajectory mappings.  Agents with fewer than two history
-    samples or no recorded future are skipped; each prediction is its
-    own object, checked for finiteness on construction."""
+    Window, in id order, from id-keyed history and future Window
+    mappings.  Agents with fewer than two history samples or no recorded
+    future are skipped."""
     from conformal_cbf.errors import InputError
     from conformal_cbf.predictor import CONSTANT_VELOCITY, GROUND_TRUTH
 
@@ -366,15 +457,10 @@ def predict_reference(
 
 
 def _constant_velocity_reference(history, horizon):
-    from conformal_cbf.predictor import SampledTrajectory
-
     step = history.positions[-1] - history.positions[-2]
     offsets = np.arange(1, horizon + 1, dtype=np.float64)[:, None]
-    return SampledTrajectory(
-        agent_id=history.agent_id,
-        start_frame=history.end_frame,
-        dt=history.dt,
-        positions=history.positions[-1] + offsets * step,
+    return Window(
+        history.agent_id, history.end_frame, history.dt, history.positions[-1] + offsets * step
     )
 
 
@@ -392,8 +478,6 @@ def noise_reference(kind, start_frame, agent_id, n):
 def _noise_bounded_reference(kind, truth, cbf, ego_positions):
     """Halve the perturbation until the flow-term error stays within the
     dynamics bound, at most 80 times; the truth when none complies."""
-    from conformal_cbf.predictor import SampledTrajectory
-
     n = truth.n_samples
     ego = np.asarray(ego_positions, dtype=np.float64)
     if ego.shape == (2,):
@@ -401,11 +485,8 @@ def _noise_bounded_reference(kind, truth, cbf, ego_positions):
     noise = noise_reference(kind, truth.start_frame, truth.agent_id, n)
     scale = 1.0
     for _ in range(80):
-        candidate = SampledTrajectory(
-            agent_id=truth.agent_id,
-            start_frame=truth.start_frame,
-            dt=truth.dt,
-            positions=truth.positions + scale * noise,
+        candidate = Window(
+            truth.agent_id, truth.start_frame, truth.dt, truth.positions + scale * noise
         )
         if _flow_error_ok(kind.dynamics_bound, cbf, ego, truth, candidate):
             return candidate

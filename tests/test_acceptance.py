@@ -22,8 +22,10 @@ import yaml
 
 from _oracles import (
     fd_gradient,
+    future_reference,
     gradient_relative_error,
     grid_projection,
+    history_window,
     kkt_residual,
     predict_reference,
     rows_to_arrays,
@@ -32,8 +34,8 @@ from conformal_cbf.barrier import (
     AffineConstraint,
     ClassKappa,
     PotentialFieldCbf,
+    barrier_terms,
     bound_set_for,
-    cbf_gradient,
 )
 from conformal_cbf.cli import BUILTIN_SCENES, main
 from conformal_cbf.conformal import (
@@ -51,7 +53,6 @@ from conformal_cbf.predictor import (
     GROUND_TRUTH,
     NOISE_BOUNDED,
     PredictorKind,
-    SampledTrajectory,
     predict,
 )
 from conformal_cbf.qp import QpProblem, solve
@@ -267,7 +268,8 @@ def test_05_barrier_gradient_matches_finite_differences():
             theta = float(rng.uniform(0.0, 2.0 * np.pi))
             ego = rng.uniform(-50.0, 50.0, 2)
             agent = ego + d * np.array([math.cos(theta), math.sin(theta)])
-            grad_ego, grad_agent = cbf_gradient(cbf, ego, agent)
+            _, grad_ego = barrier_terms(cbf, ego - agent)
+            _, grad_agent = barrier_terms(cbf, agent - ego)  # ego and agent swapped
             assert np.array_equal(grad_agent, -grad_ego)
             numeric = fd_gradient(k_rep, rho0, delta, ego, agent)
             assert gradient_relative_error(grad_ego, numeric) <= 1e-5
@@ -323,32 +325,27 @@ def _replay_window_losses(config, scene, trace_path):
     k = 1
     while start + (k + 1) * tau <= start + len(rows):
         w0 = start + k * tau
-        ego = SampledTrajectory(
-            agent_id=-1,
-            start_frame=w0,
-            dt=scene.dt,
-            positions=np.array([position[w0 + i] for i in range(tau)]),
-        )
+        ego = np.array([position[w0 + i] for i in range(tau)])
         histories = {}
         for agent_id, _ in sensed_agents(scene, position[w0], config.rho0, w0):
-            history = scene.history_of(agent_id, w0, tau)
+            history = history_window(scene.frames, agent_id, w0, tau, scene.dt)
             if history is not None and history.n_samples >= 2:
                 histories[agent_id] = history
         predicted = predict_reference(config.predictor, histories, config.horizon_frames)
         worst = None
         for agent_id in sorted(predicted):
-            actual = scene.future_of(agent_id, w0, ego.n_samples)
+            actual = future_reference(scene.frames, agent_id, w0, tau)
             if actual is None:
                 continue
-            m = min(ego.n_samples, actual.n_samples, predicted[agent_id].n_samples)
+            m = min(tau, len(actual[1]), predicted[agent_id].n_samples)
             if m < 2:
                 continue
             loss = window_loss(
                 cbf,
                 alpha,
-                [predicted[agent_id].prefix(m)],
-                [actual.prefix(m)],
-                ego.prefix(m),
+                predicted[agent_id].positions[None, :m],
+                actual[1][None, :m],
+                EgoWindow(ego[:m], scene.dt),
                 margin[w0],
             )
             if loss is not NO_AGENTS and (worst is None or loss > worst):

@@ -1,4 +1,8 @@
-"""Tests for the barrier function, its gradients, and the constraint rows."""
+"""Tests for the barrier function, its gradients, and the constraint rows.
+
+Values and gradients are read from barrier_terms, the one barrier
+kernel; rows from engine._rows, the one row builder.
+"""
 
 import math
 import os
@@ -12,42 +16,50 @@ import pytest
 
 from _oracles import fd_gradient, gradient_norm_bound_scan, gradient_relative_error
 from conformal_cbf.barrier import (
-    AgentState,
+    AffineConstraint,
     ClassKappa,
     PotentialFieldCbf,
     barrier_terms,
     bound_set_for,
-    build_conformal_constraint,
-    build_true_constraint,
-    cbf_gradient,
-    cbf_value,
     gradient_norm_bound,
 )
+from conformal_cbf.engine import _rows
 from conformal_cbf.errors import InputError, SingularityError
+from conformal_cbf.predictor import Predictions
 
 CBF = PotentialFieldCbf(k_rep=2.0, rho0=10.0, delta=0.5)
+
+
+def terms(cbf, ego, agent):
+    """h (a float) and grad_ego at one ego/agent pair."""
+    h, grad_ego = barrier_terms(cbf, np.subtract(ego, agent, dtype=np.float64))
+    return float(h), grad_ego
+
+
+def h_at(cbf, ego, agent):
+    return terms(cbf, ego, agent)[0]
 
 
 def test_value_out_of_range_is_plateau():
     # U vanishes at and beyond rho0, so h is exactly 1 - delta there.
     for d in (10.0, 10.5, 1e6):
-        assert cbf_value(CBF, (0.0, 0.0), (d, 0.0)) == 0.5
+        assert h_at(CBF, (0.0, 0.0), (d, 0.0)) == 0.5
 
 
 def test_value_worked_example():
     # d = 5: U = (2/2)(1/5 - 1/10)^2 = 0.01, h = 1/1.01 - 0.5.
-    h = cbf_value(CBF, (0.0, 0.0), (5.0, 0.0))
+    h = h_at(CBF, (0.0, 0.0), (5.0, 0.0))
     assert abs(h - 0.4900990099009901) <= 1e-15
 
 
 def test_value_approaches_negative_delta_at_contact():
-    h = cbf_value(CBF, (0.0, 0.0), (1e-6, 0.0))
+    h = h_at(CBF, (0.0, 0.0), (1e-6, 0.0))
     assert -0.5 <= h < -0.5 + 1e-11
 
 
 def test_value_coincident_positions_raise():
     with pytest.raises(SingularityError):
-        cbf_value(CBF, (1.0, 2.0), (1.0, 2.0))
+        h_at(CBF, (1.0, 2.0), (1.0, 2.0))
 
 
 @pytest.mark.parametrize("k_rep", [1e-300, 1e-6, 20.0, 2000.0, 1e6])
@@ -77,32 +89,33 @@ def test_value_depends_only_on_distance():
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
         d = rng.uniform(0.5, 12.0)
-        h = cbf_value(CBF, ego, ego + d * direction)
-        href = cbf_value(CBF, (0.0, 0.0), (d, 0.0))
+        h = h_at(CBF, ego, ego + d * direction)
+        href = h_at(CBF, (0.0, 0.0), (d, 0.0))
         assert abs(h - href) <= 1e-12
 
 
 def test_gradient_zero_outside_range():
-    g_ego, g_agent = cbf_gradient(CBF, (0.0, 0.0), (10.0, 0.0))
-    assert np.array_equal(g_ego, [0.0, 0.0])
-    assert np.array_equal(g_agent, [0.0, 0.0])
-    g_ego, _ = cbf_gradient(CBF, (0.0, 0.0), (25.0, 0.0))
-    assert np.array_equal(g_ego, [0.0, 0.0])
+    for d in (10.0, 25.0):
+        _, g_ego = terms(CBF, (0.0, 0.0), (d, 0.0))
+        assert np.array_equal(g_ego, [0.0, 0.0])
 
 
 def test_gradient_antisymmetry_is_exact():
+    # swapping ego and agent negates the gradient bit for bit, so the
+    # agent-side gradient is exactly -grad_ego
     rng = np.random.default_rng(8)
     for _ in range(30):
         ego = rng.normal(size=2) * 4.0
         agent = ego + rng.normal(size=2)
-        g_ego, g_agent = cbf_gradient(CBF, ego, agent)
-        assert np.array_equal(g_agent, -g_ego)
+        _, g_ego = terms(CBF, ego, agent)
+        _, g_swapped = terms(CBF, agent, ego)
+        assert np.array_equal(g_swapped, -g_ego)
 
 
 def test_gradient_points_away_from_agent():
     # h grows with distance inside the sensing radius, so the ego
     # gradient must align with (ego - agent).
-    g_ego, _ = cbf_gradient(CBF, (3.0, 0.0), (0.0, 0.0))
+    _, g_ego = terms(CBF, (3.0, 0.0), (0.0, 0.0))
     assert g_ego[0] > 0.0
     assert abs(g_ego[1]) <= 1e-15
 
@@ -118,7 +131,7 @@ def test_gradient_matches_finite_differences():
             direction /= np.linalg.norm(direction)
             d = rng.uniform(0.01 * rho0, 2.0 * rho0)
             agent = ego + d * direction
-            analytic, _ = cbf_gradient(cbf, ego, agent)
+            _, analytic = terms(cbf, ego, agent)
             numeric = fd_gradient(k_rep, rho0, delta, ego, agent)
             assert gradient_relative_error(analytic, numeric) <= 1e-5
 
@@ -230,31 +243,44 @@ def test_zero_level_distance_is_barrier_root():
     for cbf in (CBF, PotentialFieldCbf(k_rep=2000.0, rho0=400.0, delta=0.5)):
         d0 = cbf.zero_level_distance()
         assert 0.0 < d0 < cbf.rho0
-        h = cbf_value(cbf, (0.0, 0.0), (d0, 0.0))
+        h = h_at(cbf, (0.0, 0.0), (d0, 0.0))
         assert abs(h) <= 1e-12
-        assert cbf_value(cbf, (0.0, 0.0), (0.9 * d0, 0.0)) < 0.0
-        assert cbf_value(cbf, (0.0, 0.0), (1.1 * d0, 0.0)) > 0.0
+        assert h_at(cbf, (0.0, 0.0), (0.9 * d0, 0.0)) < 0.0
+        assert h_at(cbf, (0.0, 0.0), (1.1 * d0, 0.0)) > 0.0
 
 
 ALPHA = ClassKappa.linear(1.0)
 
 
+def row(ego, position, velocity, lam=0.0, cbf=CBF):
+    """The engine's deployed row against one agent: (normal, offset), or
+    None when the agent gives no row."""
+    predicted = Predictions(
+        ids=np.array([4]),
+        positions=np.array([[position]], dtype=np.float64),
+        velocities=np.array([[velocity]], dtype=np.float64),
+        lengths=np.array([1]),
+    )
+    normals, offsets, ids = _rows(
+        cbf, ALPHA, predicted, 0, np.asarray(ego, dtype=np.float64), cbf.rho0, lam
+    )
+    return (normals[0], float(offsets[0])) if len(ids) else None
+
+
 def test_true_constraint_out_of_range_is_vacuous():
-    agent = AgentState(agent_id=4, position=[12.0, 0.0], velocity=[5.0, 5.0])
-    row = build_true_constraint(CBF, ALPHA, (0.0, 0.0), agent)
-    assert np.array_equal(row.normal, [0.0, 0.0])
-    assert row.offset == ALPHA.value(0.5)
-    assert row.agent_id == 4
+    # at or beyond rho0 the row would read 0 . u + alpha(1 - delta) >= 0:
+    # the engine leaves it out
+    for d in (10.0, 12.0):
+        assert row((0.0, 0.0), [d, 0.0], [5.0, 5.0]) is None
+    assert row((0.0, 0.0), [9.0, 0.0], [5.0, 5.0]) is not None
 
 
 def test_true_constraint_resting_agent_offset_is_alpha_h():
     # With a resting agent the flow term vanishes; slope-1 linear alpha
     # leaves exactly the barrier value in the offset.
-    agent = AgentState(agent_id=1, position=[5.0, 0.0], velocity=[0.0, 0.0])
-    row = build_true_constraint(CBF, ALPHA, (0.0, 0.0), agent)
-    assert abs(row.offset - 0.4900990099009901) <= 1e-15
-    g_ego, _ = cbf_gradient(CBF, (0.0, 0.0), (5.0, 0.0))
-    assert np.array_equal(row.normal, g_ego)
+    normal, offset = row((0.0, 0.0), [5.0, 0.0], [0.0, 0.0])
+    assert abs(offset - 0.4900990099009901) <= 1e-15
+    assert np.array_equal(normal, terms(CBF, (0.0, 0.0), (5.0, 0.0))[1])
 
 
 def test_true_constraint_flow_term():
@@ -263,33 +289,31 @@ def test_true_constraint_flow_term():
         ego = rng.normal(size=2)
         agent_pos = ego + rng.uniform(1.0, 8.0) * np.array([1.0, 0.0])
         vel = rng.normal(size=2)
-        agent = AgentState(agent_id=0, position=agent_pos, velocity=vel)
-        row = build_true_constraint(CBF, ALPHA, ego, agent)
-        h = cbf_value(CBF, ego, agent_pos)
-        _, g_agent = cbf_gradient(CBF, ego, agent_pos)
-        expected = float(g_agent @ vel) + ALPHA.value(h)
-        assert abs(row.offset - expected) <= 1e-12
+        _, offset = row(ego, agent_pos, vel)
+        h, g_ego = terms(CBF, ego, agent_pos)
+        expected = float(-g_ego @ vel) + ALPHA.value(h)
+        assert abs(offset - expected) <= 1e-12
 
 
 def test_conformal_equals_true_for_perfect_prediction():
-    agent = AgentState(agent_id=9, position=[4.0, 3.0], velocity=[-1.0, 0.5])
-    true_row = build_true_constraint(CBF, ALPHA, (1.0, 1.0), agent)
-    conf_row = build_conformal_constraint(CBF, ALPHA, (1.0, 1.0), agent, lam=0.0)
-    assert np.array_equal(conf_row.normal, true_row.normal)
-    assert conf_row.offset == true_row.offset
+    # at lam = 0 the deployed row is the barrier condition of the state
+    # it was built from
+    normal, offset = row((1.0, 1.0), [4.0, 3.0], [-1.0, 0.5])
+    h, g_ego = terms(CBF, (1.0, 1.0), (4.0, 3.0))
+    assert np.array_equal(normal, g_ego)
+    assert offset == float(-g_ego @ [-1.0, 0.5]) + ALPHA.value(h)
 
 
 def test_conformal_margin_is_additive():
-    agent = AgentState(agent_id=2, position=[4.0, 3.0], velocity=[-1.0, 0.5])
-    base = build_conformal_constraint(CBF, ALPHA, (1.0, 1.0), agent, lam=0.0)
+    base = row((1.0, 1.0), [4.0, 3.0], [-1.0, 0.5])
     for lam in (-0.7, 0.3, 2.0):
-        row = build_conformal_constraint(CBF, ALPHA, (1.0, 1.0), agent, lam=lam)
-        assert row.offset == base.offset + lam
-        assert np.array_equal(row.normal, base.normal)
+        normal, offset = row((1.0, 1.0), [4.0, 3.0], [-1.0, 0.5], lam)
+        assert offset == base[1] + lam
+        assert np.array_equal(normal, base[0])
 
 
 def test_constraint_residual_is_affine():
-    agent = AgentState(agent_id=2, position=[4.0, 0.0], velocity=[0.0, 0.0])
-    row = build_true_constraint(CBF, ALPHA, (0.0, 0.0), agent)
+    normal, offset = row((0.0, 0.0), [4.0, 0.0], [0.0, 0.0])
+    constraint = AffineConstraint(normal=normal, offset=offset, agent_id=2)
     u = np.array([2.0, -1.0])
-    assert abs(row.residual(u) - (float(row.normal @ u) + row.offset)) <= 1e-15
+    assert abs(constraint.residual(u) - (float(normal @ u) + offset)) <= 1e-15

@@ -334,6 +334,19 @@ class TestExitCodes:
         assert len(trace.read_text(encoding="utf-8").splitlines()) == frames
 
 
+    @pytest.mark.parametrize(
+        "key, value", [("eta", 0.0), ("epsilon", 0.5), ("lambda_initial", math.inf)]
+    )
+    def test_bad_margin_value_names_its_key(self, tmp_path, capsys, key, value):
+        out = tmp_path / "m.csv"
+        code = main(
+            ["run", "--config", write_config(tmp_path, **{key: value}),
+             "--scene", make_scene(tmp_path), "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("k_acc", [1e308, 100.0, 20.0])
     def test_unsettling_tracking_gain_is_a_config_error(self, tmp_path, capsys, k_acc):
         # tracking maps the velocity error e to (1 - k_acc * dt) e, which

@@ -6,29 +6,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import rows_to_arrays
-from conformal_cbf.barrier import AgentState, BoundSet, ClassKappa, PotentialFieldCbf
+from _oracles import Window, differentiate, gap_reference, scalar_row, scalar_terms
+from conformal_cbf.barrier import BoundSet, ClassKappa, PotentialFieldCbf
 from conformal_cbf.conformal import (
     NO_AGENTS,
     ConformalState,
+    EgoWindow,
     Squashing,
-    gap,
     lambda_safe_bound,
     make_certificate,
     risk_bound,
     window_loss,
 )
 from conformal_cbf.errors import ConfigError, InputError
-from conformal_cbf.predictor import SampledTrajectory
+from conformal_cbf.qp import QpProblem, solve
 
 CBF = PotentialFieldCbf(k_rep=2.0, rho0=10.0, delta=0.5)
 ALPHA = ClassKappa.linear(1.0)
-
-
-def traj(agent_id, positions, start_frame=0, dt=0.1):
-    return SampledTrajectory(
-        agent_id=agent_id, start_frame=start_frame, dt=dt, positions=positions
-    )
+# window_loss with this map returns the worst gap itself
+IDENTITY = Squashing(name="identity", fn=lambda r: r, inv=lambda y: y)
 
 
 class TestSquashing:
@@ -70,50 +66,44 @@ class TestSquashing:
 
 
 class TestGap:
+    """The per-sample gap as window_loss computes it, read through the
+    identity squash: two samples 0.1 s apart, the second out of range
+    (where h is 1 - delta and the gradient zero, so its gap is lam)."""
+
+    EGO = EgoWindow(np.array([[0.0, 0.0], [0.0, 0.0]]), 0.1)
+
+    def worst_gap(self, actual, predicted, lam):
+        return window_loss(CBF, ALPHA, [predicted], [actual], self.EGO, lam, IDENTITY)
+
     def test_perfect_prediction_is_zero(self):
-        actual = AgentState(agent_id=1, position=[3.0, 0.0], velocity=[0.5, 0.0])
-        predicted = AgentState(agent_id=1, position=[3.0, 0.0], velocity=[0.5, 0.0])
-        g = gap(CBF, ALPHA, [0.0, 0.0], actual, predicted, lam=0.0)
-        assert g == 0.0
+        track = [[3.0, 0.0], [3.05, 0.0]]
+        assert self.worst_gap(track, track, lam=0.0) == 0.0
 
     def test_lambda_shifts_gap_exactly(self):
-        actual = AgentState(agent_id=1, position=[3.0, 0.0], velocity=[0.5, 0.0])
-        predicted = AgentState(agent_id=1, position=[3.0, 0.0], velocity=[0.5, 0.0])
-        assert gap(CBF, ALPHA, [0.0, 0.0], actual, predicted, lam=0.7) == 0.7
+        track = [[3.0, 0.0], [3.05, 0.0]]
+        assert self.worst_gap(track, track, lam=0.7) == 0.7
 
     def test_velocity_error_only(self):
-        # Same position, different velocity: the gap is the flow-term
-        # difference grad_j . (v_hat - v), position terms cancel.
-        ego = np.array([0.0, 0.0])
-        pos = np.array([4.0, 0.0])
-        actual = AgentState(agent_id=1, position=pos, velocity=[1.0, 0.0])
-        predicted = AgentState(agent_id=1, position=pos, velocity=[1.5, 0.0])
-        from conformal_cbf.barrier import cbf_gradient
-
-        _, grad_agent = cbf_gradient(CBF, ego, pos)
-        expected = float(grad_agent @ np.array([0.5, 0.0]))
-        g = gap(CBF, ALPHA, ego, actual, predicted, lam=0.0)
-        assert abs(g - expected) <= 1e-15
-
-    def test_mismatched_ids_rejected(self):
-        a = AgentState(agent_id=1, position=[3.0, 0.0], velocity=[0.0, 0.0])
-        b = AgentState(agent_id=2, position=[3.0, 0.0], velocity=[0.0, 0.0])
-        with pytest.raises(InputError):
-            gap(CBF, ALPHA, [0.0, 0.0], a, b, lam=0.0)
+        # Same position at the first sample, different one-sided
+        # velocity: the gap there is the flow-term difference
+        # grad_agent . (v_hat - v), the position terms cancel.
+        actual = [[4.0, 0.0], [14.0, 0.0]]  # v = (100, 0)
+        predicted = [[4.0, 0.0], [14.05, 0.0]]  # v = (100.5, 0)
+        _, grad_ego = scalar_terms(CBF, [0.0, 0.0], [4.0, 0.0])
+        v_hat, v = (differentiate(Window(1, 0, 0.1, np.array(t)), 0) for t in (predicted, actual))
+        expected = float(-grad_ego @ (v_hat - v))
+        assert expected > 0.0
+        assert abs(self.worst_gap(actual, predicted, lam=0.0) - expected) <= 1e-12
 
 
 class TestWindowLoss:
     def make_windows(self, shift=0.0):
-        ego = traj(-1, [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
-        actual = {
-            1: traj(1, [[4.0, 0.0], [4.0, 0.5], [4.0, 1.0]]),
-            2: traj(2, [[-3.0, 1.0], [-3.0, 1.0], [-3.0, 1.0]]),
-        }
-        predicted = {
-            1: traj(1, [[4.0 + shift, 0.0], [4.0 + shift, 0.5], [4.0 + shift, 1.0]]),
-            2: traj(2, [[-3.0 + shift, 1.0], [-3.0 + shift, 1.0], [-3.0 + shift, 1.0]]),
-        }
-        return ego, predicted, actual
+        ego = EgoWindow(np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]), 0.1)
+        actual = np.array([
+            [[4.0, 0.0], [4.0, 0.5], [4.0, 1.0]],
+            [[-3.0, 1.0], [-3.0, 1.0], [-3.0, 1.0]],
+        ])
+        return ego, actual + [shift, 0.0], actual
 
     def test_perfect_prediction_zero_lambda(self):
         ego, predicted, actual = self.make_windows()
@@ -126,8 +116,9 @@ class TestWindowLoss:
         assert abs(loss - 0.25) <= 1e-15
 
     def test_no_agents_sentinel(self):
-        ego = traj(-1, [[0.0, 0.0], [0.1, 0.0]])
-        assert window_loss(CBF, ALPHA, {}, {}, ego, lam=0.0) is NO_AGENTS
+        ego = EgoWindow(np.array([[0.0, 0.0], [0.1, 0.0]]), 0.1)
+        none = np.zeros((0, 2, 2))
+        assert window_loss(CBF, ALPHA, none, none, ego, lam=0.0) is NO_AGENTS
 
     def test_monotone_in_lambda(self):
         ego, predicted, actual = self.make_windows(shift=0.3)
@@ -142,44 +133,32 @@ class TestWindowLoss:
         lam = 0.4
         got = window_loss(CBF, ALPHA, predicted, actual, ego, lam=lam)
 
-        from conformal_cbf.predictor import differentiate
-
         worst = -math.inf
-        for aid in (1, 2):
+        for j in range(2):
+            a, p = (Window(j, 0, 0.1, t[j]) for t in (actual, predicted))
             for frame in range(3):
-                a = AgentState(
-                    agent_id=aid,
-                    position=actual[aid].position_at(frame),
-                    velocity=differentiate(actual[aid], frame),
-                )
-                p = AgentState(
-                    agent_id=aid,
-                    position=predicted[aid].position_at(frame),
-                    velocity=differentiate(predicted[aid], frame),
-                )
-                worst = max(
-                    worst,
-                    gap(CBF, ALPHA, ego.position_at(frame), a, p, lam=lam),
-                )
+                states = [x for t in (a, p) for x in (t.position_at(frame), differentiate(t, frame))]
+                worst = max(worst, gap_reference(CBF, ALPHA, ego.positions[frame], *states, lam))
         expected = math.atan(worst) / math.pi
         assert abs(got - expected) <= 1e-15
 
     def test_agent_set_mismatch_rejected(self):
         ego, predicted, actual = self.make_windows()
-        del predicted[2]
         with pytest.raises(InputError):
-            window_loss(CBF, ALPHA, predicted, actual, ego, lam=0.0)
+            window_loss(CBF, ALPHA, predicted[:1], actual, ego, lam=0.0)
 
     def test_grid_mismatch_rejected(self):
+        # a window one sample longer than the ego's
         ego, predicted, actual = self.make_windows()
-        predicted[1] = traj(1, [[4.0, 0.0], [4.0, 0.5], [4.0, 1.0]], start_frame=5)
+        longer = np.concatenate([actual, actual[:, -1:]], axis=1)
         with pytest.raises(InputError):
-            window_loss(CBF, ALPHA, predicted, actual, ego, lam=0.0)
+            window_loss(CBF, ALPHA, longer, longer, ego, lam=0.0)
 
     def test_short_ego_window_rejected(self):
-        ego = traj(-1, [[0.0, 0.0]])
+        ego = EgoWindow(np.array([[0.0, 0.0]]), 0.1)
+        none = np.zeros((0, 1, 2))
         with pytest.raises(InputError):
-            window_loss(CBF, ALPHA, {}, {}, ego, lam=0.0)
+            window_loss(CBF, ALPHA, none, none, ego, lam=0.0)
 
 
 class TestUpdate:
@@ -361,26 +340,22 @@ class TestTightDecisionSemantics:
     def test_true_residual_is_negated_gap_on_tight_constraint(self):
         # if the controller sits exactly on the inflated constraint, the
         # margin it actually has on the true one is minus the gap
-        from conformal_cbf.barrier import (
-            build_conformal_constraint,
-            build_true_constraint,
-        )
-        from conformal_cbf.qp import QpProblem, solve
-
         ego_pos = np.array([0.0, 0.0])
-        actual = AgentState(agent_id=1, position=[4.0, 0.0], velocity=[-1.0, 0.0])
-        predicted = AgentState(agent_id=1, position=[4.0, 0.0], velocity=[-1.4, 0.0])
+        position = [4.0, 0.0]
+        actual_velocity, predicted_velocity = [-1.0, 0.0], [-1.4, 0.0]
         lam = 0.05
 
-        inflated = build_conformal_constraint(CBF, ALPHA, ego_pos, predicted, lam)
-        true_row = build_true_constraint(CBF, ALPHA, ego_pos, actual)
+        inflated = scalar_row(CBF, ALPHA, ego_pos, position, predicted_velocity, lam)
+        normal, true_offset = scalar_row(CBF, ALPHA, ego_pos, position, actual_velocity, 0.0)
 
         # drive the reference deep into violation so the row goes active
         # (the ego-side normal points away from the agent, so a reference
         # charging toward the agent violates it)
         reference = np.array([50.0, 0.0])
-        sol = solve(QpProblem(reference, *rows_to_arrays([inflated])))
-        assert abs(inflated.residual(sol.decision)) <= 1e-8
+        sol = solve(QpProblem(reference, [inflated[0]], [inflated[1]], [1]))
+        assert abs(float(inflated[0] @ sol.decision) + inflated[1]) <= 1e-8
 
-        g = gap(CBF, ALPHA, ego_pos, actual, predicted, lam=lam)
-        assert abs(true_row.residual(sol.decision) - (-g)) <= 1e-12
+        g = gap_reference(
+            CBF, ALPHA, ego_pos, position, actual_velocity, position, predicted_velocity, lam
+        )
+        assert abs(float(normal @ sol.decision) + true_offset - (-g)) <= 1e-12

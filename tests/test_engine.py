@@ -16,20 +16,21 @@ import numpy as np
 import pytest
 
 from _golden import CROSSING, cases
-from _oracles import predict_reference
+from _oracles import (
+    differentiate,
+    future_window,
+    history_window,
+    predict_reference,
+    scalar_row,
+    scene_from_frames,
+)
 from conformal_cbf import barrier, engine
-from conformal_cbf.barrier import AgentState, build_conformal_constraint
 from conformal_cbf.cli import BUILTIN_SCENES, build_setup
 from conformal_cbf.dynamics import RobotState
 from conformal_cbf.conformal import ConformalState
 from conformal_cbf.engine import SimConfig, run, sweep
 from conformal_cbf.errors import ConfigError, InfeasibleRunError
-from conformal_cbf.predictor import (
-    GROUND_TRUTH,
-    NOISE_BOUNDED,
-    PredictorKind,
-    differentiate,
-)
+from conformal_cbf.predictor import GROUND_TRUTH, NOISE_BOUNDED, PredictorKind
 from conformal_cbf.scenario import (
     RobotTask,
     ScenarioFrameSet,
@@ -149,7 +150,7 @@ class TestConfigValidation:
 
 class TestEmptyScene:
     def test_cruises_straight_to_goal(self):
-        scene = ScenarioFrameSet(scene_name="empty", fps=10.0, frames={}, labels={})
+        scene = scene_from_frames({})
         cfg = replace(BASE, tau_frames=3, horizon_frames=6, max_frames=200)
         metrics = run(cfg, scene, make_task((0.0, 0.0), (10.0, 0.0), radius=0.5))
         assert metrics.reached and metrics.t_goal > 0.0
@@ -160,7 +161,7 @@ class TestEmptyScene:
         assert all(lam == 0.0 for _, lam in metrics.lambda_trace)
 
     def test_max_frames_caps_an_unreachable_goal(self):
-        scene = ScenarioFrameSet(scene_name="empty", fps=10.0, frames={}, labels={})
+        scene = scene_from_frames({})
         cfg = replace(BASE, tau_frames=3, horizon_frames=6, max_frames=20)
         metrics = run(cfg, scene, make_task((0.0, 0.0), (1000.0, 0.0), gain=0.001))
         assert metrics.t_goal is None
@@ -230,11 +231,13 @@ class TestGroundTruthFixedPoint:
             ego_w = np.array(by_frame[wstart]["position"])
             histories = {}
             for agent_id, _ in sensed_agents(scene, ego_w, cfg.rho0, wstart):
-                hist = scene.history_of(agent_id, wstart, tau)
+                hist = history_window(scene.frames, agent_id, wstart, tau, scene.dt)
                 if hist is not None and hist.n_samples >= 2:
                     histories[agent_id] = hist
             futures = {
-                agent_id: scene.future_of(agent_id, wstart, cfg.horizon_frames)
+                agent_id: future_window(
+                    scene.frames, agent_id, wstart, cfg.horizon_frames, scene.dt
+                )
                 for agent_id in histories
             }
             preds = predict_reference(kind, histories, cfg.horizon_frames, futures=futures)
@@ -249,23 +252,12 @@ class TestGroundTruthFixedPoint:
                 dist = float(np.linalg.norm(pos - here))
                 if dist <= 0.0 or dist >= cfg.rho0:
                     continue
-                rows.append(
-                    build_conformal_constraint(
-                        cbf,
-                        alpha,
-                        here,
-                        AgentState(
-                            agent_id=agent_id,
-                            position=pos,
-                            velocity=differentiate(ptraj, r["frame"]),
-                        ),
-                        r["lambda"],
-                    )
-                )
+                velocity = differentiate(ptraj, r["frame"])
+                rows.append(scalar_row(cbf, alpha, here, pos, velocity, r["lambda"]))
             assert len(rows) == r["n_constraints"]
             command = np.array(r["command"])
-            for row in rows:
-                assert row.residual(command) >= -1e-9
+            for normal, offset in rows:
+                assert float(normal @ command) + offset >= -1e-9
             checked += 1
         assert checked > 0
 
@@ -343,11 +335,8 @@ class TestCollisionAccounting:
     def test_counts_frames_below_the_override_threshold(self):
         # an agent parked one pixel away for exactly three frames
         pos = np.array([1.0, 0.0])
-        scene = ScenarioFrameSet(
-            scene_name="brush",
-            fps=10.0,
-            frames={f: {7: pos.copy()} for f in range(3)},
-            labels={7: "Pedestrian"},
+        scene = scene_from_frames(
+            {f: {7: pos} for f in range(3)}, labels={7: "Pedestrian"}, name="brush"
         )
         cfg = replace(
             BASE,
@@ -489,6 +478,33 @@ class TestSweep:
         serial = sweep(self.CFG, grid, self.SCENE, self._task())
         parallel = sweep(self.CFG, grid, self.SCENE, self._task(), workers=2)
         assert serial == parallel
+
+    def test_pool_starts_no_more_workers_than_cells(self, monkeypatch):
+        # the pool forks all its workers up front; this one maps serially
+        # in this process, so no process is started
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(engine, "_worker_scene", None)
+        grid = {"epsilon": [-0.2, 0.2]}
+        rows = sweep(self.CFG, grid, self.SCENE, self._task(), workers=64)
+        assert rows == sweep(self.CFG, grid, self.SCENE, self._task())
+        sweep(self.CFG, {"eta": [1.0, 2.0, 3.0]}, self.SCENE, self._task(), workers=2)
+        assert started == [2, 2]
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ cases and regenerates them.
 import pytest
 
 from _golden import GOLDEN, cases, run_case
-from conformal_cbf.predictor import SampledTrajectory
+from conformal_cbf import engine
 
 CASES = cases()
 
@@ -26,17 +26,33 @@ def test_outputs_match_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", ["crowd16", "crowd16_ground_truth", "standing_noise"])
 def test_runs_build_no_trajectory_objects(name, tmp_path, monkeypatch):
-    """Prediction, rows and scoring work on arrays: a run of any predictor
-    kind constructs no SampledTrajectory."""
-    built = []
-    original = SampledTrajectory.__post_init__
+    """Prediction, rows and scoring work on arrays for any predictor kind,
+    with no per-agent object or call: each window is predicted in at most
+    one predict call and scored in at most one window_loss call, each
+    frame's rows come from one _rows call, and every track any of them is
+    given is one (agents, samples, 2) stack."""
+    calls = {"predict": 0, "window_loss": 0, "_rows": 0}
+    stacks = []
 
-    def counting(self):
-        built.append(self.agent_id)
-        original(self)
+    def count(fn_name, stack_of):
+        fn = getattr(engine, fn_name)
 
-    monkeypatch.setattr(SampledTrajectory, "__post_init__", counting)
+        def wrapper(*args, **kwargs):
+            calls[fn_name] += 1
+            stacks.append(stack_of(args))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, fn_name, wrapper)
+
+    count("predict", lambda args: args[2])  # the histories
+    count("window_loss", lambda args: args[2])  # the predicted positions
+    count("_rows", lambda args: args[2].positions)
     config, spec = CASES[name]
-    csv, _ = run_case(name, config, spec, tmp_path)
+    csv, trace = run_case(name, config, spec, tmp_path)
     assert csv == (GOLDEN / f"{name}.csv").read_bytes()
-    assert built == []
+    frames = len(trace.splitlines())
+    windows = -(-frames // config["tau_frames"])
+    assert calls["_rows"] == frames
+    assert 0 < calls["predict"] <= windows
+    assert 0 < calls["window_loss"] <= windows
+    assert all(s.ndim == 3 and s.shape[2] == 2 for s in stacks)

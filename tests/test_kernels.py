@@ -1,8 +1,8 @@
-"""The array kernels against the scalar routines they replace, compared with ==.
+"""The array kernels against the scalar references in _oracles.py, compared with ==.
 
-barrier_terms, barrier_rows and velocities evaluate the same floating-point
-operations as the per-sample code, so their results must be bitwise equal to
-it, not merely close.  Distances and dot products go through np.vecdot and
+barrier_terms, the engine's frame rows, window_loss and velocities evaluate
+the same floating-point operations as the per-sample code, so their results
+must be bitwise equal to it, not merely close.  Distances and dot products go through np.vecdot and
 squares through np.float_power; if a numpy build stops matching
 np.linalg.norm, @ and Python's ** there, these tests fail first.
 """
@@ -15,21 +15,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_cbf.barrier import (
-    AgentState,
-    ClassKappa,
-    PotentialFieldCbf,
-    barrier_rows,
-    barrier_terms,
-    build_conformal_constraint,
-    cbf_gradient,
-    cbf_value,
+from _oracles import (
+    Window,
+    differentiate,
+    gap_reference,
+    scalar_row,
+    scalar_terms,
+    stack_reference,
 )
-from _oracles import stack_reference
-from conformal_cbf.conformal import EgoWindow, gap, window_loss
+from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, barrier_terms
+from conformal_cbf.conformal import EgoWindow, window_loss
 from conformal_cbf.engine import _rows
 from conformal_cbf.errors import InputError, SingularityError
-from conformal_cbf.predictor import SampledTrajectory, differentiate, velocities
+from conformal_cbf.predictor import Predictions, velocities
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -52,14 +50,6 @@ alphas = st.one_of(
 )
 
 
-def scalar_terms(cbf, ego, agent):
-    """h and grad_ego exactly as the per-pair scalar code computes them."""
-    diff = np.asarray(ego, dtype=np.float64) - np.asarray(agent, dtype=np.float64)
-    d = float(np.linalg.norm(diff))
-    h = 1.0 / (1.0 + cbf.potential(d)) - cbf.delta
-    return h, (cbf.radial_derivative(d) / d) * diff
-
-
 def singular(cbf, ego, agents):
     """Whether the scalar code rejects some pair as coincident; when it
     does, so must the kernels, with no other error or warning."""
@@ -74,11 +64,6 @@ def singular(cbf, ego, agents):
 def near(ego, offsets):
     """Agents at the given offsets from the ego."""
     return [(ego[0] + dx, ego[1] + dy) for dx, dy in offsets]
-
-
-def scalar_row(cbf, alpha, ego, agent, velocity, lam):
-    h, grad_ego = scalar_terms(cbf, ego, agent)
-    return grad_ego, float(-grad_ego @ np.asarray(velocity)) + alpha.value(h) + lam
 
 
 def offsets_of(ego, agents):
@@ -105,8 +90,6 @@ def test_barrier_terms_match_scalar_barrier(cbf, ego, agents, close):
         h_ref, grad_ref = scalar_terms(cbf, ego, agent)
         assert h[i] == h_ref
         assert np.all(grad[i] == grad_ref)
-        assert h[i] == cbf_value(cbf, ego, agent)
-        assert np.all(grad[i] == cbf_gradient(cbf, ego, agent)[0])
 
 
 @SETTINGS
@@ -118,7 +101,7 @@ def test_barrier_terms_vanish_beyond_rho0(cbf, ego, bearing, excess):
     if np.linalg.norm(diff[0]) < cbf.rho0:
         return  # rounding pulled the agent back inside
     h, grad = barrier_terms(cbf, diff)
-    assert h[0] == 1.0 - cbf.delta == cbf_value(cbf, ego, agent)
+    assert h[0] == 1.0 - cbf.delta == scalar_terms(cbf, ego, agent)[0]
     assert np.all(grad[0] == 0.0)
 
 
@@ -129,7 +112,7 @@ def test_barrier_terms_vanish_beyond_rho0(cbf, ego, bearing, excess):
     start=st.integers(-50, 50),
 )
 def test_velocities_match_differentiate_at_every_frame(positions, dt, start):
-    traj = SampledTrajectory(agent_id=1, start_frame=start, dt=dt, positions=positions)
+    traj = Window(1, start, dt, np.array(positions))
     got = velocities(traj.positions, dt)
     for i in range(traj.n_samples):
         assert np.all(got[i] == differentiate(traj, start + i))
@@ -145,25 +128,24 @@ def test_velocities_match_differentiate_at_every_frame(positions, dt, start):
     lam=st.floats(-5.0, 5.0),
 )
 def test_batched_rows_match_build_conformal_constraint(cbf, alpha, ego, agents, close, lam):
+    """A frame's rows over a batch of agents, for any class-kappa
+    function, against the per-pair row build_conformal_constraint made:
+    scalar_row.  Agents closer than min_distance give no row."""
     agents = agents + [(p, (1.0, -2.0)) for p in near(ego, close)]
-    if singular(cbf, ego, [p for p, _ in agents]):
-        with pytest.raises(SingularityError):
-            barrier_rows(
-                cbf, alpha, offsets_of(ego, [p for p, _ in agents]),
-                np.array([v for _, v in agents]),
-            )
-        return
-    normals, offsets = barrier_rows(
-        cbf, alpha, offsets_of(ego, [p for p, _ in agents]), np.array([v for _, v in agents])
+    ego = np.asarray(ego, dtype=np.float64)
+    predicted = Predictions(
+        ids=np.arange(len(agents)),
+        positions=np.array([[p] for p, _ in agents], dtype=np.float64),
+        velocities=np.array([[v] for _, v in agents], dtype=np.float64),
+        lengths=np.ones(len(agents), dtype=np.intp),
     )
-    offsets = offsets + lam
-    for i, (p, v) in enumerate(agents):
-        row = build_conformal_constraint(
-            cbf, alpha, ego, AgentState(agent_id=i, position=p, velocity=v), lam
-        )
-        normal_ref, offset_ref = scalar_row(cbf, alpha, ego, p, v, lam)
-        assert np.all(normals[i] == row.normal) and np.all(row.normal == normal_ref)
-        assert offsets[i] == row.offset == offset_ref
+    normals, offsets, ids = _rows(cbf, alpha, predicted, 0, ego, math.inf, lam)
+    want = [i for i, (p, _) in enumerate(agents) if not singular(cbf, ego, [p])]
+    assert ids.tolist() == want
+    for normal, offset, i in zip(normals, offsets, want):
+        normal_ref, offset_ref = scalar_row(cbf, alpha, ego, *agents[i], lam)
+        assert np.all(normal == normal_ref)
+        assert offset == offset_ref
 
 
 @SETTINGS
@@ -179,14 +161,14 @@ def test_batched_rows_match_build_conformal_constraint(cbf, alpha, ego, agents, 
 def test_engine_frame_rows_match_build_conformal_constraint(
     cbf, ego, tracks, lengths, k, close, lam
 ):
+    """The engine's rows at sample k of a window against the per-pair row
+    build_conformal_constraint made (scalar_row), agent by agent."""
     alpha = ClassKappa.linear(10.0)
     for j, dx, dy in close:  # samples on or next to the ego, which give no row
         if j < len(tracks):
             tracks[j][k] = near(ego, [(dx, dy)])[0]
     predictions = {
-        3 * j + 1: SampledTrajectory(
-            agent_id=3 * j + 1, start_frame=40, dt=0.1, positions=track[: max(n, 2)]
-        )
+        3 * j + 1: Window(3 * j + 1, 40, 0.1, np.array(track[: max(n, 2)]))
         for j, (track, n) in enumerate(zip(tracks, lengths))
     }
     normals, offsets, ids = _rows(
@@ -202,12 +184,12 @@ def test_engine_frame_rows_match_build_conformal_constraint(
         dist = float(np.linalg.norm(pos - np.asarray(ego)))
         if dist < cbf.min_distance or dist >= cbf.rho0:
             continue
-        agent = AgentState(agent_id=agent_id, position=pos, velocity=differentiate(traj, 40 + k))
-        expected.append(build_conformal_constraint(cbf, alpha, ego, agent, lam))
-    assert ids.tolist() == [r.agent_id for r in expected]
-    for normal, offset, want in zip(normals, offsets, expected):
-        assert np.all(normal == want.normal)
-        assert offset == want.offset
+        row = scalar_row(cbf, alpha, ego, pos, differentiate(traj, 40 + k), lam)
+        expected.append((agent_id, *row))
+    assert ids.tolist() == [agent_id for agent_id, _, _ in expected]
+    for normal, offset, (_, normal_ref, offset_ref) in zip(normals, offsets, expected):
+        assert np.all(normal == normal_ref)
+        assert offset == offset_ref
 
 
 @SETTINGS
@@ -223,26 +205,21 @@ def test_engine_frame_rows_match_build_conformal_constraint(
     lam=st.floats(-5.0, 5.0),
 )
 def test_window_loss_matches_per_sample_gaps(cbf, alpha, windows, ego, lam):
-    def traj(agent_id, positions):
-        return SampledTrajectory(agent_id=agent_id, start_frame=7, dt=0.1, positions=positions)
-
-    ego_traj = traj(-1, ego)
-    predicted = {i: traj(i, p) for i, (p, _) in enumerate(windows)}
-    actual = {i: traj(i, a) for i, (_, a) in enumerate(windows)}
+    predicted = np.array([p for p, _ in windows])
+    actual = np.array([a for _, a in windows])
+    ego = np.array(ego)
     worst = -math.inf
     try:
-        for i in predicted:
+        for i in range(len(windows)):
+            tracks = [Window(i, 7, 0.1, t[i]) for t in (actual, predicted)]
             for f in range(7, 12):
-                states = [
-                    AgentState(agent_id=i, position=t.position_at(f), velocity=differentiate(t, f))
-                    for t in (actual[i], predicted[i])
-                ]
-                worst = max(worst, gap(cbf, alpha, ego_traj.position_at(f), *states, lam))
+                states = [x for t in tracks for x in (t.position_at(f), differentiate(t, f))]
+                worst = max(worst, gap_reference(cbf, alpha, ego[f - 7], *states, lam))
     except SingularityError:  # a coincident sample: the window has no loss
         with pytest.raises(SingularityError):
-            window_loss(cbf, alpha, predicted, actual, ego_traj, lam)
+            window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), lam)
         return
-    got = window_loss(cbf, alpha, predicted, actual, ego_traj, lam)
+    got = window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), lam)
     assert got == math.atan(worst) / math.pi
 
 
@@ -388,7 +365,3 @@ def test_lengths_need_the_array_form_and_must_fit():
     for lengths in ([1, 4], [2, 5], [2, 3, 4], [2.0, 4.0]):
         with pytest.raises(InputError, match="lengths"):
             window_loss(cbf, alpha, pred, pred, ego, 0.0, lengths=lengths)
-    traj = SampledTrajectory(agent_id=1, start_frame=0, dt=0.1, positions=pred[0])
-    ego_traj = SampledTrajectory(agent_id=-1, start_frame=0, dt=0.1, positions=np.zeros((4, 2)))
-    with pytest.raises(InputError, match="lengths"):
-        window_loss(cbf, alpha, {1: traj}, {1: traj}, ego_traj, 0.0, lengths=[4])

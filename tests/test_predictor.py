@@ -1,9 +1,10 @@
-"""Tests for trajectory windows, differencing and the array predictors."""
+"""Tests for finite-difference velocities and the array predictors."""
 
 import numpy as np
 import pytest
 
-from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, cbf_gradient
+from _oracles import scene_from_frames
+from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, barrier_terms
 from conformal_cbf.conformal import EgoWindow, window_loss
 from conformal_cbf.dynamics import RobotState
 from conformal_cbf.engine import SimConfig, _predict_window
@@ -13,93 +14,35 @@ from conformal_cbf.predictor import (
     GROUND_TRUTH,
     NOISE_BOUNDED,
     PredictorKind,
-    SampledTrajectory,
-    differentiate,
     predict,
     velocities,
 )
-from conformal_cbf.scenario import ScenarioFrameSet
 
 CBF = PotentialFieldCbf(k_rep=2.0, rho0=10.0, delta=0.5)
 
 
-def traj(agent_id, positions, start_frame=0, dt=0.1):
-    return SampledTrajectory(
-        agent_id=agent_id, start_frame=start_frame, dt=dt, positions=positions
-    )
-
-
-class TestSampledTrajectory:
-    def test_accessors(self):
-        t = traj(3, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], start_frame=5)
-        assert t.n_samples == 3
-        assert t.end_frame == 8
-        assert t.contains(5) and t.contains(7) and not t.contains(8)
-        assert np.array_equal(t.position_at(6), [1.0, 0.0])
-        with pytest.raises(InputError):
-            t.position_at(8)
-
-    def test_prefix(self):
-        t = traj(3, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        p = t.prefix(2)
-        assert p.n_samples == 2
-        assert p.start_frame == t.start_frame
-        assert np.array_equal(p.positions, t.positions[:2])
-        with pytest.raises(InputError):
-            t.prefix(0)
-        with pytest.raises(InputError):
-            t.prefix(4)
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            traj(1, np.zeros((0, 2)))
-        with pytest.raises(InputError):
-            traj(1, [[0.0, 0.0, 0.0]])
-        with pytest.raises(InputError):
-            traj(1, [[np.nan, 0.0]])
-        with pytest.raises(InputError):
-            SampledTrajectory(agent_id=1, start_frame=0, dt=0.0, positions=[[0.0, 0.0]])
-
-
 class TestDifferentiate:
     def test_linear_motion_is_exact_everywhere(self):
-        t = traj(1, [[0.0, 0.0], [0.1, 0.2], [0.2, 0.4], [0.3, 0.6]], dt=0.1)
-        for frame in range(4):
-            assert np.allclose(differentiate(t, frame), [1.0, 2.0], atol=1e-12)
+        v = velocities([[0.0, 0.0], [0.1, 0.2], [0.2, 0.4], [0.3, 0.6]], 0.1)
+        assert np.allclose(v, [[1.0, 2.0]] * 4, atol=1e-12)
 
     def test_stationary_is_zero(self):
-        t = traj(1, [[2.0, 3.0]] * 5)
-        for frame in range(5):
-            assert np.array_equal(differentiate(t, frame), [0.0, 0.0])
+        assert np.array_equal(velocities([[2.0, 3.0]] * 5, 0.1), np.zeros((5, 2)))
 
     def test_quadratic_interior(self):
         # x(t) = t^2 sampled at dt = 0.5; central difference at t = 1 is
         # exact for a parabola: ((1.5^2 - 0.5^2) / 1.0) = 2.0
         ts = np.arange(5) * 0.5
-        t = traj(1, np.stack([ts**2, np.zeros(5)], axis=1), dt=0.5)
-        v = differentiate(t, 2)
-        assert abs(v[0] - 2.0) <= 1e-12
+        v = velocities(np.stack([ts**2, np.zeros(5)], axis=1), 0.5)
+        assert abs(v[2, 0] - 2.0) <= 1e-12
 
     def test_edges_are_one_sided(self):
-        t = traj(1, [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], dt=1.0)
-        assert np.allclose(differentiate(t, 0), [1.0, 0.0])
-        assert np.allclose(differentiate(t, 2), [2.0, 0.0])
-        assert np.allclose(differentiate(t, 1), [1.5, 0.0])
-
-    def test_start_frame_shift_invariance(self):
-        pos = [[0.0, 0.0], [1.0, 1.0], [1.5, 0.5], [3.0, 2.0]]
-        a = traj(1, pos, start_frame=0)
-        b = traj(1, pos, start_frame=100)
-        for i in range(4):
-            assert np.array_equal(differentiate(a, i), differentiate(b, 100 + i))
+        v = velocities([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], 1.0)
+        assert np.allclose(v, [[1.0, 0.0], [1.5, 0.0], [2.0, 0.0]])
 
     def test_errors(self):
-        single = traj(1, [[0.0, 0.0]])
         with pytest.raises(InputError):
-            differentiate(single, 0)
-        t = traj(1, [[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(InputError):
-            differentiate(t, 2)
+            velocities([[0.0, 0.0]], 0.1)
 
 
 def predict_one(kind, history, horizon, future=None, **kwargs):
@@ -115,8 +58,8 @@ def scene_of(tracks):
     frames = {}
     for agent_id, samples in tracks.items():
         for f, xy in samples.items():
-            frames.setdefault(f, {})[agent_id] = np.array(xy, dtype=np.float64)
-    return ScenarioFrameSet(scene_name="p", fps=10.0, frames=frames, labels={})
+            frames.setdefault(f, {})[agent_id] = xy
+    return scene_from_frames(frames)
 
 
 def window_at(scene, frame, kind=PredictorKind(kind=CONSTANT_VELOCITY), horizon=4):
@@ -269,10 +212,10 @@ class TestNoiseBoundedOracle:
                 instants += 1
                 if np.linalg.norm(got[i] - future[i]) > value_bound + 1e-12:
                     violations += 1
-                _, g_true = cbf_gradient(CBF, ego, future[i])
-                _, g_pred = cbf_gradient(CBF, ego, got[i])
-                q_true = float(g_true @ v_true[i])
-                q_pred = float(g_pred @ v_pred[i])
+                _, g_true = barrier_terms(CBF, ego - future[i])
+                _, g_pred = barrier_terms(CBF, ego - got[i])
+                q_true = float(-g_true @ v_true[i])
+                q_pred = float(-g_pred @ v_pred[i])
                 if abs(q_pred - q_true) > dynamics_bound + 1e-12:
                     violations += 1
         assert instants >= 150

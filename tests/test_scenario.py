@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from _oracles import scene_from_frames
 from conformal_cbf.dynamics import RobotState
-from conformal_cbf.errors import ConfigError, ParseError
+from conformal_cbf.errors import ConfigError, InputError, ParseError
 from conformal_cbf.scenario import (
     RobotTask,
     ScenarioFrameSet,
     load_annotations,
     load_scene_spec,
     reference_control,
-    save_annotations,
     sensed_agents,
     synth_scene,
 )
@@ -95,38 +95,30 @@ class TestLoadAnnotations:
         assert set(scene.frames) == {0}
 
     def test_round_trip_is_exact(self, tmp_path):
+        # positions written as zero-area boxes with full float precision
+        # load back bit for bit
         rng = np.random.default_rng(17)
         frames = {}
-        labels = {}
+        lines = []
         for frame in range(5):
-            row = {}
             for agent in range(1 + frame % 3):
-                row[agent] = rng.uniform(-100, 1000, size=2)
-                labels.setdefault(agent, "Pedestrian")
-            frames[frame] = row
-        scene = ScenarioFrameSet(
-            scene_name="synthetic", fps=30.0, frames=frames, labels=labels
-        )
-        p = tmp_path / "out.txt"
-        save_annotations(scene, p)
+                x, y = rng.uniform(-100, 1000, size=2).tolist()
+                frames.setdefault(frame, {})[agent] = (x, y)
+                lines.append(f'{agent} {x!r} {y!r} {x!r} {y!r} {frame} 0 0 0 "Pedestrian"\n')
+        p = write(tmp_path, "out.txt", "".join(lines))
         back = load_annotations(p, scene_name="synthetic")
-        assert set(back.frames) == set(scene.frames)
-        for frame, row in scene.frames.items():
+        assert set(back.frames) == set(frames)
+        for frame, row in frames.items():
             assert set(back.frames[frame]) == set(row)
             for agent, pos in row.items():
-                assert np.array_equal(back.frames[frame][agent], pos)
+                assert back.frames[frame][agent].tolist() == list(pos)
 
 
 class TestFrameSetQueries:
     def scene(self):
-        frames = {
-            f: {1: np.array([float(f), 0.0]), 2: np.array([0.0, float(f)])}
-            for f in range(10)
-        }
+        frames = {f: {1: (float(f), 0.0), 2: (0.0, float(f))} for f in range(10)}
         del frames[4][1]  # a gap in agent 1's track
-        return ScenarioFrameSet(
-            scene_name="q", fps=10.0, frames=frames, labels={1: "Pedestrian"}
-        )
+        return scene_from_frames(frames, labels={1: "Pedestrian"})
 
     def test_bounds_and_dt(self):
         s = self.scene()
@@ -136,51 +128,49 @@ class TestFrameSetQueries:
 
     def test_history_respects_gap(self):
         s = self.scene()
-        h = s.history_of(1, end_frame=8, max_frames=10)
-        # contiguous run is frames 5, 6, 7 (frame 4 is missing)
-        assert h.start_frame == 5
-        assert h.n_samples == 3
-        assert np.array_equal(h.positions[:, 0], [5.0, 6.0, 7.0])
+        row, before, _ = s.runs_at([1], 7)
+        # contiguous run up to frame 7 is frames 5, 6, 7 (frame 4 is missing)
+        assert before.tolist() == [3]
+        assert s.track_positions[row[0] - 2 : row[0] + 1, 0].tolist() == [5.0, 6.0, 7.0]
 
     def test_history_cap(self):
+        # a run longer than the history wanted: the engine takes its end
         s = self.scene()
-        h = s.history_of(2, end_frame=8, max_frames=3)
-        assert h.start_frame == 5
-        assert h.n_samples == 3
+        row, before, _ = s.runs_at([2], 7)
+        assert before.tolist() == [8]
+        assert s.track_positions[row[0] - 2 : row[0] + 1, 1].tolist() == [5.0, 6.0, 7.0]
 
     def test_history_absent_agent(self):
         s = self.scene()
-        assert s.history_of(99, end_frame=8, max_frames=4) is None
-        assert s.history_of(1, end_frame=0, max_frames=4) is None
+        assert [r.tolist() for r in s.runs_at([99, 1], 4)] == [[-1, -1], [0, 0], [0, 0]]
+        assert [r.tolist() for r in s.runs_at([1], -1)] == [[-1], [0], [0]]
 
     def test_future_respects_gap(self):
         s = self.scene()
-        f = s.future_of(1, start_frame=2, max_frames=10)
-        assert f.start_frame == 2
-        assert f.n_samples == 2  # frames 2, 3; frame 4 missing
+        row, _, after = s.runs_at([1], 2)
+        assert after.tolist() == [2]  # frames 2, 3; frame 4 missing
+        assert s.track_positions[row[0] : row[0] + 2, 0].tolist() == [2.0, 3.0]
 
     def test_future_cap_and_absent(self):
         s = self.scene()
-        f = s.future_of(2, start_frame=0, max_frames=4)
-        assert f.n_samples == 4
-        assert s.future_of(1, start_frame=4, max_frames=2) is None
+        assert s.runs_at([2], 0)[2].tolist() == [10]
+        assert s.runs_at([1, 2], 10)[2].tolist() == [0, 0]
+
+    def test_rows_need_finite_planar_positions(self):
+        for xy in ([[0.0, np.nan]], [[0.0, 1.0, 2.0]], [[0.0, 1.0], [2.0, 3.0]]):
+            with pytest.raises(InputError, match="positions"):
+                ScenarioFrameSet.from_rows("r", 10.0, [1], [0], xy, {})
 
     def test_sensed_agents_strict_radius(self):
-        frames = {
-            0: {
-                1: np.array([3.0, 0.0]),
-                2: np.array([5.0, 0.0]),
-                3: np.array([0.0, 4.999]),
-            }
-        }
-        s = ScenarioFrameSet(scene_name="r", fps=30.0, frames=frames, labels={})
+        frames = {0: {1: (3.0, 0.0), 2: (5.0, 0.0), 3: (0.0, 4.999)}}
+        s = scene_from_frames(frames, fps=30.0)
         got = sensed_agents(s, [0.0, 0.0], rho0=5.0, frame=0)
         assert [a for a, _ in got] == [1, 3]
 
     def test_sensed_agents_monotone_in_radius(self):
         rng = np.random.default_rng(3)
         frames = {0: {i: rng.uniform(-10, 10, size=2) for i in range(20)}}
-        s = ScenarioFrameSet(scene_name="r", fps=30.0, frames=frames, labels={})
+        s = scene_from_frames(frames, fps=30.0)
         previous = set()
         for rho0 in (2.0, 5.0, 9.0, 50.0):
             ids = {a for a, _ in sensed_agents(s, [0.0, 0.0], rho0, frame=0)}

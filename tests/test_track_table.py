@@ -9,7 +9,6 @@ line parser it falls back to are exercised.  Results are compared with ==,
 positions bit for bit.
 """
 
-import math
 import warnings
 
 import numpy as np
@@ -18,9 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    Window,
     future_reference,
+    future_window,
     history_reference,
     parse_annotations_reference,
+    scene_from_frames,
     sensed_reference,
     stack_reference,
 )
@@ -28,14 +30,7 @@ from conformal_cbf.cli import main
 from conformal_cbf.conformal import EgoWindow, window_loss
 from conformal_cbf.engine import SimConfig, _score_window
 from conformal_cbf.errors import ParseError
-from conformal_cbf.predictor import SampledTrajectory
-from conformal_cbf.scenario import (
-    ScenarioFrameSet,
-    _parse_lines,
-    _parse_plain,
-    load_annotations,
-    sensed_agents,
-)
+from conformal_cbf.scenario import _parse_lines, _parse_plain, load_annotations, sensed_agents
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -178,8 +173,9 @@ def test_twenty_digit_ids_are_read_exactly(tmp_path):
     scene = load_annotations(path)
     assert scene.labels == {big: "Pedestrian"}
     assert scene.start_frame == big and scene.end_frame == big + 2
-    hist = scene.history_of(big, big + 2, 5)
-    assert hist.start_frame == big and hist.positions.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+    row, before, after = scene.runs_at([big], big + 1)
+    assert (before.tolist(), after.tolist()) == ([2], [1])
+    assert scene.track_positions[row[0] - 1 : row[0] + 1].tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
 
 def test_non_utf8_text_is_a_parse_error(tmp_path):
@@ -207,11 +203,15 @@ def test_non_finite_box_exits_3_with_its_line(tmp_path, capsys, command):
 
 
 # scenes: up to six tracks, each present on a random subset of frames, so
-# tracks have gaps, restart after them, or hold a single sample
+# tracks have gaps, restart after them, or hold a single sample; ids may sit
+# at the ends of int64
+EDGE_IDS = [-(2**63), 2**63 - 1]
+
+
 @st.composite
 def scenes(draw):
     frames = {}
-    for agent_id in draw(st.sets(st.integers(-5, 60), max_size=6)):
+    for agent_id in draw(st.sets(st.integers(-5, 60) | st.sampled_from(EDGE_IDS), max_size=6)):
         present = draw(st.sets(st.integers(-4, 25), max_size=30))
         for f in present:
             xy = draw(st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
@@ -219,36 +219,44 @@ def scenes(draw):
     return frames
 
 
-def same_trajectory(got, want):
+def run_slices(scene, ids, f, cap):
+    """The history ending right before frame f and the future from f, at
+    most cap samples each, as (start frame, positions) or None per id:
+    one runs_at lookup each, sliced from the table as the engine does."""
+    histories, futures = [], []
+    row, before, _ = scene.runs_at(ids, f - 1)
+    for r, n in zip(row.tolist(), np.minimum(before, cap).tolist()):
+        histories.append((f - n, scene.track_positions[r + 1 - n : r + 1]) if n > 0 else None)
+    row, _, after = scene.runs_at(ids, f)
+    for r, n in zip(row.tolist(), np.minimum(after, cap).tolist()):
+        futures.append((f, scene.track_positions[r : r + n]) if n > 0 else None)
+    return histories, futures
+
+
+def same_slice(got, want):
     if want is None:
         return got is None
-    start, positions = want
-    return (
-        got is not None
-        and got.start_frame == start
-        and got.positions.tobytes() == positions.tobytes()
-    )
+    return got is not None and got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
 @SETTINGS
 @given(frames=scenes())
 def test_track_queries_match_the_dict_walks(frames):
-    scene = ScenarioFrameSet(scene_name="h", fps=10.0, frames=frames, labels={})
+    scene = scene_from_frames(frames)
     assert bits(scene.frames) == bits(frames)
     present = {a for row in frames.values() for a in row}
-    ids = sorted(present) + [99]
+    ids = sorted(present | {99} | set(EDGE_IDS))  # absent ones among them
     lo, hi = (min(frames), max(frames) + 1) if frames else (0, 0)
     assert (scene.start_frame, scene.end_frame, scene.n_frames) == (lo, hi, len(frames))
     for f in range(lo - 2, hi + 3):
-        assert bits({0: scene.agents_at(f)}) == bits({0: frames.get(f, {})})
-        for agent_id in ids:
-            for cap in (0, 1, 2, 3, 5, 100):
-                assert same_trajectory(
-                    scene.history_of(agent_id, f, cap), history_reference(frames, agent_id, f, cap)
-                )
-                assert same_trajectory(
-                    scene.future_of(agent_id, f, cap), future_reference(frames, agent_id, f, cap)
-                )
+        ids_at, pos_at = scene.rows_at(f)
+        assert bits({0: dict(zip(ids_at.tolist(), pos_at))}) == bits({0: frames.get(f, {})})
+        for cap in (0, 1, 2, 3, 5, 100):
+            histories, futures = run_slices(scene, ids, f, cap)
+            for agent_id, got_history, got_future in zip(ids, histories, futures):
+                want = history_reference(frames, agent_id, f, cap)
+                assert same_slice(got_history, want)
+                assert same_slice(got_future, future_reference(frames, agent_id, f, cap))
 
 
 @SETTINGS
@@ -261,7 +269,7 @@ def test_sensing_matches_the_dict_walk(frames, ego, rho0):
     ego = np.array(ego, dtype=np.float64) / 4.0
     # one agent exactly rho0 away, which must not be sensed
     frames.setdefault(3, {})[1000] = ego + [rho0, 0.0]
-    scene = ScenarioFrameSet(scene_name="s", fps=10.0, frames=frames, labels={})
+    scene = scene_from_frames(frames)
     for f in range(-6, 28):
         got = sensed_agents(scene, ego, rho0, f)
         want = sensed_reference(frames, ego, rho0, f)
@@ -269,18 +277,19 @@ def test_sensing_matches_the_dict_walk(frames, ego, rho0):
     assert 1000 not in {a for a, _ in sensed_agents(scene, ego, rho0, 3)}
 
 
-def reference_window_score(cbf, alpha, lam, predictions, ego, scene):
+def reference_window_score(cbf, alpha, lam, predictions, ego, frames):
     """The per-agent scoring loop the grouped scoring replaced."""
     worst = None
     for i, p in sorted(predictions.items()):
-        actual = scene.future_of(i, ego.start_frame, ego.n_samples)
+        actual = future_window(frames, i, ego.start_frame, ego.n_samples, ego.dt)
         if actual is None:
             continue
         n = min(ego.n_samples, actual.n_samples, p.n_samples)
         if n < 2:
             continue
         loss = window_loss(
-            cbf, alpha, {i: p.prefix(n)}, {i: actual.prefix(n)}, ego.prefix(n), lam
+            cbf, alpha, p.positions[None, :n], actual.positions[None, :n],
+            EgoWindow(ego.positions[:n], ego.dt), lam,
         )
         worst = loss if worst is None or loss > worst else worst
     return worst
@@ -298,45 +307,21 @@ def test_scoring_groups_match_one_call_per_agent():
     for agent_id, (first, last) in enumerate(spans):
         for f in range(first, last):
             frames.setdefault(f, {})[agent_id] = rng.uniform(20, 50, size=2)
-    scene = ScenarioFrameSet(scene_name="w", fps=10.0, frames=frames, labels={})
+    scene = scene_from_frames(frames)
     ego = [rng.uniform(0, 10, size=2) for _ in range(12)]
     scored = 0
     for window_start in (0, 1, 2):
         predictions = {
-            i: SampledTrajectory(
-                agent_id=i, start_frame=window_start, dt=0.1,
-                positions=rng.uniform(20, 50, size=(int(rng.integers(2, 14)), 2)),
-            )
+            i: Window(i, window_start, 0.1, rng.uniform(20, 50, size=(int(rng.integers(2, 14)), 2)))
             for i in range(len(spans))
         }
-        ego_traj = SampledTrajectory(
-            agent_id=-1, start_frame=window_start, dt=0.1, positions=np.array(ego)
-        )
+        ego_traj = Window(-1, window_start, 0.1, np.array(ego))
         for subset in [[i] for i in predictions] + [list(predictions)]:
             chosen = {i: predictions[i] for i in subset}
-            want = reference_window_score(cbf, alpha, -0.3, chosen, ego_traj, scene)
+            want = reference_window_score(cbf, alpha, -0.3, chosen, ego_traj, frames)
             stacked = stack_reference(chosen)
             row, _, after = scene.runs_at(stacked.ids, window_start)
             got = _score_window(cbf, alpha, -0.3, stacked, (row, after), ego, 0.1, scene)
             assert got == want
             scored += want is not None
     assert scored > 10
-
-
-def test_array_window_loss_equals_the_mapping_form():
-    rng = np.random.default_rng(9)
-    cfg = SimConfig(dt=0.1, k_rep=50.0, rho0=60.0)
-    pred = rng.uniform(-30, 30, size=(4, 6, 2))
-    act = rng.uniform(-30, 30, size=(4, 6, 2))
-    ego = SampledTrajectory(agent_id=-1, start_frame=0, dt=0.1, positions=rng.uniform(-5, 5, (6, 2)))
-
-    def trajs(p):
-        return {i: SampledTrajectory(agent_id=i, start_frame=0, dt=0.1, positions=p[i]) for i in range(4)}
-
-    args = (cfg.cbf(), cfg.class_kappa())
-    assert window_loss(*args, pred, act, ego, 0.2) == window_loss(*args, trajs(pred), trajs(act), ego, 0.2)
-    assert window_loss(*args, pred, act, EgoWindow(ego.positions, 0.1), 0.2) == window_loss(
-        *args, pred, act, ego, 0.2
-    )
-    assert window_loss(*args, pred[:0], act[:0], ego, 0.2) is None
-    assert not math.isnan(window_loss(*args, pred[:1], act[:1], ego, -1.0))

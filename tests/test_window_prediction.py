@@ -2,9 +2,9 @@
 
 The engine gathers the histories and futures of every agent sensed at a
 window boundary from the track table and predicts them in one predict call.
-The reference in _oracles.py builds one SampledTrajectory per agent from
-history_of and future_of, predicts agent by agent, and stacks the result
-the way the engine did before.  Both must give the same ids and lengths and
+The reference in _oracles.py builds one Window record per agent from the
+frame-by-frame history and future walks, predicts agent by agent, and stacks
+the result the way the engine did before.  Both must give the same ids and lengths and
 bit-identical positions and velocities, for all three predictor kinds, on
 scenes whose tracks have gaps, restart after them, hold a single sample or
 end before the horizon.
@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import noise_reference, predict_reference, stack_reference
+from _oracles import (
+    future_window,
+    history_window,
+    noise_reference,
+    predict_reference,
+    scene_from_frames,
+    stack_reference,
+)
 from conformal_cbf.dynamics import RobotState
 from conformal_cbf.engine import SimConfig, _predict_window
 from conformal_cbf.errors import InputError
@@ -28,7 +35,7 @@ from conformal_cbf.predictor import (
     PredictorKind,
     predict,
 )
-from conformal_cbf.scenario import ScenarioFrameSet, sensed_agents
+from conformal_cbf.scenario import sensed_agents
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -60,16 +67,19 @@ def scenes(draw):
 
 def reference_window(config, kind, cbf, scene, ego, frame):
     """The per-agent path the engine took: one history and one future
-    SampledTrajectory per sensed agent, predict_reference, predictions
-    with fewer than two samples dropped, stack_reference."""
+    Window per sensed agent, predict_reference, predictions with fewer
+    than two samples dropped, stack_reference."""
     histories = {}
     for agent_id, _ in sensed_agents(scene, ego, config.rho0, frame):
-        history = scene.history_of(agent_id, frame, config.tau_frames)
+        history = history_window(scene.frames, agent_id, frame, config.tau_frames, scene.dt)
         if history is not None and history.n_samples >= 2:
             histories[agent_id] = history
     futures = None
     if kind.kind != CONSTANT_VELOCITY:
-        futures = {i: scene.future_of(i, frame, config.horizon_frames) for i in histories}
+        futures = {
+            i: future_window(scene.frames, i, frame, config.horizon_frames, scene.dt)
+            for i in histories
+        }
         futures = {i: f for i, f in futures.items() if f is not None}
         histories = {i: h for i, h in histories.items() if i in futures}
     predictions = predict_reference(
@@ -111,7 +121,7 @@ def test_array_prediction_matches_the_per_agent_reference(
     # one agent exactly rho0 away, which must not be sensed
     frames.setdefault(3, {})[1000] = ego + [rho0, 0.0]
     frames.setdefault(2, {})[1000] = ego + [rho0, 1.0]
-    scene = ScenarioFrameSet(scene_name="p", fps=10.0, frames=frames, labels={})
+    scene = scene_from_frames(frames)
     config = SimConfig(
         dt=0.1, tau_frames=tau, horizon_frames=tau + extra, rho0=rho0, k_rep=k_rep
     )
@@ -128,7 +138,7 @@ def line_scene(n_future):
     rng = np.random.default_rng(4)
     path = np.array([5.0, 1.0]) + np.cumsum(rng.uniform(-0.3, 0.3, (2 + n_future, 2)), axis=0)
     frames = {f: {4: path[f]} for f in range(len(path))}
-    return ScenarioFrameSet(scene_name="l", fps=10.0, frames=frames, labels={}), path
+    return scene_from_frames(frames), path
 
 
 @SETTINGS
