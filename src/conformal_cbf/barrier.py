@@ -12,7 +12,8 @@ smoothly.  The zero level of h marks the collision distance.
 
 With a velocity u as the decision variable, the barrier condition
 dh/dt + alpha(h) >= 0 splits into an ego term grad_ego . u, an agent
-term grad_agent . xdot_agent, and alpha(h).  The engine builds the
+term grad_agent . xdot_agent, and alpha(h), where the class-kappa
+function is the line alpha(h) = alpha_slope * h.  The engine builds the
 deployed condition (predicted agent state, plus an additive calibration
 margin) as affine rows for the projection QP from the terms computed
 here; the agent-side gradient is -grad_ego.
@@ -36,55 +37,9 @@ import numpy as np
 
 from conformal_cbf.errors import InputError, SingularityError
 
-_ATAN = np.vectorize(math.atan, otypes=[np.float64])
 # Largest potential (and, for tiny k_rep, largest w) the barrier is
 # evaluated at; see PotentialFieldCbf.min_distance.
 _U_MAX = 1e150
-
-
-@dataclass(frozen=True)
-class ClassKappa:
-    """Extended class-kappa function: strictly increasing, zero at zero.
-
-    Two kinds are supported.  "linear" is alpha(r) = slope * r with
-    Lipschitz constant slope.  "arctan" is the squashing-shaped
-    alpha(r) = slope * arctan(r) / pi, bounded in (-slope/2, slope/2),
-    with Lipschitz constant slope / pi.  This is the only check of the
-    slope: SimConfig builds its function to validate alpha_slope.
-    """
-
-    kind: str
-    slope: float
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "arctan"):
-            raise InputError(f"unknown class-kappa kind {self.kind!r}")
-        if not (np.isfinite(self.slope) and self.slope > 0.0):
-            raise InputError("class-kappa slope (alpha_slope) must be positive and finite")
-
-    @staticmethod
-    def linear(slope: float) -> "ClassKappa":
-        return ClassKappa(kind="linear", slope=slope)
-
-    @staticmethod
-    def arctan(slope: float = 1.0) -> "ClassKappa":
-        return ClassKappa(kind="arctan", slope=slope)
-
-    def value(self, r):
-        """alpha(r) for a float or elementwise over an array."""
-        if self.kind == "linear":
-            return self.slope * r
-        if np.ndim(r):
-            # math.atan elementwise: np.arctan may differ from it in the last bit
-            return self.slope * _ATAN(r) / math.pi
-        return self.slope * math.atan(r) / math.pi
-
-    @property
-    def lipschitz(self) -> float:
-        """Global Lipschitz constant of the function."""
-        if self.kind == "linear":
-            return self.slope
-        return self.slope / math.pi
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from conformal_cbf.errors import (
     ParseError,
     SingularityError,
 )
-from conformal_cbf.predictor import _KINDS, CONSTANT_VELOCITY, PredictorKind
+from conformal_cbf.predictor import CONSTANT_VELOCITY, PredictorKind
 from conformal_cbf.scenario import (
     RobotTask,
     load_annotations,
@@ -51,20 +51,14 @@ _GRID_ALIASES = {
     "a": "alpha_slope",
     "lambda": "lambda_initial",
 }
-_INT_FIELDS = {
-    "tau_frames",
-    "horizon_frames",
-    "max_frames",
-    "seed",
-    "relax_max_steps",
+# keys whose value must be a YAML number (null where the field is
+# optional), read off SimConfig's annotations plus the task and predictor
+# keys that are not its fields
+_INT_FIELDS = {f.name for f in fields(SimConfig) if f.type is int}
+_FLOAT_KEYS = {f.name for f in fields(SimConfig) if f.type is float} | {
+    "predictor_value_bound", "predictor_dynamics_bound", "goal_radius", "attract_gain",
 }
-# keys whose value must be a YAML number (null where the field is optional)
-_FLOAT_KEYS = {
-    "dt", "alpha_slope", "k_acc", "k_rep", "rho0", "delta", "eta", "epsilon",
-    "lambda_initial", "predictor_value_bound", "predictor_dynamics_bound",
-    "goal_radius", "attract_gain",
-}
-_OPTIONAL_FLOAT_KEYS = {"k_att", "collision_distance", "relax_lambda_step"}
+_OPTIONAL_FLOAT_KEYS = {f.name for f in fields(SimConfig) if f.type == float | None}
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -192,11 +186,6 @@ def build_setup(doc: dict, seed_override=None):
         if key in _TASK_KEYS:
             task_kwargs[key] = value
         elif key == "predictor":
-            if value not in _KINDS:
-                raise ConfigError(
-                    f"unknown predictor {value!r}; "
-                    f"expected one of {', '.join(_KINDS)}"
-                )
             kind = value
         elif key == "predictor_value_bound":
             value_bound = value

@@ -11,7 +11,9 @@ where q is the agent-side flow term grad_agent . v_agent and h the
 barrier value; a positive gap means the deployed constraint was looser
 than the truth.  A window's loss squashes the worst gap over all agents
 and sample instants through an odd, strictly increasing map s into
-(-1/2, 1/2), by default s(r) = arctan(r) / pi.
+(-1/2, 1/2), s(r) = arctan(r) / pi.  The class-kappa function is the
+line alpha(h) = alpha_slope * h, so its Lipschitz constant M_alpha is
+alpha_slope.
 
 After each window the margin moves by the loss surplus,
 
@@ -38,11 +40,11 @@ is plain Python so exact number types pass through unchanged.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from conformal_cbf.barrier import BoundSet, ClassKappa, PotentialFieldCbf, barrier_terms
+from conformal_cbf.barrier import BoundSet, PotentialFieldCbf, barrier_terms
 from conformal_cbf.errors import ConfigError, InputError
 from conformal_cbf.predictor import velocities
 
@@ -62,34 +64,18 @@ class EgoWindow(NamedTuple):
         return len(self.positions)
 
 
-@dataclass(frozen=True)
-class Squashing:
-    """Odd, strictly increasing map of the gap into (-1/2, 1/2)."""
-
-    name: str
-    fn: Callable[[float], float]
-    inv: Callable[[float], float]
-
-    @staticmethod
-    def arctan_over_pi() -> "Squashing":
-        return Squashing(
-            name="arctan-over-pi",
-            fn=lambda r: math.atan(r) / math.pi,
-            inv=lambda y: math.tan(math.pi * y),
-        )
-
-    def value(self, r: float) -> float:
-        if not math.isfinite(r):
-            raise InputError("squashing input must be finite")
-        return self.fn(r)
-
-    def inverse(self, y: float) -> float:
-        if not -0.5 < y < 0.5:
-            raise InputError("squashing inverse needs an argument in (-1/2, 1/2)")
-        return self.inv(y)
+def squash(r: float) -> float:
+    """s(r) = arctan(r) / pi, the window loss of a worst gap r."""
+    if not math.isfinite(r):
+        raise InputError("squashing input must be finite")
+    return math.atan(r) / math.pi
 
 
-_DEFAULT_SQUASH = Squashing.arctan_over_pi()
+def squash_inverse(y: float) -> float:
+    """s^-1(y) = tan(pi * y) for y in (-1/2, 1/2)."""
+    if not -0.5 < y < 0.5:
+        raise InputError("squashing inverse needs an argument in (-1/2, 1/2)")
+    return math.tan(math.pi * y)
 
 
 @dataclass
@@ -109,7 +95,6 @@ class ConformalState:
     epsilon: float
     lambda_initial: float = None  # type: ignore[assignment]
     loss_history: list = field(default_factory=list)
-    updates_applied: int = 0
 
     def __post_init__(self):
         if not math.isfinite(float(self.lam)):
@@ -129,27 +114,16 @@ class ConformalState:
             raise InputError("loss must lie in (-1/2, 1/2)")
         self.lam = self.lam + self.eta * (self.epsilon - loss)
         self.loss_history.append(loss)
-        self.updates_applied += 1
         return self
-
-
-@dataclass(frozen=True)
-class SafetyCertificate:
-    """A loss level epsilon_safe and a margin level lambda_safe at or
-    below which the window loss is guaranteed not to exceed it."""
-
-    epsilon_safe: float
-    lambda_safe: float
 
 
 def window_loss(
     cbf: PotentialFieldCbf,
-    alpha: ClassKappa,
+    alpha_slope: float,
     predicted,
     actual,
     ego,
     lam: float,
-    squash: Squashing = _DEFAULT_SQUASH,
     *,
     lengths=None,
 ):
@@ -204,40 +178,24 @@ def window_loss(
     h, grad_ego = barrier_terms(cbf, ego.positions - tracks, where=valid)
     vels = velocities(tracks, ego.dt, None if valid is None else lengths)
     q = np.vecdot(-grad_ego, vels)
-    a = alpha.value(h)
+    a = alpha_slope * h
     # the gap of the module docstring, grouped as differences so a
     # perfect prediction cancels exactly
     gaps = (q[0] - q[1]) + (a[0] - a[1]) + lam
     if valid is not None:
         gaps = np.where(valid, gaps, -np.inf)
-    return squash.value(float(gaps.max()))
+    return squash(float(gaps.max()))
 
 
-def lambda_safe_bound(
-    bounds: BoundSet,
-    alpha: ClassKappa,
-    epsilon_safe: float,
-    squash: Squashing = _DEFAULT_SQUASH,
-) -> float:
+def lambda_safe_bound(bounds: BoundSet, alpha_slope: float, epsilon_safe: float) -> float:
     """Margin level below which the window loss cannot exceed epsilon_safe,
-    given the regularity and prediction-error bounds."""
+    given the regularity and prediction-error bounds; alpha_slope is M_alpha."""
+    if not (math.isfinite(alpha_slope) and alpha_slope > 0.0):
+        raise InputError("alpha_slope must be positive and finite")
     return (
-        squash.inverse(epsilon_safe)
+        squash_inverse(epsilon_safe)
         - bounds.e_d
-        - alpha.lipschitz * bounds.m_h * bounds.e_v
-    )
-
-
-def make_certificate(
-    bounds: BoundSet,
-    alpha: ClassKappa,
-    epsilon_safe: float,
-    squash: Squashing = _DEFAULT_SQUASH,
-) -> SafetyCertificate:
-    """Certificate at the sharpest margin level the bounds support."""
-    return SafetyCertificate(
-        epsilon_safe=epsilon_safe,
-        lambda_safe=lambda_safe_bound(bounds, alpha, epsilon_safe, squash),
+        - alpha_slope * bounds.m_h * bounds.e_v
     )
 
 

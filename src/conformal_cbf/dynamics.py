@@ -5,10 +5,11 @@ The simulated robot is a planar double integrator
     d/dt (p, v) = (v, a)
 
 driven at acceleration level.  The safety filter decides a velocity, and
-a proportional tracking law converts it into an acceleration held over
-the control period.  With the acceleration held, the discretization is
-exact; step evaluates it with the operations one classical RK4 step
-performs for this model, so its results are bitwise those of that step.
+the proportional tracking law a = -k_acc * (v - v_cmd) converts it into
+an acceleration held over the control period.  With the acceleration
+held, the discretization is exact; step evaluates it with the operations
+one classical RK4 step performs for this model, so its results are
+bitwise those of that step.
 
 The ego is one 2-vector, so step and track_velocity read their vectors
 into Python floats with tolist() and compute on those: a numpy call on a
@@ -56,21 +57,6 @@ class RobotState:
         object.__setattr__(self, "velocity", vel)
 
 
-@dataclass(frozen=True)
-class TrackingActuator:
-    """Proportional velocity-tracking law u = -gain * (v - v_cmd).
-
-    This is the only check of the gain: SimConfig builds its actuator to
-    validate k_acc.
-    """
-
-    gain: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.gain) and self.gain > 0.0):
-            raise InputError("tracking gain (k_acc) must be positive and finite")
-
-
 def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
     """Advance the state by dt seconds with the acceleration held.
 
@@ -108,12 +94,9 @@ def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
     )
 
 
-def track_velocity(
-    actuator: TrackingActuator,
-    velocity: np.ndarray,
-    commanded: np.ndarray,
-) -> np.ndarray:
-    """Acceleration command steering the current velocity to the commanded one.
+def track_velocity(k_acc: float, velocity: np.ndarray, commanded: np.ndarray) -> np.ndarray:
+    """Acceleration -k_acc * (velocity - commanded) steering the current
+    velocity to the commanded one; SimConfig checks k_acc.
 
     Raises:
         InputError: the velocities are not planar, or the acceleration
@@ -125,7 +108,7 @@ def track_velocity(
         raise InputError("track_velocity expects planar velocities")
     vx, vy = v.tolist()
     cx, cy = c.tolist()
-    gain = -actuator.gain
+    gain = -k_acc
     ax, ay = gain * (vx - cx), gain * (vy - cy)
     if not (math.isfinite(ax) and math.isfinite(ay)):
         raise InputError("acceleration must be a finite planar vector")

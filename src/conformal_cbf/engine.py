@@ -38,9 +38,9 @@ from itertools import product
 
 import numpy as np
 
-from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, barrier_terms_unchecked
+from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms_unchecked
 from conformal_cbf.conformal import NO_AGENTS, ConformalState, EgoWindow, window_loss
-from conformal_cbf.dynamics import TrackingActuator, step, track_velocity
+from conformal_cbf.dynamics import step, track_velocity
 from conformal_cbf.errors import (
     ConfigError,
     InfeasibleError,
@@ -70,12 +70,14 @@ class SimConfig:
     vary it.  collision_distance and relax_lambda_step default to the
     barrier's zero-level distance and eta * (1/2 - epsilon).  The run
     seed, a nonnegative integer, is forwarded to the predictor, which
-    derives all of its own randomness from it.  The barrier checks k_rep,
-    rho0 and delta, the class-kappa function alpha_slope, the tracking
-    actuator k_acc and the margin state eta, epsilon and lambda_initial;
-    a config one of them refuses is a ConfigError.
-    k_acc * dt must also be below 2: tracking maps the velocity error e
-    to (1 - k_acc * dt) e each frame, which shrinks only then.
+    derives all of its own randomness from it.  alpha_slope is the slope
+    of the class-kappa function alpha(h) = alpha_slope * h and k_acc the
+    gain of the tracking law; SimConfig checks that both are positive and
+    finite.  The barrier checks k_rep, rho0 and delta, and the margin
+    state eta, epsilon and lambda_initial; a config one of them refuses
+    is a ConfigError.  k_acc * dt must also be below 2: tracking maps the
+    velocity error e to (1 - k_acc * dt) e each frame, which shrinks only
+    then.
     """
 
     dt: float = 1.0 / 30.0
@@ -106,12 +108,14 @@ class SimConfig:
         if not isinstance(self.horizon_frames, int) or self.horizon_frames < self.tau_frames:
             raise ConfigError("horizon_frames must cover at least one window")
         try:
-            # the parts a run builds own the checks of their parameters
+            # the barrier owns the checks of k_rep, rho0 and delta
             self.cbf()
-            self.class_kappa()
-            self.actuator()
         except InputError as exc:
             raise ConfigError(str(exc)) from None
+        if not (math.isfinite(self.alpha_slope) and self.alpha_slope > 0.0):
+            raise ConfigError("alpha_slope must be positive and finite")
+        if not (math.isfinite(self.k_acc) and self.k_acc > 0.0):
+            raise ConfigError("k_acc must be positive and finite")
         self.margin()
         if self.k_acc * self.dt >= 2.0:
             # tracking maps the velocity error e to (1 - k_acc * dt) e
@@ -138,12 +142,6 @@ class SimConfig:
 
     def cbf(self) -> PotentialFieldCbf:
         return PotentialFieldCbf(k_rep=self.k_rep, rho0=self.rho0, delta=self.delta)
-
-    def class_kappa(self) -> ClassKappa:
-        return ClassKappa.linear(self.alpha_slope)
-
-    def actuator(self) -> TrackingActuator:
-        return TrackingActuator(gain=self.k_acc)
 
     def margin(self) -> ConformalState:
         """A fresh margin state at lambda_initial."""
@@ -200,9 +198,6 @@ def run(
             exhausting relaxation; diagnostics carry the frame state.
     """
     cbf = config.cbf()
-    alpha = config.class_kappa()
-    actuator = config.actuator()
-    kind = replace(config.predictor, seed=config.seed)
     if config.k_att is not None:
         task = replace(task, attract_gain=config.k_att)
     if scene.n_frames:
@@ -238,13 +233,13 @@ def run(
             if offset % tau == 0:
                 if offset > 0:
                     loss = _score_window(
-                        cbf, alpha, margin.lam, predicted, runs, ego_window,
-                        dt, scene,
+                        cbf, config.alpha_slope, margin.lam, predicted, runs,
+                        ego_window, dt, scene,
                     )
                     margin.update(loss)
                     lambda_trace.append((offset // tau + 1, margin.lam))
                 predicted, runs = _predict_window(
-                    config, kind, cbf, scene, state, frame, dt
+                    config, cbf, scene, state, frame, dt
                 )
                 ego_window = []
                 window_start = frame
@@ -266,8 +261,8 @@ def run(
                 break
 
             normals, offsets, ids = _rows(
-                cbf, alpha, predicted, frame - window_start, state.position,
-                config.rho0, margin.lam,
+                cbf, config.alpha_slope, predicted, frame - window_start,
+                state.position, config.rho0, margin.lam,
             )
             reference = reference_control(task, state)
             try:
@@ -314,14 +309,15 @@ def run(
                     + "\n"
                 )
 
-            accel = track_velocity(actuator, state.velocity, solution.decision)
+            accel = track_velocity(config.k_acc, state.velocity, solution.decision)
             state = step(state, accel, dt)
 
         if len(ego_window) == tau:
             # the run ended exactly on a window boundary; score the
             # completed window so its loss is not silently dropped
             loss = _score_window(
-                cbf, alpha, margin.lam, predicted, runs, ego_window, dt, scene
+                cbf, config.alpha_slope, margin.lam, predicted, runs, ego_window,
+                dt, scene,
             )
             margin.update(loss)
             lambda_trace.append(
@@ -347,7 +343,7 @@ def run(
 _LAST_TWO = np.array([-2, -1])
 
 
-def _predict_window(config, kind, cbf, scene, state, frame, dt):
+def _predict_window(config, cbf, scene, state, frame, dt):
     """Predictions for the agents sensed at a window boundary, and where
     the predicted agents' runs lie in the scene's table.
 
@@ -375,6 +371,7 @@ def _predict_window(config, kind, cbf, scene, state, frame, dt):
     ids, row, after = ids[keep], row[keep], after[keep]
     histories = scene.track_positions[row[:, None] + _LAST_TWO]
     futures = horizon = None
+    kind = config.predictor
     if kind.kind != CONSTANT_VELOCITY:
         horizon = np.minimum(after, config.horizon_frames)
         # past its run's end a future repeats its last sample; predict
@@ -390,6 +387,7 @@ def _predict_window(config, kind, cbf, scene, state, frame, dt):
         futures=futures,
         future_lengths=horizon,
         start_frame=frame,
+        seed=config.seed,
         cbf=cbf,
         ego_positions=state.position,
     )
@@ -400,7 +398,7 @@ def _predict_window(config, kind, cbf, scene, state, frame, dt):
     return predicted, (row, after)
 
 
-def _rows(cbf, alpha, predicted, k, ego, rho0, lam):
+def _rows(cbf, alpha_slope, predicted, k, ego, rho0, lam):
     """Deployed constraint rows at sample k of the window as (normals,
     offsets, agent ids), one row per agent predicted there at a distance
     from cbf.min_distance up to (not including) rho0, in prediction
@@ -413,14 +411,14 @@ def _rows(cbf, alpha, predicted, k, ego, rho0, lam):
     keep = (lengths > k) & (dist >= cbf.min_distance) & (dist < rho0)
     if not keep.any():
         return np.zeros((0, 2)), np.zeros(0), ids[:0]
-    # grad_ego . u + (grad_agent . v + alpha(h)) + lam >= 0, on the
+    # grad_ego . u + (grad_agent . v + alpha_slope * h) + lam >= 0, on the
     # distances just computed and checked; grad_agent is -grad_ego
     h, normals = barrier_terms_unchecked(cbf, diff[keep], dist[keep])
-    offsets = np.vecdot(-normals, predicted.velocities[keep, k]) + alpha.value(h)
+    offsets = np.vecdot(-normals, predicted.velocities[keep, k]) + alpha_slope * h
     return normals, offsets + lam, ids[keep]
 
 
-def _score_window(cbf, alpha, lam, predicted, runs, ego_positions, dt, scene):
+def _score_window(cbf, alpha_slope, lam, predicted, runs, ego_positions, dt, scene):
     """Worst per-agent window loss against the revealed ground truth.
 
     Each agent is scored over the prefix where its prediction, its
@@ -444,7 +442,7 @@ def _score_window(cbf, alpha, lam, predicted, runs, ego_positions, dt, scene):
     sample = np.minimum(np.arange(width), n[:, None] - 1)
     actual = scene.track_positions[row[:, None] + sample]
     ego = EgoWindow(np.array(ego_positions[:width]), dt)
-    return window_loss(cbf, alpha, positions[:, :width], actual, ego, lam, lengths=n)
+    return window_loss(cbf, alpha_slope, positions[:, :width], actual, ego, lam, lengths=n)
 
 
 @dataclass(frozen=True)

@@ -38,20 +38,19 @@ _KINDS = (CONSTANT_VELOCITY, GROUND_TRUTH, NOISE_BOUNDED)
 
 @dataclass(frozen=True)
 class PredictorKind:
-    """Which predictor to run, with the oracle noise bounds and seed.
+    """Which predictor to run, with the oracle noise bounds.
 
     value_bound and dynamics_bound are only consulted by the
-    noise-bounded oracle; seed makes its perturbations reproducible.
+    noise-bounded oracle.
     """
 
     kind: str = CONSTANT_VELOCITY
     value_bound: float = 0.0
     dynamics_bound: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise InputError(f"unknown predictor kind {self.kind!r}")
+            raise InputError(f"predictor must be one of {', '.join(_KINDS)}; got {self.kind!r}")
         for name in ("value_bound", "dynamics_bound"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0.0):
@@ -150,6 +149,7 @@ def predict(
     futures=None,
     future_lengths=None,
     start_frame: int | None = None,
+    seed: int | None = None,
     cbf: PotentialFieldCbf | None = None,
     ego_positions=None,
 ) -> Predictions:
@@ -169,6 +169,8 @@ def predict(
             of futures past them are never read.
         start_frame: frame where prediction starts; the noise-bounded
             oracle keys its random draws on (seed, start_frame, id).
+        seed: the run's seed, which makes the noise-bounded oracle's
+            perturbations reproducible; required by that kind only.
         cbf: barrier whose flow term the noise-bounded oracle must
             respect; required by that kind only.
         ego_positions: ego position(s) the noise-bounded oracle checks
@@ -218,15 +220,17 @@ def predict(
         valid = np.arange(width) < lengths[:, None]
         positions = np.where(valid[..., None], futures[keep, :width], 0.0)
     if kind.kind == NOISE_BOUNDED:
-        if cbf is None or ego_positions is None or start_frame is None:
-            raise InputError("noise-bounded-oracle needs cbf, ego_positions and start_frame")
+        if cbf is None or ego_positions is None or start_frame is None or seed is None:
+            raise InputError(
+                "noise-bounded-oracle needs cbf, ego_positions, start_frame and seed"
+            )
         ego = np.asarray(ego_positions, dtype=np.float64)
         if ego.shape == (futures.shape[1], 2):
             ego = ego[:width]
         elif ego.shape != (2,):
             raise InputError("ego_positions must be one point or one per sample")
         positions, vels = _noise_bounded(
-            kind, ids, positions, lengths, valid, start_frame, dt, cbf, ego
+            kind, ids, positions, lengths, valid, start_frame, seed, dt, cbf, ego
         )
     if not np.isfinite(positions).all():
         raise InputError("predicted positions must be finite")
@@ -246,7 +250,7 @@ def _key_entry(x) -> int:
     return x if x >= 0 else x % 2**64
 
 
-def _noise_bounded(kind, ids, truth, lengths, valid, start_frame, dt, cbf, ego):
+def _noise_bounded(kind, ids, truth, lengths, valid, start_frame, seed, dt, cbf, ego):
     """Perturbed truths and their velocities.
 
     Each agent's perturbation is drawn from its own generator, keyed on
@@ -261,7 +265,7 @@ def _noise_bounded(kind, ids, truth, lengths, valid, start_frame, dt, cbf, ego):
     noise = np.zeros_like(truth)
     frame_key = _key_entry(start_frame)
     for j, (agent_id, n) in enumerate(zip(ids.tolist(), lengths.tolist())):
-        rng = np.random.default_rng([kind.seed, frame_key, _key_entry(agent_id)])
+        rng = np.random.default_rng([seed, frame_key, _key_entry(agent_id)])
         angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
         radii = kind.value_bound * rng.uniform(0.0, 1.0, size=n)
         noise[j, :n] = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)

@@ -24,14 +24,11 @@ once, and every foot point, interval and cost comes from them.  A frame
 has only a few rows, so the cost of solve is its fixed count of numpy
 calls; it uses array methods rather than the np.max-style wrappers,
 which add a dispatch each.  A problem without rows returns its
-reference at once.  The ids of the rows active at the answer are worked
-out only when QpSolution.active_set is first read, since the closed loop
-never reads them.
+reference at once.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -88,16 +85,6 @@ class QpSolution:
     """Optimal decision of the problem solved."""
 
     decision: np.ndarray
-    problem: QpProblem
-
-    @cached_property
-    def active_set(self) -> tuple:
-        """Ids of the rows whose residual at the decision is within
-        ACTIVE_TOL of zero, in row order."""
-        p = self.problem
-        # row by row this is AffineConstraint.residual, bit for bit
-        resid = np.abs(np.vecdot(p.normals, self.decision) + p.offsets)
-        return tuple(p.ids[resid <= ACTIVE_TOL].tolist())
 
 
 def solve(problem: QpProblem) -> QpSolution:
@@ -109,7 +96,7 @@ def solve(problem: QpProblem) -> QpSolution:
     ref = problem.reference
     a, b = problem.normals, problem.offsets
     if not len(b):
-        return QpSolution(ref.copy(), problem)
+        return QpSolution(ref.copy())
 
     # Zero-normal rows constrain nothing or everything.  The row norms
     # are computed as np.linalg.norm(a, axis=1) computes them.
@@ -126,7 +113,7 @@ def solve(problem: QpProblem) -> QpSolution:
     dist = a @ ref + b
     violated = dist < -tol
     if not violated.any():
-        return QpSolution(ref.copy(), problem)
+        return QpSolution(ref.copy())
 
     # Foot points on the violated rows' lines, and the lines' directions.
     av, dv = a[violated], dist[violated]
@@ -147,7 +134,7 @@ def solve(problem: QpProblem) -> QpSolution:
     # |candidate - ref|^2 = dist^2 + t^2 on each line
     cost = np.where(ok, dv**2 + t * t, np.inf)
     best = int(cost.argmin())
-    return QpSolution(foot[best] + t[best] * along[best], problem)
+    return QpSolution(foot[best] + t[best] * along[best])
 
 
 def solve_with_relaxation(

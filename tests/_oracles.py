@@ -32,22 +32,25 @@ def scalar_terms(cbf, ego, agent):
     return h, (cbf.radial_derivative(d) / d) * diff
 
 
-def scalar_row(cbf, alpha, ego, agent, velocity, lam):
+def scalar_row(cbf, alpha_slope, ego, agent, velocity, lam):
     """(normal, offset) of the deployed constraint row against one agent:
-    grad_ego . u + (grad_agent . velocity + alpha(h)) + lam >= 0."""
+    grad_ego . u + (grad_agent . velocity + alpha_slope * h) + lam >= 0."""
     h, grad_ego = scalar_terms(cbf, ego, agent)
-    return grad_ego, float(-grad_ego @ np.asarray(velocity)) + alpha.value(h) + lam
+    return grad_ego, float(-grad_ego @ np.asarray(velocity)) + alpha_slope * h + lam
 
 
-def gap_reference(cbf, alpha, ego, actual, actual_velocity, predicted, predicted_velocity, lam):
+def gap_reference(
+    cbf, alpha_slope, ego, actual, actual_velocity, predicted, predicted_velocity, lam
+):
     """Looseness of the deployed constraint relative to the true one at
-    one sample, q_pred + alpha(h_pred) + lam - q_true - alpha(h_true),
-    grouped as differences so a perfect prediction cancels exactly."""
+    one sample, q_pred + alpha(h_pred) + lam - q_true - alpha(h_true) with
+    alpha(h) = alpha_slope * h, grouped as differences so a perfect
+    prediction cancels exactly."""
     h_true, g_true = scalar_terms(cbf, ego, actual)
     h_pred, g_pred = scalar_terms(cbf, ego, predicted)
     q_true = float(-g_true @ np.asarray(actual_velocity))
     q_pred = float(-g_pred @ np.asarray(predicted_velocity))
-    return (q_pred - q_true) + (alpha.value(h_pred) - alpha.value(h_true)) + lam
+    return (q_pred - q_true) + (alpha_slope * h_pred - alpha_slope * h_true) + lam
 
 
 @dataclass(frozen=True)
@@ -426,7 +429,7 @@ def sensed_reference(frames, ego, rho0, frame):
 
 
 def predict_reference(
-    kind, histories, horizon_frames, *, futures=None, cbf=None, ego_positions=None
+    kind, histories, horizon_frames, *, futures=None, cbf=None, ego_positions=None, seed=None
 ):
     """The per-agent predictor the array form replaced: agent_id ->
     Window, in id order, from id-keyed history and future Window
@@ -452,7 +455,7 @@ def predict_reference(
         if kind.kind == GROUND_TRUTH:
             out[agent_id] = truth
         else:
-            out[agent_id] = _noise_bounded_reference(kind, truth, cbf, ego_positions)
+            out[agent_id] = _noise_bounded_reference(kind, truth, cbf, ego_positions, seed)
     return out
 
 
@@ -464,25 +467,25 @@ def _constant_velocity_reference(history, horizon):
     )
 
 
-def noise_reference(kind, start_frame, agent_id, n):
+def noise_reference(kind, start_frame, agent_id, n, *, seed):
     """The (n, 2) perturbation the noise-bounded oracle draws for one
     agent before shrinking it.  A negative frame or id enters the key
     as its 64-bit two's-complement pattern."""
-    key = [kind.seed] + [x if x >= 0 else x + 2**64 for x in (int(start_frame), int(agent_id))]
+    key = [seed] + [x if x >= 0 else x + 2**64 for x in (int(start_frame), int(agent_id))]
     rng = np.random.default_rng(key)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     radii = kind.value_bound * rng.uniform(0.0, 1.0, size=n)
     return radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _noise_bounded_reference(kind, truth, cbf, ego_positions):
+def _noise_bounded_reference(kind, truth, cbf, ego_positions, seed):
     """Halve the perturbation until the flow-term error stays within the
     dynamics bound, at most 80 times; the truth when none complies."""
     n = truth.n_samples
     ego = np.asarray(ego_positions, dtype=np.float64)
     if ego.shape == (2,):
         ego = np.broadcast_to(ego, (n, 2))
-    noise = noise_reference(kind, truth.start_frame, truth.agent_id, n)
+    noise = noise_reference(kind, truth.start_frame, truth.agent_id, n, seed=seed)
     scale = 1.0
     for _ in range(80):
         candidate = Window(

@@ -32,7 +32,6 @@ from _oracles import (
 )
 from conformal_cbf.barrier import (
     AffineConstraint,
-    ClassKappa,
     PotentialFieldCbf,
     barrier_terms,
     bound_set_for,
@@ -127,7 +126,7 @@ def _adversarial_trials():
                 "eta": eta,
                 "lam_safe": lam_safe,
                 "min_lam": min_lam,
-                "steps": state.updates_applied,
+                "steps": len(state.loss_history),
                 "worst_margin": worst_margin,
             }
         )
@@ -158,7 +157,7 @@ def test_02_margin_never_falls_below_floor(adversarial):
 
 def test_03_certified_margin_keeps_window_loss_at_target():
     cbf = PotentialFieldCbf(k_rep=200.0, rho0=25.0, delta=0.5)
-    alpha = ClassKappa.linear(2.0)
+    alpha = 2.0  # alpha_slope
     n = 8
     dt = 0.1
     with verdict(3, "certified margin keeps every window loss at or under target"):
@@ -194,9 +193,7 @@ def test_03_certified_margin_keeps_window_loss_at_target():
                         )
                 history = np.vstack([agent[0] - rng.uniform(-4.0, 4.0, 2), agent[0]])
                 predicted = predict(
-                    PredictorKind(
-                        kind=NOISE_BOUNDED, value_bound=e_v, dynamics_bound=e_d, seed=i
-                    ),
+                    PredictorKind(kind=NOISE_BOUNDED, value_bound=e_v, dynamics_bound=e_d),
                     [9],
                     history[None],
                     n,
@@ -204,6 +201,7 @@ def test_03_certified_margin_keeps_window_loss_at_target():
                     futures=agent[None],
                     future_lengths=[n],
                     start_frame=100,
+                    seed=i,
                     cbf=cbf,
                     ego_positions=ego,
                 )
@@ -315,7 +313,7 @@ def _replay_window_losses(config, scene, trace_path):
     common prefix of its prediction and its realized path.
     """
     cbf = config.cbf()
-    alpha = config.class_kappa()
+    alpha = config.alpha_slope
     tau = config.tau_frames
     rows = [json.loads(line) for line in open(trace_path, encoding="utf-8")]
     position = {r["frame"]: np.asarray(r["position"]) for r in rows}

@@ -17,14 +17,13 @@ import pytest
 from _oracles import fd_gradient, gradient_norm_bound_scan, gradient_relative_error
 from conformal_cbf.barrier import (
     AffineConstraint,
-    ClassKappa,
     PotentialFieldCbf,
     barrier_terms,
     bound_set_for,
     gradient_norm_bound,
 )
-from conformal_cbf.engine import _rows
-from conformal_cbf.errors import InputError, SingularityError
+from conformal_cbf.engine import SimConfig, _rows
+from conformal_cbf.errors import ConfigError, InputError, SingularityError
 from conformal_cbf.predictor import Predictions
 
 CBF = PotentialFieldCbf(k_rep=2.0, rho0=10.0, delta=0.5)
@@ -182,40 +181,34 @@ def test_bound_set_for_uses_gradient_bound():
 
 
 def test_class_kappa_linear():
-    alpha = ClassKappa.linear(0.1)
-    assert alpha.value(0.0) == 0.0
-    assert alpha.value(2.0) == pytest.approx(0.2, abs=1e-15)
-    assert alpha.value(-2.0) == pytest.approx(-0.2, abs=1e-15)
-    assert alpha.lipschitz == 0.1
-
-
-def test_class_kappa_arctan():
-    alpha = ClassKappa.arctan(2.0)
-    assert alpha.value(0.0) == 0.0
-    assert alpha.lipschitz == pytest.approx(2.0 / np.pi, abs=1e-15)
-    # bounded by +-slope/2 and strictly increasing
-    rs = np.linspace(-50.0, 50.0, 501)
-    values = [alpha.value(float(r)) for r in rs]
-    assert all(np.diff(values) > 0.0)
-    assert all(abs(v) < 1.0 for v in values)
+    # a resting agent's row offset is alpha(h) = alpha_slope * h, of h's
+    # sign on either side of the zero level
+    d0 = CBF.zero_level_distance()
+    for slope in (0.1, 2.0):
+        offsets = [
+            row((0.0, 0.0), [d, 0.0], [0.0, 0.0], alpha_slope=slope)[1]
+            for d in (0.5 * d0, 2.0 * d0)
+        ]
+        assert offsets == [slope * h_at(CBF, (0.0, 0.0), (d, 0.0)) for d in (0.5 * d0, 2.0 * d0)]
+        assert offsets[0] < 0.0 < offsets[1]
 
 
 def test_class_kappa_lipschitz_property():
+    # lambda_safe_bound charges the alpha part of the gap M_alpha * m_h * e_v
+    # with M_alpha = alpha_slope: alpha_slope * |h(p) - h(p')| stays within it
     rng = np.random.default_rng(17)
-    for alpha in (ClassKappa.linear(0.3), ClassKappa.arctan(1.7)):
-        r = rng.uniform(-20.0, 20.0, size=(200, 2))
-        for x, y in r:
-            lhs = abs(alpha.value(float(x)) - alpha.value(float(y)))
-            assert lhs <= alpha.lipschitz * abs(x - y) * (1.0 + 1e-12) + 1e-15
+    slope, m_h = 0.3, gradient_norm_bound(CBF)
+    for _ in range(200):
+        agent, moved = rng.uniform(-12.0, 12.0, size=(2, 2))
+        lhs = abs(slope * h_at(CBF, (0.0, 0.0), agent) - slope * h_at(CBF, (0.0, 0.0), moved))
+        bound = slope * m_h * float(np.linalg.norm(agent - moved))
+        assert lhs <= bound * (1.0 + 1e-12) + 1e-15
 
 
 def test_class_kappa_validation():
-    with pytest.raises(InputError):
-        ClassKappa(kind="cubic", slope=1.0)
-    with pytest.raises(InputError):
-        ClassKappa.linear(0.0)
-    with pytest.raises(InputError):
-        ClassKappa.linear(-2.0)
+    for slope in (0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="^alpha_slope must be positive and finite"):
+            SimConfig(alpha_slope=slope)
 
 
 def test_cbf_param_validation():
@@ -249,10 +242,7 @@ def test_zero_level_distance_is_barrier_root():
         assert h_at(cbf, (0.0, 0.0), (1.1 * d0, 0.0)) > 0.0
 
 
-ALPHA = ClassKappa.linear(1.0)
-
-
-def row(ego, position, velocity, lam=0.0, cbf=CBF):
+def row(ego, position, velocity, lam=0.0, cbf=CBF, alpha_slope=1.0):
     """The engine's deployed row against one agent: (normal, offset), or
     None when the agent gives no row."""
     predicted = Predictions(
@@ -262,7 +252,7 @@ def row(ego, position, velocity, lam=0.0, cbf=CBF):
         lengths=np.array([1]),
     )
     normals, offsets, ids = _rows(
-        cbf, ALPHA, predicted, 0, np.asarray(ego, dtype=np.float64), cbf.rho0, lam
+        cbf, alpha_slope, predicted, 0, np.asarray(ego, dtype=np.float64), cbf.rho0, lam
     )
     return (normals[0], float(offsets[0])) if len(ids) else None
 
@@ -291,7 +281,7 @@ def test_true_constraint_flow_term():
         vel = rng.normal(size=2)
         _, offset = row(ego, agent_pos, vel)
         h, g_ego = terms(CBF, ego, agent_pos)
-        expected = float(-g_ego @ vel) + ALPHA.value(h)
+        expected = float(-g_ego @ vel) + h
         assert abs(offset - expected) <= 1e-12
 
 
@@ -301,7 +291,7 @@ def test_conformal_equals_true_for_perfect_prediction():
     normal, offset = row((1.0, 1.0), [4.0, 3.0], [-1.0, 0.5])
     h, g_ego = terms(CBF, (1.0, 1.0), (4.0, 3.0))
     assert np.array_equal(normal, g_ego)
-    assert offset == float(-g_ego @ [-1.0, 0.5]) + ALPHA.value(h)
+    assert offset == float(-g_ego @ [-1.0, 0.5]) + h
 
 
 def test_conformal_margin_is_additive():

@@ -27,6 +27,16 @@ COUNTED = [
     "dynamics.integrate",
     "engine.trace",
 ]
+# the work counters of that run, read from the arguments and results of
+# window_loss, predict and solve_with_relaxation and from margin updates
+WORK = {
+    "conformal.agent_samples_scored": 70,
+    "predictor.agents_predicted": 14,
+    "qp.rows": 70,
+    "conformal.windows_scored": 11,
+    "conformal.windows_unscored": 1,
+    "qp.solve_attempts": 60,
+}
 # names the benchmark rebinds that the program no longer has
 GONE = {
     "conformal_cbf.engine.differentiate",
@@ -71,5 +81,6 @@ def test_bench_instrumentation_reaches_every_layer(tmp_path):
     assert frames == 60
     assert result["stamps"] == frames  # one frame-clock stamp per frame
     assert {k: result["count"].get(k, 0) > 0 for k in COUNTED} == dict.fromkeys(COUNTED, True)
+    assert {k: result["count"].get(k) for k in WORK} == WORK
     notes = re.findall(r"bench: no (\S+); its layer timer is off", done.stderr)
     assert sorted(notes) == sorted(GONE)

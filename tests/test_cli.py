@@ -335,7 +335,9 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize(
-        "key, value", [("eta", 0.0), ("epsilon", 0.5), ("lambda_initial", math.inf)]
+        "key, value",
+        [("eta", 0.0), ("epsilon", 0.5), ("lambda_initial", math.inf), ("alpha_slope", 0),
+         ("k_acc", -1), ("k_rep", 0), ("rho0", -1), ("delta", 1), ("predictor", "bogus")],
     )
     def test_bad_margin_value_names_its_key(self, tmp_path, capsys, key, value):
         out = tmp_path / "m.csv"
@@ -344,8 +346,12 @@ class TestExitCodes:
              "--scene", make_scene(tmp_path), "--out", str(out)]
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"config error: {key} ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ")
         assert not out.exists()
+        # an unknown predictor's message lists the accepted kinds
+        kinds = ("constant-velocity", "ground-truth-oracle", "noise-bounded-oracle")
+        assert key != "predictor" or all(kind in err for kind in kinds)
 
     @pytest.mark.parametrize("k_acc", [1e308, 100.0, 20.0])
     def test_unsettling_tracking_gain_is_a_config_error(self, tmp_path, capsys, k_acc):

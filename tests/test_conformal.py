@@ -7,73 +7,73 @@ import numpy as np
 import pytest
 
 from _oracles import Window, differentiate, gap_reference, scalar_row, scalar_terms
-from conformal_cbf.barrier import BoundSet, ClassKappa, PotentialFieldCbf
+from conformal_cbf.barrier import BoundSet, PotentialFieldCbf
 from conformal_cbf.conformal import (
     NO_AGENTS,
     ConformalState,
     EgoWindow,
-    Squashing,
     lambda_safe_bound,
-    make_certificate,
     risk_bound,
+    squash,
+    squash_inverse,
     window_loss,
 )
 from conformal_cbf.errors import ConfigError, InputError
 from conformal_cbf.qp import QpProblem, solve
 
 CBF = PotentialFieldCbf(k_rep=2.0, rho0=10.0, delta=0.5)
-ALPHA = ClassKappa.linear(1.0)
-# window_loss with this map returns the worst gap itself
-IDENTITY = Squashing(name="identity", fn=lambda r: r, inv=lambda y: y)
+ALPHA = 1.0  # alpha_slope
 
 
 class TestSquashing:
     def test_zero_maps_to_zero(self):
-        s = Squashing.arctan_over_pi()
-        assert s.value(0.0) == 0.0
+        assert squash(0.0) == 0.0
 
     def test_range_is_open_half_interval(self):
-        s = Squashing.arctan_over_pi()
         for r in (-1e9, -3.0, 0.7, 1e12):
-            assert -0.5 < s.value(r) < 0.5
+            assert -0.5 < squash(r) < 0.5
 
     def test_known_value(self):
-        s = Squashing.arctan_over_pi()
         # arctan(1)/pi = 1/4
-        assert abs(s.value(1.0) - 0.25) <= 1e-15
+        assert abs(squash(1.0) - 0.25) <= 1e-15
 
     def test_inverse_roundtrip(self):
-        s = Squashing.arctan_over_pi()
         for r in np.linspace(-20.0, 20.0, 41):
-            assert abs(s.inverse(s.value(r)) - r) <= 1e-9 * max(1.0, abs(r))
+            assert abs(squash_inverse(squash(r)) - r) <= 1e-9 * max(1.0, abs(r))
 
     def test_monotone(self):
-        s = Squashing.arctan_over_pi()
-        xs = np.linspace(-50, 50, 201)
-        ys = [s.value(x) for x in xs]
+        ys = [squash(x) for x in np.linspace(-50, 50, 201)]
         assert all(a < b for a, b in zip(ys, ys[1:]))
 
     def test_inverse_domain_checked(self):
-        s = Squashing.arctan_over_pi()
         for bad in (-0.5, 0.5, 0.7, math.nan):
             with pytest.raises(InputError):
-                s.inverse(bad)
+                squash_inverse(bad)
 
     def test_value_rejects_nan(self):
-        s = Squashing.arctan_over_pi()
         with pytest.raises(InputError):
-            s.value(math.nan)
+            squash(math.nan)
 
 
 class TestGap:
-    """The per-sample gap as window_loss computes it, read through the
-    identity squash: two samples 0.1 s apart, the second out of range
-    (where h is 1 - delta and the gradient zero, so its gap is lam)."""
+    """The per-sample gap as window_loss scores it: the loss of a window of
+    two samples 0.1 s apart, the second out of range (where h is 1 - delta
+    and the gradient zero, so its gap is lam), is the squashed worst
+    gap_reference."""
 
     EGO = EgoWindow(np.array([[0.0, 0.0], [0.0, 0.0]]), 0.1)
 
     def worst_gap(self, actual, predicted, lam):
-        return window_loss(CBF, ALPHA, [predicted], [actual], self.EGO, lam, IDENTITY)
+        tracks = [Window(1, 0, 0.1, np.array(t, dtype=np.float64)) for t in (actual, predicted)]
+        worst = max(
+            gap_reference(
+                CBF, ALPHA, self.EGO.positions[f],
+                *[x for t in tracks for x in (t.position_at(f), differentiate(t, f))], lam,
+            )
+            for f in range(2)
+        )
+        assert window_loss(CBF, ALPHA, [predicted], [actual], self.EGO, lam) == squash(worst)
+        return worst
 
     def test_perfect_prediction_is_zero(self):
         track = [[3.0, 0.0], [3.05, 0.0]]
@@ -166,7 +166,6 @@ class TestUpdate:
         state = ConformalState(lam=0.0, eta=1.0, epsilon=0.0)
         state.update(0.25)
         assert state.lam == -0.25
-        assert state.updates_applied == 1
         assert state.loss_history == [0.25]
 
     def test_worked_example(self):
@@ -179,7 +178,6 @@ class TestUpdate:
         state = ConformalState(lam=0.3, eta=2.0, epsilon=0.1)
         state.update(NO_AGENTS)
         assert state.lam == 0.3
-        assert state.updates_applied == 0
         assert state.loss_history == []
 
     def test_step_capped_by_eta(self):
@@ -261,12 +259,15 @@ class TestSafetyThreshold:
         bounds = BoundSet(m_h=2.0, e_v=0.1, e_d=0.3)
         with pytest.raises(InputError):
             lambda_safe_bound(bounds, ALPHA, epsilon_safe=0.5)
+        for slope in (0.0, -1.0, math.nan):
+            with pytest.raises(InputError, match="alpha_slope"):
+                lambda_safe_bound(bounds, slope, epsilon_safe=0.1)
 
     def test_make_certificate(self):
+        # M_alpha is alpha_slope: tan(pi * 0.25) = 1, minus e_d = 0.3,
+        # minus 2 * 2 * 0.1 = 0.4
         bounds = BoundSet(m_h=2.0, e_v=0.1, e_d=0.3)
-        cert = make_certificate(bounds, ALPHA, epsilon_safe=0.25)
-        assert cert.epsilon_safe == 0.25
-        assert abs(cert.lambda_safe - 0.5) <= 1e-12
+        assert abs(lambda_safe_bound(bounds, 2.0, epsilon_safe=0.25) - 0.3) <= 1e-12
 
 
 class TestRiskBound:

@@ -15,8 +15,9 @@ from _oracles import (
     step_formula,
     track_velocity_formula,
 )
-from conformal_cbf.dynamics import RobotState, TrackingActuator, step, track_velocity
-from conformal_cbf.errors import InputError
+from conformal_cbf.dynamics import RobotState, step, track_velocity
+from conformal_cbf.engine import SimConfig
+from conformal_cbf.errors import ConfigError, InputError
 from conformal_cbf.scenario import RobotTask, reference_control
 
 SETTINGS = settings(max_examples=400, deadline=None)
@@ -169,35 +170,32 @@ def test_track_velocity_rejects_nonfinite_velocities(velocity, commanded):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(InputError, match="acceleration must be a finite planar vector"):
-            track_velocity(TrackingActuator(gain=2.0), np.array(velocity), np.array(commanded))
+            track_velocity(2.0, np.array(velocity), np.array(commanded))
 
 
 def test_track_velocity_rejects_an_overflowing_acceleration():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(InputError, match="acceleration must be a finite planar vector"):
-            track_velocity(TrackingActuator(gain=1e308), np.array([3.0, 0.0]), np.zeros(2))
+            track_velocity(1e308, np.array([3.0, 0.0]), np.zeros(2))
 
 
 def test_track_velocity_formula():
-    act = TrackingActuator(gain=2.0)
-    u = track_velocity(act, np.array([3.0, -1.0]), np.array([1.0, 1.0]))
+    u = track_velocity(2.0, np.array([3.0, -1.0]), np.array([1.0, 1.0]))
     assert np.allclose(u, [-4.0, 4.0], atol=1e-15)
 
 
 def test_track_velocity_zero_iff_matched():
-    act = TrackingActuator(gain=5.0)
     v = np.array([0.4, -0.7])
-    assert np.array_equal(track_velocity(act, v, v.copy()), [0.0, 0.0])
-    u = track_velocity(act, v, v + 1e-9)
+    assert np.array_equal(track_velocity(5.0, v, v.copy()), [0.0, 0.0])
+    u = track_velocity(5.0, v, v + 1e-9)
     assert np.linalg.norm(u) > 0.0
 
 
 def test_actuator_gain_validation():
-    with pytest.raises(InputError):
-        TrackingActuator(gain=0.0)
-    with pytest.raises(InputError):
-        TrackingActuator(gain=-1.0)
+    for gain in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="^k_acc must be positive and finite"):
+            SimConfig(k_acc=gain)
 
 
 def _formula(fn, *args):
@@ -226,14 +224,13 @@ def test_float_step_is_bitwise_the_array_formula(position, velocity, accel, dt):
 @SETTINGS
 @given(velocity=vec, commanded=vec, gain=positive)
 def test_float_track_velocity_is_bitwise_the_array_formula(velocity, commanded, gain):
-    actuator = TrackingActuator(gain=gain)
     want = _formula(track_velocity_formula, gain, velocity, commanded)
     if np.isfinite(want).all():
-        got = track_velocity(actuator, np.array(velocity), np.array(commanded))
+        got = track_velocity(gain, np.array(velocity), np.array(commanded))
         assert _bits(got) == _bits(want)
     else:
         with pytest.raises(InputError, match="acceleration must be a finite planar vector"):
-            track_velocity(actuator, np.array(velocity), np.array(commanded))
+            track_velocity(gain, np.array(velocity), np.array(commanded))
 
 
 @SETTINGS
@@ -257,5 +254,5 @@ def test_signed_zeros_and_subnormals_keep_their_bits():
     want_p, want_v = step_formula(state.position, state.velocity, [-0.0, 0.0], 0.5)
     assert _bits(got.position) == _bits(want_p) and _bits(got.velocity) == _bits(want_v)
     assert math.copysign(1.0, got.position[0]) == -1.0
-    accel = track_velocity(TrackingActuator(gain=1.0), np.array([tiny, -0.0]), np.array([0.0, 0.0]))
+    accel = track_velocity(1.0, np.array([tiny, -0.0]), np.array([0.0, 0.0]))
     assert _bits(accel) == _bits(track_velocity_formula(1.0, [tiny, -0.0], [0.0, 0.0]))

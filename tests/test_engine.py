@@ -219,8 +219,7 @@ class TestGroundTruthFixedPoint:
         run(cfg, scene, self._task(), trace_path=trace)
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         by_frame = {r["frame"]: r for r in records}
-        kind = replace(cfg.predictor, seed=cfg.seed)
-        cbf, alpha = cfg.cbf(), cfg.class_kappa()
+        cbf = cfg.cbf()
         start, tau = scene.start_frame, cfg.tau_frames
 
         checked = 0
@@ -240,7 +239,9 @@ class TestGroundTruthFixedPoint:
                 )
                 for agent_id in histories
             }
-            preds = predict_reference(kind, histories, cfg.horizon_frames, futures=futures)
+            preds = predict_reference(
+                cfg.predictor, histories, cfg.horizon_frames, futures=futures, seed=cfg.seed
+            )
 
             here = np.array(r["position"])
             rows = []
@@ -253,7 +254,9 @@ class TestGroundTruthFixedPoint:
                 if dist <= 0.0 or dist >= cfg.rho0:
                     continue
                 velocity = differentiate(ptraj, r["frame"])
-                rows.append(scalar_row(cbf, alpha, here, pos, velocity, r["lambda"]))
+                rows.append(
+                    scalar_row(cbf, cfg.alpha_slope, here, pos, velocity, r["lambda"])
+                )
             assert len(rows) == r["n_constraints"]
             command = np.array(r["command"])
             for normal, offset in rows:
@@ -409,9 +412,7 @@ class TestDeterminism:
         scene = crossing_scene(duration=15.0)
         cfg = replace(
             BASE,
-            predictor=PredictorKind(
-                kind=NOISE_BOUNDED, value_bound=2.0, dynamics_bound=0.5, seed=99
-            ),
+            predictor=PredictorKind(kind=NOISE_BOUNDED, value_bound=2.0, dynamics_bound=0.5),
             max_frames=150,
             seed=0,
         )

@@ -23,7 +23,7 @@ from _oracles import (
     scalar_terms,
     stack_reference,
 )
-from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, barrier_terms
+from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms
 from conformal_cbf.conformal import EgoWindow, window_loss
 from conformal_cbf.engine import _rows
 from conformal_cbf.errors import InputError, SingularityError
@@ -44,10 +44,7 @@ cbfs = st.builds(
     rho0=st.floats(1.0, 500.0),
     delta=st.floats(0.05, 0.95),
 )
-alphas = st.one_of(
-    st.builds(ClassKappa.linear, st.floats(0.01, 50.0)),
-    st.builds(ClassKappa.arctan, st.floats(0.01, 50.0)),
-)
+slopes = st.floats(0.01, 50.0)
 
 
 def singular(cbf, ego, agents):
@@ -121,15 +118,15 @@ def test_velocities_match_differentiate_at_every_frame(positions, dt, start):
 @SETTINGS
 @given(
     cbf=cbfs,
-    alpha=alphas,
+    slope=slopes,
     ego=point,
     agents=st.lists(st.tuples(point, point), min_size=1, max_size=10),
     close=st.lists(st.tuples(tiny, tiny), max_size=2),
     lam=st.floats(-5.0, 5.0),
 )
-def test_batched_rows_match_build_conformal_constraint(cbf, alpha, ego, agents, close, lam):
+def test_batched_rows_match_build_conformal_constraint(cbf, slope, ego, agents, close, lam):
     """A frame's rows over a batch of agents, for any class-kappa
-    function, against the per-pair row build_conformal_constraint made:
+    slope, against the per-pair row build_conformal_constraint made:
     scalar_row.  Agents closer than min_distance give no row."""
     agents = agents + [(p, (1.0, -2.0)) for p in near(ego, close)]
     ego = np.asarray(ego, dtype=np.float64)
@@ -139,11 +136,11 @@ def test_batched_rows_match_build_conformal_constraint(cbf, alpha, ego, agents, 
         velocities=np.array([[v] for _, v in agents], dtype=np.float64),
         lengths=np.ones(len(agents), dtype=np.intp),
     )
-    normals, offsets, ids = _rows(cbf, alpha, predicted, 0, ego, math.inf, lam)
+    normals, offsets, ids = _rows(cbf, slope, predicted, 0, ego, math.inf, lam)
     want = [i for i, (p, _) in enumerate(agents) if not singular(cbf, ego, [p])]
     assert ids.tolist() == want
     for normal, offset, i in zip(normals, offsets, want):
-        normal_ref, offset_ref = scalar_row(cbf, alpha, ego, *agents[i], lam)
+        normal_ref, offset_ref = scalar_row(cbf, slope, ego, *agents[i], lam)
         assert np.all(normal == normal_ref)
         assert offset == offset_ref
 
@@ -163,7 +160,7 @@ def test_engine_frame_rows_match_build_conformal_constraint(
 ):
     """The engine's rows at sample k of a window against the per-pair row
     build_conformal_constraint made (scalar_row), agent by agent."""
-    alpha = ClassKappa.linear(10.0)
+    slope = 10.0
     for j, dx, dy in close:  # samples on or next to the ego, which give no row
         if j < len(tracks):
             tracks[j][k] = near(ego, [(dx, dy)])[0]
@@ -172,7 +169,7 @@ def test_engine_frame_rows_match_build_conformal_constraint(
         for j, (track, n) in enumerate(zip(tracks, lengths))
     }
     normals, offsets, ids = _rows(
-        cbf, alpha, stack_reference(predictions), k, np.asarray(ego, dtype=np.float64),
+        cbf, slope, stack_reference(predictions), k, np.asarray(ego, dtype=np.float64),
         cbf.rho0, lam,
     )
     expected = []
@@ -184,7 +181,7 @@ def test_engine_frame_rows_match_build_conformal_constraint(
         dist = float(np.linalg.norm(pos - np.asarray(ego)))
         if dist < cbf.min_distance or dist >= cbf.rho0:
             continue
-        row = scalar_row(cbf, alpha, ego, pos, differentiate(traj, 40 + k), lam)
+        row = scalar_row(cbf, slope, ego, pos, differentiate(traj, 40 + k), lam)
         expected.append((agent_id, *row))
     assert ids.tolist() == [agent_id for agent_id, _, _ in expected]
     for normal, offset, (_, normal_ref, offset_ref) in zip(normals, offsets, expected):
@@ -195,7 +192,7 @@ def test_engine_frame_rows_match_build_conformal_constraint(
 @SETTINGS
 @given(
     cbf=cbfs,
-    alpha=alphas,
+    slope=slopes,
     windows=st.lists(
         st.tuples(st.lists(point, min_size=5, max_size=5), st.lists(point, min_size=5, max_size=5)),
         min_size=1,
@@ -204,7 +201,7 @@ def test_engine_frame_rows_match_build_conformal_constraint(
     ego=st.lists(point, min_size=5, max_size=5),
     lam=st.floats(-5.0, 5.0),
 )
-def test_window_loss_matches_per_sample_gaps(cbf, alpha, windows, ego, lam):
+def test_window_loss_matches_per_sample_gaps(cbf, slope, windows, ego, lam):
     predicted = np.array([p for p, _ in windows])
     actual = np.array([a for _, a in windows])
     ego = np.array(ego)
@@ -214,22 +211,30 @@ def test_window_loss_matches_per_sample_gaps(cbf, alpha, windows, ego, lam):
             tracks = [Window(i, 7, 0.1, t[i]) for t in (actual, predicted)]
             for f in range(7, 12):
                 states = [x for t in tracks for x in (t.position_at(f), differentiate(t, f))]
-                worst = max(worst, gap_reference(cbf, alpha, ego[f - 7], *states, lam))
+                worst = max(worst, gap_reference(cbf, slope, ego[f - 7], *states, lam))
     except SingularityError:  # a coincident sample: the window has no loss
         with pytest.raises(SingularityError):
-            window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), lam)
+            window_loss(cbf, slope, predicted, actual, EgoWindow(ego, 0.1), lam)
         return
-    got = window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), lam)
+    got = window_loss(cbf, slope, predicted, actual, EgoWindow(ego, 0.1), lam)
     assert got == math.atan(worst) / math.pi
 
 
 @SETTINGS
-@given(slope=st.floats(0.01, 50.0), r=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))
-def test_class_kappa_on_arrays_matches_scalars(slope, r):
-    for alpha in (ClassKappa.linear(slope), ClassKappa.arctan(slope)):
-        got = alpha.value(np.array(r))
-        assert got.shape == (len(r),)
-        assert all(got[i] == alpha.value(x) for i, x in enumerate(r))
+@given(cbf=cbfs, slope=slopes, agents=st.lists(point, min_size=1, max_size=20))
+def test_class_kappa_on_arrays_matches_scalars(cbf, slope, agents):
+    """A resting agent's row offset is the class-kappa term alone: over a
+    frame's rows, slope * h equals the product on each scalar h."""
+    ego = np.zeros(2)
+    agents = [p for p in agents if not singular(cbf, ego, [p])]
+    predicted = Predictions(
+        ids=np.arange(len(agents)),
+        positions=np.array(agents, dtype=np.float64).reshape(-1, 1, 2),
+        velocities=np.zeros((len(agents), 1, 2)),
+        lengths=np.ones(len(agents), dtype=np.intp),
+    )
+    _, offsets, _ = _rows(cbf, slope, predicted, 0, ego, math.inf, 0.0)
+    assert offsets.tolist() == [slope * scalar_terms(cbf, ego, p)[0] for p in agents]
 
 
 # a stack of m windows of up to n samples, each with its own length
@@ -267,14 +272,14 @@ def test_velocities_reject_lengths_outside_the_window():
             velocities(p, 0.1, lengths)
 
 
-def _per_length_loss(cbf, alpha, predicted, actual, ego, dt, lam, lengths):
+def _per_length_loss(cbf, slope, predicted, actual, ego, dt, lam, lengths):
     """The max over one window_loss call per distinct length, the
     scoring the lengths argument replaced."""
     worst = None
     for k in sorted(set(lengths.tolist())):
         group = lengths == k
         loss = window_loss(
-            cbf, alpha, predicted[group, :k], actual[group, :k], EgoWindow(ego[:k], dt), lam
+            cbf, slope, predicted[group, :k], actual[group, :k], EgoWindow(ego[:k], dt), lam
         )
         worst = loss if worst is None or loss > worst else worst
     return worst
@@ -283,12 +288,12 @@ def _per_length_loss(cbf, alpha, predicted, actual, ego, dt, lam, lengths):
 @SETTINGS
 @given(
     cbf=cbfs,
-    alpha=alphas,
+    slope=slopes,
     stack=stacks,
     lam=st.floats(-5.0, 5.0),
     padded_on_ego=st.booleans(),
 )
-def test_masked_window_loss_is_the_max_over_per_length_calls(cbf, alpha, stack, lam, padded_on_ego):
+def test_masked_window_loss_is_the_max_over_per_length_calls(cbf, slope, stack, lam, padded_on_ego):
     n, lengths, seed = stack
     rng = np.random.default_rng(seed)
     lengths = np.array(lengths)
@@ -302,44 +307,44 @@ def test_masked_window_loss_is_the_max_over_per_length_calls(cbf, alpha, stack, 
             if k < n:
                 predicted[j, k] = actual[j, k] = ego[k]
     try:
-        want = _per_length_loss(cbf, alpha, predicted, actual, ego, 0.1, lam, lengths)
+        want = _per_length_loss(cbf, slope, predicted, actual, ego, 0.1, lam, lengths)
     except SingularityError:
         with pytest.raises(SingularityError):
-            window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), lam, lengths=lengths)
+            window_loss(cbf, slope, predicted, actual, EgoWindow(ego, 0.1), lam, lengths=lengths)
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), lam, lengths=lengths)
+        got = window_loss(cbf, slope, predicted, actual, EgoWindow(ego, 0.1), lam, lengths=lengths)
     assert got == want
 
 
 def test_a_coincident_scored_sample_still_raises():
-    cbf, alpha = PotentialFieldCbf(k_rep=50.0, rho0=60.0, delta=0.5), ClassKappa.linear(1.0)
+    cbf, slope = PotentialFieldCbf(k_rep=50.0, rho0=60.0, delta=0.5), 1.0
     rng = np.random.default_rng(3)
     predicted, actual = rng.uniform(-40, 40, size=(2, 2, 5, 2))
     ego = rng.uniform(-5, 5, size=(5, 2))
     lengths = np.array([3, 5])
     predicted[0, 2] = ego[2]  # the last scored sample of agent 0
     with pytest.raises(SingularityError):
-        window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), 0.0, lengths=lengths)
+        window_loss(cbf, slope, predicted, actual, EgoWindow(ego, 0.1), 0.0, lengths=lengths)
     predicted[0, 2], predicted[0, 3] = ego[2] + 10.0, ego[3]  # now past agent 0's length
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), 0.0, lengths=lengths)
-    assert got == _per_length_loss(cbf, alpha, predicted, actual, ego, 0.1, 0.0, lengths)
+        got = window_loss(cbf, slope, predicted, actual, EgoWindow(ego, 0.1), 0.0, lengths=lengths)
+    assert got == _per_length_loss(cbf, slope, predicted, actual, ego, 0.1, 0.0, lengths)
 
 
 def test_padded_samples_do_not_raise_the_loss():
     # predicted agents standing close where the actual ones stand out of
     # range: every scored gap is below lam, while a padded sample's would
     # read exactly lam
-    cbf, alpha = PotentialFieldCbf(k_rep=50.0, rho0=60.0, delta=0.5), ClassKappa.linear(1.0)
+    cbf, slope = PotentialFieldCbf(k_rep=50.0, rho0=60.0, delta=0.5), 1.0
     ego = np.zeros((5, 2))
     predicted = np.broadcast_to([[10.0, 0.0]], (2, 5, 2)).copy()
     actual = np.broadcast_to([[100.0, 0.0]], (2, 5, 2)).copy()
     lengths = np.array([3, 4])
-    got = window_loss(cbf, alpha, predicted, actual, EgoWindow(ego, 0.1), 0.5, lengths=lengths)
-    assert got == _per_length_loss(cbf, alpha, predicted, actual, ego, 0.1, 0.5, lengths)
+    got = window_loss(cbf, slope, predicted, actual, EgoWindow(ego, 0.1), 0.5, lengths=lengths)
+    assert got == _per_length_loss(cbf, slope, predicted, actual, ego, 0.1, 0.5, lengths)
     assert got < math.atan(0.5) / math.pi
 
 
@@ -359,9 +364,9 @@ def test_barrier_terms_reads_masked_offsets_as_out_of_range():
 
 
 def test_lengths_need_the_array_form_and_must_fit():
-    cbf, alpha = PotentialFieldCbf(k_rep=50.0, rho0=60.0, delta=0.5), ClassKappa.linear(1.0)
+    cbf, slope = PotentialFieldCbf(k_rep=50.0, rho0=60.0, delta=0.5), 1.0
     pred = np.full((2, 4, 2), 30.0)
     ego = EgoWindow(np.zeros((4, 2)), 0.1)
     for lengths in ([1, 4], [2, 5], [2, 3, 4], [2.0, 4.0]):
         with pytest.raises(InputError, match="lengths"):
-            window_loss(cbf, alpha, pred, pred, ego, 0.0, lengths=lengths)
+            window_loss(cbf, slope, pred, pred, ego, 0.0, lengths=lengths)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import scene_from_frames
-from conformal_cbf.barrier import ClassKappa, PotentialFieldCbf, barrier_terms
+from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms
 from conformal_cbf.conformal import EgoWindow, window_loss
 from conformal_cbf.dynamics import RobotState
 from conformal_cbf.engine import SimConfig, _predict_window
@@ -63,9 +63,9 @@ def scene_of(tracks):
 
 
 def window_at(scene, frame, kind=PredictorKind(kind=CONSTANT_VELOCITY), horizon=4):
-    config = SimConfig(dt=0.1, tau_frames=2, horizon_frames=horizon, rho0=1000.0)
+    config = SimConfig(dt=0.1, tau_frames=2, horizon_frames=horizon, rho0=1000.0, predictor=kind)
     state = RobotState(position=np.zeros(2), velocity=np.zeros(2))
-    predicted, _ = _predict_window(config, kind, config.cbf(), scene, state, frame, scene.dt)
+    predicted, _ = _predict_window(config, config.cbf(), scene, state, frame, scene.dt)
     return predicted
 
 
@@ -146,30 +146,26 @@ class TestGroundTruthOracle:
     def test_perfect_prediction_gives_zero_window_loss(self):
         # the whole point of the oracle: replaying the future through the
         # same differencing yields a loss of exactly zero at lam = 0
-        alpha = ClassKappa.linear(1.0)
         future = np.array([[6.0, 1.0], [5.5, 1.5], [5.0, 2.0], [5.0, 2.5]])
         out = predict_one(
             PredictorKind(kind=GROUND_TRUTH), [[6.0, 0.0], [6.0, 0.5]], 4, future
         )
         ego = EgoWindow(np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]), 0.1)
-        loss = window_loss(CBF, alpha, out.positions, future[None], ego, lam=0.0)
+        loss = window_loss(CBF, 1.0, out.positions, future[None], ego, lam=0.0)
         assert loss == 0.0
 
 
 class TestNoiseBoundedOracle:
     HIST = [[5.0, 0.0], [5.0, 0.5]]
-    ORIGIN = dict(cbf=CBF, ego_positions=np.array([0.0, 0.0]), start_frame=2)
+    ORIGIN = dict(cbf=CBF, ego_positions=np.array([0.0, 0.0]), start_frame=2, seed=0)
 
     def future_fixture(self, agent_id=4, n=6):
         rng = np.random.default_rng(agent_id)
         return np.array([5.0, 1.0]) + np.cumsum(rng.uniform(-0.3, 0.3, size=(n, 2)), axis=0)
 
-    def kind(self, value_bound, dynamics_bound, seed=0):
+    def kind(self, value_bound, dynamics_bound):
         return PredictorKind(
-            kind=NOISE_BOUNDED,
-            value_bound=value_bound,
-            dynamics_bound=dynamics_bound,
-            seed=seed,
+            kind=NOISE_BOUNDED, value_bound=value_bound, dynamics_bound=dynamics_bound
         )
 
     def test_zero_bounds_reproduce_truth(self):
@@ -182,7 +178,12 @@ class TestNoiseBoundedOracle:
         with pytest.raises(InputError):
             predict_one(self.kind(0.1, 0.1), self.HIST, 6, future)
         with pytest.raises(InputError):
-            predict_one(self.kind(0.1, 0.1), self.HIST, 6, future, cbf=CBF, start_frame=2)
+            predict_one(self.kind(0.1, 0.1), self.HIST, 6, future, cbf=CBF, start_frame=2, seed=0)
+        with pytest.raises(InputError, match="seed"):
+            predict_one(
+                self.kind(0.1, 0.1), self.HIST, 6, future,
+                **{k: v for k, v in self.ORIGIN.items() if k != "seed"},
+            )
 
     def test_bounds_hold_over_many_draws(self):
         # both stated bounds must hold at every instant of the returned
@@ -197,13 +198,14 @@ class TestNoiseBoundedOracle:
             hist = [future[0] - 0.2, future[0] - 0.1]
             ego = rng.uniform(-1.0, 1.0, size=2)
             out = predict_one(
-                self.kind(value_bound, dynamics_bound, seed=seed),
+                self.kind(value_bound, dynamics_bound),
                 hist,
                 n,
                 future,
                 cbf=CBF,
                 ego_positions=ego,
                 start_frame=int(rng.integers(0, 50)),
+                seed=seed,
             )
             got = out.positions[0]
             v_true, v_pred = velocities(future, 0.1), velocities(got, 0.1)
@@ -223,14 +225,15 @@ class TestNoiseBoundedOracle:
 
     def test_actually_perturbs(self):
         future = self.future_fixture()
-        out = predict_one(self.kind(0.5, 10.0, seed=3), self.HIST, 6, future, **self.ORIGIN)
+        out = predict_one(self.kind(0.5, 10.0), self.HIST, 6, future, **dict(self.ORIGIN, seed=3))
         assert not np.array_equal(out.positions[0], future)
 
     def test_deterministic_per_seed(self):
         future = self.future_fixture()
-        a = predict_one(self.kind(0.5, 0.1, seed=9), self.HIST, 6, future, **self.ORIGIN)
-        b = predict_one(self.kind(0.5, 0.1, seed=9), self.HIST, 6, future, **self.ORIGIN)
-        c = predict_one(self.kind(0.5, 0.1, seed=10), self.HIST, 6, future, **self.ORIGIN)
+        a, b, c = (
+            predict_one(self.kind(0.5, 0.1), self.HIST, 6, future, **dict(self.ORIGIN, seed=seed))
+            for seed in (9, 9, 10)
+        )
         assert np.array_equal(a.positions, b.positions)
         assert not np.array_equal(a.positions, c.positions)
 

@@ -301,7 +301,7 @@ def test_scoring_groups_match_one_call_per_agent():
     agent on its own and for all of them together."""
     rng = np.random.default_rng(4)
     cfg = SimConfig(dt=0.1, k_rep=50.0, rho0=60.0)
-    cbf, alpha = cfg.cbf(), cfg.class_kappa()
+    cbf, alpha = cfg.cbf(), cfg.alpha_slope
     frames = {}
     spans = [(0, 12), (0, 3), (2, 7), (0, 1), (0, 12), (5, 9), (1, 13)]
     for agent_id, (first, last) in enumerate(spans):

@@ -11,6 +11,7 @@ end before the horizon.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +48,6 @@ kinds = st.one_of(
         kind=st.just(NOISE_BOUNDED),
         value_bound=st.sampled_from([0.0, 0.5, 4.0, 30.0]),
         dynamics_bound=st.sampled_from([0.0, 1e-3, 0.1, 1e9]),
-        seed=st.integers(0, 5),
     ),
 )
 
@@ -83,7 +83,8 @@ def reference_window(config, kind, cbf, scene, ego, frame):
         futures = {i: f for i, f in futures.items() if f is not None}
         histories = {i: h for i, h in histories.items() if i in futures}
     predictions = predict_reference(
-        kind, histories, config.horizon_frames, futures=futures, cbf=cbf, ego_positions=ego
+        kind, histories, config.horizon_frames, futures=futures, cbf=cbf, ego_positions=ego,
+        seed=config.seed,
     )
     return stack_reference({i: p for i, p in predictions.items() if p.n_samples >= 2})
 
@@ -99,7 +100,8 @@ def assert_same(got, want):
 
 def predicted_window(config, kind, scene, ego, frame):
     state = RobotState(position=np.asarray(ego, dtype=np.float64), velocity=np.zeros(2))
-    predicted, _ = _predict_window(config, kind, config.cbf(), scene, state, frame, scene.dt)
+    config = replace(config, predictor=kind)
+    predicted, _ = _predict_window(config, config.cbf(), scene, state, frame, scene.dt)
     return predicted
 
 
@@ -113,9 +115,10 @@ def predicted_window(config, kind, scene, ego, frame):
     rho0=st.sampled_from([1.25, 5.0, 17.75, 1000.0]),
     k_rep=st.sampled_from([0.5, 50.0, 2000.0]),
     starts=st.sets(st.integers(-5, 27), min_size=1, max_size=8),
+    seed=st.integers(0, 5),
 )
 def test_array_prediction_matches_the_per_agent_reference(
-    frames, kind, ego, tau, extra, rho0, k_rep, starts
+    frames, kind, ego, tau, extra, rho0, k_rep, starts, seed
 ):
     ego = np.array(ego, dtype=np.float64) / 4.0
     # one agent exactly rho0 away, which must not be sensed
@@ -123,7 +126,7 @@ def test_array_prediction_matches_the_per_agent_reference(
     frames.setdefault(2, {})[1000] = ego + [rho0, 1.0]
     scene = scene_from_frames(frames)
     config = SimConfig(
-        dt=0.1, tau_frames=tau, horizon_frames=tau + extra, rho0=rho0, k_rep=k_rep
+        dt=0.1, tau_frames=tau, horizon_frames=tau + extra, rho0=rho0, k_rep=k_rep, seed=seed
     )
     for frame in sorted(starts | {3}):
         got = predicted_window(config, kind, scene, ego, frame)
@@ -158,13 +161,11 @@ def test_a_coincident_noise_scale_fails_alone(
     scale fails as in the per-agent halving loop and the others are still
     tried."""
     scene, path = line_scene(n_future)
-    kind = PredictorKind(
-        kind=NOISE_BOUNDED, value_bound=value_bound, dynamics_bound=dynamics_bound, seed=seed
-    )
-    config = SimConfig(dt=0.1, tau_frames=2, horizon_frames=12, rho0=1000.0, k_rep=2.0)
+    kind = PredictorKind(kind=NOISE_BOUNDED, value_bound=value_bound, dynamics_bound=dynamics_bound)
+    config = SimConfig(dt=0.1, tau_frames=2, horizon_frames=12, rho0=1000.0, k_rep=2.0, seed=seed)
     sample = min(sample, n_future - 1)
     truth = path[2:]
-    noise = noise_reference(kind, 2, 4, n_future)
+    noise = noise_reference(kind, 2, 4, n_future, seed=seed)
     ego = truth[sample] if on_truth else (truth + math.ldexp(1.0, -k) * noise)[sample]
     got = predicted_window(config, kind, scene, ego, 2)
     assert_same(got, reference_window(config, kind, config.cbf(), scene, ego, 2))
@@ -203,6 +204,6 @@ def test_predict_checks_its_inputs():
         )
     with pytest.raises(InputError):
         predict(
-            noise, ids, histories, 4, 0.1, start_frame=0, cbf=SimConfig().cbf(),
+            noise, ids, histories, 4, 0.1, start_frame=0, seed=0, cbf=SimConfig().cbf(),
             ego_positions=np.zeros((2, 2)), **futures,
         )
