@@ -27,8 +27,9 @@ divides by anything that can be zero (dt is checked positive first).
 Each function checks the shapes of its arguments but the finiteness of
 its result only: a non-finite input, or an overflow, always makes the
 result non-finite, so one check of the result rejects both as
-InputError.  RobotState checks its own entries, and that check is step's
-result check.
+InputError.  RobotState(...) checks its own entries.  step checks the
+four floats of its result itself, with RobotState's message, and builds
+the new state from them without a second check.
 """
 
 import math
@@ -37,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from conformal_cbf.errors import InputError
+
+_NOT_FINITE = "RobotState entries must be finite"
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class RobotState:
         if pos.shape != (2,) or vel.shape != (2,):
             raise InputError("RobotState needs planar position and velocity")
         if not all(map(math.isfinite, pos.tolist() + vel.tolist())):
-            raise InputError("RobotState entries must be finite")
+            raise InputError(_NOT_FINITE)
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
 
@@ -82,16 +85,19 @@ def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
     k2x, k2y = vx + half * ax, vy + half * ay
     k4x, k4y = vx + dt * ax, vy + dt * ay
     h = dt / 6.0
-    return RobotState(
-        position=np.array([
-            px + h * (vx + 2.0 * k2x + 2.0 * k2x + k4x),
-            py + h * (vy + 2.0 * k2y + 2.0 * k2y + k4y),
-        ]),
-        velocity=np.array([
-            vx + h * (ax + 2.0 * ax + 2.0 * ax + ax),
-            vy + h * (ay + 2.0 * ay + 2.0 * ay + ay),
-        ]),
+    new = (
+        px + h * (vx + 2.0 * k2x + 2.0 * k2x + k4x),
+        py + h * (vy + 2.0 * k2y + 2.0 * k2y + k4y),
+        vx + h * (ax + 2.0 * ax + 2.0 * ax + ax),
+        vy + h * (ay + 2.0 * ay + 2.0 * ay + ay),
     )
+    if not all(map(math.isfinite, new)):
+        raise InputError(_NOT_FINITE)
+    # the state is built without RobotState's check, which is the one above;
+    # a frozen dataclass refuses setattr, not an update of its __dict__
+    state = object.__new__(RobotState)
+    vars(state).update(position=np.array(new[:2]), velocity=np.array(new[2:]))
+    return state
 
 
 def track_velocity(k_acc: float, velocity: np.ndarray, commanded: np.ndarray) -> np.ndarray:

@@ -25,6 +25,16 @@ on, and a window is scored with one window_loss call, each agent over
 its own prefix length.  The ego's own arithmetic (reference, tracking,
 integration) runs on Python floats; see dynamics.
 
+Each value of a frame is checked once, where it is made.  _rows keeps
+only agents at a distance from cbf.min_distance up to rho0, so its
+normals are finite; the frame then checks the two floats of the
+reference and the row offsets, where an overflowing ego or a non-finite
+prediction shows, and raises InputError("reference and rows must be
+finite") at that frame.  The projection problem is built from those
+arrays with qp.unchecked_problem, and step checks the four floats of the
+new state itself, so neither QpProblem's nor RobotState's public check
+runs inside the loop.
+
 Windows without a scorable agent leave the margin untouched and record
 no loss.  The first window never has predictions (there is no history
 yet), so a run always starts unconstrained.
@@ -53,7 +63,7 @@ from conformal_cbf.predictor import (
     PredictorKind,
     predict,
 )
-from conformal_cbf.qp import QpProblem, solve_with_relaxation
+from conformal_cbf.qp import NOT_FINITE, solve_with_relaxation, unchecked_problem
 from conformal_cbf.scenario import (
     RobotTask,
     ScenarioFrameSet,
@@ -265,9 +275,14 @@ def run(
                 state.position, config.rho0, margin.lam,
             )
             reference = reference_control(task, state)
+            # the frame's one finiteness check: the normals are finite by
+            # _rows' distance filter, so only the reference and the
+            # offsets can carry an overflow or a non-finite prediction
+            if not all(map(math.isfinite, reference.tolist() + offsets.tolist())):
+                raise InputError(NOT_FINITE)
             try:
                 solution, inflation = solve_with_relaxation(
-                    QpProblem(reference, normals, offsets, ids),
+                    unchecked_problem(reference, normals, offsets, ids),
                     relax_step,
                     config.relax_max_steps,
                 )
@@ -408,14 +423,20 @@ def _rows(cbf, alpha_slope, predicted, k, ego, rho0, lam):
         return np.zeros((0, 2)), np.zeros(0), ids[:0]
     diff = ego - positions[:, k]
     dist = np.sqrt(np.vecdot(diff, diff))
-    keep = (lengths > k) & (dist >= cbf.min_distance) & (dist < rho0)
-    if not keep.any():
+    at = ((lengths > k) & (dist >= cbf.min_distance) & (dist < rho0)).nonzero()[0]
+    if not len(at):
         return np.zeros((0, 2)), np.zeros(0), ids[:0]
+    velocities = predicted.velocities[:, k]
+    if len(at) < len(ids):
+        diff, dist, velocities, ids = diff[at], dist[at], velocities[at], ids[at]
     # grad_ego . u + (grad_agent . v + alpha_slope * h) + lam >= 0, on the
-    # distances just computed and checked; grad_agent is -grad_ego
-    h, normals = barrier_terms_unchecked(cbf, diff[keep], dist[keep])
-    offsets = np.vecdot(-normals, predicted.velocities[keep, k]) + alpha_slope * h
-    return normals, offsets + lam, ids[keep]
+    # distances just computed and checked; grad_agent is -grad_ego, and
+    # dot(-n, v) is -dot(n, v) bit for bit, so it is subtracted.  The
+    # filter keeps the normals finite; a non-finite prediction shows in
+    # the offsets, which the frame checks.
+    h, normals = barrier_terms_unchecked(cbf, diff, dist)
+    offsets = alpha_slope * h - np.vecdot(normals, velocities)
+    return normals, offsets + lam, ids
 
 
 def _score_window(cbf, alpha_slope, lam, predicted, runs, ego_positions, dt, scene):

@@ -41,7 +41,8 @@ class PredictorKind:
     """Which predictor to run, with the oracle noise bounds.
 
     value_bound and dynamics_bound are only consulted by the
-    noise-bounded oracle.
+    noise-bounded oracle.  Their errors name them by their config keys,
+    predictor_value_bound and predictor_dynamics_bound.
     """
 
     kind: str = CONSTANT_VELOCITY
@@ -54,7 +55,7 @@ class PredictorKind:
         for name in ("value_bound", "dynamics_bound"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0.0):
-                raise InputError(f"{name} must be nonnegative and finite")
+                raise InputError(f"predictor_{name} must be nonnegative and finite")
 
 
 def velocities(positions, dt: float, lengths=None) -> np.ndarray:

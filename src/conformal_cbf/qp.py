@@ -22,9 +22,18 @@ reported against the original rows.  The search over the violated rows
 is one pass of array calls: their normals and distances are gathered
 once, and every foot point, interval and cost comes from them.  A frame
 has only a few rows, so the cost of solve is its fixed count of numpy
-calls; it uses array methods rather than the np.max-style wrappers,
-which add a dispatch each.  A problem without rows returns its
-reference at once.
+calls; it calls the ufunc reductions (np.maximum.reduce and the like)
+directly, since both the np.max-style functions and the ndarray.max-style
+methods reach them through a Python-level wrapper.  A problem without
+rows returns its reference at once.
+
+Each value is checked once, where it enters.  QpProblem(...) checks the
+shapes and finiteness of what it is given, so solve and
+solve_with_relaxation trust the problem they receive.  The closed loop
+builds its per-frame problem with unchecked_problem from rows it has
+already checked (see engine), and solve_with_relaxation builds its
+inflated attempts the same way, checking only the one value it makes:
+the inflated offsets, which can overflow.
 """
 
 import math
@@ -43,6 +52,9 @@ _ZERO_NORMAL = 1e-300
 _PARALLEL = 1e-12
 # Turns a row's unit normal a quarter turn, onto the row's line.
 _QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
+NOT_FINITE = "reference and rows must be finite"
+# the reductions ndarray.any and ndarray.all reach through a Python wrapper
+_any, _all = np.logical_or.reduce, np.logical_and.reduce
 
 
 @dataclass(frozen=True)
@@ -65,7 +77,7 @@ class QpProblem:
         if a.ndim != 2 or a.shape[1] != 2 or b.shape != (len(a),) or ids.shape != b.shape:
             raise InputError("rows need (m, 2) normals and (m,) offsets and ids")
         if not np.isfinite(np.concatenate([ref, a.ravel(), b])).all():
-            raise InputError("reference and rows must be finite")
+            raise InputError(NOT_FINITE)
         object.__setattr__(self, "reference", ref)
         object.__setattr__(self, "normals", a)
         object.__setattr__(self, "offsets", b)
@@ -78,6 +90,19 @@ class QpProblem:
             AffineConstraint(normal=n, offset=b, agent_id=i)
             for n, b, i in zip(self.normals, self.offsets.tolist(), self.ids.tolist())
         )
+
+
+def unchecked_problem(reference, normals, offsets, ids) -> QpProblem:
+    """QpProblem for a caller that has already checked its arrays.
+
+    reference must be a finite float64 (2,) array, normals a finite
+    float64 (m, 2) array, offsets a finite float64 (m,) array and ids an
+    (m,) array; nothing is checked or copied.
+    """
+    problem = object.__new__(QpProblem)
+    # a frozen dataclass refuses setattr, not an update of its __dict__
+    vars(problem).update(reference=reference, normals=normals, offsets=offsets, ids=ids)
+    return problem
 
 
 @dataclass(frozen=True)
@@ -102,17 +127,17 @@ def solve(problem: QpProblem) -> QpSolution:
     # are computed as np.linalg.norm(a, axis=1) computes them.
     norms = np.sqrt(np.add.reduce(a * a, axis=1))
     zero = norms <= _ZERO_NORMAL
-    if zero.any():
-        if (b[zero] < -ACTIVE_TOL).any():
+    if _any(zero):
+        if _any(b[zero] < -ACTIVE_TOL):
             raise InfeasibleError("zero-normal row with negative offset")
         a, b, norms = a[~zero], b[~zero], norms[~zero]
     a = a / norms[:, None]
     b = b / norms
-    tol = 1e-9 / norms.max(initial=1.0)
+    tol = 1e-9 / np.maximum.reduce(norms, initial=1.0)
 
     dist = a @ ref + b
     violated = dist < -tol
-    if not violated.any():
+    if not _any(violated):
         return QpSolution(ref.copy())
 
     # Foot points on the violated rows' lines, and the lines' directions.
@@ -125,11 +150,11 @@ def solve(problem: QpProblem) -> QpSolution:
     level = foot @ a.T + b
     rising, falling = slope > _PARALLEL, slope < -_PARALLEL
     bound = -level / np.where(rising | falling, slope, 1.0)
-    lo = np.where(rising, bound, -np.inf).max(axis=1)
-    hi = np.where(falling, bound, np.inf).min(axis=1)
+    lo = np.maximum.reduce(np.where(rising, bound, -np.inf), axis=1)
+    hi = np.minimum.reduce(np.where(falling, bound, np.inf), axis=1)
     t = np.minimum(np.maximum(0.0, lo), hi)
-    ok = (slope * t[:, None] + level >= -tol).all(axis=1)
-    if not ok.any():
+    ok = _all(slope * t[:, None] + level >= -tol, axis=1)
+    if not _any(ok):
         raise InfeasibleError("constraint polygon is empty")
     # |candidate - ref|^2 = dist^2 + t^2 on each line
     cost = np.where(ok, dv**2 + t * t, np.inf)
@@ -144,24 +169,29 @@ def solve_with_relaxation(
 
     Attempt k inflates every offset by k * lambda_step, k = 0..max_steps,
     and the first feasible attempt wins, so the reported inflation is the
-    smallest multiple that worked.
+    smallest multiple that worked.  The problem is trusted as it is; of
+    an inflated attempt only the new offsets are checked.
 
     Returns:
         (solution, inflation); inflation is 0.0 when no loosening was
         needed.
 
     Raises:
+        InputError: an inflated attempt's offsets overflow.
         InfeasibleError: still empty at the largest inflation.
     """
     if not (math.isfinite(lambda_step) and lambda_step > 0.0):
         raise InputError("lambda_step must be positive and finite")
     if max_steps < 0:
         raise InputError("max_steps must be nonnegative")
+    attempt = problem
     for k in range(max_steps + 1):
         inflation = k * lambda_step
-        attempt = problem if k == 0 else QpProblem(
-            problem.reference, problem.normals, problem.offsets + inflation, problem.ids
-        )
+        if k:
+            offsets = problem.offsets + inflation
+            if not _all(np.isfinite(offsets)):
+                raise InputError(NOT_FINITE)
+            attempt = unchecked_problem(problem.reference, problem.normals, offsets, problem.ids)
         try:
             return solve(attempt), inflation
         except InfeasibleError:

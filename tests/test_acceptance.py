@@ -105,20 +105,23 @@ def _adversarial_trials():
         lam_start = lam_safe - eta + offset
         eps_safe = max(eps - _rational(rng.uniform(0.0, 0.04)), floor_eps)
         state = ConformalState(lam=lam_start, eta=eta, epsilon=eps)
-        loss_sum = Fraction(0)
         min_lam = state.lam
         worst_margin = None  # tightest slack seen in the prefix bound
-        for k_prime in range(1, 5001):
+        # prefix inequality, cleared of divisions: lhs = eta * sum(l) must
+        # stay below rhs = eta*eps*K' + (lam_start - lam_safe + eta).  Both
+        # sides are carried from step to step, exactly, so each step adds
+        # one term to each instead of recomputing the step-invariant ones.
+        rhs_step = eta * eps
+        lhs, rhs = Fraction(0), lam_start - lam_safe + eta
+        for _ in range(5000):
             loss = near_half if state.lam > lam_safe else eps_safe
             state.update(loss)
             min_lam = min(min_lam, state.lam)
-            loss_sum += loss
-            # prefix inequality, cleared of divisions: eta * sum(l) must
-            # stay below eta*eps*K' + (lam_start - lam_safe + eta)
-            lhs = eta * loss_sum
-            rhs = eta * eps * k_prime + lam_start - lam_safe + eta
-            if worst_margin is None or rhs - lhs < worst_margin:
-                worst_margin = rhs - lhs
+            lhs += eta * loss
+            rhs += rhs_step
+            slack = rhs - lhs
+            if worst_margin is None or slack < worst_margin:
+                worst_margin = slack
             if lhs > rhs:
                 break
         trials.append(

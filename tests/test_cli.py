@@ -305,26 +305,48 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "overrides, message, frames",
+        "overrides, scene, message, frames",
         [
             # the first tracking acceleration overflows
-            ({"start_velocity": [1e308, 0.0]}, "acceleration must be a finite planar vector", 1),
+            ({"start_velocity": [1e308, 0.0]}, "crossing",
+             "acceleration must be a finite planar vector", 1),
             # the ego is flung so far that the reference velocity of the
             # third frame overflows
-            ({"attract_gain": 1e150}, "reference and rows must be finite", 2),
+            ({"attract_gain": 1e150}, "crossing", "reference and rows must be finite", 2),
+            # the recorded future a window boundary hands the oracle
+            # differences to infinite velocities; the first frame whose
+            # row reads one fails, not the window that predicted it
+            ({"dt": 1.0 / 30.0, "predictor": "ground-truth-oracle"}, "flicker",
+             "reference and rows must be finite", 20),
         ],
-        ids=["first-frame", "mid-run"],
+        ids=["first-frame", "mid-run", "overflowing-prediction"],
     )
-    def test_blow_up_exits_2(self, tmp_path, capsys, overrides, message, frames):
+    def test_blow_up_exits_2(self, tmp_path, capsys, overrides, scene, message, frames):
         path = tmp_path / "config.yaml"
         path.write_text(
             yaml.safe_dump(dict(CROSSING, **overrides)), encoding="utf-8"
         )
+        if scene == "flicker":
+            # one pedestrian at x = 30 px, 30 px ahead of the ego; from frame
+            # 20 on it alternates between 30 and 8e307 px
+            ann = tmp_path / "flicker.txt"
+            ann.write_text(
+                "".join(
+                    '1 {x!r} -1 {x!r} 1 {f} 0 0 0 "Pedestrian"\n'.format(
+                        x=30.0 if f < 20 or f % 2 == 0 else 8e307, f=f
+                    )
+                    for f in range(80)
+                ),
+                encoding="utf-8",
+            )
+            source = ["--annotations", str(ann)]
+        else:
+            source = ["--scene", make_scene(tmp_path, scene)]
         out, trace = tmp_path / "m.csv", tmp_path / "t.jsonl"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code = main(
-                ["run", "--config", str(path), "--scene", make_scene(tmp_path, "crossing"),
+                ["run", "--config", str(path), *source,
                  "--out", str(out), "--trace", str(trace)]
             )
         assert code == 2
@@ -337,7 +359,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key, value",
         [("eta", 0.0), ("epsilon", 0.5), ("lambda_initial", math.inf), ("alpha_slope", 0),
-         ("k_acc", -1), ("k_rep", 0), ("rho0", -1), ("delta", 1), ("predictor", "bogus")],
+         ("k_acc", -1), ("k_rep", 0), ("rho0", -1), ("delta", 1), ("predictor", "bogus"),
+         ("predictor_value_bound", -1.0), ("predictor_value_bound", math.nan),
+         ("predictor_dynamics_bound", -1.0), ("predictor_dynamics_bound", math.nan)],
     )
     def test_bad_margin_value_names_its_key(self, tmp_path, capsys, key, value):
         out = tmp_path / "m.csv"

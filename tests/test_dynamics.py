@@ -241,7 +241,7 @@ def test_float_reference_control_is_bitwise_the_array_formula(goal, position, ga
         goal=goal, attract_gain=gain, goal_radius=1.0,
     )
     state = RobotState(position=position, velocity=[0.0, 0.0])
-    # an overflow here is left to the projection's finiteness check
+    # an overflow here is left to the frame's finiteness check (see engine)
     got = reference_control(task, state)
     assert got.shape == (2,) and got.dtype == np.float64
     assert _bits(got) == _bits(_formula(reference_control_formula, gain, goal, position))

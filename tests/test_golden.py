@@ -8,6 +8,8 @@ import pytest
 
 from _golden import GOLDEN, cases, run_case
 from conformal_cbf import engine
+from conformal_cbf.dynamics import RobotState
+from conformal_cbf.qp import QpProblem
 
 CASES = cases()
 
@@ -56,3 +58,29 @@ def test_runs_build_no_trajectory_objects(name, tmp_path, monkeypatch):
     assert 0 < calls["predict"] <= windows
     assert 0 < calls["window_loss"] <= windows
     assert all(s.ndim == 3 and s.shape[2] == 2 for s in stacks)
+
+
+def test_frames_build_no_checked_problem_or_state(tmp_path, monkeypatch):
+    """Each value of a frame is checked once, where it is made: the engine
+    builds its projection problems and step its states without the public
+    constructors' checks, so a run checks a RobotState only for the task's
+    start."""
+    checked = {"problems": 0, "states": []}
+    init, post_init = QpProblem.__init__, RobotState.__post_init__
+
+    def count_problem(self, *args, **kwargs):
+        checked["problems"] += 1
+        init(self, *args, **kwargs)
+
+    def count_state(self):
+        checked["states"].append((self.position, self.velocity))
+        post_init(self)
+
+    monkeypatch.setattr(QpProblem, "__init__", count_problem)
+    monkeypatch.setattr(RobotState, "__post_init__", count_state)
+    config, spec = CASES["crowd16"]
+    csv, trace = run_case("crowd16", config, spec, tmp_path)
+    assert csv == (GOLDEN / "crowd16.csv").read_bytes()
+    assert checked["problems"] == 0
+    ((position, velocity),) = checked["states"]
+    assert list(position) == config["start"] and list(velocity) == config["start_velocity"]

@@ -252,6 +252,19 @@ def test_relaxation_exhaustion_raises():
         solve_with_relaxation(problem, lambda_step=0.1, max_steps=3)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_relaxation_refuses_overflowing_offsets():
+    # the opposing pair needs one step of inflation, and that step
+    # overflows the third row's offset: the attempt is refused as the
+    # problem it makes would be
+    problem = problem_of(
+        [0.0, 0.0],
+        [row(1.0, 0.0, -1.0, 1), row(-1.0, 0.0, 0.0, 2), row(0.0, 1.0, 1.7e308, 3)],
+    )
+    with pytest.raises(InputError, match="^reference and rows must be finite$"):
+        solve_with_relaxation(problem, lambda_step=1e308, max_steps=3)
+
+
 def test_relaxation_validation():
     problem = problem_of([0.0, 0.0], [])
     with pytest.raises(InputError):
