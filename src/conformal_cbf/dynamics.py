@@ -20,8 +20,9 @@ and on a float64 array element round identically, so the results are
 bitwise those of the array formulas (tests/test_dynamics.py compares
 them with ==).  Only elementwise arithmetic is moved this way.
 Distances stay on numpy: a reduction such as np.vecdot need not equal
-x*x + y*y bit for bit, so the engine's goal distance, d_min and
-tracking error keep their numpy forms.  None of the float expressions
+x*x + y*y bit for bit, so the engine's goal distance and tracking error
+keep their numpy forms, and its d_min is one batched np.vecdot over the
+whole run.  None of the float expressions
 divides by anything that can be zero (dt is checked positive first).
 
 Each function checks the shapes of its arguments but the finiteness of

@@ -38,6 +38,16 @@ runs inside the loop.
 Windows without a scorable agent leave the margin untouched and record
 no loss.  The first window never has predictions (there is no history
 yet), so a run always starts unconstrained.
+
+The scene is read at window boundaries only, for sensing and scoring; a
+frame inside a window reads no scene data.  d_min and n_collide score
+what the filter did and take no part in it, so the loop only records the
+ego's position at each frame the scene covers (the goal frame included),
+as floats in one flat list, and after the loop _nearest measures them
+against every agent of those frames in one array pass over one slice of
+the scene's frame index.  Frames without an agent count for nothing.
+Numpy's floating-point warnings are off for the whole run: a non-finite
+value raises where it is checked, naming its frame.
 """
 
 import json
@@ -220,138 +230,158 @@ def run(
     else:
         dt = config.dt
 
-    collision_d = config.collision_threshold()
     relax_step = config.relaxation_step()
     margin = config.margin()
     state = task.start
     start = scene.start_frame
     tau = config.tau_frames
+    # frames from scene.end_frame on hold no agent, so nothing is recorded
+    # for them
+    covered = min(config.max_frames, scene.end_frame - start)
 
     predicted, runs = NO_PREDICTIONS, None
-    ego_window: list = []
-    window_start = start
+    # the ego's x, y at each frame run that the scene covers, flat
+    path: list = []
     lambda_trace = [(1, margin.lam)]
-    n_collide = 0
-    d_min = math.inf
     inflation_events = 0
     t_goal = None
+    ran = config.max_frames
 
     trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
-    try:
-        for offset in range(config.max_frames):
-            frame = start + offset
-            if offset % tau == 0:
-                if offset > 0:
-                    loss = _score_window(
-                        cbf, config.alpha_slope, margin.lam, predicted, runs,
-                        ego_window, dt, scene,
+    # a non-finite value raises where it is checked, so numpy's warnings
+    # would only repeat it
+    with np.errstate(all="ignore"):
+        try:
+            for offset in range(config.max_frames):
+                frame = start + offset
+                k = offset % tau
+                if k == 0:
+                    if offset > 0:
+                        loss = _score_window(
+                            cbf, config.alpha_slope, margin.lam, predicted, runs,
+                            _window_path(path, offset - tau, offset), dt, scene,
+                        )
+                        margin.update(loss)
+                        lambda_trace.append((offset // tau + 1, margin.lam))
+                    predicted, runs = _predict_window(
+                        config, cbf, scene, state, frame, dt
                     )
-                    margin.update(loss)
-                    lambda_trace.append((offset // tau + 1, margin.lam))
-                predicted, runs = _predict_window(
-                    config, cbf, scene, state, frame, dt
+
+                if offset < covered:
+                    path += state.position.tolist()
+                to_goal = task.goal - state.position
+                # bitwise the 1-D np.linalg.norm
+                if math.sqrt(np.vecdot(to_goal, to_goal)) <= task.goal_radius:
+                    t_goal = offset * dt
+                    ran = offset + 1
+                    break
+
+                normals, offsets, ids = _rows(
+                    cbf, config.alpha_slope, predicted, k, state.position,
+                    config.rho0, margin.lam,
                 )
-                ego_window = []
-                window_start = frame
-
-            ego_window.append(state.position)
-            _, actual = scene.rows_at(frame)
-            if len(actual):
-                apart = actual - state.position
-                # sqrt is monotone and correctly rounded: the sqrt of the
-                # least square is the least distance, bit for bit
-                nearest = math.sqrt(np.vecdot(apart, apart).min())
-                d_min = min(d_min, nearest)
-                if nearest < collision_d:
-                    n_collide += 1
-            to_goal = task.goal - state.position
-            # bitwise the 1-D np.linalg.norm
-            if math.sqrt(np.vecdot(to_goal, to_goal)) <= task.goal_radius:
-                t_goal = offset * dt
-                break
-
-            normals, offsets, ids = _rows(
-                cbf, config.alpha_slope, predicted, frame - window_start,
-                state.position, config.rho0, margin.lam,
-            )
-            reference = reference_control(task, state)
-            # the frame's one finiteness check: the normals are finite by
-            # _rows' distance filter, so only the reference and the
-            # offsets can carry an overflow or a non-finite prediction
-            if not all(map(math.isfinite, reference.tolist() + offsets.tolist())):
-                raise InputError(NOT_FINITE)
-            try:
-                solution, inflation = solve_with_relaxation(
-                    unchecked_problem(reference, normals, offsets, ids),
-                    relax_step,
-                    config.relax_max_steps,
-                )
-            except InfeasibleError as exc:
-                raise InfeasibleRunError(
-                    f"no feasible velocity at frame {frame} after "
-                    f"{config.relax_max_steps} relaxation steps",
-                    diagnostics={
-                        "frame": frame,
-                        "position": [float(v) for v in state.position],
-                        "velocity": [float(v) for v in state.velocity],
-                        "lambda": float(margin.lam),
-                        "n_constraints": len(ids),
-                        "agent_ids": ids.tolist(),
-                        "relax_lambda_step": relax_step,
-                        "relax_max_steps": config.relax_max_steps,
-                    },
-                ) from exc
-            if inflation > 0.0:
-                inflation_events += 1
-
-            if trace_fh is not None:
-                trace_fh.write(
-                    json.dumps(
-                        {
+                reference = reference_control(task, state)
+                # the frame's one finiteness check: the normals are finite by
+                # _rows' distance filter, so only the reference and the
+                # offsets can carry an overflow or a non-finite prediction
+                if not all(map(math.isfinite, reference.tolist() + offsets.tolist())):
+                    raise InputError(f"{NOT_FINITE} at frame {frame}")
+                try:
+                    solution, inflation = solve_with_relaxation(
+                        unchecked_problem(reference, normals, offsets, ids),
+                        relax_step,
+                        config.relax_max_steps,
+                    )
+                except InfeasibleError as exc:
+                    raise InfeasibleRunError(
+                        f"no feasible velocity at frame {frame} after "
+                        f"{config.relax_max_steps} relaxation steps",
+                        diagnostics={
                             "frame": frame,
-                            "position": state.position.tolist(),
-                            "velocity": state.velocity.tolist(),
+                            "position": [float(v) for v in state.position],
+                            "velocity": [float(v) for v in state.velocity],
                             "lambda": float(margin.lam),
                             "n_constraints": len(ids),
-                            "status": "relaxed" if inflation > 0.0 else "ok",
-                            "inflation": float(inflation),
-                            "command": solution.decision.tolist(),
-                            "tracking_error": float(
-                                np.linalg.norm(state.velocity - solution.decision)
-                            ),
-                        }
+                            "agent_ids": ids.tolist(),
+                            "relax_lambda_step": relax_step,
+                            "relax_max_steps": config.relax_max_steps,
+                        },
+                    ) from exc
+                if inflation > 0.0:
+                    inflation_events += 1
+
+                if trace_fh is not None:
+                    trace_fh.write(
+                        json.dumps(
+                            {
+                                "frame": frame,
+                                "position": state.position.tolist(),
+                                "velocity": state.velocity.tolist(),
+                                "lambda": float(margin.lam),
+                                "n_constraints": len(ids),
+                                "status": "relaxed" if inflation > 0.0 else "ok",
+                                "inflation": float(inflation),
+                                "command": solution.decision.tolist(),
+                                "tracking_error": float(
+                                    np.linalg.norm(state.velocity - solution.decision)
+                                ),
+                            }
+                        )
+                        + "\n"
                     )
-                    + "\n"
+
+                accel = track_velocity(config.k_acc, state.velocity, solution.decision)
+                state = step(state, accel, dt)
+
+            if ran % tau == 0:
+                # the run ended exactly on a window boundary; score the
+                # completed window so its loss is not silently dropped
+                loss = _score_window(
+                    cbf, config.alpha_slope, margin.lam, predicted, runs,
+                    _window_path(path, ran - tau, ran), dt, scene,
                 )
-
-            accel = track_velocity(config.k_acc, state.velocity, solution.decision)
-            state = step(state, accel, dt)
-
-        if len(ego_window) == tau:
-            # the run ended exactly on a window boundary; score the
-            # completed window so its loss is not silently dropped
-            loss = _score_window(
-                cbf, config.alpha_slope, margin.lam, predicted, runs, ego_window,
-                dt, scene,
-            )
-            margin.update(loss)
-            lambda_trace.append(
-                ((window_start - start) // tau + 2, margin.lam)
-            )
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+                margin.update(loss)
+                lambda_trace.append((ran // tau + 1, margin.lam))
+        finally:
+            if trace_fh is not None:
+                trace_fh.close()
+        nearest = _nearest(scene, start, path)
 
     history = margin.loss_history
     l_avg = sum(history) / len(history) if history else math.nan
     return RunMetrics(
         t_goal=t_goal,
-        n_collide=n_collide,
-        d_min=d_min,
+        n_collide=int(np.count_nonzero(nearest < config.collision_threshold())),
+        d_min=float(nearest.min(initial=math.inf)),
         l_avg=l_avg,
         inflation_events=inflation_events,
         lambda_trace=tuple(lambda_trace),
     )
+
+
+def _window_path(path, first, stop):
+    """The (n, 2) ego positions recorded at offsets first up to stop."""
+    return np.array(path[2 * first:2 * stop]).reshape(-1, 2)
+
+
+def _nearest(scene, start, path):
+    """The least ego-agent distance at each frame from start whose ego
+    position path records (x, y per frame, flat) and that holds an agent,
+    in frame order.
+
+    The frame index is sorted by frame, so the agents of those frames are
+    one slice of it; each is measured against its frame's ego position,
+    and the squared distances are reduced per frame.
+    """
+    ego = np.array(path).reshape(-1, 2)
+    frames, first, actual = scene.rows_in(start, start + len(ego))
+    if not len(frames):
+        return np.zeros(0)
+    at = (frames - start).astype(np.intp)
+    apart = actual - np.repeat(ego[at], np.diff(first, append=len(actual)), axis=0)
+    # sqrt is monotone and correctly rounded: the sqrt of the least square
+    # is the least distance, bit for bit
+    return np.sqrt(np.minimum.reduceat(np.vecdot(apart, apart), first))
 
 
 # rows of the last two history samples, relative to the row at the frame
@@ -373,10 +403,9 @@ def _predict_window(config, cbf, scene, state, frame, dt):
         predictions' ids, from the runs_at lookup at the frame, so the
         window's scoring need not repeat it; None without predictions.
     """
-    sensed = sensed_agents(scene, state.position, config.rho0, frame)
-    if not sensed:
+    ids, _ = sensed_agents(scene, state.position, config.rho0, frame)
+    if not len(ids):
         return NO_PREDICTIONS, None
-    ids = np.array([agent_id for agent_id, _ in sensed])
     # a sensed agent is present at the frame, so its run holds before - 1
     # samples of history and after samples of future
     row, before, after = scene.runs_at(ids, frame)
@@ -462,7 +491,7 @@ def _score_window(cbf, alpha_slope, lam, predicted, runs, ego_positions, dt, sce
     # window_loss does not score those samples
     sample = np.minimum(np.arange(width), n[:, None] - 1)
     actual = scene.track_positions[row[:, None] + sample]
-    ego = EgoWindow(np.array(ego_positions[:width]), dt)
+    ego = EgoWindow(np.asarray(ego_positions[:width]), dt)
     return window_loss(cbf, alpha_slope, positions[:, :width], actual, ego, lam, lengths=n)
 
 

@@ -6,12 +6,13 @@ schedules.  The table is sorted by track, then frame, so an agent's
 recorded path is contiguous: histories, futures and window scoring read
 slices of it.  A frame index lists the table's rows by frame, then
 track, so the agents present at a frame are one slice in id order:
-rows_at returns it, for sensing and the engine's distance scan.  Each
-index entry also holds its table row and how many samples of its run
-(the stretch of consecutive frames its track covers without a gap) lie
-up to and from its frame, so runs_at finds the contiguous history or
-future of any set of agents at a frame in one lookup, not a
-frame-by-frame walk.
+rows_at returns it, for sensing.  The agents of a stretch of frames are
+one slice too: rows_in returns it with where each frame starts in it, for
+the engine's distance pass after a run.  Each index entry also holds its
+table row and how many samples of its run (the stretch of consecutive
+frames its track covers without a gap) lie up to and from its frame, so
+runs_at finds the contiguous history or future of any set of agents at a
+frame in one lookup, not a frame-by-frame walk.
 Memory is proportional to the number of rows.
 
 Annotation rows follow the ten-column layout
@@ -89,13 +90,18 @@ class ScenarioFrameSet:
         self._track = track[row]
         self._runs = np.stack([row, row + 1 - run_start[row], run_end[row] - row], axis=1)
         self._frame_positions = self.track_positions[row]
-        for a in (self.track_positions, self._track, self._runs, self._frame_positions):
-            a.flags.writeable = False
         frame = frame[row]
         lo = [0] + (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist() if len(frame) else []
         present = frame[lo].tolist()
         # frame -> (lo, hi) slice of the index, one entry per frame present
         self._at = dict(zip(present, zip(lo, lo[1:] + [len(frame)])))
+        # the same slices as arrays: the frames present and where each one's
+        # entries start, with the index's length last
+        self._present = frame[lo]
+        self._lo = np.array(lo + [len(frame)], dtype=np.intp)
+        for a in (self.track_positions, self._track, self._runs, self._frame_positions,
+                  self._present, self._lo):
+            a.flags.writeable = False
         self.n_frames = len(present)
         self.start_frame = present[0] if present else 0
         self.end_frame = present[-1] + 1 if present else 0  # first frame past the data
@@ -124,6 +130,18 @@ class ScenarioFrameSet:
         """Ids (ascending) and (k, 2) positions of the agents at a frame."""
         lo, hi = self._at.get(frame, (0, 0))
         return self._track[lo:hi], self._frame_positions[lo:hi]
+
+    def rows_in(self, first: int, stop: int):
+        """The agents at the frames from first up to (not including) stop.
+
+        Returns:
+            (frames, starts, positions): the frames present, ascending;
+            where each one's agents start in positions; and the (k, 2)
+            positions of all of them, in frame order, then id order.
+        """
+        i, j = np.searchsorted(self._present, [first, stop])
+        lo = self._lo[i]
+        return self._present[i:j], self._lo[i:j] - lo, self._frame_positions[lo:self._lo[j]]
 
     def runs_at(self, ids, frame: int):
         """Where each agent's contiguous run through a frame lies.
@@ -338,17 +356,16 @@ def _parse_lines(path, keep):
     return track, frame, np.array(xy, dtype=np.float64).reshape(-1, 2), labels
 
 
-def sensed_agents(
-    scene: ScenarioFrameSet, ego_position, rho0: float, frame: int
-) -> list:
-    """(agent_id, position) pairs strictly inside the sensing radius,
-    ordered by agent id.  An agent exactly at distance rho0 is not sensed."""
+def sensed_agents(scene: ScenarioFrameSet, ego_position, rho0: float, frame: int):
+    """Ids (ascending) and (k, 2) positions of the agents at a frame
+    strictly inside the sensing radius.  An agent exactly at distance rho0
+    is not sensed."""
     if not (np.isfinite(rho0) and rho0 > 0.0):
         raise InputError("rho0 must be positive and finite")
     ids, pos = scene.rows_at(frame)
     apart = pos - np.asarray(ego_position, dtype=np.float64)
     near = np.sqrt(np.vecdot(apart, apart)) < rho0
-    return list(zip(ids[near].tolist(), pos[near]))
+    return ids[near], pos[near]
 
 
 def synth_scene(spec: dict) -> ScenarioFrameSet:

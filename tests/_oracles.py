@@ -537,3 +537,19 @@ def stack_reference(predictions):
         velocities=vels,
         lengths=lengths,
     )
+
+
+def distance_reference(scene, positions, collision_distance):
+    """(d_min, n_collide) as the closed loop once scanned them, frame by
+    frame: positions[i] is the ego's position at frame start_frame + i.
+    A frame without an agent counts for nothing."""
+    d_min, n_collide = math.inf, 0
+    for offset, position in enumerate(positions):
+        _, actual = scene.rows_at(scene.start_frame + offset)
+        if len(actual):
+            apart = actual - position
+            nearest = math.sqrt(np.vecdot(apart, apart).min())
+            d_min = min(d_min, nearest)
+            if nearest < collision_distance:
+                n_collide += 1
+    return d_min, n_collide

@@ -312,12 +312,14 @@ class TestExitCodes:
              "acceleration must be a finite planar vector", 1),
             # the ego is flung so far that the reference velocity of the
             # third frame overflows
-            ({"attract_gain": 1e150}, "crossing", "reference and rows must be finite", 2),
+            ({"attract_gain": 1e150}, "crossing",
+             "config error: reference and rows must be finite at frame 2\n", 2),
             # the recorded future a window boundary hands the oracle
             # differences to infinite velocities; the first frame whose
-            # row reads one fails, not the window that predicted it
+            # row reads one fails, not the window that predicted it, and
+            # numpy's overflow warnings do not repeat it
             ({"dt": 1.0 / 30.0, "predictor": "ground-truth-oracle"}, "flicker",
-             "reference and rows must be finite", 20),
+             "config error: reference and rows must be finite at frame 20\n", 20),
         ],
         ids=["first-frame", "mid-run", "overflowing-prediction"],
     )
@@ -343,14 +345,17 @@ class TestExitCodes:
         else:
             source = ["--scene", make_scene(tmp_path, scene)]
         out, trace = tmp_path / "m.csv", tmp_path / "t.jsonl"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(
                 ["run", "--config", str(path), *source,
                  "--out", str(out), "--trace", str(trace)]
             )
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
         # the trace stops at the frame whose integration failed
         assert len(trace.read_text(encoding="utf-8").splitlines()) == frames

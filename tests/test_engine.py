@@ -12,12 +12,17 @@ import math
 import sys
 from dataclasses import replace
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _golden import CROSSING, cases
 from _oracles import (
     differentiate,
+    distance_reference,
     future_window,
     history_window,
     predict_reference,
@@ -229,7 +234,8 @@ class TestGroundTruthFixedPoint:
             wstart = start + ((r["frame"] - start) // tau) * tau
             ego_w = np.array(by_frame[wstart]["position"])
             histories = {}
-            for agent_id, _ in sensed_agents(scene, ego_w, cfg.rho0, wstart):
+            sensed, _ = sensed_agents(scene, ego_w, cfg.rho0, wstart)
+            for agent_id in sensed.tolist():
                 hist = history_window(scene.frames, agent_id, wstart, tau, scene.dt)
                 if hist is not None and hist.n_samples >= 2:
                     histories[agent_id] = hist
@@ -571,7 +577,7 @@ def test_one_lookup_and_one_scoring_call_per_window(monkeypatch, case):
 
     def sensed_agents(*args):
         out = real_sensed(*args)
-        calls["sensing"] += bool(out)
+        calls["sensing"] += bool(len(out[0]))
         return out
 
     def score_window(*args):
@@ -607,3 +613,89 @@ def test_one_lookup_and_one_scoring_call_per_window(monkeypatch, case):
     assert calls["window_loss"] == calls["scored"] == 114
     # tracks ending inside a window give its agents unequal prefixes
     assert calls["short prefixes"] == 4
+
+
+@st.composite
+def distance_cases(draw):
+    """A seeded scene of agents on straight lines, each present on its own
+    frames (so tracks have gaps and some frames hold no agent), a task
+    whose goal the ego may reach mid-run, and max_frames up to well past
+    the scene's end.  The ego starts at (0.5, 0.25) and agents sit on odd
+    multiples of 1/8 px, so no agent starts on the ego; agent 99, when
+    drawn, stands exactly collision_distance from the ego's start."""
+    first = draw(st.integers(-5, 20))
+    span = draw(st.integers(1, 40))
+    collision_d = draw(st.sampled_from([1.0, 2.0, 3.0, 6.0]))
+    frames = {}
+    for agent_id in range(draw(st.integers(0, 5))):
+        origin = draw(st.tuples(st.integers(-120, 120), st.integers(-80, 80)))
+        speed = draw(st.tuples(st.integers(-12, 12), st.integers(-12, 12)))
+        for f in draw(st.sets(st.integers(first, first + span - 1), max_size=span)):
+            k = f - first
+            x = (2 * origin[0] + 1) / 8.0 + k * speed[0] / 4.0
+            y = (2 * origin[1] + 1) / 8.0 + k * speed[1] / 4.0
+            frames.setdefault(f, {})[agent_id] = np.array([x, y])
+    if draw(st.booleans()):
+        frames.setdefault(first, {})[99] = np.array([0.5 + collision_d, 0.25])
+    tau = draw(st.integers(2, 5))
+    config = SimConfig(
+        dt=0.1,
+        tau_frames=tau,
+        horizon_frames=tau + draw(st.integers(0, 6)),
+        k_rep=1.0,
+        rho0=30.0,
+        collision_distance=collision_d,
+        relax_max_steps=40,
+        max_frames=draw(st.integers(1, 2 * span + 20)),
+    )
+    goal = (0.5 + draw(st.integers(-40, 40)), 0.25 + draw(st.integers(-40, 40)))
+    task = make_task((0.5, 0.25), goal, gain=draw(st.sampled_from([0.5, 2.0])),
+                     radius=draw(st.sampled_from([0.0, 1.0, 4.0])))
+    return scene_from_frames(frames), config, task
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=distance_cases())
+def test_distances_after_the_run_equal_the_per_frame_scan(case):
+    """d_min and n_collide, computed in one pass after the run, equal the
+    per-frame scan of each frame the run reached, goal frame included,
+    with ==."""
+    scene, config, task = case
+    states = [task.start]
+
+    def step(*args):
+        states.append(engine_step(*args))
+        return states[-1]
+
+    engine_step = engine.step
+    with mock.patch.object(engine, "step", step):
+        metrics = run(config, scene, task)
+    # every frame run made one step but the goal frame; the goal frame's
+    # position is the last step's, and the step past max_frames is not run
+    positions = [s.position for s in states][: config.max_frames]
+    d_min, n_collide = distance_reference(scene, positions, config.collision_threshold())
+    assert metrics.d_min == d_min
+    assert metrics.n_collide == n_collide
+    assert type(metrics.d_min) is float and type(metrics.n_collide) is int
+
+
+def test_a_run_past_the_scene_records_only_the_frames_it_covers(monkeypatch):
+    """With max_frames 100 times the scene's length the run records the
+    ego's position at the scene's frames only, and scores as before."""
+    scene = crossing_scene(duration=2.9)  # frames 0..29
+    assert (scene.start_frame, scene.end_frame) == (0, 30)
+    config = SimConfig(dt=0.1, tau_frames=5, horizon_frames=10, k_rep=20.0,
+                       rho0=60.0, max_frames=3000)
+    recorded = []
+    real_nearest = engine._nearest
+
+    def nearest(scene, start, path):
+        recorded.append(len(path))
+        return real_nearest(scene, start, path)
+
+    monkeypatch.setattr(engine, "_nearest", nearest)
+    # the goal is beyond reach of 3000 frames
+    metrics = run(config, scene, make_task((0.0, 0.0), (1.0e7, 0.0), gain=1e-6))
+    assert metrics.t_goal is None
+    assert recorded == [2 * 30]
+    assert len(metrics.lambda_trace) == 3000 // 5 + 1

@@ -10,6 +10,7 @@ from _golden import GOLDEN, cases, run_case
 from conformal_cbf import engine
 from conformal_cbf.dynamics import RobotState
 from conformal_cbf.qp import QpProblem
+from conformal_cbf.scenario import ScenarioFrameSet
 
 CASES = cases()
 
@@ -84,3 +85,33 @@ def test_frames_build_no_checked_problem_or_state(tmp_path, monkeypatch):
     assert checked["problems"] == 0
     ((position, velocity),) = checked["states"]
     assert list(position) == config["start"] and list(velocity) == config["start_velocity"]
+
+
+def test_frames_inside_a_window_read_no_scene_rows(tmp_path, monkeypatch):
+    """A frame inside a window reads nothing from the scene: the agents at
+    a frame are read once per window boundary, by sensing, and d_min and
+    n_collide come from one pass over the scene after the run."""
+    calls = {"rows_at": 0, "outside sensing": 0}
+    sensing = []
+    real_rows_at, real_sensed = ScenarioFrameSet.rows_at, engine.sensed_agents
+
+    def rows_at(self, frame):
+        calls["rows_at"] += 1
+        calls["outside sensing"] += not sensing
+        return real_rows_at(self, frame)
+
+    def sensed_agents(*args):
+        sensing.append(True)
+        try:
+            return real_sensed(*args)
+        finally:
+            sensing.pop()
+
+    monkeypatch.setattr(ScenarioFrameSet, "rows_at", rows_at)
+    monkeypatch.setattr(engine, "sensed_agents", sensed_agents)
+    config, spec = CASES["crowd16"]
+    csv, trace = run_case("crowd16", config, spec, tmp_path)
+    assert csv == (GOLDEN / "crowd16.csv").read_bytes()
+    frames = len(trace.splitlines())
+    assert calls["outside sensing"] == 0
+    assert calls["rows_at"] == -(-frames // config["tau_frames"])

@@ -164,8 +164,9 @@ class TestFrameSetQueries:
     def test_sensed_agents_strict_radius(self):
         frames = {0: {1: (3.0, 0.0), 2: (5.0, 0.0), 3: (0.0, 4.999)}}
         s = scene_from_frames(frames, fps=30.0)
-        got = sensed_agents(s, [0.0, 0.0], rho0=5.0, frame=0)
-        assert [a for a, _ in got] == [1, 3]
+        ids, positions = sensed_agents(s, [0.0, 0.0], rho0=5.0, frame=0)
+        assert ids.tolist() == [1, 3]
+        assert positions.tolist() == [[3.0, 0.0], [0.0, 4.999]]
 
     def test_sensed_agents_monotone_in_radius(self):
         rng = np.random.default_rng(3)
@@ -173,7 +174,7 @@ class TestFrameSetQueries:
         s = scene_from_frames(frames, fps=30.0)
         previous = set()
         for rho0 in (2.0, 5.0, 9.0, 50.0):
-            ids = {a for a, _ in sensed_agents(s, [0.0, 0.0], rho0, frame=0)}
+            ids = set(sensed_agents(s, [0.0, 0.0], rho0, frame=0)[0].tolist())
             assert previous <= ids
             previous = ids
 

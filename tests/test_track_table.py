@@ -251,6 +251,13 @@ def test_track_queries_match_the_dict_walks(frames):
     for f in range(lo - 2, hi + 3):
         ids_at, pos_at = scene.rows_at(f)
         assert bits({0: dict(zip(ids_at.tolist(), pos_at))}) == bits({0: frames.get(f, {})})
+        # the frames from f up to f + 3 are one slice, in frame then id order
+        frames_in, starts, pos_in = scene.rows_in(f, f + 3)
+        want = [(g, a) for g in range(f, f + 3) for a in sorted(frames.get(g, {}))]
+        assert frames_in.tolist() == [g for g in range(f, f + 3) if frames.get(g)]
+        firsts = [i for i, (g, _) in enumerate(want) if i == 0 or want[i - 1][0] != g]
+        assert starts.tolist() == firsts
+        assert pos_in.tobytes() == b"".join(frames[g][a].tobytes() for g, a in want)
         for cap in (0, 1, 2, 3, 5, 100):
             histories, futures = run_slices(scene, ids, f, cap)
             for agent_id, got_history, got_future in zip(ids, histories, futures):
@@ -271,10 +278,13 @@ def test_sensing_matches_the_dict_walk(frames, ego, rho0):
     frames.setdefault(3, {})[1000] = ego + [rho0, 0.0]
     scene = scene_from_frames(frames)
     for f in range(-6, 28):
-        got = sensed_agents(scene, ego, rho0, f)
+        ids, positions = sensed_agents(scene, ego, rho0, f)
+        assert ids.shape == (len(positions),) and positions.shape == (len(ids), 2)
         want = sensed_reference(frames, ego, rho0, f)
-        assert [(a, p.tobytes()) for a, p in got] == [(a, p.tobytes()) for a, p in want]
-    assert 1000 not in {a for a, _ in sensed_agents(scene, ego, rho0, 3)}
+        assert list(zip(ids.tolist(), (p.tobytes() for p in positions))) == [
+            (a, p.tobytes()) for a, p in want
+        ]
+    assert 1000 not in sensed_agents(scene, ego, rho0, 3)[0].tolist()
 
 
 def reference_window_score(cbf, alpha, lam, predictions, ego, frames):

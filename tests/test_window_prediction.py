@@ -70,7 +70,8 @@ def reference_window(config, kind, cbf, scene, ego, frame):
     Window per sensed agent, predict_reference, predictions with fewer
     than two samples dropped, stack_reference."""
     histories = {}
-    for agent_id, _ in sensed_agents(scene, ego, config.rho0, frame):
+    sensed, _ = sensed_agents(scene, ego, config.rho0, frame)
+    for agent_id in sensed.tolist():
         history = history_window(scene.frames, agent_id, frame, config.tau_frames, scene.dt)
         if history is not None and history.n_samples >= 2:
             histories[agent_id] = history
