@@ -207,23 +207,29 @@ def build_setup(doc: dict, seed_override=None):
 
     if "goal" not in task_kwargs:
         raise ConfigError("config must set goal: [x, y]")
-    try:
-        task = RobotTask(
-            start=RobotState(
-                position=np.asarray(task_kwargs.get("start", (0.0, 0.0)), dtype=np.float64),
-                velocity=np.asarray(
-                    task_kwargs.get("start_velocity", (0.0, 0.0)), dtype=np.float64
-                ),
-            ),
-            goal=np.asarray(task_kwargs["goal"], dtype=np.float64),
-            attract_gain=float(task_kwargs.get("attract_gain", 1.0)),
-            goal_radius=float(task_kwargs.get("goal_radius", 2.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise ConfigError(f"bad task value: {exc}") from None
+    start, velocity, goal = (
+        _point(key, task_kwargs.get(key, [0.0, 0.0]))
+        for key in ("start", "start_velocity", "goal")
+    )
+    task = RobotTask(
+        start=RobotState(position=start, velocity=velocity),
+        goal=goal,
+        attract_gain=float(task_kwargs.get("attract_gain", 1.0)),
+        goal_radius=float(task_kwargs.get("goal_radius", 2.0)),
+    )
     return config, task
+
+
+def _point(key, value) -> np.ndarray:
+    """A task point [x, y]: two finite numbers, not booleans, else a
+    ConfigError that names the key."""
+    try:
+        point = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        point = np.zeros(0)
+    if point.shape == (2,) and np.isfinite(point).all() and bool not in map(type, value):
+        return point
+    raise ConfigError(f"{key} must be a finite point [x, y], got {value!r}")
 
 
 def _check_number(key, value) -> None:

@@ -1,29 +1,34 @@
-"""Closed-loop replay: sense, predict, constrain, filter, track, integrate.
+"""Closed-loop replay: a causal safety filter and the driver that feeds it.
 
-Frames are grouped into sensing windows of tau_frames frames.  At each
-window boundary the scene's ground truth up to that frame counts as
-released: the previous window's predictions are scored against what the
-agents actually did and the constraint margin moves by
-eta * (epsilon - loss); then agents within rho0 of the robot are sensed
-and re-predicted over the horizon.  Inside a window every frame builds
-one inflated barrier constraint per predicted agent from the prediction
-at that frame, projects the goal-attracting reference velocity onto the
-constraints, converts the projected command to an acceleration, and
-integrates one frame with that acceleration held.
+The filter is two functions that take arrays and never see the scene;
+this is the paper's decentralization boundary.  The robot acts on its
+own state, what it senses and what it predicts, and learns what the
+agents did only once a window of tau_frames frames is over.
 
-Everything per window is an array.  The scene is a track table (see
-scenario), so the sensed agents' histories and recorded futures are one
-fancy index into it each, and one predict call returns the whole
-window's predictions stacked as (m, H, 2) positions and velocities with
-per-agent lengths; no per-agent trajectory object is built.  A window
-boundary looks the sensed agents' runs up in the table once: the
-prediction reads histories and futures from that lookup, and the
-window's scoring later reads the revealed tracks from the same rows.
-Each frame's rows come from one call of the unchecked barrier kernel on
-those arrays, given the distances the frame already filtered the agents
-on, and a window is scored with one window_loss call, each agent over
-its own prefix length.  The ego's own arithmetic (reference, tracking,
-integration) runs on Python floats; see dynamics.
+- frame_command runs one frame: _rows builds one inflated barrier row per
+  agent predicted at the frame's sample of the window, from one call of
+  the unchecked barrier kernel, and the goal-attracting reference
+  velocity is projected onto the rows, relaxed if their set is empty.
+- window_step runs once per window, at the end of its last frame: after
+  that frame's step, or its goal check when the goal is reached there.
+  It scores the window's predictions against the revealed tracks in one
+  window_loss call, each agent over its own prefix, moves the margin by
+  eta * (epsilon - loss), and predicts the agents sensed at the next
+  window's first frame in one predict call.  A window without a scorable
+  agent leaves the margin as it is.  The first window has no predictions
+  (nobody has history yet), so a run always starts unconstrained.
+
+run is the only driver and the only reader of the scene's track table
+(see scenario), which it slices at window edges alone.  There it senses
+the agents within rho0, looks their runs up once, and gathers the last
+two history samples, the oracle kinds' recorded futures (which reach the
+filter only through predict's futures) and the revealed tracks, each the
+first n samples of a run.  It also tracks the command and integrates one
+frame, writes the trace, and records the ego's position at each frame
+the scene covers, the goal frame included.  d_min and n_collide take no
+part in the filter: after the loop _nearest measures those positions
+against every agent of their frames in one array pass.  The ego's own
+arithmetic runs on Python floats; see dynamics.
 
 Each value of a frame is checked once, where it is made.  _rows keeps
 only agents at a distance from cbf.min_distance up to rho0, so its
@@ -33,21 +38,8 @@ prediction shows, and raises InputError("reference and rows must be
 finite") at that frame.  The projection problem is built from those
 arrays with qp.unchecked_problem, and step checks the four floats of the
 new state itself, so neither QpProblem's nor RobotState's public check
-runs inside the loop.
-
-Windows without a scorable agent leave the margin untouched and record
-no loss.  The first window never has predictions (there is no history
-yet), so a run always starts unconstrained.
-
-The scene is read at window boundaries only, for sensing and scoring; a
-frame inside a window reads no scene data.  d_min and n_collide score
-what the filter did and take no part in it, so the loop only records the
-ego's position at each frame the scene covers (the goal frame included),
-as floats in one flat list, and after the loop _nearest measures them
-against every agent of those frames in one array pass over one slice of
-the scene's frame index.  Frames without an agent count for nothing.
-Numpy's floating-point warnings are off for the whole run: a non-finite
-value raises where it is checked, naming its frame.
+runs inside the loop.  Numpy's floating-point warnings are off for the
+whole run: a non-finite value raises where it is checked.
 """
 
 import json
@@ -55,6 +47,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +63,7 @@ from conformal_cbf.errors import (
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,
     NO_PREDICTIONS,
+    Predictions,
     PredictorKind,
     predict,
 )
@@ -97,7 +91,7 @@ class SimConfig:
     state eta, epsilon and lambda_initial; a config one of them refuses
     is a ConfigError.  k_acc * dt must also be below 2: tracking maps the
     velocity error e to (1 - k_acc * dt) e each frame, which shrinks only
-    then.
+    then.  The integer fields take ints only, not booleans.
     """
 
     dt: float = 1.0 / 30.0
@@ -122,20 +116,19 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError("dt must be positive and finite")
-        if not isinstance(self.tau_frames, int) or self.tau_frames < 2:
+        if type(self.tau_frames) is not int or self.tau_frames < 2:
             # a window needs two samples before its motion can be differenced
             raise ConfigError("tau_frames must be an integer >= 2")
-        if not isinstance(self.horizon_frames, int) or self.horizon_frames < self.tau_frames:
+        if type(self.horizon_frames) is not int or self.horizon_frames < self.tau_frames:
             raise ConfigError("horizon_frames must cover at least one window")
         try:
             # the barrier owns the checks of k_rep, rho0 and delta
             self.cbf()
         except InputError as exc:
             raise ConfigError(str(exc)) from None
-        if not (math.isfinite(self.alpha_slope) and self.alpha_slope > 0.0):
-            raise ConfigError("alpha_slope must be positive and finite")
-        if not (math.isfinite(self.k_acc) and self.k_acc > 0.0):
-            raise ConfigError("k_acc must be positive and finite")
+        for name in ("alpha_slope", "k_acc"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+                raise ConfigError(f"{name} must be positive and finite")
         self.margin()
         if self.k_acc * self.dt >= 2.0:
             # tracking maps the velocity error e to (1 - k_acc * dt) e
@@ -143,22 +136,15 @@ class SimConfig:
                 f"k_acc * dt must be below 2 for velocity tracking to settle; "
                 f"k_acc {self.k_acc!r} and dt {self.dt!r} give {self.k_acc * self.dt!r}"
             )
-        if self.k_att is not None and not (math.isfinite(self.k_att) and self.k_att > 0.0):
-            raise ConfigError("k_att must be positive when given")
-        if not isinstance(self.max_frames, int) or self.max_frames < 1:
-            raise ConfigError("max_frames must be a positive integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        if self.collision_distance is not None and not (
-            math.isfinite(self.collision_distance) and self.collision_distance > 0.0
-        ):
-            raise ConfigError("collision_distance must be positive when given")
-        if self.relax_lambda_step is not None and not (
-            math.isfinite(self.relax_lambda_step) and self.relax_lambda_step > 0.0
-        ):
-            raise ConfigError("relax_lambda_step must be positive when given")
-        if not isinstance(self.relax_max_steps, int) or self.relax_max_steps < 0:
-            raise ConfigError("relax_max_steps must be a nonnegative integer")
+        for name in ("k_att", "collision_distance", "relax_lambda_step"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be positive when given")
+        for name, least in (("max_frames", 1), ("seed", 0), ("relax_max_steps", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                sign = "positive" if least else "nonnegative"
+                raise ConfigError(f"{name} must be a {sign} integer")
 
     def cbf(self) -> PotentialFieldCbf:
         return PotentialFieldCbf(k_rep=self.k_rep, rho0=self.rho0, delta=self.delta)
@@ -200,6 +186,107 @@ class RunMetrics:
         return self.t_goal is not None
 
 
+class Window(NamedTuple):
+    """A window at its close: its Predictions, the m predicted agents'
+    revealed positions over it, (m, n, 2) in the same order, of which
+    agent j's first revealed_lengths[j] are real, and the ego's
+    positions over it, (n', 2)."""
+
+    predicted: Predictions
+    revealed: np.ndarray
+    revealed_lengths: np.ndarray
+    ego: np.ndarray
+
+
+def frame_command(config, cbf, task, state, predicted, k, lam, frame):
+    """The filtered velocity command at sample k of a window.
+
+    cbf is config.cbf(), task has config.k_att applied, state is the
+    ego's RobotState, predicted the window's Predictions and lam its
+    margin; frame names the frame in errors.  Returns (command,
+    inflation, ids): the (2,) command, the relaxation's offset inflation
+    (0.0 when none was needed), and the ids of the agents that gave a
+    row.  Raises InputError when the reference or a row offset is not
+    finite, and InfeasibleRunError when relaxation runs out.
+    """
+    normals, offsets, ids = _rows(
+        cbf, config.alpha_slope, predicted, k, state.position, config.rho0, lam
+    )
+    reference = reference_control(task, state)
+    # the frame's one finiteness check: the normals are finite by _rows'
+    # distance filter, so only the reference and the offsets can carry an
+    # overflow or a non-finite prediction
+    if not all(map(math.isfinite, reference.tolist() + offsets.tolist())):
+        raise InputError(f"{NOT_FINITE} at frame {frame}")
+    relax_step = config.relaxation_step()
+    try:
+        solution, inflation = solve_with_relaxation(
+            unchecked_problem(reference, normals, offsets, ids),
+            relax_step,
+            config.relax_max_steps,
+        )
+    except InfeasibleError as exc:
+        raise InfeasibleRunError(
+            f"no feasible velocity at frame {frame} after "
+            f"{config.relax_max_steps} relaxation steps",
+            diagnostics={
+                "frame": frame,
+                "position": [float(v) for v in state.position],
+                "velocity": [float(v) for v in state.velocity],
+                "lambda": float(lam),
+                "n_constraints": len(ids),
+                "agent_ids": ids.tolist(),
+                "relax_lambda_step": relax_step,
+                "relax_max_steps": config.relax_max_steps,
+            },
+        ) from exc
+    return solution.decision, inflation, ids
+
+
+def window_step(config, cbf, margin, ended, sensed, frame, position, dt):
+    """Score the Window that just ended (None at a run's start) into the
+    margin state, and predict the next window, which starts at frame.
+
+    Each agent is scored over the prefix that its prediction, its
+    revealed track and the ego's positions all cover, if that holds two
+    samples.  sensed is (ids, histories, futures, future_lengths) of the
+    agents sensed at frame, as predict takes them, or None when there is
+    nothing to predict; position is the ego's at frame.
+    """
+    if ended is not None:
+        predicted, revealed, revealed_lengths, ego = ended
+        if not len(predicted) == len(revealed) == len(revealed_lengths):
+            raise InputError("a window's revealed tracks must be one per predicted agent")
+        n = np.minimum(np.minimum(revealed_lengths, predicted.lengths), len(ego))
+        positions, scored = predicted.positions, n >= 2
+        if not scored.all():
+            positions, revealed, n = positions[scored], revealed[scored], n[scored]
+        loss = NO_AGENTS
+        if len(n):
+            width = int(n.max())
+            loss = window_loss(
+                cbf, config.alpha_slope, positions[:, :width], revealed[:, :width],
+                EgoWindow(ego[:width], dt), margin.lam, lengths=n,
+            )
+        margin.update(loss)
+    if sensed is None:
+        return NO_PREDICTIONS
+    ids, histories, futures, future_lengths = sensed
+    return predict(
+        config.predictor,
+        ids,
+        histories,
+        config.horizon_frames,
+        dt,
+        futures=futures,
+        future_lengths=future_lengths,
+        start_frame=frame,
+        seed=config.seed,
+        cbf=cbf,
+        ego_positions=position,
+    )
+
+
 def run(
     config: SimConfig,
     scene: ScenarioFrameSet,
@@ -220,17 +307,11 @@ def run(
     cbf = config.cbf()
     if config.k_att is not None:
         task = replace(task, attract_gain=config.k_att)
-    if scene.n_frames:
-        if not math.isclose(config.dt, scene.dt, rel_tol=1e-9, abs_tol=0.0):
-            raise ConfigError(
-                f"config dt {config.dt} does not match scene frame rate "
-                f"1/{scene.fps}"
-            )
-        dt = scene.dt  # bitwise the scene's grid so windows align exactly
-    else:
-        dt = config.dt
+    # bitwise the scene's grid, when it has one, so windows align exactly
+    dt = scene.dt if scene.n_frames else config.dt
+    if not math.isclose(config.dt, dt, rel_tol=1e-9, abs_tol=0.0):
+        raise ConfigError(f"config dt {config.dt} does not match scene frame rate 1/{scene.fps}")
 
-    relax_step = config.relaxation_step()
     margin = config.margin()
     state = task.start
     start = scene.start_frame
@@ -239,109 +320,67 @@ def run(
     # for them
     covered = min(config.max_frames, scene.end_frame - start)
 
-    predicted, runs = NO_PREDICTIONS, None
     # the ego's x, y at each frame run that the scene covers, flat
     path: list = []
     lambda_trace = [(1, margin.lam)]
     inflation_events = 0
     t_goal = None
-    ran = config.max_frames
 
     trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
     # a non-finite value raises where it is checked, so numpy's warnings
     # would only repeat it
     with np.errstate(all="ignore"):
         try:
+            window = _window_edge(config, cbf, margin, scene, state, start, dt)
             for offset in range(config.max_frames):
                 frame = start + offset
-                k = offset % tau
-                if k == 0:
-                    if offset > 0:
-                        loss = _score_window(
-                            cbf, config.alpha_slope, margin.lam, predicted, runs,
-                            _window_path(path, offset - tau, offset), dt, scene,
-                        )
-                        margin.update(loss)
-                        lambda_trace.append((offset // tau + 1, margin.lam))
-                    predicted, runs = _predict_window(
-                        config, cbf, scene, state, frame, dt
-                    )
-
                 if offset < covered:
                     path += state.position.tolist()
                 to_goal = task.goal - state.position
                 # bitwise the 1-D np.linalg.norm
-                if math.sqrt(np.vecdot(to_goal, to_goal)) <= task.goal_radius:
+                reached = math.sqrt(np.vecdot(to_goal, to_goal)) <= task.goal_radius
+                if reached:
                     t_goal = offset * dt
-                    ran = offset + 1
-                    break
-
-                normals, offsets, ids = _rows(
-                    cbf, config.alpha_slope, predicted, k, state.position,
-                    config.rho0, margin.lam,
-                )
-                reference = reference_control(task, state)
-                # the frame's one finiteness check: the normals are finite by
-                # _rows' distance filter, so only the reference and the
-                # offsets can carry an overflow or a non-finite prediction
-                if not all(map(math.isfinite, reference.tolist() + offsets.tolist())):
-                    raise InputError(f"{NOT_FINITE} at frame {frame}")
-                try:
-                    solution, inflation = solve_with_relaxation(
-                        unchecked_problem(reference, normals, offsets, ids),
-                        relax_step,
-                        config.relax_max_steps,
+                else:
+                    command, inflation, ids = frame_command(
+                        config, cbf, task, state, window.predicted, offset % tau, margin.lam, frame
                     )
-                except InfeasibleError as exc:
-                    raise InfeasibleRunError(
-                        f"no feasible velocity at frame {frame} after "
-                        f"{config.relax_max_steps} relaxation steps",
-                        diagnostics={
-                            "frame": frame,
-                            "position": [float(v) for v in state.position],
-                            "velocity": [float(v) for v in state.velocity],
-                            "lambda": float(margin.lam),
-                            "n_constraints": len(ids),
-                            "agent_ids": ids.tolist(),
-                            "relax_lambda_step": relax_step,
-                            "relax_max_steps": config.relax_max_steps,
-                        },
-                    ) from exc
-                if inflation > 0.0:
-                    inflation_events += 1
-
-                if trace_fh is not None:
-                    trace_fh.write(
-                        json.dumps(
-                            {
-                                "frame": frame,
-                                "position": state.position.tolist(),
-                                "velocity": state.velocity.tolist(),
-                                "lambda": float(margin.lam),
-                                "n_constraints": len(ids),
-                                "status": "relaxed" if inflation > 0.0 else "ok",
-                                "inflation": float(inflation),
-                                "command": solution.decision.tolist(),
-                                "tracking_error": float(
-                                    np.linalg.norm(state.velocity - solution.decision)
-                                ),
-                            }
+                    if inflation > 0.0:
+                        inflation_events += 1
+                    if trace_fh is not None:
+                        trace_fh.write(
+                            json.dumps(
+                                {
+                                    "frame": frame,
+                                    "position": state.position.tolist(),
+                                    "velocity": state.velocity.tolist(),
+                                    "lambda": float(margin.lam),
+                                    "n_constraints": len(ids),
+                                    "status": "relaxed" if inflation > 0.0 else "ok",
+                                    "inflation": float(inflation),
+                                    "command": command.tolist(),
+                                    "tracking_error": float(
+                                        np.linalg.norm(state.velocity - command)
+                                    ),
+                                }
+                            )
+                            + "\n"
                         )
-                        + "\n"
+                    accel = track_velocity(config.k_acc, state.velocity, command)
+                    state = step(state, accel, dt)
+
+                if (offset + 1) % tau == 0:
+                    # the window's last frame closes it; the next window is
+                    # sensed only if the run goes on
+                    ego = np.array(path[2 * (offset + 1 - tau):2 * (offset + 1)])
+                    window = _window_edge(
+                        config, cbf, margin, scene, state, frame + 1, dt,
+                        window._replace(ego=ego.reshape(-1, 2)),
+                        not reached and offset + 1 < config.max_frames,
                     )
-
-                accel = track_velocity(config.k_acc, state.velocity, solution.decision)
-                state = step(state, accel, dt)
-
-            if ran % tau == 0:
-                # the run ended exactly on a window boundary; score the
-                # completed window so its loss is not silently dropped
-                loss = _score_window(
-                    cbf, config.alpha_slope, margin.lam, predicted, runs,
-                    _window_path(path, ran - tau, ran), dt, scene,
-                )
-                margin.update(loss)
-                lambda_trace.append((ran // tau + 1, margin.lam))
+                    lambda_trace.append(((offset + 1) // tau + 1, margin.lam))
+                if reached:
+                    break
         finally:
             if trace_fh is not None:
                 trace_fh.close()
@@ -359,9 +398,47 @@ def run(
     )
 
 
-def _window_path(path, first, stop):
-    """The (n, 2) ego positions recorded at offsets first up to stop."""
-    return np.array(path[2 * first:2 * stop]).reshape(-1, 2)
+def _window_edge(config, cbf, margin, scene, state, frame, dt, ended=None, sense=True):
+    """window_step at the edge of the window that starts at frame, fed
+    from the scene's table: the Window that ended there, if any, is
+    scored, and unless sense is False the agents sensed at frame with two
+    frames of contiguous history before it are predicted, from their
+    last two samples (all any kind reads), their runs looked up once.
+
+    Returns the new Window, its ego None until it closes: the replay
+    holds its revealed tracks, the first tau_frames samples of the
+    predicted agents' runs at most, and the filter reads them only then.
+    """
+    sensed, row, after = None, np.zeros(0, np.intp), np.zeros(0, np.intp)
+    ids = sensed_agents(scene, state.position, config.rho0, frame)[0] if sense else ()
+    if len(ids):
+        # a sensed agent is present at the frame, so its run holds
+        # before - 1 samples of history and after samples of future
+        row, before, after = scene.runs_at(ids, frame)
+        keep = before >= 3
+        ids, row, after = ids[keep], row[keep], after[keep]
+        if len(ids):
+            futures = horizon = None
+            if config.predictor.kind != CONSTANT_VELOCITY:
+                horizon = np.minimum(after, config.horizon_frames)
+                futures = _run_samples(scene, row, horizon)
+            # the rows at frame - 2 and frame - 1
+            sensed = ids, scene.track_positions[row[:, None] - [2, 1]], futures, horizon
+    predicted = window_step(config, cbf, margin, ended, sensed, frame, state.position, dt)
+    if len(predicted) < len(row):
+        # the oracles drop agents, keeping the order; sensed ids ascend
+        at = np.searchsorted(ids, predicted.ids)
+        row, after = row[at], after[at]
+    revealed = np.minimum(after, config.tau_frames)
+    return Window(predicted, _run_samples(scene, row, revealed), revealed, None)
+
+
+def _run_samples(scene, row, n):
+    """The first n[j] samples of the run from table row row[j], for each
+    j, as one (m, max n, 2) stack; past its n a run repeats its last
+    sample, which no reader of the stack uses."""
+    sample = np.minimum(np.arange(n.max(initial=0)), n[:, None] - 1)
+    return scene.track_positions[row[:, None] + sample]
 
 
 def _nearest(scene, start, path):
@@ -382,64 +459,6 @@ def _nearest(scene, start, path):
     # sqrt is monotone and correctly rounded: the sqrt of the least square
     # is the least distance, bit for bit
     return np.sqrt(np.minimum.reduceat(np.vecdot(apart, apart), first))
-
-
-# rows of the last two history samples, relative to the row at the frame
-_LAST_TWO = np.array([-2, -1])
-
-
-def _predict_window(config, cbf, scene, state, frame, dt):
-    """Predictions for the agents sensed at a window boundary, and where
-    the predicted agents' runs lie in the scene's table.
-
-    Agents without two frames of contiguous history before the frame
-    are left out, and so, for the oracle kinds, are agents without two
-    frames of recorded future from it; they contribute no constraint
-    this window.  Every kind reads at most the last two history samples,
-    so those are what is gathered.
-
-    Returns:
-        (predictions, runs): runs is (row, after) aligned with the
-        predictions' ids, from the runs_at lookup at the frame, so the
-        window's scoring need not repeat it; None without predictions.
-    """
-    ids, _ = sensed_agents(scene, state.position, config.rho0, frame)
-    if not len(ids):
-        return NO_PREDICTIONS, None
-    # a sensed agent is present at the frame, so its run holds before - 1
-    # samples of history and after samples of future
-    row, before, after = scene.runs_at(ids, frame)
-    keep = before >= 3
-    if not keep.any():
-        return NO_PREDICTIONS, None
-    ids, row, after = ids[keep], row[keep], after[keep]
-    histories = scene.track_positions[row[:, None] + _LAST_TWO]
-    futures = horizon = None
-    kind = config.predictor
-    if kind.kind != CONSTANT_VELOCITY:
-        horizon = np.minimum(after, config.horizon_frames)
-        # past its run's end a future repeats its last sample; predict
-        # reads only the first `horizon`
-        sample = np.minimum(np.arange(horizon.max()), horizon[:, None] - 1)
-        futures = scene.track_positions[row[:, None] + sample]
-    predicted = predict(
-        kind,
-        ids,
-        histories,
-        config.horizon_frames,
-        dt,
-        futures=futures,
-        future_lengths=horizon,
-        start_frame=frame,
-        seed=config.seed,
-        cbf=cbf,
-        ego_positions=state.position,
-    )
-    if len(predicted) < len(ids):
-        # the oracles drop agents, keeping the order; sensed ids ascend
-        at = np.searchsorted(ids, predicted.ids)
-        row, after = row[at], after[at]
-    return predicted, (row, after)
 
 
 def _rows(cbf, alpha_slope, predicted, k, ego, rho0, lam):
@@ -466,33 +485,6 @@ def _rows(cbf, alpha_slope, predicted, k, ego, rho0, lam):
     h, normals = barrier_terms_unchecked(cbf, diff, dist)
     offsets = alpha_slope * h - np.vecdot(normals, velocities)
     return normals, offsets + lam, ids
-
-
-def _score_window(cbf, alpha_slope, lam, predicted, runs, ego_positions, dt, scene):
-    """Worst per-agent window loss against the revealed ground truth.
-
-    Each agent is scored over the prefix where its prediction, its
-    actual track, and the ego window all exist, as runs (the window's
-    _predict_window lookup) gives it.  All agents are scored in one
-    window_loss call, each over its own prefix length.
-    """
-    ids, positions, lengths = predicted.ids, predicted.positions, predicted.lengths
-    if not len(ids) or len(ego_positions) < 2:
-        return NO_AGENTS
-    row, after = runs
-    n = np.minimum(np.minimum(after, lengths), len(ego_positions))
-    scored = n >= 2
-    if not scored.all():
-        if not scored.any():
-            return NO_AGENTS
-        row, n, positions = row[scored], n[scored], positions[scored]
-    width = int(n.max())
-    # past an agent's prefix its actual track repeats its last sample;
-    # window_loss does not score those samples
-    sample = np.minimum(np.arange(width), n[:, None] - 1)
-    actual = scene.track_positions[row[:, None] + sample]
-    ego = EgoWindow(np.asarray(ego_positions[:width]), dt)
-    return window_loss(cbf, alpha_slope, positions[:, :width], actual, ego, lam, lengths=n)
 
 
 @dataclass(frozen=True)

@@ -438,6 +438,22 @@ class TestConfigNumbers:
         assert err.startswith(f"config error: {key} must be a number")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("start", "[1.0]"), ("start_velocity", "[.nan, 0.0]"), ("start", "abc"),
+         ("goal", "abc"), ("goal", "[1.0, 2.0, 3.0]"), ("start_velocity", "[true, 0.0]"),
+         ("start", "{x: 1.0, y: 2.0}"), ("goal", "[1e400, 0.0]"), ("goal_radius", "-1.0"),
+         ("attract_gain", ".inf")],
+    )
+    def test_bad_task_value_names_its_key(self, tmp_path, capsys, key, value):
+        base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != key})
+        code, out = self._run(tmp_path, "bad", base + f"{key}: {value}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_null_leaves_an_optional_key_unset(self, tmp_path):
         base = yaml.safe_dump(BASE_CONFIG)
         code, out = self._run(tmp_path, "null", base + "k_att: null\n")

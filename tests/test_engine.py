@@ -9,7 +9,9 @@ used per frame, constraint counts) and not just the headline metrics.
 
 import json
 import math
+import os
 import sys
+import tempfile
 from dataclasses import replace
 
 from unittest import mock
@@ -34,7 +36,7 @@ from conformal_cbf.cli import BUILTIN_SCENES, build_setup
 from conformal_cbf.dynamics import RobotState
 from conformal_cbf.conformal import ConformalState
 from conformal_cbf.engine import SimConfig, run, sweep
-from conformal_cbf.errors import ConfigError, InfeasibleRunError
+from conformal_cbf.errors import ConfigError, InfeasibleRunError, InputError, SingularityError
 from conformal_cbf.predictor import GROUND_TRUTH, NOISE_BOUNDED, PredictorKind
 from conformal_cbf.scenario import (
     RobotTask,
@@ -139,6 +141,10 @@ class TestConfigValidation:
             {"delta": math.nan},
             {"seed": -1},
             {"seed": 1.5},
+            # a bool is an int to Python, but never a frame count or a seed
+            {"max_frames": True},
+            {"seed": True},
+            {"relax_max_steps": True},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -567,7 +573,7 @@ def test_one_lookup_and_one_scoring_call_per_window(monkeypatch, case):
              "scored": 0, "short prefixes": 0}
     scoring = []
     real_runs_at, real_loss = ScenarioFrameSet.runs_at, engine.window_loss
-    real_sensed, real_score = engine.sensed_agents, engine._score_window
+    real_sensed, real_score = engine.sensed_agents, engine.window_step
     real_update = ConformalState.update
 
     def runs_at(self, *args):
@@ -599,7 +605,7 @@ def test_one_lookup_and_one_scoring_call_per_window(monkeypatch, case):
 
     monkeypatch.setattr(ScenarioFrameSet, "runs_at", runs_at)
     monkeypatch.setattr(engine, "sensed_agents", sensed_agents)
-    monkeypatch.setattr(engine, "_score_window", score_window)
+    monkeypatch.setattr(engine, "window_step", score_window)
     monkeypatch.setattr(engine, "window_loss", window_loss)
     monkeypatch.setattr(ConformalState, "update", update)
 
@@ -699,3 +705,164 @@ def test_a_run_past_the_scene_records_only_the_frames_it_covers(monkeypatch):
     assert metrics.t_goal is None
     assert recorded == [2 * 30]
     assert len(metrics.lambda_trace) == 3000 // 5 + 1
+
+
+# an agent walking beside the corridor at constant velocity: predicted
+# exactly from the second window on, and never in the ego's way
+BESIDE = scene_from_frames({f: {1: np.array([0.5 * f - 5.0, 12.0])} for f in range(300)})
+CLOSE_CONFIG = replace(BASE, tau_frames=4, horizon_frames=8, k_rep=1.0, epsilon=-0.2,
+                       max_frames=300)
+
+
+def goal_run(goal_x):
+    """The frame offset at which a run on BESIDE reaches a goal goal_x px
+    ahead, and every loss it handed the margin state, in order."""
+    losses = []
+    real_update = ConformalState.update
+
+    def update(self, loss):
+        losses.append(loss)
+        return real_update(self, loss)
+
+    with mock.patch.object(ConformalState, "update", update):
+        metrics = run(CLOSE_CONFIG, BESIDE, make_task((0.0, 0.0), (goal_x, 0.0), gain=0.5,
+                                                      radius=0.5))
+    assert metrics.reached
+    return round(metrics.t_goal / CLOSE_CONFIG.dt), losses, metrics
+
+
+@pytest.mark.parametrize("sample", [3, 1])
+def test_a_run_closes_its_goal_window_only_on_its_last_frame(sample):
+    """A run whose goal is reached on a window's last frame (sample 3 of
+    4) scores that window, like every window before it; one whose goal is
+    reached mid-window (sample 1) does not score the window it ends in."""
+    tau = CLOSE_CONFIG.tau_frames
+    for goal_x in np.arange(4.0, 30.0, 0.25):
+        offset, losses, metrics = goal_run(float(goal_x))
+        if offset % tau == sample and offset >= 3 * tau:
+            break
+    else:
+        pytest.fail(f"no goal distance ends a run at sample {sample} of a window")
+    closed = (offset + 1) // tau  # the windows that reached their last frame
+    assert len(losses) == closed
+    assert len(metrics.lambda_trace) == closed + 1
+    # the first window has no predictions; every later one scores the agent
+    assert losses[0] is None
+    assert all(loss is not None for loss in losses[1:])
+
+
+def test_window_step_refuses_tracks_that_do_not_match_the_predictions():
+    """A hand-made window whose revealed tracks are not one per predicted
+    agent is refused, not scored as if nobody was there."""
+    histories = np.array([[[0.0, 10.0], [0.5, 10.0]], [[5.0, 5.0], [5.0, 4.0]]])
+    predicted = engine.predict(BASE.predictor, [1, 2], histories, 10, 0.1)
+    ego = np.zeros((5, 2))
+    for revealed, lengths in [(np.ones((1, 5, 2)), [1]), (np.ones((2, 5, 2)), [5])]:
+        margin = BASE.margin()
+        ended = engine.Window(predicted, revealed, np.array(lengths), ego)
+        with pytest.raises(InputError, match="one per predicted agent"):
+            engine.window_step(BASE, BASE.cbf(), margin, ended, None, 5, ego[-1], 0.1)
+        assert margin.loss_history == []
+
+
+# the acceptance crossing config on a 150-frame clip
+CAUSAL = dict(dt=0.1, tau_frames=5, horizon_frames=10, alpha_slope=10.0, k_acc=8.0,
+              k_rep=2000.0, rho0=75.0, eta=0.5, max_frames=150, relax_max_steps=40)
+
+
+def seeded_crowd(seed, n_agents):
+    """frame -> {agent -> position}: pedestrians walking straight across a
+    240 x 120 px arena around the ego's corridor at 10 fps, each over its
+    own frames, some with a gap in their track; agent 0 enters at frame
+    0, so every cut scene starts where the full one does."""
+    rng = np.random.default_rng(seed)
+    frames = {}
+    for agent in range(n_agents):
+        first = 0 if agent == 0 else int(rng.integers(0, 80))
+        n = int(rng.integers(2, 150))
+        a, b = rng.uniform([-20.0, -60.0], [220.0, 60.0], size=(2, 2))
+        path = a + np.linspace(0.0, 1.0, n)[:, None] * (b - a)
+        gap = range(0)
+        if n > 20 and rng.random() < 0.3:
+            g = int(rng.integers(5, n - 10))
+            gap = range(g, g + int(rng.integers(1, 6)))
+        for i in range(n):
+            if i not in gap:
+                frames.setdefault(first + i, {})[agent] = path[i]
+    return frames
+
+
+def trace_before(config, frames, cut):
+    """The trace lines a run on the scene writes for the frames before
+    cut; a run that raises keeps the lines it wrote."""
+    task = make_task((0.0, 0.0), (200.0, 0.0), gain=0.02)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        try:
+            run(config, scene_from_frames(frames), task, trace_path=path)
+        except (InfeasibleRunError, InputError, SingularityError):
+            pass
+        with open(path, encoding="utf-8") as fh:
+            return [line for line in fh if json.loads(line)["frame"] < cut]
+
+
+def cut_at(frames, cut):
+    return {f: row for f, row in frames.items() if f < cut}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_agents=st.integers(1, 12),
+    cut=st.integers(1, 150),
+    epsilon=st.sampled_from([-0.2, 0.0, 0.2]),
+)
+def test_the_filter_acts_on_nothing_the_scene_shows_later(seed, n_agents, cut, epsilon):
+    """Causality: with the constant-velocity predictor, dropping every
+    scene row at or after frame `cut` leaves every trace row before it
+    byte-identical."""
+    frames = seeded_crowd(seed, n_agents)
+    config = SimConfig(epsilon=epsilon, **CAUSAL)
+    full = trace_before(config, frames, cut)
+    assert full
+    assert trace_before(config, cut_at(frames, cut), cut) == full
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_agents=st.integers(1, 12),
+    cut=st.integers(1, 150),
+    kind=st.sampled_from([
+        PredictorKind(kind=GROUND_TRUTH),
+        PredictorKind(kind=NOISE_BOUNDED, value_bound=2.0, dynamics_bound=0.5),
+    ]),
+)
+def test_recorded_futures_reach_the_filter_only_through_predict(seed, n_agents, cut, kind):
+    """The oracle kinds predict from the recorded future by design, and
+    that is the only way it reaches the filter: a run on the scene cut at
+    frame `cut`, handed the full run's futures by predict(..., futures=)
+    at each window that starts before the cut, writes every trace row
+    before it byte-identical."""
+    frames = seeded_crowd(seed, n_agents)
+    config = SimConfig(predictor=kind, seed=3, **CAUSAL)
+    real_predict = engine.predict
+    recorded = {}
+
+    def record(*args, **kwargs):
+        recorded[kwargs["start_frame"]] = (args[1].tolist(), kwargs["futures"],
+                                           kwargs["future_lengths"])
+        return real_predict(*args, **kwargs)
+
+    def replay(*args, **kwargs):
+        if kwargs["start_frame"] < cut:
+            ids, futures, lengths = recorded[kwargs["start_frame"]]
+            assert args[1].tolist() == ids
+            kwargs = dict(kwargs, futures=futures, future_lengths=lengths)
+        return real_predict(*args, **kwargs)
+
+    with mock.patch.object(engine, "predict", record):
+        full = trace_before(config, frames, cut)
+    assert full
+    with mock.patch.object(engine, "predict", replay):
+        assert trace_before(config, cut_at(frames, cut), cut) == full

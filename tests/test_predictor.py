@@ -7,7 +7,7 @@ from _oracles import scene_from_frames
 from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms
 from conformal_cbf.conformal import EgoWindow, window_loss
 from conformal_cbf.dynamics import RobotState
-from conformal_cbf.engine import SimConfig, _predict_window
+from conformal_cbf.engine import SimConfig, _window_edge
 from conformal_cbf.errors import InputError
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,
@@ -65,7 +65,9 @@ def scene_of(tracks):
 def window_at(scene, frame, kind=PredictorKind(kind=CONSTANT_VELOCITY), horizon=4):
     config = SimConfig(dt=0.1, tau_frames=2, horizon_frames=horizon, rho0=1000.0, predictor=kind)
     state = RobotState(position=np.zeros(2), velocity=np.zeros(2))
-    predicted, _ = _predict_window(config, config.cbf(), scene, state, frame, scene.dt)
+    predicted = _window_edge(
+        config, config.cbf(), config.margin(), scene, state, frame, scene.dt
+    ).predicted
     return predicted
 
 

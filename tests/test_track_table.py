@@ -10,6 +10,7 @@ positions bit for bit.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from _oracles import (
 )
 from conformal_cbf.cli import main
 from conformal_cbf.conformal import EgoWindow, window_loss
-from conformal_cbf.engine import SimConfig, _score_window
+from conformal_cbf.engine import SimConfig, _run_samples, window_step
+from conformal_cbf.engine import Window as EndedWindow
 from conformal_cbf.errors import ParseError
 from conformal_cbf.scenario import _parse_lines, _parse_plain, load_annotations, sensed_agents
 
@@ -331,7 +333,11 @@ def test_scoring_groups_match_one_call_per_agent():
             want = reference_window_score(cbf, alpha, -0.3, chosen, ego_traj, frames)
             stacked = stack_reference(chosen)
             row, _, after = scene.runs_at(stacked.ids, window_start)
-            got = _score_window(cbf, alpha, -0.3, stacked, (row, after), ego, 0.1, scene)
+            revealed = np.minimum(after, len(ego))
+            ended = EndedWindow(stacked, _run_samples(scene, row, revealed), revealed, np.array(ego))
+            margin = replace(cfg, lambda_initial=-0.3).margin()
+            window_step(cfg, cbf, margin, ended, None, window_start, ego[0], 0.1)
+            got = margin.loss_history[-1] if margin.loss_history else None
             assert got == want
             scored += want is not None
     assert scored > 10

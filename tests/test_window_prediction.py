@@ -27,7 +27,7 @@ from _oracles import (
     stack_reference,
 )
 from conformal_cbf.dynamics import RobotState
-from conformal_cbf.engine import SimConfig, _predict_window
+from conformal_cbf.engine import SimConfig, _window_edge
 from conformal_cbf.errors import InputError
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,
@@ -102,7 +102,9 @@ def assert_same(got, want):
 def predicted_window(config, kind, scene, ego, frame):
     state = RobotState(position=np.asarray(ego, dtype=np.float64), velocity=np.zeros(2))
     config = replace(config, predictor=kind)
-    predicted, _ = _predict_window(config, config.cbf(), scene, state, frame, scene.dt)
+    predicted = _window_edge(
+        config, config.cbf(), config.margin(), scene, state, frame, scene.dt
+    ).predicted
     return predicted
 
 
