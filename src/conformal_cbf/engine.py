@@ -1,9 +1,10 @@
 """Closed-loop replay: a causal safety filter and the driver that feeds it.
 
-The filter is two functions that take arrays and never see the scene;
-this is the paper's decentralization boundary.  The robot acts on its
-own state, what it senses and what it predicts, and learns what the
-agents did only once a window of tau_frames frames is over.
+The filter is two functions that take a SimConfig, whose barrier cbf and
+frame step dt they read, and arrays, and never see the scene; this is the
+paper's decentralization boundary.  The robot acts on its own state, what
+it senses and what it predicts, and learns what the agents did only once
+a window of tau_frames frames is over.
 
 - frame_command runs one frame: _rows builds one inflated barrier row per
   agent predicted at the frame's sample of the window, from one call of
@@ -15,11 +16,12 @@ agents did only once a window of tau_frames frames is over.
   window_loss call, each agent over its own prefix, moves the margin by
   eta * (epsilon - loss), and predicts the agents sensed at the next
   window's first frame in one predict call.  A window without a scorable
-  agent leaves the margin as it is.  The first window has no predictions
-  (nobody has history yet), so a run always starts unconstrained.
+  agent leaves the margin as it is.  Nobody has history at a run's first
+  frame, so its first window is empty and the run starts unconstrained.
 
 run is the only driver and the only reader of the scene's track table
-(see scenario), which it slices at window edges alone.  There it senses
+(see scenario), which it slices at window edges alone, after folding the
+scene's exact frame step into the config.  There it senses
 the agents within rho0, looks their runs up once, and gathers the last
 two history samples, the oracle kinds' recorded futures (which reach the
 filter only through predict's futures) and the revealed tracks, each the
@@ -46,6 +48,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import product
 from typing import NamedTuple
 
@@ -123,7 +126,7 @@ class SimConfig:
             raise ConfigError("horizon_frames must cover at least one window")
         try:
             # the barrier owns the checks of k_rep, rho0 and delta
-            self.cbf()
+            self.cbf
         except InputError as exc:
             raise ConfigError(str(exc)) from None
         for name in ("alpha_slope", "k_acc"):
@@ -146,6 +149,7 @@ class SimConfig:
                 sign = "positive" if least else "nonnegative"
                 raise ConfigError(f"{name} must be a {sign} integer")
 
+    @cached_property
     def cbf(self) -> PotentialFieldCbf:
         return PotentialFieldCbf(k_rep=self.k_rep, rho0=self.rho0, delta=self.delta)
 
@@ -156,7 +160,7 @@ class SimConfig:
     def collision_threshold(self) -> float:
         if self.collision_distance is not None:
             return self.collision_distance
-        return self.cbf().zero_level_distance()
+        return self.cbf.zero_level_distance()
 
     def relaxation_step(self) -> float:
         if self.relax_lambda_step is not None:
@@ -198,19 +202,19 @@ class Window(NamedTuple):
     ego: np.ndarray
 
 
-def frame_command(config, cbf, task, state, predicted, k, lam, frame):
+def frame_command(config, task, state, predicted, k, lam, frame):
     """The filtered velocity command at sample k of a window.
 
-    cbf is config.cbf(), task has config.k_att applied, state is the
-    ego's RobotState, predicted the window's Predictions and lam its
-    margin; frame names the frame in errors.  Returns (command,
+    task has config.k_att applied, state is the ego's RobotState,
+    predicted the window's Predictions and lam its margin; frame names
+    the frame in errors.  Returns (command,
     inflation, ids): the (2,) command, the relaxation's offset inflation
     (0.0 when none was needed), and the ids of the agents that gave a
     row.  Raises InputError when the reference or a row offset is not
     finite, and InfeasibleRunError when relaxation runs out.
     """
     normals, offsets, ids = _rows(
-        cbf, config.alpha_slope, predicted, k, state.position, config.rho0, lam
+        config.cbf, config.alpha_slope, predicted, k, state.position, config.rho0, lam
     )
     reference = reference_control(task, state)
     # the frame's one finiteness check: the normals are finite by _rows'
@@ -243,7 +247,7 @@ def frame_command(config, cbf, task, state, predicted, k, lam, frame):
     return solution.decision, inflation, ids
 
 
-def window_step(config, cbf, margin, ended, sensed, frame, position, dt):
+def window_step(config, margin, ended, sensed, frame, position):
     """Score the Window that just ended (None at a run's start) into the
     margin state, and predict the next window, which starts at frame.
 
@@ -265,8 +269,8 @@ def window_step(config, cbf, margin, ended, sensed, frame, position, dt):
         if len(n):
             width = int(n.max())
             loss = window_loss(
-                cbf, config.alpha_slope, positions[:, :width], revealed[:, :width],
-                EgoWindow(ego[:width], dt), margin.lam, lengths=n,
+                config.cbf, config.alpha_slope, positions[:, :width], revealed[:, :width],
+                EgoWindow(ego[:width], config.dt), margin.lam, lengths=n,
             )
         margin.update(loss)
     if sensed is None:
@@ -277,12 +281,12 @@ def window_step(config, cbf, margin, ended, sensed, frame, position, dt):
         ids,
         histories,
         config.horizon_frames,
-        dt,
+        config.dt,
         futures=futures,
         future_lengths=future_lengths,
         start_frame=frame,
         seed=config.seed,
-        cbf=cbf,
+        cbf=config.cbf,
         ego_positions=position,
     )
 
@@ -304,13 +308,13 @@ def run(
         InfeasibleRunError: the constraint set stayed empty even after
             exhausting relaxation; diagnostics carry the frame state.
     """
-    cbf = config.cbf()
     if config.k_att is not None:
         task = replace(task, attract_gain=config.k_att)
     # bitwise the scene's grid, when it has one, so windows align exactly
     dt = scene.dt if scene.n_frames else config.dt
     if not math.isclose(config.dt, dt, rel_tol=1e-9, abs_tol=0.0):
         raise ConfigError(f"config dt {config.dt} does not match scene frame rate 1/{scene.fps}")
+    config = replace(config, dt=dt)
 
     margin = config.margin()
     state = task.start
@@ -331,7 +335,8 @@ def run(
     # would only repeat it
     with np.errstate(all="ignore"):
         try:
-            window = _window_edge(config, cbf, margin, scene, state, start, dt)
+            # nobody has history at the first frame: no one is predicted
+            window = Window(NO_PREDICTIONS, NO_PREDICTIONS.positions, NO_PREDICTIONS.lengths, None)
             for offset in range(config.max_frames):
                 frame = start + offset
                 if offset < covered:
@@ -340,10 +345,10 @@ def run(
                 # bitwise the 1-D np.linalg.norm
                 reached = math.sqrt(np.vecdot(to_goal, to_goal)) <= task.goal_radius
                 if reached:
-                    t_goal = offset * dt
+                    t_goal = offset * config.dt
                 else:
                     command, inflation, ids = frame_command(
-                        config, cbf, task, state, window.predicted, offset % tau, margin.lam, frame
+                        config, task, state, window.predicted, offset % tau, margin.lam, frame
                     )
                     if inflation > 0.0:
                         inflation_events += 1
@@ -367,14 +372,14 @@ def run(
                             + "\n"
                         )
                     accel = track_velocity(config.k_acc, state.velocity, command)
-                    state = step(state, accel, dt)
+                    state = step(state, accel, config.dt)
 
                 if (offset + 1) % tau == 0:
                     # the window's last frame closes it; the next window is
                     # sensed only if the run goes on
                     ego = np.array(path[2 * (offset + 1 - tau):2 * (offset + 1)])
                     window = _window_edge(
-                        config, cbf, margin, scene, state, frame + 1, dt,
+                        config, margin, scene, state, frame + 1,
                         window._replace(ego=ego.reshape(-1, 2)),
                         not reached and offset + 1 < config.max_frames,
                     )
@@ -398,12 +403,12 @@ def run(
     )
 
 
-def _window_edge(config, cbf, margin, scene, state, frame, dt, ended=None, sense=True):
+def _window_edge(config, margin, scene, state, frame, ended, sense=True):
     """window_step at the edge of the window that starts at frame, fed
-    from the scene's table: the Window that ended there, if any, is
-    scored, and unless sense is False the agents sensed at frame with two
-    frames of contiguous history before it are predicted, from their
-    last two samples (all any kind reads), their runs looked up once.
+    from the scene's table: the Window that ended there is scored, and
+    unless sense is False the agents sensed at frame with two frames of
+    contiguous history before it are predicted, from their last two
+    samples (all any kind reads), their runs looked up once.
 
     Returns the new Window, its ego None until it closes: the replay
     holds its revealed tracks, the first tau_frames samples of the
@@ -424,7 +429,7 @@ def _window_edge(config, cbf, margin, scene, state, frame, dt, ended=None, sense
                 futures = _run_samples(scene, row, horizon)
             # the rows at frame - 2 and frame - 1
             sensed = ids, scene.track_positions[row[:, None] - [2, 1]], futures, horizon
-    predicted = window_step(config, cbf, margin, ended, sensed, frame, state.position, dt)
+    predicted = window_step(config, margin, ended, sensed, frame, state.position)
     if len(predicted) < len(row):
         # the oracles drop agents, keeping the order; sensed ids ascend
         at = np.searchsorted(ids, predicted.ids)
@@ -497,25 +502,26 @@ class SweepRow:
     error: str | None
 
 
-# the sweep's scene and task inside a pool worker, set once by _init_worker
+# the sweep's base config, scene and task inside a pool worker, set once
+# by _init_worker
 _worker_scene = None
 
 
-def _init_worker(scene, task):
+def _init_worker(base, scene, task):
     global _worker_scene
-    _worker_scene = (scene, task)
+    _worker_scene = (base, scene, task)
 
 
-def _run_cell(payload):
-    """Pool entry point: a payload is (cell, config, error)."""
-    return _cell_row(*payload, *_worker_scene)
+def _run_cell(cell):
+    """Pool entry point: a payload is a cell's override dict."""
+    return _cell_row(cell, *_worker_scene)
 
 
-def _cell_row(cell, config, error, scene, task):
-    if error is not None:
-        return SweepRow(params=cell, metrics=None, error=error)
+def _cell_row(cell, base, scene, task):
+    """The cell's row; a config the cell's overrides make invalid fails
+    like a run that raised."""
     try:
-        return SweepRow(params=cell, metrics=run(config, scene, task), error=None)
+        return SweepRow(params=cell, metrics=run(replace(base, **cell), scene, task), error=None)
     except Exception as exc:
         return SweepRow(params=cell, metrics=None, error=f"{type(exc).__name__}: {exc}")
 
@@ -532,8 +538,8 @@ def sweep(
     Cells are ordered by grid position (first key outermost).  Each run
     is independent and uses the base seed, so results do not depend on
     workers; failures become rows with error text and the sweep
-    continues.  Each worker receives the scene and task once, when the
-    pool starts, and each cell only its parameters.
+    continues.  Each worker receives the base config, scene and task
+    once, when the pool starts, and each cell only its overrides.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError("workers must be a positive integer")
@@ -544,20 +550,13 @@ def sweep(
         if not list(grid[name]):
             raise ConfigError(f"sweep parameter {name!r} has no values")
     names = list(grid)
-    payloads = []
-    for combo in product(*(list(grid[n]) for n in names)):
-        cell = dict(zip(names, combo))
-        try:
-            cfg = replace(base, **cell)
-            payloads.append((cell, cfg, None))
-        except (ConfigError, InputError) as exc:
-            payloads.append((cell, None, f"{type(exc).__name__}: {exc}"))
-    if workers == 1 or len(payloads) <= 1:
-        return [_cell_row(*p, scene, task) for p in payloads]
+    cells = [dict(zip(names, combo)) for combo in product(*(list(grid[n]) for n in names))]
+    if workers == 1 or len(cells) <= 1:
+        return [_cell_row(cell, base, scene, task) for cell in cells]
     # the pool forks all its workers up front: no more than there are cells
     with ProcessPoolExecutor(
-        max_workers=min(workers, len(payloads)),
+        max_workers=min(workers, len(cells)),
         initializer=_init_worker,
-        initargs=(scene, task),
+        initargs=(base, scene, task),
     ) as pool:
-        return list(pool.map(_run_cell, payloads))
+        return list(pool.map(_run_cell, cells))

@@ -18,8 +18,9 @@ position error and on the error of the agent-side barrier flow term.
 The enforcement checks derivatives of the trajectory it returns, so
 bounds hold exactly for consumers that differentiate the same window.
 Velocities are taken per agent length, never across the zero padding,
-so the one-sided edge sits at each agent's own last sample: velocities
-takes the lengths and does this for the whole stack in one call.
+so the one-sided edge sits at each agent's own last sample: predict
+takes every kind's velocities, once their positions are checked finite,
+in one velocities call with the lengths.
 """
 
 import math
@@ -230,15 +231,12 @@ def predict(
             ego = ego[:width]
         elif ego.shape != (2,):
             raise InputError("ego_positions must be one point or one per sample")
-        positions, vels = _noise_bounded(
+        positions = _noise_bounded(
             kind, ids, positions, lengths, valid, start_frame, seed, dt, cbf, ego
         )
     if not np.isfinite(positions).all():
         raise InputError("predicted positions must be finite")
-    if kind.kind == CONSTANT_VELOCITY:
-        vels = velocities(positions, dt)
-    elif kind.kind == GROUND_TRUTH:
-        vels = velocities(positions, dt, lengths)
+    vels = velocities(positions, dt, lengths)
     return Predictions(ids=ids, positions=positions, velocities=vels, lengths=lengths)
 
 
@@ -252,7 +250,7 @@ def _key_entry(x) -> int:
 
 
 def _noise_bounded(kind, ids, truth, lengths, valid, start_frame, seed, dt, cbf, ego):
-    """Perturbed truths and their velocities.
+    """Perturbed truths.
 
     Each agent's perturbation is drawn from its own generator, keyed on
     (seed, start_frame, agent id) through _key_entry, with radius at most
@@ -286,5 +284,4 @@ def _noise_bounded(kind, ids, truth, lengths, valid, start_frame, seed, dt, cbf,
     fails = over | singular[:, 1:] | singular[:, :1]
     passes = ~(fails & valid[:, None]).any(axis=-1)
     pick = np.where(passes.any(axis=1), passes.argmax(axis=1) + 1, 0)
-    rows = np.arange(len(ids))
-    return tracks[rows, pick], vels[rows, pick]
+    return tracks[np.arange(len(ids)), pick]

@@ -315,7 +315,7 @@ def _replay_window_losses(config, scene, trace_path):
     comes from the traced positions, and each agent is scored over the
     common prefix of its prediction and its realized path.
     """
-    cbf = config.cbf()
+    cbf = config.cbf
     alpha = config.alpha_slope
     tau = config.tau_frames
     rows = [json.loads(line) for line in open(trace_path, encoding="utf-8")]

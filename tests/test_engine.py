@@ -153,7 +153,7 @@ class TestConfigValidation:
 
     def test_defaults_derive_from_barrier(self):
         cfg = BASE
-        assert cfg.collision_threshold() == cfg.cbf().zero_level_distance()
+        assert cfg.collision_threshold() == cfg.cbf.zero_level_distance()
         assert cfg.relaxation_step() == cfg.eta * (0.5 - cfg.epsilon)
         assert replace(cfg, collision_distance=3.0).collision_threshold() == 3.0
         assert replace(cfg, relax_lambda_step=7.0).relaxation_step() == 7.0
@@ -230,7 +230,7 @@ class TestGroundTruthFixedPoint:
         run(cfg, scene, self._task(), trace_path=trace)
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         by_frame = {r["frame"]: r for r in records}
-        cbf = cfg.cbf()
+        cbf = cfg.cbf
         start, tau = scene.start_frame, cfg.tau_frames
 
         checked = 0
@@ -297,7 +297,7 @@ class TestStandingPedestrian:
         metrics = run(cfg, scene, task, trace_path=trace)
         assert metrics.reached
         assert metrics.n_collide == 0
-        assert metrics.d_min > cfg.cbf().zero_level_distance()
+        assert metrics.d_min > cfg.cbf.zero_level_distance()
         ys = [
             json.loads(line)["position"][1]
             for line in trace.read_text().splitlines()
@@ -343,7 +343,7 @@ class TestMarginAdaptation:
     def test_keeps_clearance_while_creeping(self):
         cfg, metrics = self._run()
         assert metrics.n_collide == 0
-        assert metrics.d_min > cfg.cbf().zero_level_distance()
+        assert metrics.d_min > cfg.cbf.zero_level_distance()
 
 
 class TestCollisionAccounting:
@@ -761,7 +761,7 @@ def test_window_step_refuses_tracks_that_do_not_match_the_predictions():
         margin = BASE.margin()
         ended = engine.Window(predicted, revealed, np.array(lengths), ego)
         with pytest.raises(InputError, match="one per predicted agent"):
-            engine.window_step(BASE, BASE.cbf(), margin, ended, None, 5, ego[-1], 0.1)
+            engine.window_step(BASE, margin, ended, None, 5, ego[-1])
         assert margin.loss_history == []
 
 

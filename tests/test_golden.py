@@ -89,7 +89,8 @@ def test_frames_build_no_checked_problem_or_state(tmp_path, monkeypatch):
 
 def test_frames_inside_a_window_read_no_scene_rows(tmp_path, monkeypatch):
     """A frame inside a window reads nothing from the scene: the agents at
-    a frame are read once per window boundary, by sensing, and d_min and
+    a frame are read once per window boundary after the first, by sensing
+    (nobody has history at the run's first frame), and d_min and
     n_collide come from one pass over the scene after the run."""
     calls = {"rows_at": 0, "outside sensing": 0}
     sensing = []
@@ -114,4 +115,4 @@ def test_frames_inside_a_window_read_no_scene_rows(tmp_path, monkeypatch):
     assert csv == (GOLDEN / "crowd16.csv").read_bytes()
     frames = len(trace.splitlines())
     assert calls["outside sensing"] == 0
-    assert calls["rows_at"] == -(-frames // config["tau_frames"])
+    assert calls["rows_at"] == -(-frames // config["tau_frames"]) - 1

@@ -65,9 +65,7 @@ def scene_of(tracks):
 def window_at(scene, frame, kind=PredictorKind(kind=CONSTANT_VELOCITY), horizon=4):
     config = SimConfig(dt=0.1, tau_frames=2, horizon_frames=horizon, rho0=1000.0, predictor=kind)
     state = RobotState(position=np.zeros(2), velocity=np.zeros(2))
-    predicted = _window_edge(
-        config, config.cbf(), config.margin(), scene, state, frame, scene.dt
-    ).predicted
+    predicted = _window_edge(config, config.margin(), scene, state, frame, None).predicted
     return predicted
 
 

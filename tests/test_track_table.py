@@ -313,7 +313,7 @@ def test_scoring_groups_match_one_call_per_agent():
     agent on its own and for all of them together."""
     rng = np.random.default_rng(4)
     cfg = SimConfig(dt=0.1, k_rep=50.0, rho0=60.0)
-    cbf, alpha = cfg.cbf(), cfg.alpha_slope
+    cbf, alpha = cfg.cbf, cfg.alpha_slope
     frames = {}
     spans = [(0, 12), (0, 3), (2, 7), (0, 1), (0, 12), (5, 9), (1, 13)]
     for agent_id, (first, last) in enumerate(spans):
@@ -336,7 +336,7 @@ def test_scoring_groups_match_one_call_per_agent():
             revealed = np.minimum(after, len(ego))
             ended = EndedWindow(stacked, _run_samples(scene, row, revealed), revealed, np.array(ego))
             margin = replace(cfg, lambda_initial=-0.3).margin()
-            window_step(cfg, cbf, margin, ended, None, window_start, ego[0], 0.1)
+            window_step(cfg, margin, ended, None, window_start, ego[0])
             got = margin.loss_history[-1] if margin.loss_history else None
             assert got == want
             scored += want is not None

@@ -102,9 +102,7 @@ def assert_same(got, want):
 def predicted_window(config, kind, scene, ego, frame):
     state = RobotState(position=np.asarray(ego, dtype=np.float64), velocity=np.zeros(2))
     config = replace(config, predictor=kind)
-    predicted = _window_edge(
-        config, config.cbf(), config.margin(), scene, state, frame, scene.dt
-    ).predicted
+    predicted = _window_edge(config, config.margin(), scene, state, frame, None).predicted
     return predicted
 
 
@@ -133,7 +131,7 @@ def test_array_prediction_matches_the_per_agent_reference(
     )
     for frame in sorted(starts | {3}):
         got = predicted_window(config, kind, scene, ego, frame)
-        assert_same(got, reference_window(config, kind, config.cbf(), scene, ego, frame))
+        assert_same(got, reference_window(config, kind, config.cbf, scene, ego, frame))
         if frame == 3:
             assert 1000 not in got.ids.tolist()
 
@@ -171,7 +169,7 @@ def test_a_coincident_noise_scale_fails_alone(
     noise = noise_reference(kind, 2, 4, n_future, seed=seed)
     ego = truth[sample] if on_truth else (truth + math.ldexp(1.0, -k) * noise)[sample]
     got = predicted_window(config, kind, scene, ego, 2)
-    assert_same(got, reference_window(config, kind, config.cbf(), scene, ego, 2))
+    assert_same(got, reference_window(config, kind, config.cbf, scene, ego, 2))
     if (ego == truth[sample]).all():  # small scales can round onto the truth
         assert got.positions[0].tobytes() == truth.tobytes()
     elif dynamics_bound == 1e9:
@@ -202,11 +200,11 @@ def test_predict_checks_its_inputs():
     futures = dict(futures=np.ones((2, 3, 2)), future_lengths=[3, 2])
     with pytest.raises(InputError):
         predict(
-            noise, ids, histories, 4, 0.1, cbf=SimConfig().cbf(), ego_positions=[0.0, 0.0],
+            noise, ids, histories, 4, 0.1, cbf=SimConfig().cbf, ego_positions=[0.0, 0.0],
             **futures,
         )
     with pytest.raises(InputError):
         predict(
-            noise, ids, histories, 4, 0.1, start_frame=0, seed=0, cbf=SimConfig().cbf(),
+            noise, ids, histories, 4, 0.1, start_frame=0, seed=0, cbf=SimConfig().cbf,
             ego_positions=np.zeros((2, 2)), **futures,
         )
