@@ -139,7 +139,13 @@ class ScenarioFrameSet:
             where each one's agents start in positions; and the (k, 2)
             positions of all of them, in frame order, then id order.
         """
-        i, j = np.searchsorted(self._present, [first, stop])
+        # the frames present before each bound, searched only inside them,
+        # so a bound such as 2**63 never leaves the index's int64
+        i, j = (
+            0 if x <= self.start_frame else len(self._present) if x >= self.end_frame
+            else np.searchsorted(self._present, x)
+            for x in (first, stop)
+        )
         lo = self._lo[i]
         return self._present[i:j], self._lo[i:j] - lo, self._frame_positions[lo:self._lo[j]]
 

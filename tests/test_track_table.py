@@ -9,6 +9,7 @@ line parser it falls back to are exercised.  Results are compared with ==,
 positions bit for bit.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _golden import CROSSING
 from _oracles import (
     Window,
     future_reference,
@@ -27,12 +29,18 @@ from _oracles import (
     sensed_reference,
     stack_reference,
 )
-from conformal_cbf.cli import main
+from conformal_cbf.cli import build_setup, main
 from conformal_cbf.conformal import EgoWindow, window_loss
-from conformal_cbf.engine import SimConfig, _run_samples, window_step
+from conformal_cbf.engine import SimConfig, _run_samples, run, window_step
 from conformal_cbf.engine import Window as EndedWindow
 from conformal_cbf.errors import ParseError
-from conformal_cbf.scenario import _parse_lines, _parse_plain, load_annotations, sensed_agents
+from conformal_cbf.scenario import (
+    ScenarioFrameSet,
+    _parse_lines,
+    _parse_plain,
+    load_annotations,
+    sensed_agents,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -266,6 +274,20 @@ def test_track_queries_match_the_dict_walks(frames):
                 want = history_reference(frames, agent_id, f, cap)
                 assert same_slice(got_history, want)
                 assert same_slice(got_future, future_reference(frames, agent_id, f, cap))
+
+
+def test_a_scene_at_either_end_of_int64_runs_like_one_at_frame_0():
+    """One agent over 31 frames gives the same metrics wherever the scene
+    sits: ending at frame 2**63 - 1, d_min and n_collide still see it."""
+    config, task = build_setup(dict(CROSSING, max_frames=60))
+    t = np.arange(31)
+    xy = np.stack([np.full(31, 30.0), 20.0 - t], axis=1)
+    at_0, at_end, at_start = (
+        run(config, ScenarioFrameSet.from_rows("s", 10.0, [7] * 31, first + t, xy, {}), task)
+        for first in (0, 2**63 - 31, -(2**63))
+    )
+    assert at_0.n_collide > 0 and math.isfinite(at_0.d_min)
+    assert at_end == at_0 == at_start
 
 
 @SETTINGS
