@@ -59,6 +59,7 @@ _FLOAT_KEYS = {f.name for f in fields(SimConfig) if f.type is float} | {
     "predictor_value_bound", "predictor_dynamics_bound", "goal_radius", "attract_gain",
 }
 _OPTIONAL_FLOAT_KEYS = {f.name for f in fields(SimConfig) if f.type == float | None}
+_NUMBER_KEYS = _INT_FIELDS | _FLOAT_KEYS | _OPTIONAL_FLOAT_KEYS
 
 
 class _ConfigLoader(yaml.SafeLoader):
@@ -164,7 +165,8 @@ def read_config_file(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.load(fh, Loader=_ConfigLoader)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
+            # ValueError: a value Python refuses, such as an int of 4301 digits
             raise ConfigError(f"bad config file {path}: {exc}") from None
     if doc is None:
         doc = {}
@@ -182,7 +184,7 @@ def build_setup(doc: dict, seed_override=None):
     value_bound = 0.0
     dynamics_bound = 0.0
     for key, value in doc.items():
-        _check_number(key, value)
+        value = _check_number(key, value)
         if key in _TASK_KEYS:
             task_kwargs[key] = value
         elif key == "predictor":
@@ -195,13 +197,8 @@ def build_setup(doc: dict, seed_override=None):
             sim_kwargs[key] = value
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    try:
-        predictor = PredictorKind(
-            kind=kind, value_bound=value_bound, dynamics_bound=dynamics_bound
-        )
-        config = SimConfig(predictor=predictor, **sim_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    predictor = PredictorKind(kind=kind, value_bound=value_bound, dynamics_bound=dynamics_bound)
+    config = SimConfig(predictor=predictor, **sim_kwargs)
     if seed_override is not None:
         config = replace(config, seed=seed_override)
 
@@ -214,8 +211,8 @@ def build_setup(doc: dict, seed_override=None):
     task = RobotTask(
         start=RobotState(position=start, velocity=velocity),
         goal=goal,
-        attract_gain=float(task_kwargs.get("attract_gain", 1.0)),
-        goal_radius=float(task_kwargs.get("goal_radius", 2.0)),
+        attract_gain=task_kwargs.get("attract_gain", 1.0),
+        goal_radius=task_kwargs.get("goal_radius", 2.0),
     )
     return config, task
 
@@ -232,15 +229,23 @@ def _point(key, value) -> np.ndarray:
     raise ConfigError(f"{key} must be a finite point [x, y], got {value!r}")
 
 
-def _check_number(key, value) -> None:
-    """A number-valued key must hold a number: a string such as "abc" or
-    a boolean is a ConfigError that names the key.  SimConfig checks the
-    integer keys' values further."""
-    if key in _OPTIONAL_FLOAT_KEYS and value is None:
-        return
-    if key in _FLOAT_KEYS or key in _OPTIONAL_FLOAT_KEYS or key in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
+def _check_number(key, value):
+    """The value a config key takes.  A number-valued key must hold a
+    number: a string such as "abc", a boolean, or at a float key an
+    integer too large for a float is a ConfigError that names the key.  A
+    float key's value becomes a float here and nowhere else; SimConfig
+    checks the integer keys' values further."""
+    if key not in _NUMBER_KEYS or (key in _OPTIONAL_FLOAT_KEYS and value is None):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if key in _INT_FIELDS:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        # not str(value), which Python refuses past 4300 digits
+        raise ConfigError(f"{key} must be a finite number, got an int too large") from None
 
 
 def load_scene_for(config: SimConfig, args):
@@ -261,6 +266,8 @@ def parse_grid(grid_args) -> dict:
         if not sep:
             raise ConfigError(f"grid {item!r} must look like name=v1,v2,...")
         name = _GRID_ALIASES.get(key.strip(), key.strip())
+        if name in {f.name for f in fields(SimConfig)} - _NUMBER_KEYS:
+            raise ConfigError(f"{name} takes no number, so it cannot be swept")
         if name in grid:
             raise ConfigError(f"duplicate grid key {name!r}")
         tokens = [tok for tok in (s.strip() for s in raw.split(",")) if tok]

@@ -119,6 +119,8 @@ class SimConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError("dt must be positive and finite")
+        if not isinstance(self.predictor, PredictorKind):
+            raise ConfigError(f"predictor must be a PredictorKind, got {self.predictor!r}")
         if type(self.tau_frames) is not int or self.tau_frames < 2:
             # a window needs two samples before its motion can be differenced
             raise ConfigError("tau_frames must be an integer >= 2")

@@ -440,7 +440,8 @@ def load_scene_spec(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = yaml.load(fh, Loader=_SPEC_LOADER)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:
+            # ValueError: a value Python refuses, such as an int of 4301 digits
             raise ParseError(f"bad scene spec file {path}: {exc}") from None
     if not isinstance(spec, dict):
         raise ParseError(f"scene spec {path} is not a mapping")

@@ -454,6 +454,35 @@ class TestConfigNumbers:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["attract_gain", "goal_radius", "dt", "k_rep"])
+    def test_integer_too_large_for_a_float_names_its_key(self, tmp_path, capsys, key):
+        base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != key})
+        code, out = self._run(tmp_path, "big", base + f"{key}: 1{'0' * 400}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be a finite number")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "scene"])
+    def test_integer_past_the_digit_limit_exits_with_its_code(self, tmp_path, capsys, where):
+        # Python refuses to read an integer of more than 4300 digits
+        code, message = {"config": (2, "config error: bad config file"),
+                         "scene": (3, "data error: bad scene spec file")}[where]
+        huge = "9" * 4301
+        config = tmp_path / "c.yaml"
+        extra = f"seed: {huge}\n" if where == "config" else ""
+        config.write_text(yaml.safe_dump(BASE_CONFIG) + extra, encoding="utf-8")
+        scene = make_scene(tmp_path)
+        if where == "scene":
+            scene = tmp_path / "huge.yaml"
+            scene.write_text(f"fps: {huge}\n", encoding="utf-8")
+        out = tmp_path / "m.csv"
+        assert main(["run", "--config", str(config), "--scene", str(scene), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "4300" in err
+        assert not out.exists()
+
     def test_null_leaves_an_optional_key_unset(self, tmp_path):
         base = yaml.safe_dump(BASE_CONFIG)
         code, out = self._run(tmp_path, "null", base + "k_att: null\n")
@@ -544,7 +573,7 @@ class TestSweepCommand:
         assert main(args + ["--out", str(pooled)]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
 
-    def test_rejects_malformed_grids(self, tmp_path):
+    def test_rejects_malformed_grids(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         scene = make_scene(tmp_path)
         out = str(tmp_path / "t.csv")
@@ -553,6 +582,10 @@ class TestSweepCommand:
         assert main(base + ["--grid", "nope=1,2"]) == 2
         assert main(base + ["--grid", "eps=a,b"]) == 2
         assert main(base) == 2  # no grid at all
+        capsys.readouterr()
+        # a field that takes no number cannot be swept from the command line
+        assert main(base + ["--grid", "predictor=1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: predictor ")
 
     def test_bad_workers_env_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONFORMAL_CBF_WORKERS", "many")

@@ -145,10 +145,13 @@ class TestConfigValidation:
             {"max_frames": True},
             {"seed": True},
             {"relax_max_steps": True},
+            # a predictor is a PredictorKind, not its name
+            {"predictor": "ground-truth-oracle"},
+            {"predictor": 1.0},
         ],
     )
     def test_rejects_bad_values(self, overrides):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(overrides))):
             replace(BASE, **overrides)
 
     def test_defaults_derive_from_barrier(self):
@@ -494,12 +497,14 @@ class TestSweep:
 
     def test_pool_starts_no_more_workers_than_cells(self, monkeypatch):
         # the pool forks all its workers up front; this one maps serially
-        # in this process, so no process is started
-        started = []
+        # in this process, so no process is started, and records what the
+        # workers would receive
+        started, sent, payloads = [], [], []
 
         class SerialPool:
             def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                sent.append(initargs)
                 initializer(*initargs)
 
             def __enter__(self):
@@ -508,16 +513,31 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads):
-                return map(fn, payloads)
+            def map(self, fn, cells):
+                cells = list(cells)
+                payloads.append(cells)
+                return map(fn, cells)
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(engine, "_worker_scene", None)
+        task = self._task()
         grid = {"epsilon": [-0.2, 0.2]}
-        rows = sweep(self.CFG, grid, self.SCENE, self._task(), workers=64)
-        assert rows == sweep(self.CFG, grid, self.SCENE, self._task())
-        sweep(self.CFG, {"eta": [1.0, 2.0, 3.0]}, self.SCENE, self._task(), workers=2)
+        rows = sweep(self.CFG, grid, self.SCENE, task, workers=64)
+        assert rows == sweep(self.CFG, grid, self.SCENE, task)
+        sweep(self.CFG, {"eta": [1.0, 2.0, 3.0]}, self.SCENE, task, workers=2)
         assert started == [2, 2]
+        # the base config, scene and task once per worker; each cell only
+        # its overrides
+        assert all(initargs == (self.CFG, self.SCENE, task) for initargs in sent)
+        assert payloads == [[{"epsilon": -0.2}, {"epsilon": 0.2}],
+                            [{"eta": 1.0}, {"eta": 2.0}, {"eta": 3.0}]]
+        # a cell whose overrides the config refuses fails in the worker with
+        # the serial path's row
+        grid = {"epsilon": [0.6, 0.0]}
+        rows = sweep(self.CFG, grid, self.SCENE, task, workers=2)
+        assert payloads[-1] == [{"epsilon": 0.6}, {"epsilon": 0.0}]
+        assert rows == sweep(self.CFG, grid, self.SCENE, task)
+        assert rows[0].metrics is None and rows[0].error.startswith("ConfigError: epsilon")
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ConfigError):
