@@ -1,10 +1,11 @@
 """Closed-loop replay: a causal safety filter and the driver that feeds it.
 
-The filter is two functions that take a SimConfig, whose barrier cbf and
-frame step dt they read, and arrays, and never see the scene; this is the
-paper's decentralization boundary.  The robot acts on its own state, what
-it senses and what it predicts, and learns what the agents did only once
-a window of tau_frames frames is over.
+The filter is two functions that take a SimConfig and arrays and never
+see the scene; this is the paper's decentralization boundary.  They read
+the barrier (config.cbf, built once per config) and dt off the config.
+The robot acts on its own state, what it senses and what it predicts,
+and learns what the agents did only once a window of tau_frames frames
+is over.
 
 - frame_command runs one frame: _rows builds one inflated barrier row per
   agent predicted at the frame's sample of the window, from one call of
@@ -21,16 +22,16 @@ a window of tau_frames frames is over.
 
 run is the only driver and the only reader of the scene's track table
 (see scenario), which it slices at window edges alone, after folding the
-scene's exact frame step into the config.  There it senses
-the agents within rho0, looks their runs up once, and gathers the last
-two history samples, the oracle kinds' recorded futures (which reach the
-filter only through predict's futures) and the revealed tracks, each the
-first n samples of a run.  It also tracks the command and integrates one
-frame, writes the trace, and records the ego's position at each frame
-the scene covers, the goal frame included.  d_min and n_collide take no
-part in the filter: after the loop _nearest measures those positions
-against every agent of their frames in one array pass.  The ego's own
-arithmetic runs on Python floats; see dynamics.
+scene's exact frame step into the config.  There it senses the agents
+within rho0, looks their runs up once, and gathers the last two history
+samples, the oracle kinds' recorded futures (which reach the filter only
+through predict's futures) and the revealed tracks, each the first n
+samples of a run.  It also tracks the command and integrates one frame,
+writes the trace, and records the ego's position at each frame the scene
+covers, the goal frame included.  d_min and n_collide take no part in
+the filter: after the loop _nearest measures those positions against
+every agent of their frames in one array pass.  The ego's own arithmetic
+runs on Python floats; see dynamics.
 
 Each value of a frame is checked once, where it is made.  _rows keeps
 only agents at a distance from cbf.min_distance up to rho0, so its
@@ -209,10 +210,9 @@ def frame_command(config, task, state, predicted, k, lam, frame):
 
     task has config.k_att applied, state is the ego's RobotState,
     predicted the window's Predictions and lam its margin; frame names
-    the frame in errors.  Returns (command,
-    inflation, ids): the (2,) command, the relaxation's offset inflation
-    (0.0 when none was needed), and the ids of the agents that gave a
-    row.  Raises InputError when the reference or a row offset is not
+    the frame in errors.  Returns (command, inflation, ids): the (2,)
+    command, the relaxation's offset inflation (0.0 when none was
+    needed), and the ids of the agents that gave a row.  Raises InputError when the reference or a row offset is not
     finite, and InfeasibleRunError when relaxation runs out.
     """
     normals, offsets, ids = _rows(
