@@ -20,7 +20,7 @@ bounds hold exactly for consumers that differentiate the same window.
 Velocities are taken per agent length, never across the zero padding,
 so the one-sided edge sits at each agent's own last sample: predict
 takes every kind's velocities, once their positions are checked finite,
-in one velocities call with the lengths.
+in one velocities call with the oracles' lengths.
 """
 
 import math
@@ -236,7 +236,8 @@ def predict(
         )
     if not np.isfinite(positions).all():
         raise InputError("predicted positions must be finite")
-    vels = velocities(positions, dt, lengths)
+    # constant-velocity lengths are the whole horizon: checking them only costs
+    vels = velocities(positions, dt, None if kind.kind == CONSTANT_VELOCITY else lengths)
     return Predictions(ids=ids, positions=positions, velocities=vels, lengths=lengths)
 
 
