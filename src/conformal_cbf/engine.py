@@ -23,10 +23,10 @@ is over.
 run is the only driver and the only reader of the scene's track table
 (see scenario), which it slices at window edges alone, after folding the
 scene's exact frame step into the config.  There it senses the agents
-within rho0, looks their runs up once, and gathers the last two history
-samples, the oracle kinds' recorded futures (which reach the filter only
-through predict's futures) and the revealed tracks, each the first n
-samples of a run.  It also tracks the command and integrates one frame,
+within rho0, their runs with them, and gathers in one index of the table
+the last two history samples, the oracle kinds' recorded futures (which
+reach the filter only through predict's futures) and the revealed
+tracks, each the first n samples of a run.  It also tracks the command and integrates one frame,
 writes the trace, and records the ego's position at each frame the scene
 covers, the goal frame included.  d_min and n_collide take no part in
 the filter: after the loop _nearest measures those positions against
@@ -410,42 +410,41 @@ def _window_edge(config, margin, scene, state, frame, ended, sense=True):
     from the scene's table: the Window that ended there is scored, and
     unless sense is False the agents sensed at frame with two frames of
     contiguous history before it are predicted, from their last two
-    samples (all any kind reads), their runs looked up once.
+    samples (all any kind reads).
+
+    Sensing reads the agents' runs with them, and one gather takes from
+    the table the rows at frame - 2 and frame - 1 and the first
+    tau_frames samples of each run (horizon_frames for the oracle kinds),
+    a run repeating its last sample past its end, which no reader uses.
+    Histories, futures and revealed tracks are slices of that block.
 
     Returns the new Window, its ego None until it closes: the replay
     holds its revealed tracks, the first tau_frames samples of the
     predicted agents' runs at most, and the filter reads them only then.
     """
-    sensed, row, after = None, np.zeros(0, np.intp), np.zeros(0, np.intp)
-    ids = sensed_agents(scene, state.position, config.rho0, frame)[0] if sense else ()
-    if len(ids):
+    sensed, ids, runs, block = None, (), np.zeros((0, 3), np.intp), NO_PREDICTIONS.positions
+    if sense:
+        ids, _, runs = sensed_agents(scene, state.position, config.rho0, frame)
         # a sensed agent is present at the frame, so its run holds
         # before - 1 samples of history and after samples of future
-        row, before, after = scene.runs_at(ids, frame)
-        keep = before >= 3
-        ids, row, after = ids[keep], row[keep], after[keep]
-        if len(ids):
-            futures = horizon = None
-            if config.predictor.kind != CONSTANT_VELOCITY:
-                horizon = np.minimum(after, config.horizon_frames)
-                futures = _run_samples(scene, row, horizon)
-            # the rows at frame - 2 and frame - 1
-            sensed = ids, scene.track_positions[row[:, None] - [2, 1]], futures, horizon
+        keep = runs[:, 1] >= 3
+        ids, runs = ids[keep], runs[keep]
+    row, after = runs[:, 0], runs[:, 2]
+    if len(ids):
+        oracle = config.predictor.kind != CONSTANT_VELOCITY
+        n = config.horizon_frames if oracle else config.tau_frames
+        # after >= 1, so the first two offsets stay -2 and -1
+        sample = np.minimum(np.arange(-2, n), after[:, None] - 1)
+        block = scene.track_positions[row[:, None] + sample]
+        horizon = np.minimum(after, n) if oracle else None
+        sensed = ids, block[:, :2], (block[:, 2:] if oracle else None), horizon
     predicted = window_step(config, margin, ended, sensed, frame, state.position)
-    if len(predicted) < len(row):
+    if len(predicted) < len(after):
         # the oracles drop agents, keeping the order; sensed ids ascend
         at = np.searchsorted(ids, predicted.ids)
-        row, after = row[at], after[at]
+        block, after = block[at], after[at]
     revealed = np.minimum(after, config.tau_frames)
-    return Window(predicted, _run_samples(scene, row, revealed), revealed, None)
-
-
-def _run_samples(scene, row, n):
-    """The first n[j] samples of the run from table row row[j], for each
-    j, as one (m, max n, 2) stack; past its n a run repeats its last
-    sample, which no reader of the stack uses."""
-    sample = np.minimum(np.arange(n.max(initial=0)), n[:, None] - 1)
-    return scene.track_positions[row[:, None] + sample]
+    return Window(predicted, block[:, 2:2 + config.tau_frames], revealed, None)
 
 
 def _nearest(scene, start, path):

@@ -5,14 +5,14 @@ parsed from drone-footage annotation files or synthesized from waypoint
 schedules.  The table is sorted by track, then frame, so an agent's
 recorded path is contiguous: histories, futures and window scoring read
 slices of it.  A frame index lists the table's rows by frame, then
-track, so the agents present at a frame are one slice in id order:
-rows_at returns it, for sensing.  The agents of a stretch of frames are
-one slice too: rows_in returns it with where each frame starts in it, for
-the engine's distance pass after a run.  Each index entry also holds its
-table row and how many samples of its run (the stretch of consecutive
-frames its track covers without a gap) lie up to and from its frame, so
-runs_at finds the contiguous history or future of any set of agents at a
-frame in one lookup, not a frame-by-frame walk.
+track, so the agents present at a frame are one slice in id order.  Each
+index entry holds its agent's run: its table row and how many samples of
+its run (the stretch of consecutive frames its track covers without a
+gap) end and start at its frame.  rows_at returns the slice, runs
+included, so sensing an agent also finds its contiguous history and
+future, with no frame-by-frame walk.  The agents of a stretch of frames
+are one slice too: rows_in returns it with where each frame starts in
+it, for the engine's distance pass after a run.
 Memory is proportional to the number of rows.
 
 Annotation rows follow the ten-column layout
@@ -121,15 +121,18 @@ class ScenarioFrameSet:
         if self._view is None:
             view = {}
             for f in self._at:
-                ids, pos = self.rows_at(f)
+                ids, pos, _ = self.rows_at(f)
                 view[f] = MappingProxyType(dict(zip(ids.tolist(), pos)))
             self._view = MappingProxyType(view)
         return self._view
 
     def rows_at(self, frame: int):
-        """Ids (ascending) and (k, 2) positions of the agents at a frame."""
+        """The agents at a frame: ids (ascending), (k, 2) positions and
+        (k, 3) runs.  An agent's run is its row in track_positions and the
+        numbers of contiguous samples that end at the frame and that
+        start at it."""
         lo, hi = self._at.get(frame, (0, 0))
-        return self._track[lo:hi], self._frame_positions[lo:hi]
+        return self._track[lo:hi], self._frame_positions[lo:hi], self._runs[lo:hi]
 
     def rows_in(self, first: int, stop: int):
         """The agents at the frames from first up to (not including) stop.
@@ -148,28 +151,6 @@ class ScenarioFrameSet:
         )
         lo = self._lo[i]
         return self._present[i:j], self._lo[i:j] - lo, self._frame_positions[lo:self._lo[j]]
-
-    def runs_at(self, ids, frame: int):
-        """Where each agent's contiguous run through a frame lies.
-
-        Args:
-            ids: agent ids, any order.
-
-        Returns:
-            (row, before, after) arrays aligned with ids: the agent's row
-            at the frame in track_positions, the number of contiguous
-            samples ending at the frame, and the number starting at it;
-            -1, 0 and 0 for an agent absent at the frame.
-        """
-        ids = np.asarray(ids, dtype=self._track.dtype)
-        absent = (-1, 0, 0)
-        lo, hi = self._at.get(frame, (0, 0))
-        if lo == hi:
-            return np.full((len(ids), 3), absent).T
-        k = lo + np.minimum(np.searchsorted(self._track[lo:hi], ids), hi - lo - 1)
-        runs = self._runs[k]
-        runs[self._track[k] != ids] = absent
-        return runs.T
 
 
 def _int_column(values) -> np.ndarray:
@@ -363,15 +344,15 @@ def _parse_lines(path, keep):
 
 
 def sensed_agents(scene: ScenarioFrameSet, ego_position, rho0: float, frame: int):
-    """Ids (ascending) and (k, 2) positions of the agents at a frame
-    strictly inside the sensing radius.  An agent exactly at distance rho0
-    is not sensed."""
+    """rows_at for the agents at a frame strictly inside the sensing
+    radius: ids (ascending), (k, 2) positions and (k, 3) runs.  An agent
+    exactly at distance rho0 is not sensed."""
     if not (np.isfinite(rho0) and rho0 > 0.0):
         raise InputError("rho0 must be positive and finite")
-    ids, pos = scene.rows_at(frame)
+    ids, pos, runs = scene.rows_at(frame)
     apart = pos - np.asarray(ego_position, dtype=np.float64)
     near = np.sqrt(np.vecdot(apart, apart)) < rho0
-    return ids[near], pos[near]
+    return ids[near], pos[near], runs[near]
 
 
 def synth_scene(spec: dict) -> ScenarioFrameSet:

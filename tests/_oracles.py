@@ -545,7 +545,7 @@ def distance_reference(scene, positions, collision_distance):
     A frame without an agent counts for nothing."""
     d_min, n_collide = math.inf, 0
     for offset, position in enumerate(positions):
-        _, actual = scene.rows_at(scene.start_frame + offset)
+        _, actual, _ = scene.rows_at(scene.start_frame + offset)
         if len(actual):
             apart = actual - position
             nearest = math.sqrt(np.vecdot(apart, apart).min())

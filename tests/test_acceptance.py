@@ -328,7 +328,7 @@ def _replay_window_losses(config, scene, trace_path):
         w0 = start + k * tau
         ego = np.array([position[w0 + i] for i in range(tau)])
         histories = {}
-        sensed, _ = sensed_agents(scene, position[w0], config.rho0, w0)
+        sensed = sensed_agents(scene, position[w0], config.rho0, w0)[0]
         for agent_id in sensed.tolist():
             history = history_window(scene.frames, agent_id, w0, tau, scene.dt)
             if history is not None and history.n_samples >= 2:

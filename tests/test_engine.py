@@ -243,7 +243,7 @@ class TestGroundTruthFixedPoint:
             wstart = start + ((r["frame"] - start) // tau) * tau
             ego_w = np.array(by_frame[wstart]["position"])
             histories = {}
-            sensed, _ = sensed_agents(scene, ego_w, cfg.rho0, wstart)
+            sensed = sensed_agents(scene, ego_w, cfg.rho0, wstart)[0]
             for agent_id in sensed.tolist():
                 hist = history_window(scene.frames, agent_id, wstart, tau, scene.dt)
                 if hist is not None and hist.n_samples >= 2:
@@ -583,27 +583,48 @@ def test_checked_barrier_terms_runs_only_in_window_scoring(monkeypatch):
     assert calls["terms outside scoring"] == 0
 
 
+class CountedGathers(np.ndarray):
+    """A track table that counts its index reads and hands back plain
+    arrays, so slicing what it returned counts nothing."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        CountedGathers.reads += 1
+        return np.asarray(super().__getitem__(key))
+
+
 @pytest.mark.parametrize("case", ["crowd16", "crowd16_ground_truth"])
 def test_one_lookup_and_one_scoring_call_per_window(monkeypatch, case):
-    """On the crowd16 golden config each window boundary that senses
-    anyone looks the agents' runs up once, for prediction, and scoring
-    reuses that lookup; each scored window is one window_loss call,
-    whatever mix of prefix lengths its agents have."""
-    calls = {"runs_at": 0, "runs_at in scoring": 0, "sensing": 0, "window_loss": 0,
+    """On the crowd16 golden config each window edge reads the scene's
+    rows once, inside sensing, which hands back the sensed agents' runs,
+    and gathers from the track table once when it keeps anyone; scoring
+    reads the scene not at all.  Each scored window is one window_loss
+    call, whatever mix of prefix lengths its agents have."""
+    calls = {"rows_at": 0, "rows_at outside sensing": 0, "rows_at in scoring": 0,
+             "sensing": 0, "sensed anyone": 0, "kept anyone": 0, "window_loss": 0,
              "scored": 0, "short prefixes": 0}
-    scoring = []
-    real_runs_at, real_loss = ScenarioFrameSet.runs_at, engine.window_loss
+    sensing, scoring = [], []
+    real_rows_at, real_loss = ScenarioFrameSet.rows_at, engine.window_loss
     real_sensed, real_score = engine.sensed_agents, engine.window_step
     real_update = ConformalState.update
 
-    def runs_at(self, *args):
-        calls["runs_at"] += 1
-        calls["runs_at in scoring"] += bool(scoring)
-        return real_runs_at(self, *args)
+    def rows_at(self, frame):
+        calls["rows_at"] += 1
+        calls["rows_at outside sensing"] += not sensing
+        calls["rows_at in scoring"] += bool(scoring)
+        return real_rows_at(self, frame)
 
     def sensed_agents(*args):
-        out = real_sensed(*args)
-        calls["sensing"] += bool(len(out[0]))
+        sensing.append(True)
+        try:
+            ids, _, runs = out = real_sensed(*args)
+        finally:
+            sensing.pop()
+        calls["sensing"] += 1
+        calls["sensed anyone"] += bool(len(ids))
+        # the engine keeps the agents with two frames of history
+        calls["kept anyone"] += bool((runs[:, 1] >= 3).any())
         return out
 
     def score_window(*args):
@@ -623,19 +644,25 @@ def test_one_lookup_and_one_scoring_call_per_window(monkeypatch, case):
         calls["scored"] += loss is not None
         return real_update(self, loss)
 
-    monkeypatch.setattr(ScenarioFrameSet, "runs_at", runs_at)
+    monkeypatch.setattr(ScenarioFrameSet, "rows_at", rows_at)
     monkeypatch.setattr(engine, "sensed_agents", sensed_agents)
     monkeypatch.setattr(engine, "window_step", score_window)
     monkeypatch.setattr(engine, "window_loss", window_loss)
     monkeypatch.setattr(ConformalState, "update", update)
+    monkeypatch.setattr(CountedGathers, "reads", 0)
 
     doc, spec = cases()[case]
     config, task = build_setup(doc)
-    metrics = run(config, synth_scene(spec), task)
+    scene = synth_scene(spec)
+    scene.track_positions = scene.track_positions.view(CountedGathers)
+    metrics = run(config, scene, task)
     assert metrics.t_goal is None  # all 600 frames ran: 120 windows
-    assert calls["runs_at in scoring"] == 0
-    # the parent looked up 115 + 114 times: again in each scored window
-    assert calls["runs_at"] == calls["sensing"] == 115
+    # every edge but the first and the last senses, with one rows_at read
+    assert calls["rows_at"] == calls["sensing"] == 119
+    assert calls["rows_at outside sensing"] == calls["rows_at in scoring"] == 0
+    # 115 of them sense anyone
+    assert calls["sensed anyone"] == 115
+    assert CountedGathers.reads == calls["kept anyone"] > 0
     assert calls["window_loss"] == calls["scored"] == 114
     # tracks ending inside a window give its agents unequal prefixes
     assert calls["short prefixes"] == 4

@@ -126,35 +126,45 @@ class TestFrameSetQueries:
         assert s.end_frame == 10
         assert abs(s.dt - 0.1) <= 1e-15
 
+    def run_of(self, s, agent, frame):
+        """The (row, before, after) run rows_at lists for agent at frame."""
+        ids, _, runs = s.rows_at(frame)
+        (run,) = runs[ids == agent].tolist()
+        return run
+
     def test_history_respects_gap(self):
         s = self.scene()
-        row, before, _ = s.runs_at([1], 7)
+        row, before, _ = self.run_of(s, 1, 7)
         # contiguous run up to frame 7 is frames 5, 6, 7 (frame 4 is missing)
-        assert before.tolist() == [3]
-        assert s.track_positions[row[0] - 2 : row[0] + 1, 0].tolist() == [5.0, 6.0, 7.0]
+        assert before == 3
+        assert s.track_positions[row - 2 : row + 1, 0].tolist() == [5.0, 6.0, 7.0]
 
     def test_history_cap(self):
         # a run longer than the history wanted: the engine takes its end
         s = self.scene()
-        row, before, _ = s.runs_at([2], 7)
-        assert before.tolist() == [8]
-        assert s.track_positions[row[0] - 2 : row[0] + 1, 1].tolist() == [5.0, 6.0, 7.0]
+        row, before, _ = self.run_of(s, 2, 7)
+        assert before == 8
+        assert s.track_positions[row - 2 : row + 1, 1].tolist() == [5.0, 6.0, 7.0]
 
     def test_history_absent_agent(self):
+        # an agent absent at a frame has no entry there, and a frame
+        # without agents has no runs
         s = self.scene()
-        assert [r.tolist() for r in s.runs_at([99, 1], 4)] == [[-1, -1], [0, 0], [0, 0]]
-        assert [r.tolist() for r in s.runs_at([1], -1)] == [[-1], [0], [0]]
+        ids, positions, runs = s.rows_at(4)
+        assert ids.tolist() == [2] and positions.shape == (1, 2) and runs.shape == (1, 3)
+        assert [a.shape for a in s.rows_at(-1)] == [(0,), (0, 2), (0, 3)]
 
     def test_future_respects_gap(self):
         s = self.scene()
-        row, _, after = s.runs_at([1], 2)
-        assert after.tolist() == [2]  # frames 2, 3; frame 4 missing
-        assert s.track_positions[row[0] : row[0] + 2, 0].tolist() == [2.0, 3.0]
+        row, _, after = self.run_of(s, 1, 2)
+        assert after == 2  # frames 2, 3; frame 4 missing
+        assert s.track_positions[row : row + 2, 0].tolist() == [2.0, 3.0]
 
     def test_future_cap_and_absent(self):
         s = self.scene()
-        assert s.runs_at([2], 0)[2].tolist() == [10]
-        assert s.runs_at([1, 2], 10)[2].tolist() == [0, 0]
+        assert self.run_of(s, 2, 0)[2] == 10
+        assert self.run_of(s, 2, 9)[2] == 1
+        assert s.rows_at(10)[2].tolist() == []
 
     def test_rows_need_finite_planar_positions(self):
         for xy in ([[0.0, np.nan]], [[0.0, 1.0, 2.0]], [[0.0, 1.0], [2.0, 3.0]]):
@@ -164,9 +174,11 @@ class TestFrameSetQueries:
     def test_sensed_agents_strict_radius(self):
         frames = {0: {1: (3.0, 0.0), 2: (5.0, 0.0), 3: (0.0, 4.999)}}
         s = scene_from_frames(frames, fps=30.0)
-        ids, positions = sensed_agents(s, [0.0, 0.0], rho0=5.0, frame=0)
+        ids, positions, runs = sensed_agents(s, [0.0, 0.0], rho0=5.0, frame=0)
         assert ids.tolist() == [1, 3]
         assert positions.tolist() == [[3.0, 0.0], [0.0, 4.999]]
+        # each sensed agent's one-sample run, at its table row
+        assert runs.tolist() == [[0, 1, 1], [2, 1, 1]]
 
     def test_sensed_agents_monotone_in_radius(self):
         rng = np.random.default_rng(3)

@@ -31,7 +31,7 @@ from _oracles import (
 )
 from conformal_cbf.cli import build_setup, main
 from conformal_cbf.conformal import EgoWindow, window_loss
-from conformal_cbf.engine import SimConfig, _run_samples, run, window_step
+from conformal_cbf.engine import SimConfig, run, window_step
 from conformal_cbf.engine import Window as EndedWindow
 from conformal_cbf.errors import ParseError
 from conformal_cbf.scenario import (
@@ -183,9 +183,11 @@ def test_twenty_digit_ids_are_read_exactly(tmp_path):
     scene = load_annotations(path)
     assert scene.labels == {big: "Pedestrian"}
     assert scene.start_frame == big and scene.end_frame == big + 2
-    row, before, after = scene.runs_at([big], big + 1)
-    assert (before.tolist(), after.tolist()) == ([2], [1])
-    assert scene.track_positions[row[0] - 1 : row[0] + 1].tolist() == [[1.0, 1.0], [2.0, 2.0]]
+    ids, _, runs = scene.rows_at(big + 1)
+    assert ids.tolist() == [big]
+    (row, before, after), = runs.tolist()
+    assert (before, after) == (2, 1)
+    assert scene.track_positions[row - 1 : row + 1].tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
 
 def test_non_utf8_text_is_a_parse_error(tmp_path):
@@ -229,16 +231,25 @@ def scenes(draw):
     return frames
 
 
+def runs_by_id(scene, f):
+    """agent id -> [row, before, after] for each agent rows_at lists at f."""
+    ids, _, runs = scene.rows_at(f)
+    return dict(zip(ids.tolist(), runs.tolist()))
+
+
 def run_slices(scene, ids, f, cap):
     """The history ending right before frame f and the future from f, at
     most cap samples each, as (start frame, positions) or None per id:
-    one runs_at lookup each, sliced from the table as the engine does."""
+    the runs rows_at lists at f - 1 and at f, sliced from the table as
+    the engine does; an agent rows_at does not list has neither."""
+    before, after = runs_by_id(scene, f - 1), runs_by_id(scene, f)
     histories, futures = [], []
-    row, before, _ = scene.runs_at(ids, f - 1)
-    for r, n in zip(row.tolist(), np.minimum(before, cap).tolist()):
+    for agent_id in ids:
+        r, n, _ = before.get(agent_id, (0, 0, 0))
+        n = min(n, cap)
         histories.append((f - n, scene.track_positions[r + 1 - n : r + 1]) if n > 0 else None)
-    row, _, after = scene.runs_at(ids, f)
-    for r, n in zip(row.tolist(), np.minimum(after, cap).tolist()):
+        r, _, n = after.get(agent_id, (0, 0, 0))
+        n = min(n, cap)
         futures.append((f, scene.track_positions[r : r + n]) if n > 0 else None)
     return histories, futures
 
@@ -259,8 +270,9 @@ def test_track_queries_match_the_dict_walks(frames):
     lo, hi = (min(frames), max(frames) + 1) if frames else (0, 0)
     assert (scene.start_frame, scene.end_frame, scene.n_frames) == (lo, hi, len(frames))
     for f in range(lo - 2, hi + 3):
-        ids_at, pos_at = scene.rows_at(f)
+        ids_at, pos_at, runs_at = scene.rows_at(f)
         assert bits({0: dict(zip(ids_at.tolist(), pos_at))}) == bits({0: frames.get(f, {})})
+        assert runs_at.shape == (len(ids_at), 3)
         # the frames from f up to f + 3 are one slice, in frame then id order
         frames_in, starts, pos_in = scene.rows_in(f, f + 3)
         want = [(g, a) for g in range(f, f + 3) for a in sorted(frames.get(g, {}))]
@@ -302,8 +314,11 @@ def test_sensing_matches_the_dict_walk(frames, ego, rho0):
     frames.setdefault(3, {})[1000] = ego + [rho0, 0.0]
     scene = scene_from_frames(frames)
     for f in range(-6, 28):
-        ids, positions = sensed_agents(scene, ego, rho0, f)
+        ids, positions, runs = sensed_agents(scene, ego, rho0, f)
         assert ids.shape == (len(positions),) and positions.shape == (len(ids), 2)
+        # the sensed agents' runs are the ones rows_at lists for them
+        at_f = runs_by_id(scene, f)
+        assert runs.tolist() == [at_f[a] for a in ids.tolist()]
         want = sensed_reference(frames, ego, rho0, f)
         assert list(zip(ids.tolist(), (p.tobytes() for p in positions))) == [
             (a, p.tobytes()) for a, p in want
@@ -327,6 +342,21 @@ def reference_window_score(cbf, alpha, lam, predictions, ego, frames):
         )
         worst = loss if worst is None or loss > worst else worst
     return worst
+
+
+def revealed_tracks(scene, ids, frame, n):
+    """The first n samples of each agent's run from frame, from the runs
+    rows_at lists there, as an (m, n, 2) stack that repeats each run's
+    last sample past its end, and the samples each run gives; an agent
+    absent at frame gives none."""
+    runs = runs_by_id(scene, frame)
+    tracks, lengths = np.zeros((len(ids), n, 2)), np.zeros(len(ids), np.intp)
+    for j, agent_id in enumerate(ids.tolist()):
+        if agent_id in runs:
+            row, _, after = runs[agent_id]
+            lengths[j] = min(after, n)
+            tracks[j] = scene.track_positions[row + np.minimum(np.arange(n), lengths[j] - 1)]
+    return tracks, lengths
 
 
 def test_scoring_groups_match_one_call_per_agent():
@@ -354,9 +384,8 @@ def test_scoring_groups_match_one_call_per_agent():
             chosen = {i: predictions[i] for i in subset}
             want = reference_window_score(cbf, alpha, -0.3, chosen, ego_traj, frames)
             stacked = stack_reference(chosen)
-            row, _, after = scene.runs_at(stacked.ids, window_start)
-            revealed = np.minimum(after, len(ego))
-            ended = EndedWindow(stacked, _run_samples(scene, row, revealed), revealed, np.array(ego))
+            tracks, revealed = revealed_tracks(scene, stacked.ids, window_start, len(ego))
+            ended = EndedWindow(stacked, tracks, revealed, np.array(ego))
             margin = replace(cfg, lambda_initial=-0.3).margin()
             window_step(cfg, margin, ended, None, window_start, ego[0])
             got = margin.loss_history[-1] if margin.loss_history else None

@@ -70,7 +70,7 @@ def reference_window(config, kind, cbf, scene, ego, frame):
     Window per sensed agent, predict_reference, predictions with fewer
     than two samples dropped, stack_reference."""
     histories = {}
-    sensed, _ = sensed_agents(scene, ego, config.rho0, frame)
+    sensed = sensed_agents(scene, ego, config.rho0, frame)[0]
     for agent_id in sensed.tolist():
         history = history_window(scene.frames, agent_id, frame, config.tau_frames, scene.dt)
         if history is not None and history.n_samples >= 2:
