@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from conformal_cbf.errors import InputError, SingularityError
+from conformal_cbf.errors import InputError, SingularityError, finite
 
 # Largest potential (and, for tiny k_rep, largest w) the barrier is
 # evaluated at; see PotentialFieldCbf.min_distance.
@@ -68,11 +68,11 @@ class PotentialFieldCbf:
     delta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.k_rep) and self.k_rep > 0.0):
+        if not (finite(self.k_rep) and self.k_rep > 0.0):
             raise InputError("k_rep must be positive and finite")
-        if not (np.isfinite(self.rho0) and self.rho0 > 0.0):
+        if not (finite(self.rho0) and self.rho0 > 0.0):
             raise InputError("rho0 must be positive and finite")
-        if not (np.isfinite(self.delta) and 0.0 < self.delta < 1.0):
+        if not (finite(self.delta) and 0.0 < self.delta < 1.0):
             raise InputError("delta must lie in (0, 1)")
         if self.min_distance > 0.5 * self.rho0:
             raise InputError(

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from conformal_cbf.barrier import BoundSet, PotentialFieldCbf, barrier_terms
-from conformal_cbf.errors import ConfigError, InputError
+from conformal_cbf.errors import ConfigError, InputError, finite
 from conformal_cbf.predictor import velocities
 
 #: Window verdict when no agent was in range: the margin must not move.
@@ -97,11 +97,11 @@ class ConformalState:
     loss_history: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not math.isfinite(float(self.lam)):
+        if not finite(self.lam):
             raise ConfigError("lambda_initial (the starting margin lam) must be finite")
-        if not (math.isfinite(float(self.eta)) and float(self.eta) > 0.0):
+        if not (finite(self.eta) and self.eta > 0.0):
             raise ConfigError("eta must be positive and finite")
-        if not -0.5 < float(self.epsilon) < 0.5:
+        if not -0.5 < self.epsilon < 0.5:
             raise ConfigError("epsilon must lie in (-1/2, 1/2)")
         if self.lambda_initial is None:
             self.lambda_initial = self.lam
@@ -110,7 +110,7 @@ class ConformalState:
         """Apply one window's verdict; NO_AGENTS leaves everything as is."""
         if loss is NO_AGENTS:
             return self
-        if not -0.5 < float(loss) < 0.5:
+        if not -0.5 < loss < 0.5:
             raise InputError("loss must lie in (-1/2, 1/2)")
         self.lam = self.lam + self.eta * (self.epsilon - loss)
         self.loss_history.append(loss)

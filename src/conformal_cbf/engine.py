@@ -63,6 +63,7 @@ from conformal_cbf.errors import (
     InfeasibleError,
     InfeasibleRunError,
     InputError,
+    finite,
 )
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,
@@ -118,7 +119,7 @@ class SimConfig:
     relax_max_steps: int = 8
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+        if not (finite(self.dt) and self.dt > 0.0):
             raise ConfigError("dt must be positive and finite")
         if not isinstance(self.predictor, PredictorKind):
             raise ConfigError(f"predictor must be a PredictorKind, got {self.predictor!r}")
@@ -133,7 +134,7 @@ class SimConfig:
         except InputError as exc:
             raise ConfigError(str(exc)) from None
         for name in ("alpha_slope", "k_acc"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+            if not (finite(getattr(self, name)) and getattr(self, name) > 0.0):
                 raise ConfigError(f"{name} must be positive and finite")
         self.margin()
         if self.k_acc * self.dt >= 2.0:
@@ -144,7 +145,7 @@ class SimConfig:
             )
         for name in ("k_att", "collision_distance", "relax_lambda_step"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
+            if value is not None and not (finite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be positive when given")
         for name, least in (("max_frames", 1), ("seed", 0), ("relax_max_steps", 0)):
             value = getattr(self, name)

@@ -1,9 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the finiteness test
+the parameter checks raise them from.
 
 The CLI maps these onto exit codes, so the distinctions matter:
 configuration problems, malformed data, and infeasible runs must stay
 distinguishable all the way up.
 """
+
+import math
+
+
+def finite(value) -> bool:
+    """math.isfinite, except that an int too large for a float is not
+    finite instead of an OverflowError, so a check can name its field."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class InputError(ValueError):

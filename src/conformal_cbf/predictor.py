@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms
-from conformal_cbf.errors import InputError
+from conformal_cbf.errors import InputError, finite
 
 CONSTANT_VELOCITY = "constant-velocity"
 GROUND_TRUTH = "ground-truth-oracle"
@@ -55,7 +55,7 @@ class PredictorKind:
             raise InputError(f"predictor must be one of {', '.join(_KINDS)}; got {self.kind!r}")
         for name in ("value_bound", "dynamics_bound"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
+            if not (finite(v) and v >= 0.0):
                 raise InputError(f"predictor_{name} must be nonnegative and finite")
 
 

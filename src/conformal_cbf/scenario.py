@@ -34,7 +34,7 @@ import numpy as np
 import yaml
 
 from conformal_cbf.dynamics import RobotState
-from conformal_cbf.errors import ConfigError, InputError, ParseError
+from conformal_cbf.errors import ConfigError, InputError, ParseError, finite
 
 DEFAULT_LABEL_FILTER = ("Pedestrian",)
 # libyaml's parser when present: a scene spec holds hundreds of waypoints
@@ -176,9 +176,9 @@ class RobotTask:
         goal = np.asarray(self.goal, dtype=np.float64)
         if goal.shape != (2,) or not np.all(np.isfinite(goal)):
             raise InputError("goal must be a finite planar point")
-        if not (np.isfinite(self.attract_gain) and self.attract_gain > 0.0):
+        if not (finite(self.attract_gain) and self.attract_gain > 0.0):
             raise InputError("attract_gain must be positive and finite")
-        if not (np.isfinite(self.goal_radius) and self.goal_radius >= 0.0):
+        if not (finite(self.goal_radius) and self.goal_radius >= 0.0):
             raise InputError("goal_radius must be nonnegative and finite")
         object.__setattr__(self, "goal", goal)
 

@@ -162,6 +162,55 @@ class TestConfigValidation:
         assert replace(cfg, relax_lambda_step=7.0).relaxation_step() == 7.0
 
 
+HUGE = 10**400  # an int too large for a float
+
+
+def _cbf(**kwargs):
+    return barrier.PotentialFieldCbf(**{"k_rep": 20.0, "rho0": 400.0, "delta": 0.5, **kwargs})
+
+
+def _margin(**kwargs):
+    return ConformalState(**{"lam": 0.0, "eta": 1.0, "epsilon": 0.0, **kwargs})
+
+
+# case -> (build with HUGE at one field, the error, the field it names)
+TOO_LARGE_FOR_A_FLOAT = {
+    **{
+        f"SimConfig-{name}": (lambda name=name: SimConfig(**{name: HUGE}), ConfigError, name)
+        for name in ("dt", "alpha_slope", "k_acc", "k_rep", "k_att", "rho0", "delta", "eta",
+                     "epsilon", "lambda_initial", "collision_distance", "relax_lambda_step")
+    },
+    **{
+        f"PredictorKind-{name}": (
+            lambda name=name: PredictorKind(**{name: HUGE}), InputError, f"predictor_{name}"
+        )
+        for name in ("value_bound", "dynamics_bound")
+    },
+    **{
+        f"PotentialFieldCbf-{name}": (lambda name=name: _cbf(**{name: HUGE}), InputError, name)
+        for name in ("k_rep", "rho0", "delta")
+    },
+    "RobotTask-attract_gain": (
+        lambda: make_task([0.0, 0.0], [1.0, 1.0], gain=HUGE), InputError, "attract_gain"
+    ),
+    "RobotTask-goal_radius": (
+        lambda: make_task([0.0, 0.0], [1.0, 1.0], radius=HUGE), InputError, "goal_radius"
+    ),
+    **{
+        f"ConformalState-{name}": (lambda name=name: _margin(**{name: HUGE}), ConfigError, name)
+        for name in ("lam", "eta", "epsilon")
+    },
+    "ConformalState.update": (lambda: _margin().update(HUGE), InputError, "loss"),
+}
+
+
+@pytest.mark.parametrize("case", TOO_LARGE_FOR_A_FLOAT)
+def test_an_int_too_large_for_a_float_is_refused_by_name(case):
+    make, error, name = TOO_LARGE_FOR_A_FLOAT[case]
+    with pytest.raises(error, match=name):
+        make()
+
+
 class TestEmptyScene:
     def test_cruises_straight_to_goal(self):
         scene = scene_from_frames({})
