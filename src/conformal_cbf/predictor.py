@@ -94,20 +94,23 @@ def velocities(positions, dt: float, lengths=None) -> np.ndarray:
     v[..., -1, :] = (p[..., -1, :] - p[..., -2, :]) / dt
     if lengths is None:
         return v
-    lengths = np.broadcast_to(lengths, p.shape[:-2]).reshape(-1)
-    if lengths.dtype.kind not in "iu" or (
-        lengths.min(initial=n) < 2 or lengths.max(initial=n) > n
-    ):
+    lengths = np.asarray(lengths)
+    if lengths.shape != p.shape[:-2]:
+        lengths = np.broadcast_to(lengths, p.shape[:-2])
+    lengths = lengths.reshape(-1)
+    shortest = lengths.min(initial=n)
+    if lengths.dtype.kind not in "iu" or shortest < 2 or lengths.max(initial=n) > n:
         raise InputError("window lengths must be integers in [2, samples]")
+    if shortest == n:
+        return v  # every window is full
     short = np.flatnonzero(lengths < n)
-    if len(short):
-        # the windows as rows of (windows, n, 2); v is C-ordered, so its
-        # reshape is a view
-        pw, vw = p.reshape(-1, *p.shape[-2:]), v.reshape(-1, *p.shape[-2:])
-        last = lengths[short] - 1
-        vw[short, last] = (pw[short, last] - pw[short, last - 1]) / dt
-        window, sample = np.nonzero(np.arange(n) > last[:, None])
-        vw[short[window], sample] = 0.0
+    # the windows as rows of (windows, n, 2); v is C-ordered, so its
+    # reshape is a view
+    pw, vw = p.reshape(-1, *p.shape[-2:]), v.reshape(-1, *p.shape[-2:])
+    last = lengths[short] - 1
+    vw[short, last] = (pw[short, last] - pw[short, last - 1]) / dt
+    window, sample = np.nonzero(np.arange(n) > last[:, None])
+    vw[short[window], sample] = 0.0
     return v
 
 
