@@ -318,7 +318,8 @@ def _replay_window_losses(config, scene, trace_path):
     cbf = config.cbf
     alpha = config.alpha_slope
     tau = config.tau_frames
-    rows = [json.loads(line) for line in open(trace_path, encoding="utf-8")]
+    text = Path(trace_path).read_text(encoding="utf-8")
+    rows = [json.loads(line) for line in text.splitlines()]
     position = {r["frame"]: np.asarray(r["position"]) for r in rows}
     margin = {r["frame"]: r["lambda"] for r in rows}
     start = scene.start_frame
