@@ -94,23 +94,6 @@ class PotentialFieldCbf:
         w = min(math.sqrt(2.0 * _U_MAX / self.k_rep), _U_MAX)
         return 1.0 / (w + 1.0 / self.rho0)
 
-    def potential(self, d: float) -> float:
-        if d < self.min_distance:
-            raise SingularityError(f"potential undefined at distance {d!r}")
-        if d >= self.rho0:
-            return 0.0
-        return 0.5 * self.k_rep * (1.0 / d - 1.0 / self.rho0) ** 2
-
-    def radial_derivative(self, d: float) -> float:
-        """dh/dd, zero at and beyond rho0."""
-        if d < self.min_distance:
-            raise SingularityError(f"gradient undefined at distance {d!r}")
-        if d >= self.rho0:
-            return 0.0
-        w = 1.0 / d - 1.0 / self.rho0
-        u = 0.5 * self.k_rep * w * w
-        return self.k_rep * w / (d * d * (1.0 + u) ** 2)
-
     def zero_level_distance(self) -> float:
         """Distance at which h crosses zero; the collision threshold."""
         w = math.sqrt(2.0 * (1.0 / self.delta - 1.0) / self.k_rep)
@@ -165,9 +148,10 @@ def barrier_terms(
     """Barrier value h and its ego gradient over ego-minus-agent offsets.
 
     It evaluates the same floating-point operations, in the same order,
-    as the scalar potential and radial_derivative at the distance
-    np.linalg.norm gives, so its results are bitwise those of evaluating
-    them offset by offset (tests/test_kernels.py checks this).
+    as the scalar potential and radial_derivative in tests/_oracles.py at
+    the distance np.linalg.norm gives, so its results are bitwise those
+    of evaluating them offset by offset (tests/test_kernels.py checks
+    this).
 
     Args:
         diff: ego position minus agent position, shape (..., 2).

@@ -7,8 +7,8 @@ the gradient-norm bound, brute-force candidate enumeration and dense
 grids for the projection QP, the generic RK4 step for the dynamics, and
 the array expressions the dynamics evaluate on Python floats.
 The barrier reference is the per-pair scalar code: h, its gradient, a
-frame's constraint row and a sample's gap from the scalar potential and
-radial_derivative at one distance.  The scene references are the
+frame's constraint row and a sample's gap from potential and
+radial_derivative, the barrier's scalar functions of one distance.  The scene references are the
 line-by-line annotation parser and the dict-of-frames queries the track
 table replaced, and the prediction reference is the per-agent predictor,
 one Window record per agent, that the array form in predictor.predict
@@ -21,15 +21,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from conformal_cbf.errors import SingularityError
+
 LD = np.longdouble
+
+
+def potential(cbf, d):
+    """The barrier's repulsive potential U at one distance d."""
+    if d < cbf.min_distance:
+        raise SingularityError(f"potential undefined at distance {d!r}")
+    if d >= cbf.rho0:
+        return 0.0
+    return 0.5 * cbf.k_rep * (1.0 / d - 1.0 / cbf.rho0) ** 2
+
+
+def radial_derivative(cbf, d):
+    """The barrier's dh/dd at one distance d, zero at and beyond rho0."""
+    if d < cbf.min_distance:
+        raise SingularityError(f"gradient undefined at distance {d!r}")
+    if d >= cbf.rho0:
+        return 0.0
+    w = 1.0 / d - 1.0 / cbf.rho0
+    u = 0.5 * cbf.k_rep * w * w
+    return cbf.k_rep * w / (d * d * (1.0 + u) ** 2)
 
 
 def scalar_terms(cbf, ego, agent):
     """h and grad_ego exactly as the per-pair scalar code computes them."""
     diff = np.asarray(ego, dtype=np.float64) - np.asarray(agent, dtype=np.float64)
     d = float(np.linalg.norm(diff))
-    h = 1.0 / (1.0 + cbf.potential(d)) - cbf.delta
-    return h, (cbf.radial_derivative(d) / d) * diff
+    h = 1.0 / (1.0 + potential(cbf, d)) - cbf.delta
+    return h, (radial_derivative(cbf, d) / d) * diff
 
 
 def scalar_row(cbf, alpha_slope, ego, agent, velocity, lam):
