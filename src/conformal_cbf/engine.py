@@ -23,15 +23,16 @@ is over.
 run is the only driver and the only reader of the scene's track table
 (see scenario), which it slices at window edges alone, after folding the
 scene's exact frame step into the config.  There it senses the agents
-within rho0, their runs with them, and gathers in one index of the table
-the last two history samples, the oracle kinds' recorded futures (which
-reach the filter only through predict's futures) and the revealed
-tracks, each the first n samples of a run.  It also tracks the command and integrates one frame,
-writes the trace, and records the ego's position at each frame the scene
-covers, the goal frame included.  d_min and n_collide take no part in
-the filter: after the loop _nearest measures those positions against
-every agent of their frames in one array pass.  The ego's own arithmetic
-runs on Python floats; see dynamics.
+within rho0, which hands back their runs, and gathers in one index of
+the table the last two history samples, the oracle kinds' recorded
+futures (which reach the filter only through predict's futures) and the
+revealed tracks, each the first n samples of a run.  It also tracks the
+command and integrates one frame, writes the trace, and records the
+ego's position at each frame the scene covers, the goal frame included.
+d_min and n_collide take no part in the filter: after the loop _nearest
+measures those positions against every agent of their frames in one
+array pass.  The ego's own arithmetic runs on Python floats; see
+dynamics.
 
 Each value of a frame is checked once, where it is made.  _rows keeps
 only agents at a distance from cbf.min_distance up to rho0, so its
@@ -411,13 +412,11 @@ def _window_edge(config, margin, scene, state, frame, ended, sense=True):
     from the scene's table: the Window that ended there is scored, and
     unless sense is False the agents sensed at frame with two frames of
     contiguous history before it are predicted, from their last two
-    samples (all any kind reads).
-
-    Sensing reads the agents' runs with them, and one gather takes from
-    the table the rows at frame - 2 and frame - 1 and the first
+    samples (all any kind reads).  Sensing hands back their runs, and one
+    gather takes the rows at frame - 2 and frame - 1 and the first
     tau_frames samples of each run (horizon_frames for the oracle kinds),
-    a run repeating its last sample past its end, which no reader uses.
-    Histories, futures and revealed tracks are slices of that block.
+    each run repeating its last sample past its end, which nobody reads;
+    histories, futures and revealed tracks are slices of that block.
 
     Returns the new Window, its ego None until it closes: the replay
     holds its revealed tracks, the first tau_frames samples of the

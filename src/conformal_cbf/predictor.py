@@ -98,11 +98,12 @@ def velocities(positions, dt: float, lengths=None) -> np.ndarray:
     if lengths.shape != p.shape[:-2]:
         lengths = np.broadcast_to(lengths, p.shape[:-2])
     lengths = lengths.reshape(-1)
-    shortest = lengths.min(initial=n)
-    if lengths.dtype.kind not in "iu" or shortest < 2 or lengths.max(initial=n) > n:
+    if lengths.dtype.kind not in "iu" or (
+        (shortest := lengths.min(initial=n)) < 2 or lengths.max(initial=n) > n
+    ):
         raise InputError("window lengths must be integers in [2, samples]")
     if shortest == n:
-        return v  # every window is full
+        return v
     short = np.flatnonzero(lengths < n)
     # the windows as rows of (windows, n, 2); v is C-ordered, so its
     # reshape is a view
