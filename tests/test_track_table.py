@@ -270,9 +270,9 @@ def test_track_queries_match_the_dict_walks(frames):
     lo, hi = (min(frames), max(frames) + 1) if frames else (0, 0)
     assert (scene.start_frame, scene.end_frame, scene.n_frames) == (lo, hi, len(frames))
     for f in range(lo - 2, hi + 3):
-        ids_at, pos_at, runs_at = scene.rows_at(f)
+        ids_at, pos_at, runs = scene.rows_at(f)
         assert bits({0: dict(zip(ids_at.tolist(), pos_at))}) == bits({0: frames.get(f, {})})
-        assert runs_at.shape == (len(ids_at), 3)
+        assert runs.shape == (len(ids_at), 3)
         # the frames from f up to f + 3 are one slice, in frame then id order
         frames_in, starts, pos_in = scene.rows_in(f, f + 3)
         want = [(g, a) for g in range(f, f + 3) for a in sorted(frames.get(g, {}))]
