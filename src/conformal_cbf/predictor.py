@@ -94,10 +94,7 @@ def velocities(positions, dt: float, lengths=None) -> np.ndarray:
     v[..., -1, :] = (p[..., -1, :] - p[..., -2, :]) / dt
     if lengths is None:
         return v
-    lengths = np.asarray(lengths)
-    if lengths.shape != p.shape[:-2]:
-        lengths = np.broadcast_to(lengths, p.shape[:-2])
-    lengths = lengths.reshape(-1)
+    lengths = np.broadcast_to(lengths, p.shape[:-2]).reshape(-1)
     if lengths.dtype.kind not in "iu" or (
         (shortest := lengths.min(initial=n)) < 2 or lengths.max(initial=n) > n
     ):

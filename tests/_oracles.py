@@ -8,11 +8,11 @@ grids for the projection QP, the generic RK4 step for the dynamics, and
 the array expressions the dynamics evaluate on Python floats.
 The barrier reference is the per-pair scalar code: h, its gradient, a
 frame's constraint row and a sample's gap from potential and
-radial_derivative, the barrier's scalar functions of one distance.  The scene references are the
-line-by-line annotation parser and the dict-of-frames queries the track
-table replaced, and the prediction reference is the per-agent predictor,
-one Window record per agent, that the array form in predictor.predict
-replaced.
+radial_derivative, the barrier's scalar functions of one distance.  The
+scene references are the line-by-line annotation parser and the
+dict-of-frames queries the track table replaced, and the prediction
+reference is the per-agent predictor, one Window record per agent, that
+the array form in predictor.predict replaced.
 """
 
 import itertools
