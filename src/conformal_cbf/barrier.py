@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from conformal_cbf.errors import InputError, SingularityError, finite
+from conformal_cbf.errors import InputError, SingularityError, point, scalar
 
 # Largest potential (and, for tiny k_rep, largest w) the barrier is
 # evaluated at; see PotentialFieldCbf.min_distance.
@@ -68,11 +68,9 @@ class PotentialFieldCbf:
     delta: float
 
     def __post_init__(self):
-        if not (finite(self.k_rep) and self.k_rep > 0.0):
-            raise InputError("k_rep must be positive and finite")
-        if not (finite(self.rho0) and self.rho0 > 0.0):
-            raise InputError("rho0 must be positive and finite")
-        if not (finite(self.delta) and 0.0 < self.delta < 1.0):
+        scalar("k_rep", self.k_rep, InputError, "positive")
+        scalar("rho0", self.rho0, InputError, "positive")
+        if not 0.0 < self.delta < 1.0:
             raise InputError("delta must lie in (0, 1)")
         if self.min_distance > 0.5 * self.rho0:
             raise InputError(
@@ -109,14 +107,8 @@ class AffineConstraint:
     agent_id: int
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=np.float64)
-        if n.shape != (2,):
-            raise InputError("constraint normal must be planar")
-        if not (
-            math.isfinite(n[0]) and math.isfinite(n[1]) and math.isfinite(self.offset)
-        ):
-            raise InputError("constraint entries must be finite")
-        object.__setattr__(self, "normal", n)
+        object.__setattr__(self, "normal", point("normal", self.normal, InputError))
+        scalar("offset", self.offset, InputError)
 
     def residual(self, u: np.ndarray) -> float:
         return float(self.normal @ np.asarray(u, dtype=np.float64) + self.offset)
@@ -137,9 +129,7 @@ class BoundSet:
 
     def __post_init__(self):
         for name in ("m_h", "e_v", "e_d"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
-                raise InputError(f"{name} must be nonnegative and finite")
+            scalar(name, getattr(self, name), InputError, "nonnegative")
 
 
 def barrier_terms(

@@ -20,7 +20,6 @@ import re
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
 import yaml
 
 from conformal_cbf.dynamics import RobotState
@@ -31,6 +30,7 @@ from conformal_cbf.errors import (
     InputError,
     ParseError,
     SingularityError,
+    point,
 )
 from conformal_cbf.predictor import CONSTANT_VELOCITY, PredictorKind
 from conformal_cbf.scenario import (
@@ -205,7 +205,7 @@ def build_setup(doc: dict, seed_override=None):
     if "goal" not in task_kwargs:
         raise ConfigError("config must set goal: [x, y]")
     start, velocity, goal = (
-        _point(key, task_kwargs.get(key, [0.0, 0.0]))
+        point(key, task_kwargs.get(key, [0.0, 0.0]), ConfigError)
         for key in ("start", "start_velocity", "goal")
     )
     task = RobotTask(
@@ -215,18 +215,6 @@ def build_setup(doc: dict, seed_override=None):
         goal_radius=task_kwargs.get("goal_radius", 2.0),
     )
     return config, task
-
-
-def _point(key, value) -> np.ndarray:
-    """A task point [x, y]: two finite numbers, not booleans, else a
-    ConfigError that names the key."""
-    try:
-        point = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        point = np.zeros(0)
-    if point.shape == (2,) and np.isfinite(point).all() and bool not in map(type, value):
-        return point
-    raise ConfigError(f"{key} must be a finite point [x, y], got {value!r}")
 
 
 def _check_number(key, value):

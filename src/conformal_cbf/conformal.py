@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from conformal_cbf.barrier import BoundSet, PotentialFieldCbf, barrier_terms
-from conformal_cbf.errors import ConfigError, InputError, finite
+from conformal_cbf.errors import ConfigError, InputError, integer, scalar
 from conformal_cbf.predictor import velocities
 
 #: Window verdict when no agent was in range: the margin must not move.
@@ -66,9 +66,7 @@ class EgoWindow(NamedTuple):
 
 def squash(r: float) -> float:
     """s(r) = arctan(r) / pi, the window loss of a worst gap r."""
-    if not math.isfinite(r):
-        raise InputError("squashing input must be finite")
-    return math.atan(r) / math.pi
+    return math.atan(scalar("squashing input", r, InputError)) / math.pi
 
 
 def squash_inverse(y: float) -> float:
@@ -97,10 +95,8 @@ class ConformalState:
     loss_history: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not finite(self.lam):
-            raise ConfigError("lambda_initial (the starting margin lam) must be finite")
-        if not (finite(self.eta) and self.eta > 0.0):
-            raise ConfigError("eta must be positive and finite")
+        scalar("lambda_initial (the starting margin lam)", self.lam, ConfigError)
+        scalar("eta", self.eta, ConfigError, "positive")
         if not -0.5 < self.epsilon < 0.5:
             raise ConfigError("epsilon must lie in (-1/2, 1/2)")
         if self.lambda_initial is None:
@@ -171,8 +167,7 @@ def window_loss(
             raise InputError("lengths must be one integer in [2, n] per agent")
         if shortest < ego.n_samples:
             valid = np.arange(ego.n_samples) < lengths[:, None]
-    if not math.isfinite(float(lam)):
-        raise InputError("margin must be finite")
+    scalar("lam", lam, InputError)
     # (predicted/actual, agent, sample, xy): one kernel call scores them all,
     # and when some agent's prefix is short its later samples are masked
     h, grad_ego = barrier_terms(cbf, ego.positions - tracks, where=valid)
@@ -190,8 +185,7 @@ def window_loss(
 def lambda_safe_bound(bounds: BoundSet, alpha_slope: float, epsilon_safe: float) -> float:
     """Margin level below which the window loss cannot exceed epsilon_safe,
     given the regularity and prediction-error bounds; alpha_slope is M_alpha."""
-    if not (math.isfinite(alpha_slope) and alpha_slope > 0.0):
-        raise InputError("alpha_slope must be positive and finite")
+    scalar("alpha_slope", alpha_slope, InputError, "positive")
     return (
         squash_inverse(epsilon_safe)
         - bounds.e_d
@@ -216,14 +210,12 @@ def risk_bound(state: ConformalState, lambda_safe: float, k_prime: int):
         ConfigError: the state started below lambda_safe - eta, where
             the guarantee does not apply.
     """
-    if not isinstance(k_prime, int) or k_prime < 1:
-        raise InputError("k_prime must be a positive integer")
+    integer("k_prime", k_prime, InputError, 1)
     if k_prime > len(state.loss_history):
         raise InputError(
             f"k_prime {k_prime} exceeds {len(state.loss_history)} recorded losses"
         )
-    if not math.isfinite(float(lambda_safe)):
-        raise InputError("lambda_safe must be finite")
+    scalar("lambda_safe", lambda_safe, InputError)
     if state.lambda_initial < lambda_safe - state.eta:
         raise ConfigError(
             "the initial margin sits below lambda_safe - eta; "

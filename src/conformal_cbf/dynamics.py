@@ -25,12 +25,12 @@ keep their numpy forms, and its d_min is one batched np.vecdot over the
 whole run.  None of the float expressions
 divides by anything that can be zero (dt is checked positive first).
 
-Each function checks the shapes of its arguments but the finiteness of
-its result only: a non-finite input, or an overflow, always makes the
-result non-finite, so one check of the result rejects both as
-InputError.  RobotState(...) checks its own entries.  step checks the
-four floats of its result itself, with RobotState's message, and builds
-the new state from them without a second check.
+Each function checks the shapes of its vector arguments but the
+finiteness of its result only: a non-finite input, or an overflow,
+always makes the result non-finite, so one check of the result rejects
+both as InputError.  RobotState(...) checks its own entries with the
+point rule of errors.  step checks the four floats of its result itself
+and builds the new state from them without a second check.
 """
 
 import math
@@ -38,9 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conformal_cbf.errors import InputError
-
-_NOT_FINITE = "RobotState entries must be finite"
+from conformal_cbf.errors import InputError, point, scalar
 
 
 @dataclass(frozen=True)
@@ -51,14 +49,8 @@ class RobotState:
     velocity: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64)
-        vel = np.asarray(self.velocity, dtype=np.float64)
-        if pos.shape != (2,) or vel.shape != (2,):
-            raise InputError("RobotState needs planar position and velocity")
-        if not all(map(math.isfinite, pos.tolist() + vel.tolist())):
-            raise InputError(_NOT_FINITE)
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "velocity", vel)
+        for name in ("position", "velocity"):
+            object.__setattr__(self, name, point(name, getattr(self, name), InputError))
 
 
 def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
@@ -73,8 +65,7 @@ def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
             not planar, or the new state is not finite (a non-finite
             acceleration, or one that overflows the state).
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InputError("dt must be positive and finite")
+    scalar("dt", dt, InputError, "positive")
     a = np.asarray(accel, dtype=np.float64)
     if a.shape != (2,):
         raise InputError("acceleration must be a planar vector")
@@ -93,7 +84,7 @@ def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
         vy + h * (ay + 2.0 * ay + 2.0 * ay + ay),
     )
     if not all(map(math.isfinite, new)):
-        raise InputError(_NOT_FINITE)
+        raise InputError("RobotState entries must be finite")
     # the state is built without RobotState's check, which is the one above;
     # a frozen dataclass refuses setattr, not an update of its __dict__
     state = object.__new__(RobotState)

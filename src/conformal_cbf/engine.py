@@ -64,7 +64,8 @@ from conformal_cbf.errors import (
     InfeasibleError,
     InfeasibleRunError,
     InputError,
-    finite,
+    integer,
+    scalar,
 )
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,
@@ -120,23 +121,20 @@ class SimConfig:
     relax_max_steps: int = 8
 
     def __post_init__(self):
-        if not (finite(self.dt) and self.dt > 0.0):
-            raise ConfigError("dt must be positive and finite")
+        scalar("dt", self.dt, ConfigError, "positive")
         if not isinstance(self.predictor, PredictorKind):
             raise ConfigError(f"predictor must be a PredictorKind, got {self.predictor!r}")
-        if type(self.tau_frames) is not int or self.tau_frames < 2:
-            # a window needs two samples before its motion can be differenced
-            raise ConfigError("tau_frames must be an integer >= 2")
-        if type(self.horizon_frames) is not int or self.horizon_frames < self.tau_frames:
-            raise ConfigError("horizon_frames must cover at least one window")
+        # a window needs two samples before its motion can be differenced,
+        # and the horizon must cover one window
+        integer("tau_frames", self.tau_frames, ConfigError, 2)
+        integer("horizon_frames", self.horizon_frames, ConfigError, self.tau_frames)
         try:
             # the barrier owns the checks of k_rep, rho0 and delta
             self.cbf
         except InputError as exc:
             raise ConfigError(str(exc)) from None
         for name in ("alpha_slope", "k_acc"):
-            if not (finite(getattr(self, name)) and getattr(self, name) > 0.0):
-                raise ConfigError(f"{name} must be positive and finite")
+            scalar(name, getattr(self, name), ConfigError, "positive")
         self.margin()
         if self.k_acc * self.dt >= 2.0:
             # tracking maps the velocity error e to (1 - k_acc * dt) e
@@ -145,14 +143,10 @@ class SimConfig:
                 f"k_acc {self.k_acc!r} and dt {self.dt!r} give {self.k_acc * self.dt!r}"
             )
         for name in ("k_att", "collision_distance", "relax_lambda_step"):
-            value = getattr(self, name)
-            if value is not None and not (finite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be positive when given")
+            if getattr(self, name) is not None:
+                scalar(name, getattr(self, name), ConfigError, "positive")
         for name, least in (("max_frames", 1), ("seed", 0), ("relax_max_steps", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:
-                sign = "positive" if least else "nonnegative"
-                raise ConfigError(f"{name} must be a {sign} integer")
+            integer(name, getattr(self, name), ConfigError, least)
 
     @cached_property
     def cbf(self) -> PotentialFieldCbf:
@@ -542,8 +536,7 @@ def sweep(
     continues.  Each worker receives the base config, scene and task
     once, when the pool starts, and each cell only its overrides.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be a positive integer")
+    integer("workers", workers, ConfigError, 1)
     known = {f.name for f in fields(SimConfig)}
     for name in grid:
         if name not in known:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms
-from conformal_cbf.errors import InputError, finite
+from conformal_cbf.errors import InputError, integer, scalar
 
 CONSTANT_VELOCITY = "constant-velocity"
 GROUND_TRUTH = "ground-truth-oracle"
@@ -54,9 +54,7 @@ class PredictorKind:
         if self.kind not in _KINDS:
             raise InputError(f"predictor must be one of {', '.join(_KINDS)}; got {self.kind!r}")
         for name in ("value_bound", "dynamics_bound"):
-            v = getattr(self, name)
-            if not (finite(v) and v >= 0.0):
-                raise InputError(f"predictor_{name} must be nonnegative and finite")
+            scalar(f"predictor_{name}", getattr(self, name), InputError, "nonnegative")
 
 
 def velocities(positions, dt: float, lengths=None) -> np.ndarray:
@@ -190,10 +188,8 @@ def predict(
         InputError: shapes disagree, an input the kind needs is missing,
             or a predicted position is not finite.
     """
-    if horizon_frames < 2:
-        raise InputError("horizon_frames must be at least 2")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise InputError("dt must be positive and finite")
+    integer("horizon_frames", horizon_frames, InputError, 2)
+    scalar("dt", dt, InputError, "positive")
     ids = np.asarray(ids)
     histories = np.asarray(histories, dtype=np.float64)
     m = len(ids)

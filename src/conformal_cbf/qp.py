@@ -36,13 +36,12 @@ inflated attempts the same way, checking only the one value it makes:
 the inflated offsets, which can overflow.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from conformal_cbf.barrier import AffineConstraint
-from conformal_cbf.errors import InfeasibleError, InputError
+from conformal_cbf.errors import InfeasibleError, InputError, integer, scalar
 
 # Residuals within this band of zero count as active.
 ACTIVE_TOL = 1e-8
@@ -180,10 +179,8 @@ def solve_with_relaxation(
         InputError: an inflated attempt's offsets overflow.
         InfeasibleError: still empty at the largest inflation.
     """
-    if not (math.isfinite(lambda_step) and lambda_step > 0.0):
-        raise InputError("lambda_step must be positive and finite")
-    if max_steps < 0:
-        raise InputError("max_steps must be nonnegative")
+    scalar("lambda_step", lambda_step, InputError, "positive")
+    integer("max_steps", max_steps, InputError, 0)
     attempt = problem
     for k in range(max_steps + 1):
         inflation = k * lambda_step

@@ -34,7 +34,7 @@ import numpy as np
 import yaml
 
 from conformal_cbf.dynamics import RobotState
-from conformal_cbf.errors import ConfigError, InputError, ParseError, finite
+from conformal_cbf.errors import ConfigError, InputError, ParseError, point, scalar
 
 DEFAULT_LABEL_FILTER = ("Pedestrian",)
 # libyaml's parser when present: a scene spec holds hundreds of waypoints
@@ -60,8 +60,7 @@ class ScenarioFrameSet:
         return scene
 
     def _fill(self, scene_name, fps, track, frame, xy, labels):
-        if not (np.isfinite(fps) and fps > 0.0):
-            raise InputError("fps must be positive and finite")
+        scalar("fps", fps, InputError, "positive")
         self.scene_name = scene_name
         self.fps = fps
         self.labels = labels
@@ -173,14 +172,9 @@ class RobotTask:
     goal_radius: float
 
     def __post_init__(self):
-        goal = np.asarray(self.goal, dtype=np.float64)
-        if goal.shape != (2,) or not np.all(np.isfinite(goal)):
-            raise InputError("goal must be a finite planar point")
-        if not (finite(self.attract_gain) and self.attract_gain > 0.0):
-            raise InputError("attract_gain must be positive and finite")
-        if not (finite(self.goal_radius) and self.goal_radius >= 0.0):
-            raise InputError("goal_radius must be nonnegative and finite")
-        object.__setattr__(self, "goal", goal)
+        object.__setattr__(self, "goal", point("goal", self.goal, InputError))
+        scalar("attract_gain", self.attract_gain, InputError, "positive")
+        scalar("goal_radius", self.goal_radius, InputError, "nonnegative")
 
 
 def reference_control(task: RobotTask, state: RobotState) -> np.ndarray:
@@ -347,8 +341,7 @@ def sensed_agents(scene: ScenarioFrameSet, ego_position, rho0: float, frame: int
     """rows_at for the agents at a frame strictly inside the sensing
     radius: ids (ascending), (k, 2) positions and (k, 3) runs.  An agent
     exactly at distance rho0 is not sensed."""
-    if not (np.isfinite(rho0) and rho0 > 0.0):
-        raise InputError("rho0 must be positive and finite")
+    scalar("rho0", rho0, InputError, "positive")
     ids, pos, runs = scene.rows_at(frame)
     apart = pos - np.asarray(ego_position, dtype=np.float64)
     near = np.sqrt(np.vecdot(apart, apart)) < rho0
@@ -368,15 +361,12 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
     """
     try:
         name = str(spec["scene_name"])
-        fps = float(spec["fps"])
-        duration = float(spec["duration"])
+        fps, duration = (
+            float(scalar(key, spec[key], ConfigError, "positive")) for key in ("fps", "duration")
+        )
         agents = spec["agents"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad scene spec: {exc}") from None
-    if not (np.isfinite(fps) and fps > 0.0):
-        raise ConfigError("fps must be positive")
-    if not (np.isfinite(duration) and duration > 0.0):
-        raise ConfigError("duration must be positive")
 
     track: list = []
     frame: list = []

@@ -33,11 +33,19 @@ from _oracles import (
 )
 from conformal_cbf import barrier, engine
 from conformal_cbf.cli import BUILTIN_SCENES, build_setup
-from conformal_cbf.dynamics import RobotState
-from conformal_cbf.conformal import ConformalState
+from conformal_cbf.dynamics import RobotState, step
+from conformal_cbf.conformal import (
+    ConformalState,
+    EgoWindow,
+    lambda_safe_bound,
+    risk_bound,
+    squash,
+    window_loss,
+)
 from conformal_cbf.engine import SimConfig, run, sweep
 from conformal_cbf.errors import ConfigError, InfeasibleRunError, InputError, SingularityError
-from conformal_cbf.predictor import GROUND_TRUTH, NOISE_BOUNDED, PredictorKind
+from conformal_cbf.predictor import GROUND_TRUTH, NOISE_BOUNDED, PredictorKind, predict
+from conformal_cbf.qp import QpProblem, solve_with_relaxation
 from conformal_cbf.scenario import (
     RobotTask,
     ScenarioFrameSet,
@@ -148,6 +156,10 @@ class TestConfigValidation:
             {"max_frames": True},
             {"seed": True},
             {"relax_max_steps": True},
+            # nor is it a float (k_acc * dt stays below 2, so only dt's own
+            # check can refuse it)
+            {"dt": True, "k_acc": 1.0},
+            {"eta": True},
             # a predictor is a PredictorKind, not its name
             {"predictor": "ground-truth-oracle"},
             {"predictor": 1.0},
@@ -179,6 +191,24 @@ def _margin(**kwargs):
     return ConformalState(**{"lam": 0.0, "eta": 1.0, "epsilon": 0.0, **kwargs})
 
 
+def _at_origin():
+    return RobotState(position=[0.0, 0.0], velocity=[0.0, 0.0])
+
+
+def _no_rows():
+    return QpProblem([0.0, 0.0], np.zeros((0, 2)), [], [])
+
+
+def _spec(**kwargs):
+    return {"scene_name": "s", "fps": 10.0, "duration": 1.0, "agents": [], **kwargs}
+
+
+def _one_window_loss(lam):
+    # one agent 100 px off an ego standing at the origin, over two samples
+    agent = np.array([[[100.0, 0.0], [100.0, 0.0]]])
+    return window_loss(_cbf(), 1.0, agent, agent, EgoWindow(np.zeros((2, 2)), 0.1), lam)
+
+
 # case -> (build with HUGE at one field, the error, the field it names)
 TOO_LARGE_FOR_A_FLOAT = {
     **{
@@ -202,12 +232,100 @@ TOO_LARGE_FOR_A_FLOAT = {
         for name in ("lam", "eta", "epsilon")
     },
     "ConformalState.update": (lambda: _margin().update(HUGE), InputError, "loss"),
+    **{
+        f"BoundSet-{name}": (
+            lambda name=name: barrier.BoundSet(**{"m_h": 1.0, "e_v": 0.0, "e_d": 0.0, name: HUGE}),
+            InputError,
+            name,
+        )
+        for name in ("m_h", "e_v", "e_d")
+    },
+    "squash": (lambda: squash(HUGE), InputError, "squashing input"),
+    "window_loss-lam": (lambda: _one_window_loss(HUGE), InputError, "lam"),
+    "lambda_safe_bound-alpha_slope": (
+        lambda: lambda_safe_bound(barrier.BoundSet(1.0, 0.0, 0.0), HUGE, 0.0),
+        InputError,
+        "alpha_slope",
+    ),
+    "risk_bound-lambda_safe": (
+        lambda: risk_bound(_margin().update(0.1), HUGE, 1), InputError, "lambda_safe"
+    ),
+    "step-dt": (lambda: step(_at_origin(), np.zeros(2), HUGE), InputError, "dt"),
+    "solve_with_relaxation-lambda_step": (
+        lambda: solve_with_relaxation(_no_rows(), HUGE, 1), InputError, "lambda_step"
+    ),
+    "predict-dt": (
+        lambda: predict(PredictorKind(), [1], np.zeros((1, 2, 2)), 4, HUGE), InputError, "dt"
+    ),
+    "ScenarioFrameSet-fps": (
+        lambda: ScenarioFrameSet.from_rows("s", HUGE, [], [], np.zeros((0, 2)), {}),
+        InputError,
+        "fps",
+    ),
+    "sensed_agents-rho0": (
+        lambda: sensed_agents(scene_from_frames({}), [0.0, 0.0], HUGE, 0), InputError, "rho0"
+    ),
+    **{
+        f"synth_scene-{key}": (lambda key=key: synth_scene(_spec(**{key: HUGE})), ConfigError, key)
+        for key in ("fps", "duration")
+    },
+    "RobotState-position": (
+        lambda: RobotState(position=[HUGE, 0.0], velocity=[0.0, 0.0]), InputError, "position"
+    ),
+    "RobotTask-goal": (
+        lambda: RobotTask(start=_at_origin(), goal=[0.0, HUGE], attract_gain=1.0, goal_radius=1.0),
+        InputError,
+        "goal",
+    ),
+    "AffineConstraint-normal": (
+        lambda: barrier.AffineConstraint(normal=[HUGE, 0.0], offset=0.0, agent_id=1),
+        InputError,
+        "normal",
+    ),
+    "AffineConstraint-offset": (
+        lambda: barrier.AffineConstraint(normal=[1.0, 0.0], offset=HUGE, agent_id=1),
+        InputError,
+        "offset",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", TOO_LARGE_FOR_A_FLOAT)
 def test_an_int_too_large_for_a_float_is_refused_by_name(case):
     make, error, name = TOO_LARGE_FOR_A_FLOAT[case]
+    with pytest.raises(error, match=name):
+        make()
+
+
+# case -> (call with a value that is no int, or a bool, at one integer
+# parameter, the error, the parameter it names)
+NOT_AN_INTEGER = {
+    "predict-horizon_frames": (
+        lambda: predict(PredictorKind(), [1], np.zeros((1, 2, 2)), 2.5, 0.1),
+        InputError,
+        "horizon_frames",
+    ),
+    "solve_with_relaxation-max_steps": (
+        lambda: solve_with_relaxation(_no_rows(), 1.0, 2.5), InputError, "max_steps"
+    ),
+    "solve_with_relaxation-max_steps-bool": (
+        lambda: solve_with_relaxation(_no_rows(), 1.0, True), InputError, "max_steps"
+    ),
+    "risk_bound-k_prime": (
+        lambda: risk_bound(_margin().update(0.1), 0.0, True), InputError, "k_prime"
+    ),
+    "sweep-workers": (
+        lambda: sweep(BASE, {"eta": [1.0]}, scene_from_frames({}), make_task((0, 0), (1, 0)),
+                      workers=True),
+        ConfigError,
+        "workers",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NOT_AN_INTEGER)
+def test_a_non_integer_count_is_refused_by_name(case):
+    make, error, name = NOT_AN_INTEGER[case]
     with pytest.raises(error, match=name):
         make()
 
