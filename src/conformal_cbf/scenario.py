@@ -357,7 +357,8 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
     between waypoints and the agent is present only inside its schedule.
 
     Raises:
-        ConfigError: missing keys, bad values, or a non-monotone schedule.
+        ConfigError: missing keys, bad values, a malformed agent entry or
+            waypoint, or a non-monotone schedule.
     """
     try:
         name = str(spec["scene_name"])
@@ -367,26 +368,28 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
         agents = spec["agents"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad scene spec: {exc}") from None
+    if not isinstance(agents, (list, tuple)):
+        raise ConfigError("agents must be a list of agent entries")
 
     track: list = []
     frame: list = []
     xy = []
     labels: dict[int, str] = {}
     seen = set()
-    for entry in agents:
+    for i, entry in enumerate(agents):
         try:
             agent_id = int(entry["id"])
             label = str(entry.get("label", "Pedestrian"))
             waypoints = entry["waypoints"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad agent entry: {exc}") from None
+            times = np.array([float(w[0]) for w in waypoints])
+            points = np.array([[float(w[1][0]), float(w[1][1])] for w in waypoints])
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise ConfigError(f"bad agents[{i}] entry: {exc}") from None
         if agent_id in seen:
             raise ConfigError(f"duplicate agent id {agent_id}")
         seen.add(agent_id)
         if len(waypoints) < 2:
             raise ConfigError(f"agent {agent_id} needs at least 2 waypoints")
-        times = np.array([float(w[0]) for w in waypoints])
-        points = np.array([[float(w[1][0]), float(w[1][1])] for w in waypoints])
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(points)):
             raise ConfigError(f"agent {agent_id} has non-finite waypoints")
         if np.any(np.diff(times) <= 0.0):

@@ -483,6 +483,27 @@ class TestConfigNumbers:
         assert err.startswith(message) and "4300" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "agents",
+        [None, 5, [{"id": 1, "waypoints": 5}],
+         *([{"id": 1, "waypoints": [first, [1.0, [0.0, 0.0]]]}]
+           for first in ([0.0], [0.0, [0.0]], [0.0, "ab"], [0.0, [10**400, 0.0]]))],
+        ids=["null", "number", "waypoints-number", "waypoint-short", "point-short",
+             "point-string", "coordinate-too-large"],
+    )
+    def test_malformed_scene_spec_names_its_key(self, tmp_path, capsys, agents):
+        scene = tmp_path / "scene.yaml"
+        spec = {"scene_name": "s", "fps": 10.0, "duration": 1.0, "agents": agents}
+        scene.write_text(yaml.safe_dump(spec), encoding="utf-8")
+        out = tmp_path / "m.csv"
+        code = main(["run", "--config", write_config(tmp_path), "--scene", str(scene),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "agents" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_null_leaves_an_optional_key_unset(self, tmp_path):
         base = yaml.safe_dump(BASE_CONFIG)
         code, out = self._run(tmp_path, "null", base + "k_att: null\n")
