@@ -44,22 +44,15 @@ _SPEC_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 class ScenarioFrameSet:
     """Agent positions per frame, stored as a track table, plus labels.
 
-    Built by from_rows from the table's columns; load_annotations and
-    synth_scene do so.  labels maps agent_id -> label.  frames gives the
-    frame index -> {agent_id -> (2,) position} mapping back, read-only,
-    built on first access; the replay itself only uses the table
-    queries.
+    Built from the table's columns: integer track and frame per row and
+    finite (n, 2) positions, at most one row per (track, frame);
+    load_annotations and synth_scene build it so.  labels maps agent_id
+    -> label.  frames gives the frame index -> {agent_id -> (2,)
+    position} mapping back, read-only, built on first access; the replay
+    itself only uses the table queries.
     """
 
-    @classmethod
-    def from_rows(cls, scene_name, fps, track, frame, xy, labels):
-        """Scene from table columns: integer track and frame per row and
-        finite (n, 2) positions; at most one row per (track, frame)."""
-        scene = cls.__new__(cls)
-        scene._fill(scene_name, fps, track, frame, xy, labels)
-        return scene
-
-    def _fill(self, scene_name, fps, track, frame, xy, labels):
+    def __init__(self, scene_name, fps, track, frame, xy, labels):
         scalar("fps", fps, InputError, "positive")
         self.scene_name = scene_name
         self.fps = fps
@@ -223,11 +216,11 @@ def load_annotations(
     scene = None
     if columns is not None:
         try:
-            scene = ScenarioFrameSet.from_rows(name, fps, *columns)
+            scene = ScenarioFrameSet(name, fps, *columns)
         except InputError:
             pass  # a duplicate row: the line parser names its line
     if scene is None:
-        scene = ScenarioFrameSet.from_rows(name, fps, *_parse_lines(path, keep))
+        scene = ScenarioFrameSet(name, fps, *_parse_lines(path, keep))
     if not scene.n_frames:
         warnings.warn(f"no agents survived parsing {path}", stacklevel=2)
     return scene
@@ -406,7 +399,7 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
             np.interp(t[present], times, points[:, 1]),
         ], axis=1))
     xy = np.concatenate(xy) if xy else np.zeros((0, 2))
-    return ScenarioFrameSet.from_rows(name, fps, track, frame, xy, labels)
+    return ScenarioFrameSet(name, fps, track, frame, xy, labels)
 
 
 def load_scene_spec(path) -> dict:

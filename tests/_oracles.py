@@ -120,7 +120,7 @@ def scene_from_frames(frames, labels=None, fps=10.0, name="s"):
 
     rows = [(a, f, p) for f, row in frames.items() for a, p in row.items()]
     xy = np.array([p for _, _, p in rows], dtype=np.float64).reshape(len(rows), 2)
-    return ScenarioFrameSet.from_rows(
+    return ScenarioFrameSet(
         name, fps, [a for a, _, _ in rows], [f for _, f, _ in rows], xy, labels or {}
     )
 

@@ -258,7 +258,7 @@ TOO_LARGE_FOR_A_FLOAT = {
         lambda: predict(PredictorKind(), [1], np.zeros((1, 2, 2)), 4, HUGE), InputError, "dt"
     ),
     "ScenarioFrameSet-fps": (
-        lambda: ScenarioFrameSet.from_rows("s", HUGE, [], [], np.zeros((0, 2)), {}),
+        lambda: ScenarioFrameSet("s", HUGE, [], [], np.zeros((0, 2)), {}),
         InputError,
         "fps",
     ),

@@ -169,7 +169,7 @@ class TestFrameSetQueries:
     def test_rows_need_finite_planar_positions(self):
         for xy in ([[0.0, np.nan]], [[0.0, 1.0, 2.0]], [[0.0, 1.0], [2.0, 3.0]]):
             with pytest.raises(InputError, match="positions"):
-                ScenarioFrameSet.from_rows("r", 10.0, [1], [0], xy, {})
+                ScenarioFrameSet("r", 10.0, [1], [0], xy, {})
 
     def test_sensed_agents_strict_radius(self):
         frames = {0: {1: (3.0, 0.0), 2: (5.0, 0.0), 3: (0.0, 4.999)}}

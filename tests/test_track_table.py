@@ -295,7 +295,7 @@ def test_a_scene_at_either_end_of_int64_runs_like_one_at_frame_0():
     t = np.arange(31)
     xy = np.stack([np.full(31, 30.0), 20.0 - t], axis=1)
     at_0, at_end, at_start = (
-        run(config, ScenarioFrameSet.from_rows("s", 10.0, [7] * 31, first + t, xy, {}), task)
+        run(config, ScenarioFrameSet("s", 10.0, [7] * 31, first + t, xy, {}), task)
         for first in (0, 2**63 - 31, -(2**63))
     )
     assert at_0.n_collide > 0 and math.isfinite(at_0.d_min)
