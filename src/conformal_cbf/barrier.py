@@ -70,7 +70,7 @@ class PotentialFieldCbf:
     def __post_init__(self):
         scalar("k_rep", self.k_rep, InputError, "positive")
         scalar("rho0", self.rho0, InputError, "positive")
-        if not 0.0 < self.delta < 1.0:
+        if not 0.0 < scalar("delta", self.delta, InputError) < 1.0:
             raise InputError("delta must lie in (0, 1)")
         if self.min_distance > 0.5 * self.rho0:
             raise InputError(

@@ -71,7 +71,7 @@ def squash(r: float) -> float:
 
 def squash_inverse(y: float) -> float:
     """s^-1(y) = tan(pi * y) for y in (-1/2, 1/2)."""
-    if not -0.5 < y < 0.5:
+    if not -0.5 < scalar("squashing inverse argument", y, InputError) < 0.5:
         raise InputError("squashing inverse needs an argument in (-1/2, 1/2)")
     return math.tan(math.pi * y)
 
@@ -97,7 +97,7 @@ class ConformalState:
     def __post_init__(self):
         scalar("lambda_initial (the starting margin lam)", self.lam, ConfigError)
         scalar("eta", self.eta, ConfigError, "positive")
-        if not -0.5 < self.epsilon < 0.5:
+        if not -0.5 < scalar("epsilon", self.epsilon, ConfigError) < 0.5:
             raise ConfigError("epsilon must lie in (-1/2, 1/2)")
         if self.lambda_initial is None:
             self.lambda_initial = self.lam
@@ -106,7 +106,7 @@ class ConformalState:
         """Apply one window's verdict; NO_AGENTS leaves everything as is."""
         if loss is NO_AGENTS:
             return self
-        if not -0.5 < loss < 0.5:
+        if not -0.5 < scalar("loss", loss, InputError) < 0.5:
             raise InputError("loss must lie in (-1/2, 1/2)")
         self.lam = self.lam + self.eta * (self.epsilon - loss)
         self.loss_history.append(loss)

@@ -160,6 +160,8 @@ class TestConfigValidation:
             # check can refuse it)
             {"dt": True, "k_acc": 1.0},
             {"eta": True},
+            {"epsilon": False},
+            {"lambda_initial": True},
             # a predictor is a PredictorKind, not its name
             {"predictor": "ground-truth-oracle"},
             {"predictor": 1.0},
