@@ -156,8 +156,8 @@ class TestConfigValidation:
             {"max_frames": True},
             {"seed": True},
             {"relax_max_steps": True},
-            # nor is it a float (k_acc * dt stays below 2, so only dt's own
-            # check can refuse it)
+            # nor a float; k_acc keeps k_acc * dt below 2, so that only dt's
+            # own check can refuse dt=True
             {"dt": True, "k_acc": 1.0},
             {"eta": True},
             {"epsilon": False},
