@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from conformal_cbf.errors import InputError, SingularityError, point, scalar
+from conformal_cbf.errors import InputError, SingularityError, floats, point, scalar
 
 # Largest potential (and, for tiny k_rep, largest w) the barrier is
 # evaluated at; see PotentialFieldCbf.min_distance.
@@ -111,7 +111,7 @@ class AffineConstraint:
         scalar("offset", self.offset, InputError)
 
     def residual(self, u: np.ndarray) -> float:
-        return float(self.normal @ np.asarray(u, dtype=np.float64) + self.offset)
+        return float(self.normal @ floats("u", u, InputError) + self.offset)
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def barrier_terms(
         SingularityError: some offset (in where) is shorter than
             cbf.min_distance (zero, for coincident positions).
     """
-    diff = np.asarray(diff, dtype=np.float64)
+    diff = floats("diff", diff, InputError)
     d = np.sqrt(np.vecdot(diff, diff))
     if where is not None:
         d = np.where(where, d, cbf.rho0)

@@ -5,7 +5,9 @@ one-to-one, plus the task keys (start, start_velocity, goal, goal_radius,
 attract_gain) and the predictor keys (predictor, predictor_value_bound,
 predictor_dynamics_bound).  Flags override file values.  Metric tables
 are CSV with a fixed header and repr-formatted floats, so an identical
-invocation produces a byte-identical file.
+invocation produces a byte-identical file.  validate-annotations also
+records the table it checked beside the file, which later loads of the
+unchanged file read in place of parsing it (scenario.record_table).
 
 Exit codes: 0 success, 2 configuration, 3 data (a malformed or unreadable
 file, or a scene that puts an agent on the ego, where the barrier is
@@ -37,6 +39,7 @@ from conformal_cbf.scenario import (
     RobotTask,
     load_annotations,
     load_scene_spec,
+    record_table,
     synth_scene,
 )
 
@@ -347,11 +350,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        scene = load_annotations(args.annotations)
+        scene, unrecorded = record_table(args.annotations)
     except ParseError as exc:
         # the message already names the line
         print(f"{args.annotations}: {exc}", file=sys.stderr)
         return 3
+    if unrecorded is not None:
+        print(f"{args.annotations}: note: no table recorded: {unrecorded}", file=sys.stderr)
     n_frames = scene.n_frames
     print(
         f"{args.annotations}: ok: scene {scene.scene_name!r}, "
@@ -405,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     val_p = sub.add_parser(
-        "validate-annotations", help="parse-check an annotation file"
+        "validate-annotations",
+        help="parse-check an annotation file and record its checked table beside it",
     )
     val_p.add_argument("--annotations", required=True)
 

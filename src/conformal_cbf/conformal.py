@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from conformal_cbf.barrier import BoundSet, PotentialFieldCbf, barrier_terms
-from conformal_cbf.errors import ConfigError, InputError, integer, scalar
+from conformal_cbf.errors import ConfigError, InputError, floats, integer, scalar
 from conformal_cbf.predictor import velocities
 
 #: Window verdict when no agent was in range: the margin must not move.
@@ -149,8 +149,8 @@ def window_loss(
     """
     if ego.n_samples < 2:
         raise InputError("ego window needs at least 2 samples")
-    predicted = np.asarray(predicted, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
+    predicted = floats("predicted", predicted, InputError)
+    actual = floats("actual", actual, InputError)
     if predicted.shape != actual.shape or predicted.shape[1:] != (ego.n_samples, 2):
         raise InputError("predicted and actual arrays must be (m, ego samples, 2)")
     if not len(predicted):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conformal_cbf.errors import InputError, point, scalar
+from conformal_cbf.errors import InputError, floats, point, scalar
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
             acceleration, or one that overflows the state).
     """
     scalar("dt", dt, InputError, "positive")
-    a = np.asarray(accel, dtype=np.float64)
+    a = floats("accel", accel, InputError)
     if a.shape != (2,):
         raise InputError("acceleration must be a planar vector")
     ax, ay = a.tolist()
@@ -100,8 +100,8 @@ def track_velocity(k_acc: float, velocity: np.ndarray, commanded: np.ndarray) ->
         InputError: the velocities are not planar, or the acceleration
             is not finite (a non-finite velocity, or an overflow).
     """
-    v = np.asarray(velocity, dtype=np.float64)
-    c = np.asarray(commanded, dtype=np.float64)
+    v = floats("velocity", velocity, InputError)
+    c = floats("commanded", commanded, InputError)
     if v.shape != (2,) or c.shape != (2,):
         raise InputError("track_velocity expects planar velocities")
     vx, vy = v.tolist()

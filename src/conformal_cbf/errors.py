@@ -6,12 +6,15 @@ configuration problems, malformed data, and infeasible runs must stay
 distinguishable all the way up.
 
 A scalar parameter, an integer parameter and a planar point each have
-one rule here: scalar, integer and point.  Each returns the value it
-accepts and otherwise raises the error type its caller names,
-InputError or ConfigError, with a message that names the parameter.  A
-bool is never a number to them, and an int too large for a float is not
-finite, so neither escapes as a TypeError or an OverflowError.  Values
-the package computes itself are checked where they are made.
+one rule here: scalar, integer and point.  An array parameter has floats,
+which makes the float64 array and leaves its shape and finiteness to the
+caller.  Each returns the value it accepts and otherwise raises the error
+type its caller names, InputError or ConfigError, with a message that
+names the parameter.  A bool is never a number to the first three, and
+an int too large for a float is not finite, so neither escapes as a
+TypeError or an OverflowError, and no message prints a value Python
+refuses to print.  Values the package computes itself are checked where
+they are made.
 """
 
 import math
@@ -48,7 +51,25 @@ def point(name, value, error) -> np.ndarray:
         p = np.zeros(0)
     if p.shape == (2,) and np.isfinite(p).all() and bool not in map(type, value):
         return p
-    raise error(f"{name} must be a finite point [x, y], got {value!r}")
+    raise error(f"{name} must be a finite point [x, y], got {_shown(value)}")
+
+
+def floats(name, value, error) -> np.ndarray:
+    """value as a float64 array, if numpy makes one of it; else (an int
+    too large for a float, a ragged nesting, a string) error naming it."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be an array of numbers that fit a float") from None
+
+
+def _shown(value) -> str:
+    """repr of value, unless it holds an int past the 4300 digits Python
+    prints."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "an int too long to print"
 
 
 class InputError(ValueError):

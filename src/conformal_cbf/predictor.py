@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms
-from conformal_cbf.errors import InputError, integer, scalar
+from conformal_cbf.errors import InputError, floats, integer, scalar
 
 CONSTANT_VELOCITY = "constant-velocity"
 GROUND_TRUTH = "ground-truth-oracle"
@@ -80,7 +80,7 @@ def velocities(positions, dt: float, lengths=None) -> np.ndarray:
         InputError: fewer than two samples, or a length that is not an
             integer in [2, n].
     """
-    p = np.asarray(positions, dtype=np.float64)
+    p = floats("positions", positions, InputError)
     n = p.shape[-2]
     if n < 2:
         if not math.prod(p.shape[:-2]):
@@ -191,7 +191,7 @@ def predict(
     integer("horizon_frames", horizon_frames, InputError, 2)
     scalar("dt", dt, InputError, "positive")
     ids = np.asarray(ids)
-    histories = np.asarray(histories, dtype=np.float64)
+    histories = floats("histories", histories, InputError)
     m = len(ids)
     if ids.ndim != 1 or histories.ndim != 3 or histories.shape[0] != m or (
         histories.shape[1] < 2 or histories.shape[2] != 2
@@ -207,7 +207,7 @@ def predict(
     else:
         if futures is None or future_lengths is None:
             raise InputError(f"{kind.kind} needs the recorded future")
-        futures = np.asarray(futures, dtype=np.float64)
+        futures = floats("futures", futures, InputError)
         n = np.asarray(future_lengths, dtype=np.intp)
         if futures.ndim != 3 or futures.shape[0] != m or futures.shape[2] != 2 or (
             n.shape != (m,) or (n < 0).any() or (n > futures.shape[1]).any()
@@ -223,7 +223,7 @@ def predict(
             raise InputError(
                 "noise-bounded-oracle needs cbf, ego_positions, start_frame and seed"
             )
-        ego = np.asarray(ego_positions, dtype=np.float64)
+        ego = floats("ego_positions", ego_positions, InputError)
         if ego.shape == (futures.shape[1], 2):
             ego = ego[:width]
         elif ego.shape != (2,):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from conformal_cbf.barrier import AffineConstraint
-from conformal_cbf.errors import InfeasibleError, InputError, integer, scalar
+from conformal_cbf.errors import InfeasibleError, InputError, floats, integer, scalar
 
 # Residuals within this band of zero count as active.
 ACTIVE_TOL = 1e-8
@@ -67,9 +67,9 @@ class QpProblem:
     ids: np.ndarray
 
     def __init__(self, reference, normals, offsets, ids):
-        ref = np.asarray(reference, dtype=np.float64)
-        a = np.asarray(normals, dtype=np.float64)
-        b = np.asarray(offsets, dtype=np.float64)
+        ref = floats("reference", reference, InputError)
+        a = floats("normals", normals, InputError)
+        b = floats("offsets", offsets, InputError)
         ids = np.asarray(ids)
         if ref.shape != (2,):
             raise InputError("reference must be a planar vector")

@@ -22,9 +22,17 @@ Annotation rows follow the ten-column layout
 where the position is taken as the bounding-box center, rows flagged
 lost are dropped, and rows whose label is filtered out are ignored.
 Every box center must be finite.
+
+record_table parses a file and writes the columns it checked beside it,
+at the file's path plus TABLE_SUFFIX, with the digest of the file's bytes
+and the label filter.  load_annotations reads that table in place of the
+file while both still match; without a matching table it parses.
 """
 
+import contextlib
+import json
 import math
+import os
 import string
 import warnings
 from dataclasses import dataclass
@@ -34,9 +42,13 @@ import numpy as np
 import yaml
 
 from conformal_cbf.dynamics import RobotState
-from conformal_cbf.errors import ConfigError, InputError, ParseError, point, scalar
+from conformal_cbf.errors import ConfigError, InputError, ParseError, floats, point, scalar
 
 DEFAULT_LABEL_FILTER = ("Pedestrian",)
+# the checked table of an annotation file sits at its path plus this
+TABLE_SUFFIX = ".table.npz"
+# bumped when the table's contents change meaning
+_TABLE_FORMAT = 1
 # libyaml's parser when present: a scene spec holds hundreds of waypoints
 _SPEC_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -72,7 +84,7 @@ class ScenarioFrameSet:
         end = np.concatenate((cut, [len(track)])).astype(np.intp)
         run_start = np.repeat(start, end - start)
         run_end = np.repeat(end, end - start)
-        xy = np.asarray(xy, dtype=np.float64)
+        xy = floats("xy", xy, InputError)
         if xy.shape != (len(track), 2) or not np.isfinite(xy).all():
             raise InputError("positions must be finite, one (x, y) per row")
         self.track_positions = xy[by_track]
@@ -197,6 +209,13 @@ def load_annotations(
     format: it accepts the same files, gives the same table, and names
     the first bad line.
 
+    When record_table has left a table beside the file, and the file
+    still holds the bytes the table was made from and label_filter keeps
+    the labels it kept, the table's columns are read in place of the
+    file's.  They build the frame set through its constructor, so every
+    check of the columns still runs.  A missing, outdated, unreadable or
+    malformed table is ignored, and this function never writes one.
+
     Args:
         path: annotation text file in the ten-column layout above.
         label_filter: labels to keep, or None for all.
@@ -209,21 +228,129 @@ def load_annotations(
             number.
     """
     keep = None if label_filter is None else set(label_filter)
-    name = scene_name
-    if name is None:
-        name = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    columns = _parse_plain(path, keep)
-    scene = None
-    if columns is not None:
-        try:
-            scene = ScenarioFrameSet(name, fps, *columns)
-        except InputError:
-            pass  # a duplicate row: the line parser names its line
+    name = _stem(path) if scene_name is None else scene_name
+    table = str(path) + TABLE_SUFFIX
+    # a file never recorded pays this one test, and no digest
+    scene = _recorded(table, path, keep, name, fps) if os.path.exists(table) else None
     if scene is None:
-        scene = ScenarioFrameSet(name, fps, *_parse_lines(path, keep))
+        scene = _parse(path, keep, name, fps)[0]
     if not scene.n_frames:
         warnings.warn(f"no agents survived parsing {path}", stacklevel=2)
     return scene
+
+
+def record_table(path):
+    """Parse an annotation file as load_annotations does with its
+    defaults, never from a table, and record the checked table beside it.
+
+    The table, at the file's path plus TABLE_SUFFIX, holds the track,
+    frame and position columns and the labels the parse built the frame
+    set from, the SHA-256 digest of the file's bytes and the label
+    filter.  It is written to a temporary file in the same directory and
+    then moved over the old table, so a reader finds one whole table or
+    the other.  A file whose track or frame numbers do not all fit int64
+    gets none, as does one that changed while it was parsed.
+
+    Returns:
+        (scene, unrecorded): the frame set, and None once the table is
+        written, else why it was not (a failed write's OSError among
+        them), as one line.
+
+    Raises:
+        ParseError: as load_annotations; no table is written then.
+    """
+    keep = set(DEFAULT_LABEL_FILTER)
+    raw = _read(path)
+    # load_annotations' default scene name and fps
+    scene, (track, frame, xy, labels) = _parse(path, keep, _stem(path), 30.0)
+    if not scene.n_frames:
+        warnings.warn(f"no agents survived parsing {path}", stacklevel=2)
+    track, frame = _int_column(track), _int_column(frame)
+    if track.dtype != np.int64 or frame.dtype != np.int64:
+        return scene, "a track or frame number does not fit int64"
+    if _read(path) != raw:
+        return scene, "the file changed while it was parsed"
+    meta = {
+        "format": _TABLE_FORMAT,
+        "sha256": _digest(raw),
+        "filter": _filter_key(keep),
+        "labels": list(labels.items()),
+    }
+    table = str(path) + TABLE_SUFFIX
+    part = f"{table}.{os.getpid()}.part"
+    try:
+        with open(part, "wb") as fh:
+            np.savez(
+                fh, track=track, frame=frame, xy=xy,
+                meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            )
+        os.replace(part, table)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        return scene, str(exc)
+    return scene, None
+
+
+def _stem(path) -> str:
+    return str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
+
+
+def _parse(path, keep, name, fps):
+    """The file's frame set, parsed, and the columns it was built from."""
+    columns = _parse_plain(path, keep)
+    if columns is not None:
+        try:
+            return ScenarioFrameSet(name, fps, *columns), columns
+        except InputError:
+            pass  # a duplicate row: the line parser names its line
+    columns = _parse_lines(path, keep)
+    return ScenarioFrameSet(name, fps, *columns), columns
+
+
+def _recorded(table, path, keep, name, fps):
+    """The frame set of the file's table, or None when the table was made
+    from other bytes or another label filter, or is damaged."""
+    try:
+        # np.load leaves a file it opened itself open when the zip is bad
+        with open(table, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            meta = json.loads(npz["meta"].tobytes())
+            if (meta["format"], meta["filter"]) != (_TABLE_FORMAT, _filter_key(keep)):
+                return None
+            if meta["sha256"] != _digest(_read(path)):
+                return None
+            track, frame, xy = npz["track"], npz["frame"], npz["xy"]
+            labels = dict(meta["labels"])
+    except Exception:
+        # a damaged table raises any of a dozen types from zipfile, numpy
+        # and json (BadZipFile, EOFError, NotImplementedError, KeyError,
+        # ...); the table is only a copy, so the file decides then
+        return None
+    if track.dtype != np.int64 or frame.dtype != np.int64 or (
+        track.ndim != 1 or frame.shape != track.shape
+    ):
+        return None
+    try:
+        return ScenarioFrameSet(name, fps, track, frame, xy, labels)
+    except InputError:
+        return None
+
+
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _digest(raw: bytes) -> str:
+    import hashlib  # about 3 ms to import, paid only where a table is
+
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _filter_key(keep):
+    """The labels a filter can keep, as the table records them: only
+    strings match a label."""
+    return None if keep is None else sorted(k for k in keep if isinstance(k, str))
 
 
 # bytes of the files the column reader takes: tokens of these characters,
@@ -243,8 +370,7 @@ _PLAIN_ROW = np.dtype(
 
 def _parse_plain(path, keep):
     """Columns of a plain file, or None when it needs _parse_lines."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read(path)
     if raw.translate(None, _PLAIN):
         return None
     if not raw.strip():
@@ -281,8 +407,7 @@ def _parse_plain(path, keep):
 def _parse_lines(path, keep):
     """Columns of any annotation file, line by line; raises ParseError at
     the first bad line."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read(path)
     # universal newlines, as text-mode reading applies them
     raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
@@ -336,7 +461,7 @@ def sensed_agents(scene: ScenarioFrameSet, ego_position, rho0: float, frame: int
     exactly at distance rho0 is not sensed."""
     scalar("rho0", rho0, InputError, "positive")
     ids, pos, runs = scene.rows_at(frame)
-    apart = pos - np.asarray(ego_position, dtype=np.float64)
+    apart = pos - floats("ego_position", ego_position, InputError)
     near = np.sqrt(np.vecdot(apart, apart)) < rho0
     return ids[near], pos[near], runs[near]
 
@@ -351,7 +476,8 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
 
     Raises:
         ConfigError: missing keys, bad values, a malformed agent entry or
-            waypoint, or a non-monotone schedule.
+            waypoint, a non-monotone schedule, or a duration and fps
+            whose frame grid numpy refuses to build.
     """
     try:
         name = str(spec["scene_name"])
@@ -363,6 +489,12 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
         raise ConfigError(f"bad scene spec: {exc}") from None
     if not isinstance(agents, (list, tuple)):
         raise ConfigError("agents must be a list of agent entries")
+    try:
+        t = np.arange(int(round(duration * fps)) + 1) / fps
+    except (ValueError, OverflowError, MemoryError):
+        raise ConfigError(
+            "duration * fps must give a frame grid that numpy can build"
+        ) from None
 
     track: list = []
     frame: list = []
@@ -390,7 +522,6 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
                 f"agent {agent_id} has a non-monotone waypoint schedule"
             )
         labels[agent_id] = label
-        t = np.arange(int(round(duration * fps)) + 1) / fps
         present = np.flatnonzero((t >= times[0]) & (t <= times[-1]))
         track += [agent_id] * len(present)
         frame += present.tolist()

@@ -504,6 +504,21 @@ class TestConfigNumbers:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_a_frame_grid_numpy_refuses_exits_2(self, tmp_path, capsys):
+        scene = tmp_path / "scene.yaml"
+        waypoints = [[0.0, [0.0, 0.0]], [1.0, [1.0, 0.0]]]
+        spec = {"scene_name": "s", "fps": 10.0, "duration": 1.0e300,
+                "agents": [{"id": 1, "waypoints": waypoints}]}
+        scene.write_text(yaml.safe_dump(spec), encoding="utf-8")
+        out = tmp_path / "m.csv"
+        code = main(["run", "--config", write_config(tmp_path), "--scene", str(scene),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "duration" in err and "fps" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_null_leaves_an_optional_key_unset(self, tmp_path):
         base = yaml.safe_dump(BASE_CONFIG)
         code, out = self._run(tmp_path, "null", base + "k_att: null\n")

@@ -289,6 +289,58 @@ TOO_LARGE_FOR_A_FLOAT = {
         InputError,
         "offset",
     ),
+    "RobotState-position-past-the-digit-limit": (
+        lambda: RobotState(position=[10**5000, 0.0], velocity=[0.0, 0.0]),
+        InputError,
+        "position",
+    ),
+    # array arguments
+    **{
+        f"QpProblem-{name}": (lambda row=row: QpProblem(*row, [1]), InputError, name)
+        for name, row in (
+            ("reference", ([HUGE, 0.0], [[1.0, 0.0]], [0.0])),
+            ("normals", ([0.0, 0.0], [[HUGE, 0.0]], [0.0])),
+            ("offsets", ([0.0, 0.0], [[1.0, 0.0]], [HUGE])),
+        )
+    },
+    "predict-histories": (
+        lambda: predict(PredictorKind(), [1], [[[HUGE, 0.0], [0.0, 0.0]]], 4, 0.1),
+        InputError,
+        "histories",
+    ),
+    "predict-futures": (
+        lambda: predict(
+            PredictorKind(kind=GROUND_TRUTH), [1], np.zeros((1, 2, 2)), 4, 0.1,
+            futures=[[[HUGE, 0.0], [0.0, 0.0]]], future_lengths=[2],
+        ),
+        InputError,
+        "futures",
+    ),
+    **{
+        f"window_loss-{name}": (
+            lambda tracks=tracks: window_loss(
+                _cbf(), 1.0, *tracks, EgoWindow(np.zeros((2, 2)), 0.1), 0.0
+            ),
+            InputError,
+            name,
+        )
+        for name, tracks in (
+            ("predicted", ([[[HUGE, 0.0], [100.0, 0.0]]], np.full((1, 2, 2), 100.0))),
+            ("actual", (np.full((1, 2, 2), 100.0), [[[HUGE, 0.0], [100.0, 0.0]]])),
+        )
+    },
+    "ScenarioFrameSet-xy": (
+        lambda: ScenarioFrameSet("s", 10.0, [1], [0], [[HUGE, 0.0]], {}), InputError, "xy"
+    ),
+    "sensed_agents-ego_position": (
+        lambda: sensed_agents(scene_from_frames({}), [HUGE, 0.0], 1.0, 0),
+        InputError,
+        "ego_position",
+    ),
+    "step-accel": (lambda: step(_at_origin(), [HUGE, 0.0], 0.1), InputError, "accel"),
+    "barrier_terms-diff": (
+        lambda: barrier.barrier_terms(_cbf(), [[HUGE, 0.0]]), InputError, "diff"
+    ),
 }
 
 

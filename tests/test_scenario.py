@@ -275,6 +275,12 @@ class TestSynthScene:
         with pytest.raises(ConfigError):
             synth_scene(spec)
 
+    def test_a_frame_grid_numpy_refuses_names_duration_and_fps(self):
+        spec = {"scene_name": "s", "fps": 10.0, "duration": 1.0e300,
+                "agents": [{"id": 1, "waypoints": [[0.0, [0.0, 0.0]], [1.0, [1.0, 0.0]]]}]}
+        with pytest.raises(ConfigError, match="duration.*fps"):
+            synth_scene(spec)
+
     def test_missing_keys_rejected(self):
         with pytest.raises(ConfigError):
             synth_scene({"scene_name": "x"})

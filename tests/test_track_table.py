@@ -9,9 +9,16 @@ line parser it falls back to are exercised.  Results are compared with ==,
 positions bit for bit.
 """
 
+import contextlib
 import math
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +41,9 @@ from conformal_cbf.conformal import EgoWindow, window_loss
 from conformal_cbf.engine import SimConfig, run, window_step
 from conformal_cbf.engine import Window as EndedWindow
 from conformal_cbf.errors import ParseError
+from conformal_cbf import scenario
 from conformal_cbf.scenario import (
+    TABLE_SUFFIX,
     ScenarioFrameSet,
     _parse_lines,
     _parse_plain,
@@ -392,3 +401,165 @@ def test_scoring_groups_match_one_call_per_agent():
             assert got == want
             scored += want is not None
     assert scored > 10
+
+
+# The table validate-annotations records beside a file it has checked: a
+# load of the unchanged file with the same label filter reads it in place
+# of the file and gives the scene a parse gives; any other load parses.
+
+TABLE_ROWS = (
+    '1 10 20 30 40 0 0 0 0 "Pedestrian"\n'
+    '1 12 22 32 42 1 0 0 0 "Pedestrian"\n'
+    '7 50 60 70 80 0 0 0 0 "Biker"\n'
+    '2 50 60 70 80 1 0 0 0 "Pedestrian"\n'
+)
+
+
+def table_of(path):
+    return Path(f"{path}{TABLE_SUFFIX}")
+
+
+def validate(path):
+    return main(["validate-annotations", "--annotations", str(path)])
+
+
+def fresh_parse(path, **kwargs):
+    """load_annotations of a copy of the file with no table beside it."""
+    copy = path.parent / "fresh" / path.name
+    copy.parent.mkdir(exist_ok=True)
+    shutil.copyfile(path, copy)
+    return load_annotations(copy, **kwargs)
+
+
+def no_parse():
+    """A load inside this reads a table or fails."""
+    return mock.patch.object(scenario, "_parse", side_effect=AssertionError("parsed"))
+
+
+def same_scene(got, want):
+    for name in ("track_positions", "_track", "_runs", "_frame_positions", "_present", "_lo"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and (a == b).all(), name
+        if a.dtype.kind == "f":
+            assert a.tobytes() == b.tobytes(), name
+    assert list(got.labels.items()) == list(want.labels.items())
+    assert (got.scene_name, got.fps, got.start_frame, got.end_frame, got.n_frames) == (
+        want.scene_name, want.fps, want.start_frame, want.end_frame, want.n_frames
+    )
+
+
+@SETTINGS
+@given(text=st.one_of(files(valid=True), files()))
+def test_a_recorded_table_loads_as_the_parse(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("t") / "a.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty result warns
+        try:
+            want = load_annotations(path, fps=10.0)
+        except ParseError:
+            assert validate(path) == 3
+            assert not table_of(path).exists()
+            return
+        assert not table_of(path).exists()  # a load never writes
+        assert validate(path) == 0
+        fits = want._track.dtype == want._present.dtype == np.int64
+        assert table_of(path).exists() == fits
+        with no_parse() if fits else contextlib.nullcontext():
+            got = load_annotations(path, fps=10.0)
+    same_scene(got, want)
+
+
+def test_an_edited_byte_gives_the_fresh_parse(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text(TABLE_ROWS, encoding="ascii")
+    assert validate(path) == 0 and table_of(path).exists()
+    before = path.stat()
+    path.write_bytes(path.read_bytes().replace(b"1 10 20", b"1 12 20", 1))
+    # the same size and modification time: only the bytes tell
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    scene = load_annotations(path)
+    assert scene.frames[0][1].tolist() == [21.0, 30.0]
+    same_scene(scene, fresh_parse(path))
+
+
+@pytest.mark.parametrize("spoil", ["truncated", "garbage", "empty", "another file's"])
+def test_a_spoiled_table_gives_the_fresh_parse(tmp_path, spoil):
+    path = tmp_path / "a.txt"
+    path.write_text(TABLE_ROWS, encoding="ascii")
+    assert validate(path) == 0
+    table = table_of(path)
+    recorded = table.read_bytes()
+    if spoil == "another file's":
+        other = tmp_path / "b.txt"
+        other.write_text(TABLE_ROWS.replace("1 12 22", "1 14 22"), encoding="ascii")
+        assert validate(other) == 0
+        recorded = table_of(other).read_bytes()
+    table.write_bytes({
+        "truncated": recorded[: len(recorded) // 2],
+        "garbage": bytes(range(256)) * 8,
+        "empty": b"",
+        "another file's": recorded,
+    }[spoil])
+    same_scene(load_annotations(path), fresh_parse(path))
+
+
+def test_a_table_is_used_with_its_own_label_filter_only(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text(TABLE_ROWS, encoding="ascii")
+    assert validate(path) == 0
+    for label_filter in (None, ("Biker",), ("Pedestrian", "Biker")):
+        scene = load_annotations(path, label_filter=label_filter)
+        same_scene(scene, fresh_parse(path, label_filter=label_filter))
+    assert 7 in load_annotations(path, label_filter=None).labels
+    want = fresh_parse(path)
+    with no_parse():
+        # the same labels kept, whatever else the filter holds
+        for label_filter in (["Pedestrian"], ("Pedestrian", "Pedestrian", 5)):
+            same_scene(load_annotations(path, label_filter=label_filter), want)
+
+
+def test_a_file_that_fails_to_parse_gets_no_table(tmp_path, capsys):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(TABLE_ROWS, encoding="ascii")
+    bad.write_text(TABLE_ROWS + "3 50 60 70\n", encoding="ascii")
+    assert validate(good) == 0
+    assert validate(bad) == 3
+    assert "line 5" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["bad.txt", "good.txt", f"good.txt{TABLE_SUFFIX}"]
+
+
+def test_a_failed_table_write_is_a_note(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", str(dst))
+
+    path = tmp_path / "a.txt"
+    path.write_text(TABLE_ROWS, encoding="ascii")
+    monkeypatch.setattr(scenario.os, "replace", refuse)
+    assert validate(path) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"{path}: ok: ")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"{path}: note: no table recorded: ") and "Permission denied" in err
+    assert os.listdir(tmp_path) == ["a.txt"]  # nor a part-written one
+
+
+def test_ids_beyond_int64_get_no_table(tmp_path, capsys):
+    path = tmp_path / "a.txt"
+    path.write_text(f'{2**63} 0 0 2 2 0 0 0 0 "Pedestrian"\n', encoding="ascii")
+    assert validate(path) == 0
+    assert "no table recorded" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["a.txt"]
+
+
+def test_cli_import_leaves_hashlib_out():
+    """hashlib costs milliseconds to import; only a load beside a table
+    needs it, so the set-up of a run on a synthetic scene does not pay."""
+    src = str(Path(scenario.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys\nfrom conformal_cbf import cli\nprint('hashlib' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
