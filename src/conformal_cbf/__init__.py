@@ -17,8 +17,8 @@ from conformal_cbf.errors import (
     ParseError,
     SingularityError,
 )
-from conformal_cbf.engine import RunMetrics, SimConfig, SweepRow, run, sweep
-from conformal_cbf.scenario import RobotTask, ScenarioFrameSet, load_annotations
+from conformal_cbf.engine import RobotTask, RunMetrics, SimConfig, SweepRow, run, sweep
+from conformal_cbf.scenario import ScenarioFrameSet, load_annotations
 
 __all__ = [
     "ConfigError",

@@ -24,8 +24,7 @@ from dataclasses import fields, replace
 
 import yaml
 
-from conformal_cbf.dynamics import RobotState
-from conformal_cbf.engine import SimConfig, run, sweep
+from conformal_cbf.engine import RobotState, RobotTask, SimConfig, run, sweep
 from conformal_cbf.errors import (
     ConfigError,
     InfeasibleRunError,
@@ -35,13 +34,7 @@ from conformal_cbf.errors import (
     point,
 )
 from conformal_cbf.predictor import CONSTANT_VELOCITY, PredictorKind
-from conformal_cbf.scenario import (
-    RobotTask,
-    load_annotations,
-    load_scene_spec,
-    record_table,
-    synth_scene,
-)
+from conformal_cbf.scenario import load_annotations, load_scene_spec, record_table, synth_scene
 
 CSV_HEADER = "epsilon,eta,tau,t_goal,n_collide,d_min,l_avg,inflation_events"
 WORKERS_ENV = "CONFORMAL_CBF_WORKERS"
@@ -244,8 +237,12 @@ def load_scene_for(config: SimConfig, args):
         raise ConfigError("exactly one of --annotations or --scene is required")
     if args.annotations is not None:
         fps = 1.0 / config.dt
-        if abs(fps - round(fps)) < 1e-6:
-            fps = float(round(fps))
+        if not math.isfinite(fps):
+            raise ConfigError(f"dt {config.dt!r} is too small: its frame rate 1/dt is not finite")
+        # snap to a whole rate, never to 0 frames per second
+        whole = round(fps)
+        if whole >= 1 and abs(fps - whole) < 1e-6:
+            fps = float(whole)
         return load_annotations(args.annotations, fps=fps)
     return synth_scene(load_scene_spec(args.scene))
 

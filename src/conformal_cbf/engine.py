@@ -1,4 +1,15 @@
-"""Closed-loop replay: a causal safety filter and the driver that feeds it.
+"""The robot and its closed-loop replay: the ego's dynamics, task and
+sensing, the causal safety filter, and the driver that feeds it.
+
+The robot is a planar double integrator d/dt (p, v) = (v, a) driven at
+acceleration level.  The filter decides a velocity, and the tracking law
+a = -k_acc * (v - v_cmd) turns it into an acceleration held over the
+control period.  With the acceleration held the discretization is exact;
+step evaluates it with the operations one classical RK4 step performs
+for this model, so its results are bitwise those of that step.  The
+robot's task, its goal-attracting reference velocity and its sensing
+rule (the agents strictly inside rho0) are its own too, so they live
+here and not with the scene.
 
 The filter is two functions that take a SimConfig and arrays and never
 see the scene; this is the paper's decentralization boundary.  They read
@@ -20,19 +31,33 @@ is over.
   agent leaves the margin as it is.  Nobody has history at a run's first
   frame, so its first window is empty and the run starts unconstrained.
 
-run is the only driver and the only reader of the scene's track table
-(see scenario), which it slices at window edges alone, after folding the
-scene's exact frame step into the config.  There it senses the agents
-within rho0, which hands back their runs, and gathers in one index of
-the table the last two history samples, the oracle kinds' recorded
-futures (which reach the filter only through predict's futures) and the
-revealed tracks, each the first n samples of a run.  It also tracks the
-command and integrates one frame, writes the trace, and records the
-ego's position at each frame the scene covers, the goal frame included.
-d_min and n_collide take no part in the filter: after the loop _nearest
-measures those positions against every agent of their frames in one
-array pass.  The ego's own arithmetic runs on Python floats; see
-dynamics.
+run is the only driver and the only reader of the scene's track table.
+It reads the scene only through the object it is handed (this module
+imports no scene code) and slices the table at window edges alone, after
+folding the scene's exact frame step into the config.  There it senses the
+agents within rho0, which hands back their runs, and gathers in one
+index of the table the last two history samples, the oracle kinds'
+recorded futures (which reach the filter only through predict's futures)
+and the revealed tracks, each the first n samples of a run.  It also
+tracks the command and integrates one frame, writes the trace, and
+records the ego's position at each frame the scene covers, the goal
+frame included.  d_min and n_collide take no part in the filter: after
+the loop _nearest measures those positions against every agent of their
+frames in one array pass.
+
+The ego is one 2-vector, so step, track_velocity and reference_control
+read their vectors into Python floats with tolist() and compute on
+those: a numpy call on a 2-vector costs far more than the two float
+operations it performs.  The float expressions are the numpy ones
+written out per coordinate, with the same operations in the same order;
+IEEE arithmetic on a Python float and on a float64 array element round
+identically, so the results are bitwise those of the array formulas
+(tests/test_dynamics.py compares them with ==).  Only elementwise
+arithmetic is moved this way.  Distances stay on numpy: a reduction such
+as np.vecdot need not equal x*x + y*y bit for bit, so the goal distance
+and tracking error keep their numpy forms, and d_min is one batched
+np.vecdot over the whole run.  No float expression divides by anything
+that can be zero (dt is checked positive first).
 
 Each value of a frame is checked once, where it is made.  _rows keeps
 only agents at a distance from cbf.min_distance up to rho0, so its
@@ -40,10 +65,13 @@ normals are finite; the frame then checks the two floats of the
 reference and the row offsets, where an overflowing ego or a non-finite
 prediction shows, and raises InputError("reference and rows must be
 finite") at that frame.  The projection problem is built from those
-arrays with qp.unchecked_problem, and step checks the four floats of the
-new state itself, so neither QpProblem's nor RobotState's public check
-runs inside the loop.  Numpy's floating-point warnings are off for the
-whole run: a non-finite value raises where it is checked.
+arrays with qp.unchecked_problem.  step and track_velocity check the
+shapes of their vectors but the finiteness of their result only: a
+non-finite input, or an overflow, always makes the result non-finite.
+step builds the new state from its four checked floats, so neither
+QpProblem's nor RobotState's public check runs inside the loop.  Numpy's
+floating-point warnings are off for the whole run: a non-finite value
+raises where it is checked.
 """
 
 import json
@@ -58,13 +86,14 @@ import numpy as np
 
 from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms_unchecked
 from conformal_cbf.conformal import NO_AGENTS, ConformalState, EgoWindow, window_loss
-from conformal_cbf.dynamics import step, track_velocity
 from conformal_cbf.errors import (
     ConfigError,
     InfeasibleError,
     InfeasibleRunError,
     InputError,
+    floats,
     integer,
+    point,
     scalar,
 )
 from conformal_cbf.predictor import (
@@ -75,12 +104,116 @@ from conformal_cbf.predictor import (
     predict,
 )
 from conformal_cbf.qp import NOT_FINITE, solve_with_relaxation, unchecked_problem
-from conformal_cbf.scenario import (
-    RobotTask,
-    ScenarioFrameSet,
-    reference_control,
-    sensed_agents,
-)
+
+
+@dataclass(frozen=True)
+class RobotState:
+    """Planar position and velocity of the ego robot."""
+
+    position: np.ndarray
+    velocity: np.ndarray
+
+    def __post_init__(self):
+        for name in ("position", "velocity"):
+            object.__setattr__(self, name, point(name, getattr(self, name), InputError))
+
+
+def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
+    """Advance the state by dt seconds with the acceleration held.
+
+    The RK4 stages of the double integrator are k1 = (v, a),
+    k2 = k3 = (v + dt/2 a, a) and k4 = (v + dt a, a); they are combined
+    in RK4's order.
+
+    Raises:
+        InputError: dt is not positive and finite, the acceleration is
+            not planar, or the new state is not finite (a non-finite
+            acceleration, or one that overflows the state).
+    """
+    scalar("dt", dt, InputError, "positive")
+    a = floats("accel", accel, InputError)
+    if a.shape != (2,):
+        raise InputError("acceleration must be a planar vector")
+    ax, ay = a.tolist()
+    px, py = state.position.tolist()
+    vx, vy = state.velocity.tolist()
+    # v + 0.5 * dt * a and v + dt * a, coordinate by coordinate
+    half = 0.5 * dt
+    k2x, k2y = vx + half * ax, vy + half * ay
+    k4x, k4y = vx + dt * ax, vy + dt * ay
+    h = dt / 6.0
+    new = (
+        px + h * (vx + 2.0 * k2x + 2.0 * k2x + k4x),
+        py + h * (vy + 2.0 * k2y + 2.0 * k2y + k4y),
+        vx + h * (ax + 2.0 * ax + 2.0 * ax + ax),
+        vy + h * (ay + 2.0 * ay + 2.0 * ay + ay),
+    )
+    if not all(map(math.isfinite, new)):
+        raise InputError("RobotState entries must be finite")
+    # the state is built without RobotState's check, which is the one above;
+    # a frozen dataclass refuses setattr, not an update of its __dict__
+    state = object.__new__(RobotState)
+    vars(state).update(position=np.array(new[:2]), velocity=np.array(new[2:]))
+    return state
+
+
+def track_velocity(k_acc: float, velocity: np.ndarray, commanded: np.ndarray) -> np.ndarray:
+    """Acceleration -k_acc * (velocity - commanded) steering the current
+    velocity to the commanded one; SimConfig checks k_acc.
+
+    Raises:
+        InputError: the velocities are not planar, or the acceleration
+            is not finite (a non-finite velocity, or an overflow).
+    """
+    v = floats("velocity", velocity, InputError)
+    c = floats("commanded", commanded, InputError)
+    if v.shape != (2,) or c.shape != (2,):
+        raise InputError("track_velocity expects planar velocities")
+    vx, vy = v.tolist()
+    cx, cy = c.tolist()
+    gain = -k_acc
+    ax, ay = gain * (vx - cx), gain * (vy - cy)
+    if not (math.isfinite(ax) and math.isfinite(ay)):
+        raise InputError("acceleration must be a finite planar vector")
+    return np.array([ax, ay])
+
+
+@dataclass(frozen=True)
+class RobotTask:
+    """Start state, goal point, attraction gain, and arrival radius."""
+
+    start: RobotState
+    goal: np.ndarray
+    attract_gain: float
+    goal_radius: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "goal", point("goal", self.goal, InputError))
+        scalar("attract_gain", self.attract_gain, InputError, "positive")
+        scalar("goal_radius", self.goal_radius, InputError, "nonnegative")
+
+
+def reference_control(task: RobotTask, state: RobotState) -> np.ndarray:
+    """Goal-attracting reference velocity: the descent direction of the
+    quadratic attraction potential, attract_gain * (goal - position).
+
+    It is evaluated on Python floats, coordinate by coordinate, with
+    bitwise the result of the array expression."""
+    gain = task.attract_gain
+    gx, gy = task.goal.tolist()
+    px, py = state.position.tolist()
+    return np.array([gain * (gx - px), gain * (gy - py)])
+
+
+def sensed_agents(scene, ego_position, rho0: float, frame: int):
+    """rows_at for the agents at a frame strictly inside the sensing
+    radius: ids (ascending), (k, 2) positions and (k, 3) runs.  An agent
+    exactly at distance rho0 is not sensed."""
+    scalar("rho0", rho0, InputError, "positive")
+    ids, pos, runs = scene.rows_at(frame)
+    apart = pos - floats("ego_position", ego_position, InputError)
+    near = np.sqrt(np.vecdot(apart, apart)) < rho0
+    return ids[near], pos[near], runs[near]
 
 
 @dataclass(frozen=True)
@@ -89,7 +222,8 @@ class SimConfig:
 
     k_att, when set, overrides the task's attraction gain so sweeps can
     vary it.  collision_distance and relax_lambda_step default to the
-    barrier's zero-level distance and eta * (1/2 - epsilon).  The run
+    barrier's zero-level distance and eta * (1/2 - epsilon), which a
+    tiny eta can underflow to 0, a step SimConfig refuses.  The run
     seed, a nonnegative integer, is forwarded to the predictor, which
     derives all of its own randomness from it.  alpha_slope is the slope
     of the class-kappa function alpha(h) = alpha_slope * h and k_acc the
@@ -145,6 +279,12 @@ class SimConfig:
         for name in ("k_att", "collision_distance", "relax_lambda_step"):
             if getattr(self, name) is not None:
                 scalar(name, getattr(self, name), ConfigError, "positive")
+        if not self.relaxation_step() > 0.0:
+            # only the default can get here: eta * (1/2 - epsilon) underflows
+            raise ConfigError(
+                f"relax_lambda_step must be positive; unset, it is eta * (1/2 - epsilon), "
+                f"which eta {self.eta!r} and epsilon {self.epsilon!r} make 0"
+            )
         for name, least in (("max_frames", 1), ("seed", 0), ("relax_max_steps", 0)):
             integer(name, getattr(self, name), ConfigError, least)
 
@@ -291,7 +431,7 @@ def window_step(config, margin, ended, sensed, frame, position):
 
 def run(
     config: SimConfig,
-    scene: ScenarioFrameSet,
+    scene,
     task: RobotTask,
     trace_path=None,
 ) -> RunMetrics:
@@ -524,7 +664,7 @@ def _cell_row(cell, base, scene, task):
 def sweep(
     base: SimConfig,
     grid: dict,
-    scene: ScenarioFrameSet,
+    scene,
     task: RobotTask,
     workers: int = 1,
 ) -> list:

@@ -1,4 +1,4 @@
-"""Scene replay: annotation parsing, synthetic scenes, and the robot task.
+"""The scene: annotation parsing, synthetic scenes and the track table.
 
 A scene is one table of rows (track, frame, x, y) in pixel coordinates,
 parsed from drone-footage annotation files or synthesized from waypoint
@@ -13,7 +13,9 @@ included, so sensing an agent also finds its contiguous history and
 future, with no frame-by-frame walk.  The agents of a stretch of frames
 are one slice too: rows_in returns it with where each frame starts in
 it, for the engine's distance pass after a run.
-Memory is proportional to the number of rows.
+Memory is proportional to the number of rows.  The robot, its task and
+its sensing rule live in engine; this module imports nothing of the
+package but errors, so a scene knows nothing of who replays it.
 
 Annotation rows follow the ten-column layout
 
@@ -35,14 +37,12 @@ import math
 import os
 import string
 import warnings
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 import yaml
 
-from conformal_cbf.dynamics import RobotState
-from conformal_cbf.errors import ConfigError, InputError, ParseError, floats, point, scalar
+from conformal_cbf.errors import ConfigError, InputError, ParseError, floats, scalar
 
 DEFAULT_LABEL_FILTER = ("Pedestrian",)
 # the checked table of an annotation file sits at its path plus this
@@ -165,33 +165,6 @@ def _int_column(values) -> np.ndarray:
         return np.array(values, dtype=np.int64).reshape(-1)
     except OverflowError:
         return np.array(values, dtype=object).reshape(-1)
-
-
-@dataclass(frozen=True)
-class RobotTask:
-    """Start state, goal point, attraction gain, and arrival radius."""
-
-    start: RobotState
-    goal: np.ndarray
-    attract_gain: float
-    goal_radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "goal", point("goal", self.goal, InputError))
-        scalar("attract_gain", self.attract_gain, InputError, "positive")
-        scalar("goal_radius", self.goal_radius, InputError, "nonnegative")
-
-
-def reference_control(task: RobotTask, state: RobotState) -> np.ndarray:
-    """Goal-attracting reference velocity: the descent direction of the
-    quadratic attraction potential, attract_gain * (goal - position).
-
-    It is evaluated on Python floats, coordinate by coordinate, with
-    bitwise the result of the array expression (see dynamics)."""
-    gain = task.attract_gain
-    gx, gy = task.goal.tolist()
-    px, py = state.position.tolist()
-    return np.array([gain * (gx - px), gain * (gy - py)])
 
 
 def load_annotations(
@@ -453,17 +426,6 @@ def _parse_lines(path, keep):
         xy.append(center)
         labels.setdefault(t, label)
     return track, frame, np.array(xy, dtype=np.float64).reshape(-1, 2), labels
-
-
-def sensed_agents(scene: ScenarioFrameSet, ego_position, rho0: float, frame: int):
-    """rows_at for the agents at a frame strictly inside the sensing
-    radius: ids (ascending), (k, 2) positions and (k, 3) runs.  An agent
-    exactly at distance rho0 is not sensed."""
-    scalar("rho0", rho0, InputError, "positive")
-    ids, pos, runs = scene.rows_at(frame)
-    apart = pos - floats("ego_position", ego_position, InputError)
-    near = np.sqrt(np.vecdot(apart, apart)) < rho0
-    return ids[near], pos[near], runs[near]
 
 
 def synth_scene(spec: dict) -> ScenarioFrameSet:

@@ -200,7 +200,7 @@ def rk4_double_integrator(position, velocity, accel, dt):
 
 def step_formula(position, velocity, accel, dt):
     """step's arithmetic as numpy array expressions, the form the float
-    code in dynamics writes out per coordinate; returns (position,
+    code in engine.step writes out per coordinate; returns (position,
     velocity), non-finite where the step overflows."""
     p, v, a = (np.asarray(x, dtype=np.float64) for x in (position, velocity, accel))
     k2 = v + 0.5 * dt * a

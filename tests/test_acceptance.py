@@ -44,8 +44,7 @@ from conformal_cbf.conformal import (
     lambda_safe_bound,
     window_loss,
 )
-from conformal_cbf.dynamics import RobotState
-from conformal_cbf.engine import SimConfig, run
+from conformal_cbf.engine import RobotState, RobotTask, SimConfig, run, sensed_agents
 from conformal_cbf.errors import ParseError
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,
@@ -55,12 +54,7 @@ from conformal_cbf.predictor import (
     predict,
 )
 from conformal_cbf.qp import QpProblem, solve
-from conformal_cbf.scenario import (
-    RobotTask,
-    load_annotations,
-    sensed_agents,
-    synth_scene,
-)
+from conformal_cbf.scenario import load_annotations, synth_scene
 
 DATA = Path(__file__).parent / "data"
 

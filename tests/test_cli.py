@@ -292,6 +292,39 @@ class TestExitCodes:
         assert any(f["n_constraints"] for f in frames)  # the oracle predicted track -3
         assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[6] != "nan"
 
+    def test_a_dt_without_a_finite_frame_rate_names_dt(self, tmp_path, capsys):
+        # 1/dt overflows; k_acc keeps k_acc * dt below 2
+        ann = tmp_path / "a.txt"
+        ann.write_text(GOOD_ANNOTATIONS, encoding="utf-8")
+        out = tmp_path / "m.csv"
+        cfg = write_config(tmp_path, dt=5.0e-324, k_acc=1.0e-9)
+        code = main(["run", "--config", cfg, "--annotations", str(ann), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dt ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_a_frame_rate_below_one_is_not_snapped_to_zero(self, tmp_path, capsys):
+        # 1/dt is 1e-7 frames per second, whose nearest whole rate is 0
+        ann = tmp_path / "a.txt"
+        ann.write_text(GOOD_ANNOTATIONS, encoding="utf-8")
+        out = tmp_path / "m.csv"
+        cfg = write_config(tmp_path, dt=1.0e7, k_acc=1.0e-9, max_frames=3)
+        code = main(["run", "--config", cfg, "--annotations", str(ann), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert out.read_text(encoding="utf-8").splitlines()[0] == CSV_HEADER
+
+    def test_an_underflowing_relaxation_step_names_its_key(self, tmp_path, capsys):
+        # eta * (1/2 - epsilon) underflows to 0
+        out = tmp_path / "m.csv"
+        cfg = write_config(tmp_path, eta=5.0e-324, epsilon=0.4)
+        code = main(["run", "--config", cfg, "--scene", make_scene(tmp_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: relax_lambda_step ")
+        assert "eta 5e-324" in err and "epsilon 0.4" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_too_strong_a_barrier_is_a_config_error(self, tmp_path, capsys):
         # (1 + U)^2 would overflow everywhere inside rho0, so every sensed
         # agent would read as standing on the ego

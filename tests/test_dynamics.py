@@ -15,10 +15,15 @@ from _oracles import (
     step_formula,
     track_velocity_formula,
 )
-from conformal_cbf.dynamics import RobotState, step, track_velocity
-from conformal_cbf.engine import SimConfig
+from conformal_cbf.engine import (
+    RobotState,
+    RobotTask,
+    SimConfig,
+    reference_control,
+    step,
+    track_velocity,
+)
 from conformal_cbf.errors import ConfigError, InputError
-from conformal_cbf.scenario import RobotTask, reference_control
 
 SETTINGS = settings(max_examples=400, deadline=None)
 # every finite double, so +-0.0, subnormals and values near the overflow

@@ -9,6 +9,7 @@ used per frame, constraint counts) and not just the headline metrics.
 
 import json
 import math
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -33,7 +34,6 @@ from _oracles import (
 )
 from conformal_cbf import barrier, engine
 from conformal_cbf.cli import BUILTIN_SCENES, build_setup
-from conformal_cbf.dynamics import RobotState, step
 from conformal_cbf.conformal import (
     ConformalState,
     EgoWindow,
@@ -42,16 +42,19 @@ from conformal_cbf.conformal import (
     squash,
     window_loss,
 )
-from conformal_cbf.engine import SimConfig, run, sweep
+from conformal_cbf.engine import (
+    RobotState,
+    RobotTask,
+    SimConfig,
+    run,
+    sensed_agents,
+    step,
+    sweep,
+)
 from conformal_cbf.errors import ConfigError, InfeasibleRunError, InputError, SingularityError
 from conformal_cbf.predictor import GROUND_TRUTH, NOISE_BOUNDED, PredictorKind, predict
 from conformal_cbf.qp import QpProblem, solve_with_relaxation
-from conformal_cbf.scenario import (
-    RobotTask,
-    ScenarioFrameSet,
-    sensed_agents,
-    synth_scene,
-)
+from conformal_cbf.scenario import ScenarioFrameSet, synth_scene
 
 
 def make_task(start, goal, gain=1.0, radius=2.0):
@@ -171,6 +174,8 @@ class TestConfigValidation:
                              "eta", "epsilon", "lambda_initial", "collision_distance",
                              "relax_lambda_step")
             ),
+            # unset, the step is eta * (1/2 - epsilon), which underflows to 0
+            {"relax_lambda_step": None, "eta": 5.0e-324, "epsilon": 0.4},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -760,6 +765,43 @@ class TestSweep:
         assert payloads[-1] == [{"epsilon": 0.6}, {"epsilon": 0.0}]
         assert rows == sweep(self.CFG, grid, self.SCENE, task)
         assert rows[0].metrics is None and rows[0].error.startswith("ConfigError: epsilon")
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers run the patched engine.run",
+    )
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(
+        raising=st.integers(0, 2),
+        error=st.sampled_from([KeyboardInterrupt, SystemExit, ValueError, ConfigError]),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_a_cell_that_raises(self, raising, error, workers):
+        """A cell's Exception becomes its error row and the sweep goes on;
+        any other BaseException, such as an interrupt, ends the sweep, in
+        a worker as in the serial loop, and leaves no worker running.
+
+        The pool forks its workers after engine.run is patched, so they run
+        the patched one; under the spawn start method they would import
+        the real engine.run, and the test is skipped there."""
+
+        def cell_run(config, scene, task):
+            if config.seed == raising:
+                raise error("cell failed")
+            return config.seed
+
+        grid = {"seed": [0, 1, 2]}
+        with mock.patch.object(engine, "run", cell_run):
+            if issubclass(error, Exception):
+                rows = sweep(self.CFG, grid, None, None, workers=workers)
+                assert [r.metrics for r in rows] == [
+                    None if seed == raising else seed for seed in grid["seed"]
+                ]
+                assert rows[raising].error == f"{error.__name__}: cell failed"
+            else:
+                with pytest.raises(error, match="cell failed"):
+                    sweep(self.CFG, grid, None, None, workers=workers)
+        assert multiprocessing.active_children() == []
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ import pytest
 
 from _golden import GOLDEN, cases, run_case
 from conformal_cbf import engine
-from conformal_cbf.dynamics import RobotState
+from conformal_cbf.engine import RobotState
 from conformal_cbf.qp import QpProblem
 from conformal_cbf.scenario import ScenarioFrameSet
 

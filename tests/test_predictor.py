@@ -6,8 +6,7 @@ import pytest
 from _oracles import scene_from_frames
 from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms
 from conformal_cbf.conformal import EgoWindow, window_loss
-from conformal_cbf.dynamics import RobotState
-from conformal_cbf.engine import SimConfig, _window_edge
+from conformal_cbf.engine import RobotState, SimConfig, _window_edge
 from conformal_cbf.errors import InputError
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from _oracles import scene_from_frames
-from conformal_cbf.dynamics import RobotState
+from conformal_cbf.engine import RobotState, RobotTask, reference_control, sensed_agents
 from conformal_cbf.errors import ConfigError, InputError, ParseError
 from conformal_cbf.scenario import (
-    RobotTask,
     ScenarioFrameSet,
     load_annotations,
     load_scene_spec,
-    reference_control,
-    sensed_agents,
     synth_scene,
 )
 

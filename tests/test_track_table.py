@@ -38,7 +38,7 @@ from _oracles import (
 )
 from conformal_cbf.cli import build_setup, main
 from conformal_cbf.conformal import EgoWindow, window_loss
-from conformal_cbf.engine import SimConfig, run, window_step
+from conformal_cbf.engine import SimConfig, run, sensed_agents, window_step
 from conformal_cbf.engine import Window as EndedWindow
 from conformal_cbf.errors import ParseError
 from conformal_cbf import scenario
@@ -48,7 +48,6 @@ from conformal_cbf.scenario import (
     _parse_lines,
     _parse_plain,
     load_annotations,
-    sensed_agents,
 )
 
 SETTINGS = settings(max_examples=150, deadline=None)

@@ -26,8 +26,7 @@ from _oracles import (
     scene_from_frames,
     stack_reference,
 )
-from conformal_cbf.dynamics import RobotState
-from conformal_cbf.engine import SimConfig, _window_edge
+from conformal_cbf.engine import RobotState, SimConfig, _window_edge, sensed_agents
 from conformal_cbf.errors import InputError
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,
@@ -36,7 +35,6 @@ from conformal_cbf.predictor import (
     PredictorKind,
     predict,
 )
-from conformal_cbf.scenario import sensed_agents
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
