@@ -7,34 +7,8 @@ average constraint-surrogate loss is steered to a chosen risk level.
 The package provides the barrier/constraint algebra, the projection QP,
 the online calibration rule with its certificates, trajectory
 predictors, scenario replay, the closed-loop simulator, and a CLI.
+Each name is imported from its own module; this file imports nothing,
+so importing one module loads only what that module needs.
 """
-
-from conformal_cbf.errors import (
-    ConfigError,
-    InfeasibleError,
-    InfeasibleRunError,
-    InputError,
-    ParseError,
-    SingularityError,
-)
-from conformal_cbf.engine import RobotTask, RunMetrics, SimConfig, SweepRow, run, sweep
-from conformal_cbf.scenario import ScenarioFrameSet, load_annotations
-
-__all__ = [
-    "ConfigError",
-    "InfeasibleError",
-    "InfeasibleRunError",
-    "InputError",
-    "ParseError",
-    "RobotTask",
-    "RunMetrics",
-    "ScenarioFrameSet",
-    "SimConfig",
-    "SingularityError",
-    "SweepRow",
-    "load_annotations",
-    "run",
-    "sweep",
-]
 
 __version__ = "0.1.0"

@@ -3,11 +3,14 @@
 Configs are flat YAML mappings whose keys mirror SimConfig field names
 one-to-one, plus the task keys (start, start_velocity, goal, goal_radius,
 attract_gain) and the predictor keys (predictor, predictor_value_bound,
-predictor_dynamics_bound).  Flags override file values.  Metric tables
-are CSV with a fixed header and repr-formatted floats, so an identical
-invocation produces a byte-identical file.  validate-annotations also
-records the table it checked beside the file, which later loads of the
-unchanged file read in place of parsing it (scenario.record_table).
+predictor_dynamics_bound).  Flags override file values.  Configs and
+scene specs are the only YAML the package reads, both here and with one
+loader.  Metric tables are CSV with a fixed header and repr-formatted
+floats, so an identical invocation produces a byte-identical file; a
+sweep cell that failed fills its row with "failed" and says why on
+stderr.  validate-annotations also records the table it checked beside
+the file, which later loads of the unchanged file read in place of
+parsing it (scenario.record_table).
 
 Exit codes: 0 success, 2 configuration, 3 data (a malformed or unreadable
 file, or a scene that puts an agent on the ego, where the barrier is
@@ -34,7 +37,7 @@ from conformal_cbf.errors import (
     point,
 )
 from conformal_cbf.predictor import CONSTANT_VELOCITY, PredictorKind
-from conformal_cbf.scenario import load_annotations, load_scene_spec, record_table, synth_scene
+from conformal_cbf.scenario import load_annotations, record_table, synth_scene
 
 CSV_HEADER = "epsilon,eta,tau,t_goal,n_collide,d_min,l_avg,inflation_events"
 WORKERS_ENV = "CONFORMAL_CBF_WORKERS"
@@ -58,20 +61,31 @@ _OPTIONAL_FLOAT_KEYS = {f.name for f in fields(SimConfig) if f.type == float | N
 _NUMBER_KEYS = _INT_FIELDS | _FLOAT_KEYS | _OPTIONAL_FLOAT_KEYS
 
 
-class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that also reads exponent numbers as floats.
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, libyaml's when present, that also reads exponent
+    numbers as floats.
 
     PyYAML's float pattern needs a dot and a signed exponent, so it reads
     1e6, 1.0e6 and 2E-3 as strings; YAML 1.2 reads them as numbers, and
-    so does this loader.  yaml.SafeLoader itself is left as it is.
+    so does this loader.  yaml's own loaders are left as they are.
     """
 
 
-_ConfigLoader.add_implicit_resolver(
+_Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
     list("-+0123456789."),
 )
+
+
+def _read_yaml(path, what, error):
+    """The YAML document at path, or error naming it as a bad what file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return yaml.load(fh, Loader=_Loader)
+        except (yaml.YAMLError, ValueError) as exc:
+            # ValueError: a value Python refuses, such as an int of 4301 digits
+            raise error(f"bad {what} file {path}: {exc}") from None
 
 
 def _sine_waypoints(x, amp, period, phase, duration):
@@ -158,17 +172,20 @@ BUILTIN_SCENES = _builtin_scenes()
 
 
 def read_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.load(fh, Loader=_ConfigLoader)
-        except (yaml.YAMLError, ValueError) as exc:
-            # ValueError: a value Python refuses, such as an int of 4301 digits
-            raise ConfigError(f"bad config file {path}: {exc}") from None
+    doc = _read_yaml(path, "config", ConfigError)
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} is not a flat key-value mapping")
     return doc
+
+
+def load_scene_spec(path) -> dict:
+    """Read a YAML scene spec; validation happens in synth_scene."""
+    spec = _read_yaml(path, "scene spec", ParseError)
+    if not isinstance(spec, dict):
+        raise ParseError(f"scene spec {path} is not a mapping")
+    return spec
 
 
 def build_setup(doc: dict, seed_override=None):
@@ -338,6 +355,8 @@ def _cmd_sweep(args) -> int:
         eta = row.params.get("eta", config.eta)
         tau = row.params.get("tau_frames", config.tau_frames)
         if row.metrics is None:
+            cell = ", ".join(f"{name}={value!r}" for name, value in row.params.items())
+            print(f"sweep: cell {cell} failed: {row.error}", file=sys.stderr)
             lines.append(_failed_row(epsilon, eta, tau))
         else:
             lines.append(_metrics_row(epsilon, eta, tau, row.metrics))

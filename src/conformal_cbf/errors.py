@@ -10,11 +10,11 @@ one rule here: scalar, integer and point.  An array parameter has floats,
 which makes the float64 array and leaves its shape and finiteness to the
 caller.  Each returns the value it accepts and otherwise raises the error
 type its caller names, InputError or ConfigError, with a message that
-names the parameter.  A bool is never a number to the first three, and
-an int too large for a float is not finite, so neither escapes as a
-TypeError or an OverflowError, and no message prints a value Python
-refuses to print.  Values the package computes itself are checked where
-they are made.
+names the parameter.  A bool or a string is never a number to the first
+three, and an int too large for a float is not finite, so none escapes
+as a TypeError or an OverflowError, and no message prints a value
+Python refuses to print.  Values the package computes itself are checked
+where they are made.
 """
 
 import math
@@ -34,22 +34,23 @@ def scalar(name, value, error, sign=""):
     raise error(f"{name} must be {sign} and finite" if sign else f"{name} must be finite")
 
 
-def integer(name, value, error, least):
-    """value, if it is an int (not a bool) of at least least; else error
-    naming it."""
-    if isinstance(value, int) and type(value) is not bool and value >= least:
+def integer(name, value, error, least=None):
+    """value, if it is an int (not a bool) of at least least, when least
+    is given; else error naming it."""
+    if isinstance(value, int) and type(value) is not bool and (least is None or value >= least):
         return value
-    raise error(f"{name} must be an integer >= {least}")
+    raise error(f"{name} must be an integer" + ("" if least is None else f" >= {least}"))
 
 
 def point(name, value, error) -> np.ndarray:
     """value as a float64 [x, y], if it is two finite numbers (not
-    bools); else error naming it."""
+    bools, nor strings numpy would parse); else error naming it."""
     try:
         p = np.array(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         p = np.zeros(0)
-    if p.shape == (2,) and np.isfinite(p).all() and bool not in map(type, value):
+    if (p.shape == (2,) and np.isfinite(p).all()
+            and not any(isinstance(v, (bool, str, bytes)) for v in value)):
         return p
     raise error(f"{name} must be a finite point [x, y], got {_shown(value)}")
 

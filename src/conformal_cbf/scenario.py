@@ -40,17 +40,14 @@ import warnings
 from types import MappingProxyType
 
 import numpy as np
-import yaml
 
-from conformal_cbf.errors import ConfigError, InputError, ParseError, floats, scalar
+from conformal_cbf.errors import ConfigError, InputError, ParseError, floats, integer, point, scalar
 
 DEFAULT_LABEL_FILTER = ("Pedestrian",)
 # the checked table of an annotation file sits at its path plus this
 TABLE_SUFFIX = ".table.npz"
 # bumped when the table's contents change meaning
 _TABLE_FORMAT = 1
-# libyaml's parser when present: a scene spec holds hundreds of waypoints
-_SPEC_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioFrameSet:
@@ -438,8 +435,10 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
 
     Raises:
         ConfigError: missing keys, bad values, a malformed agent entry or
-            waypoint, a non-monotone schedule, or a duration and fps
-            whose frame grid numpy refuses to build.
+            waypoint, a non-monotone schedule, a duration and fps whose
+            frame grid numpy refuses to build, or waypoints whose
+            interpolation leaves the float range.  An agent's message
+            names it as agents[i].
     """
     try:
         name = str(spec["scene_name"])
@@ -464,45 +463,36 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
     labels: dict[int, str] = {}
     seen = set()
     for i, entry in enumerate(agents):
+        key = f"agents[{i}]"
         try:
-            agent_id = int(entry["id"])
+            agent_id = integer(f"{key} id", entry["id"], ConfigError)
             label = str(entry.get("label", "Pedestrian"))
             waypoints = entry["waypoints"]
-            times = np.array([float(w[0]) for w in waypoints])
-            points = np.array([[float(w[1][0]), float(w[1][1])] for w in waypoints])
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-            raise ConfigError(f"bad agents[{i}] entry: {exc}") from None
+            times = np.array(
+                [scalar(f"{key} waypoint time", w[0], ConfigError) for w in waypoints],
+                dtype=np.float64,
+            )
+            points = np.array([point(f"{key} waypoint", w[1], ConfigError) for w in waypoints])
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ConfigError(f"bad {key} entry: {exc}") from None
         if agent_id in seen:
-            raise ConfigError(f"duplicate agent id {agent_id}")
+            raise ConfigError(f"{key} repeats agent id {agent_id}")
         seen.add(agent_id)
         if len(waypoints) < 2:
-            raise ConfigError(f"agent {agent_id} needs at least 2 waypoints")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(points)):
-            raise ConfigError(f"agent {agent_id} has non-finite waypoints")
-        if np.any(np.diff(times) <= 0.0):
-            raise ConfigError(
-                f"agent {agent_id} has a non-monotone waypoint schedule"
-            )
+            raise ConfigError(f"{key} needs at least 2 waypoints")
+        # not np.diff, which overflows between times of opposite sign
+        if np.any(times[1:] <= times[:-1]):
+            raise ConfigError(f"{key} has a non-monotone waypoint schedule")
         labels[agent_id] = label
         present = np.flatnonzero((t >= times[0]) & (t <= times[-1]))
         track += [agent_id] * len(present)
         frame += present.tolist()
-        xy.append(np.stack([
+        path = np.stack([
             np.interp(t[present], times, points[:, 0]),
             np.interp(t[present], times, points[:, 1]),
-        ], axis=1))
+        ], axis=1)
+        if not np.isfinite(path).all():
+            raise ConfigError(f"{key} waypoints interpolate to positions past the float range")
+        xy.append(path)
     xy = np.concatenate(xy) if xy else np.zeros((0, 2))
     return ScenarioFrameSet(name, fps, track, frame, xy, labels)
-
-
-def load_scene_spec(path) -> dict:
-    """Read a YAML scene spec; validation happens in synth_scene."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = yaml.load(fh, Loader=_SPEC_LOADER)
-        except (yaml.YAMLError, ValueError) as exc:
-            # ValueError: a value Python refuses, such as an int of 4301 digits
-            raise ParseError(f"bad scene spec file {path}: {exc}") from None
-    if not isinstance(spec, dict):
-        raise ParseError(f"scene spec {path} is not a mapping")
-    return spec

@@ -4,12 +4,18 @@ Every test drives main() in process with argv lists; nothing here
 touches the engine internals directly.
 """
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import yaml
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _golden import CROSSING
 from conformal_cbf.cli import BUILTIN_SCENES, CSV_HEADER, main
@@ -476,7 +482,7 @@ class TestConfigNumbers:
         [("start", "[1.0]"), ("start_velocity", "[.nan, 0.0]"), ("start", "abc"),
          ("goal", "abc"), ("goal", "[1.0, 2.0, 3.0]"), ("start_velocity", "[true, 0.0]"),
          ("start", "{x: 1.0, y: 2.0}"), ("goal", "[1e400, 0.0]"), ("goal_radius", "-1.0"),
-         ("attract_gain", ".inf")],
+         ("attract_gain", ".inf"), ("goal", '["6", 1.0]')],
     )
     def test_bad_task_value_names_its_key(self, tmp_path, capsys, key, value):
         base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != key})
@@ -520,9 +526,16 @@ class TestConfigNumbers:
         "agents",
         [None, 5, [{"id": 1, "waypoints": 5}],
          *([{"id": 1, "waypoints": [first, [1.0, [0.0, 0.0]]]}]
-           for first in ([0.0], [0.0, [0.0]], [0.0, "ab"], [0.0, [10**400, 0.0]]))],
+           for first in ([0.0], [0.0, [0.0]], [0.0, "ab"], [0.0, [10**400, 0.0]],
+                         [False, [5.0, 1.0]], ["2", [5.0, 1.0]], [0.0, [5.0, True]],
+                         [0.0, ["6", 1.0]])),
+         [{"id": True, "waypoints": [[False, [5.0, True]], ["2", ["6", 1.0]]]}],
+         [{"id": 1.7, "waypoints": [[0.0, [5.0, 1.0]], [1.0, [6.0, 1.0]]]}],
+         [{"id": 1, "waypoints": [[0.0, [1.0e308, 0.0]], [1.0, [-1.0e308, 0.0]]]}]],
         ids=["null", "number", "waypoints-number", "waypoint-short", "point-short",
-             "point-string", "coordinate-too-large"],
+             "point-string", "coordinate-too-large", "time-bool", "time-string",
+             "coordinate-bool", "coordinate-string", "id-bool", "id-fraction",
+             "interpolation-past-the-float-range"],
     )
     def test_malformed_scene_spec_names_its_key(self, tmp_path, capsys, agents):
         scene = tmp_path / "scene.yaml"
@@ -559,8 +572,130 @@ class TestConfigNumbers:
         assert code == want_code == 0
         assert out.read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("key, spelling, dotted", [("fps", "1e1", "10.0"),
+                                                      ("duration", "2e0", "2.0")])
+    def test_exponent_numbers_in_a_scene_spec(self, tmp_path, key, spelling, dotted):
+        spec = {"scene_name": "s", "fps": 10.0, "duration": 2.0,
+                "agents": [{"id": 1, "waypoints": [[0.0, [5.0, 1.0]], [2.0, [6.0, 1.0]]]}]}
+        del spec[key]
+        base = yaml.safe_dump(spec)
+        config = write_config(tmp_path, max_frames=20)
+        tables = []
+        for name, value in (("exp", spelling), ("dot", dotted)):
+            scene = tmp_path / f"{name}.yaml"
+            scene.write_text(base + f"{key}: {value}\n", encoding="utf-8")
+            out = tmp_path / f"{name}.csv"
+            assert main(["run", "--config", config, "--scene", str(scene), "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
     def test_safe_loader_is_untouched(self):
         assert yaml.safe_load("k: 1e6") == {"k": "1e6"}
+        if hasattr(yaml, "CSafeLoader"):
+            assert yaml.load("k: 1e6", Loader=yaml.CSafeLoader) == {"k": "1e6"}
+
+
+# A scene spec's number slots drawn as YAML text, so that exponent forms
+# reach the loader.  A draw is (text, value): value is the number the text
+# stands for, None for a value that is not one, and text None leaves the
+# key out.
+HUGE = "1" + "0" * 400
+
+
+def numbers(least):
+    """Numbers from least to 30: ints, floats and exponent forms."""
+    return st.one_of(
+        st.integers(math.ceil(least), 30).map(lambda n: (str(n), n)),
+        st.floats(least, 30.0).map(lambda x: (repr(x), x)),
+        st.sampled_from([(t, v) for t, v in [("1e1", 10.0), ("2e0", 2.0), ("5E-1", 0.5),
+                                             ("1.0e+1", 10.0), ("-1e0", -1.0)] if v >= least]),
+    )
+
+
+NUMBERS = numbers(-2.0)
+# fps mostly the frame rate of the config's dt, in each spelling
+FPS = st.one_of(st.sampled_from([("10", 10), ("10.0", 10.0), ("1e1", 10.0), ("100e-1", 10.0)]),
+                numbers(0.1))
+IDS = st.one_of(st.integers(-2, 50).map(lambda n: (str(n), n)), st.just((HUGE, 10**400)))
+NOT_A_NUMBER = st.sampled_from(
+    [(".inf", None), ("-.inf", None), (".nan", None), ("true", None), ("false", None),
+     ("abc", None), ("'2'", None), ("null", None), (None, None)]
+)
+SPOILERS = {"number": st.one_of(NOT_A_NUMBER, st.just((HUGE, None))),
+            "id": st.one_of(NOT_A_NUMBER, st.sampled_from([("1.7", None), ("1e1", None)]))}
+
+
+@st.composite
+def scene_specs(draw):
+    """The text of a small scene spec with at most one slot spoiled, and
+    whether one is."""
+    slots = {("fps",): draw(FPS), ("duration",): draw(numbers(0.1))}
+    agents = []
+    ids = draw(st.lists(IDS, min_size=1, max_size=2, unique_by=lambda d: d[1]))
+    for a, agent_id in enumerate(ids):
+        slots[a, "id"] = agent_id
+        times = draw(st.lists(NUMBERS, min_size=2, max_size=3, unique_by=lambda d: d[1]))
+        times.sort(key=lambda d: d[1])
+        for w, time in enumerate(times):
+            slots[a, w, "time"] = time
+            slots[a, w, "x"], slots[a, w, "y"] = draw(NUMBERS), draw(NUMBERS)
+        agents.append(len(times))
+    # half the specs keep every slot a number; the rest spoil one slot of
+    # a kind drawn first, so that the many coordinates do not crowd out
+    # the one fps
+    kind = None
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["fps", "duration", "id", "time", "x", "y"]))
+        spoiled = draw(st.sampled_from([key for key in slots if key[-1] == kind]))
+        slots[spoiled] = draw(SPOILERS["id" if kind == "id" else "number"])
+
+    def text(*key):
+        return slots[key][0]
+
+    lines = ["scene_name: fuzz"]
+    lines += [f"{key}: {text(key)}" for key in ("fps", "duration") if text(key) is not None]
+    lines.append("agents:")
+    for a, n in enumerate(agents):
+        lines.append("- label: Pedestrian")
+        if text(a, "id") is not None:
+            lines.append(f"  id: {text(a, 'id')}")
+        waypoints = []
+        for w in range(n):
+            xy = ", ".join(v for v in (text(a, w, "x"), text(a, w, "y")) if v is not None)
+            time = text(a, w, "time")
+            waypoints.append(f"[[{xy}]]" if time is None else f"[{time}, [{xy}]]")
+        lines.append(f"  waypoints: [{', '.join(waypoints)}]")
+    return "\n".join(lines) + "\n", kind is not None
+
+
+class TestSceneSpecFuzz:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(scene_specs())
+    def test_a_scene_spec_runs_or_exits_with_one_line(self, drawn):
+        spec, spoiled = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            config = tmp / "config.yaml"
+            config.write_text("dt: 0.1\ngoal: [10.0, 0.0]\nmax_frames: 20\n", encoding="utf-8")
+            scene = tmp / "scene.yaml"
+            scene.write_text(spec, encoding="utf-8")
+            out = tmp / "m.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(config), "--scene", str(scene),
+                             "--out", str(out)])
+            err = err.getvalue()
+            assert code in (0, 2, 3), err
+            assert "Traceback" not in err
+            if code == 0:
+                assert not spoiled, spec
+                assert err == ""
+                lines = out.read_text(encoding="utf-8").splitlines()
+                assert len(lines) == 2 and lines[0] == CSV_HEADER
+            else:
+                assert len(err.splitlines()) == 1, err
+                assert code != 2 or err.startswith("config error: ")
+                assert not out.exists()
 
 
 class TestValidateAnnotations:
@@ -614,7 +749,7 @@ class TestSweepCommand:
         assert lines[0] == CSV_HEADER
         assert [line.split(",")[0] for line in lines[1:]] == ["-0.2", "0.0", "0.2"]
 
-    def test_failed_cells_keep_their_row(self, tmp_path):
+    def test_failed_cells_keep_their_row(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         code = main(
             [
@@ -629,6 +764,9 @@ class TestSweepCommand:
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert rows[0].split(",")[3:] == ["failed"] * 5
         assert "failed" not in rows[1]
+        assert capsys.readouterr().err.splitlines() == [
+            "sweep: cell epsilon=0.6 failed: ConfigError: epsilon must lie in (-1/2, 1/2)"
+        ]
 
     def test_worker_count_not_in_bytes(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, max_frames=150)

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from _oracles import scene_from_frames
+from conformal_cbf.cli import load_scene_spec
 from conformal_cbf.engine import RobotState, RobotTask, reference_control, sensed_agents
 from conformal_cbf.errors import ConfigError, InputError, ParseError
-from conformal_cbf.scenario import (
-    ScenarioFrameSet,
-    load_annotations,
-    load_scene_spec,
-    synth_scene,
-)
+from conformal_cbf.scenario import ScenarioFrameSet, load_annotations, synth_scene
 
 
 def write(tmp_path, name, text):
@@ -277,6 +273,13 @@ class TestSynthScene:
                 "agents": [{"id": 1, "waypoints": [[0.0, [0.0, 0.0]], [1.0, [1.0, 0.0]]]}]}
         with pytest.raises(ConfigError, match="duration.*fps"):
             synth_scene(spec)
+
+    def test_waypoint_times_of_opposite_sign_near_the_float_limit(self):
+        # their difference overflows a float, yet the schedule increases
+        spec = self.spec()
+        spec["agents"][0]["waypoints"] = [[-1.0e308, [5.0, 1.0]], [1.0e308, [6.0, 1.0]]]
+        scene = synth_scene(spec)
+        assert all(1 in scene.frames[f] for f in range(31))
 
     def test_missing_keys_rejected(self):
         with pytest.raises(ConfigError):
