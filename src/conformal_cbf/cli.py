@@ -3,11 +3,13 @@
 Configs are flat YAML mappings whose keys mirror SimConfig field names
 one-to-one, plus the task keys (start, start_velocity, goal, goal_radius,
 attract_gain) and the predictor keys (predictor, predictor_value_bound,
-predictor_dynamics_bound).  Flags override file values.  Configs and
-scene specs are the only YAML the package reads, both here and with one
-loader.  Metric tables are CSV with a fixed header and repr-formatted
-floats, so an identical invocation produces a byte-identical file; a
-sweep cell that failed fills its row with "failed" and says why on
+predictor_dynamics_bound).  This module only parses them and routes each
+key to the type that owns it, SimConfig, RobotTask or PredictorKind, whose
+check refuses a bad value by the key's name.  Flags override file values.
+Configs and scene specs are the only YAML the package reads, both here and
+with one loader.  Metric tables are CSV with a fixed header and
+repr-formatted floats, so an identical invocation produces a byte-identical
+file; a sweep cell that failed fills its row with "failed" and says why on
 stderr.  validate-annotations also records the table it checked beside
 the file, which later loads of the unchanged file read in place of
 parsing it (scenario.record_table).
@@ -20,7 +22,6 @@ undefined), 4 infeasible run.
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import fields, replace
@@ -40,7 +41,6 @@ from conformal_cbf.predictor import CONSTANT_VELOCITY, PredictorKind
 from conformal_cbf.scenario import load_annotations, record_table, synth_scene
 
 CSV_HEADER = "epsilon,eta,tau,t_goal,n_collide,d_min,l_avg,inflation_events"
-WORKERS_ENV = "CONFORMAL_CBF_WORKERS"
 
 _TASK_KEYS = ("start", "start_velocity", "goal", "goal_radius", "attract_gain")
 # sweep flags accept the usual short spellings for the swept quantities
@@ -50,15 +50,8 @@ _GRID_ALIASES = {
     "a": "alpha_slope",
     "lambda": "lambda_initial",
 }
-# keys whose value must be a YAML number (null where the field is
-# optional), read off SimConfig's annotations plus the task and predictor
-# keys that are not its fields
+# a grid's values are cast to int for these fields, to float for the rest
 _INT_FIELDS = {f.name for f in fields(SimConfig) if f.type is int}
-_FLOAT_KEYS = {f.name for f in fields(SimConfig) if f.type is float} | {
-    "predictor_value_bound", "predictor_dynamics_bound", "goal_radius", "attract_gain",
-}
-_OPTIONAL_FLOAT_KEYS = {f.name for f in fields(SimConfig) if f.type == float | None}
-_NUMBER_KEYS = _INT_FIELDS | _FLOAT_KEYS | _OPTIONAL_FLOAT_KEYS
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -84,8 +77,10 @@ def _read_yaml(path, what, error):
         try:
             return yaml.load(fh, Loader=_Loader)
         except (yaml.YAMLError, ValueError) as exc:
-            # ValueError: a value Python refuses, such as an int of 4301 digits
-            raise error(f"bad {what} file {path}: {exc}") from None
+            # ValueError: a value Python refuses, such as an int of 4301
+            # digits; PyYAML's message spans lines, which become one
+            message = "; ".join(line.strip() for line in str(exc).splitlines())
+            raise error(f"bad {what} file {path}: {message}") from None
 
 
 def _sine_waypoints(x, amp, period, phase, duration):
@@ -197,7 +192,6 @@ def build_setup(doc: dict, seed_override=None):
     value_bound = 0.0
     dynamics_bound = 0.0
     for key, value in doc.items():
-        value = _check_number(key, value)
         if key in _TASK_KEYS:
             task_kwargs[key] = value
         elif key == "predictor":
@@ -230,25 +224,6 @@ def build_setup(doc: dict, seed_override=None):
     return config, task
 
 
-def _check_number(key, value):
-    """The value a config key takes.  A number-valued key must hold a
-    number: a string such as "abc", a boolean, or at a float key an
-    integer too large for a float is a ConfigError that names the key.  A
-    float key's value becomes a float here and nowhere else; SimConfig
-    checks the integer keys' values further."""
-    if key not in _NUMBER_KEYS or (key in _OPTIONAL_FLOAT_KEYS and value is None):
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    if key in _INT_FIELDS:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        # not str(value), which Python refuses past 4300 digits
-        raise ConfigError(f"{key} must be a finite number, got an int too large") from None
-
-
 def load_scene_for(config: SimConfig, args):
     if (args.annotations is None) == (args.scene is None):
         raise ConfigError("exactly one of --annotations or --scene is required")
@@ -271,8 +246,8 @@ def parse_grid(grid_args) -> dict:
         if not sep:
             raise ConfigError(f"grid {item!r} must look like name=v1,v2,...")
         name = _GRID_ALIASES.get(key.strip(), key.strip())
-        if name in {f.name for f in fields(SimConfig)} - _NUMBER_KEYS:
-            raise ConfigError(f"{name} takes no number, so it cannot be swept")
+        if name == "predictor":
+            raise ConfigError("predictor takes no number, so it cannot be swept")
         if name in grid:
             raise ConfigError(f"duplicate grid key {name!r}")
         tokens = [tok for tok in (s.strip() for s in raw.split(",")) if tok]
@@ -286,18 +261,6 @@ def parse_grid(grid_args) -> dict:
     if not grid:
         raise ConfigError("sweep requires at least one --grid")
     return grid
-
-
-def resolve_workers(flag_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
 
 
 def _num(value) -> str:
@@ -348,7 +311,7 @@ def _cmd_sweep(args) -> int:
     config, task = build_setup(read_config_file(args.config), args.seed)
     scene = load_scene_for(config, args)
     grid = parse_grid(args.grid or [])
-    rows = sweep(config, grid, scene, task, workers=resolve_workers(args.workers))
+    rows = sweep(config, grid, scene, task, workers=args.workers)
     lines = []
     for row in rows:
         epsilon = row.params.get("epsilon", config.epsilon)
@@ -419,11 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=V1,V2,...",
         help="swept values; repeat for a cartesian product",
     )
-    sweep_p.add_argument(
-        "--workers",
-        type=int,
-        help=f"parallel runs (default ${WORKERS_ENV} or 1)",
-    )
+    sweep_p.add_argument("--workers", type=int, default=1, help="parallel runs (default 1)")
 
     val_p = sub.add_parser(
         "validate-annotations",

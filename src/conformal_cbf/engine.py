@@ -67,8 +67,8 @@ prediction shows, and raises InputError("reference and rows must be
 finite") at that frame.  The projection problem is built from those
 arrays with qp.unchecked_problem.  step and track_velocity check the
 shapes of their vectors but the finiteness of their result only: a
-non-finite input, or an overflow, always makes the result non-finite.
-step builds the new state from its four checked floats, so neither
+non-finite input, or an overflow, always makes the result non-finite,
+and run reports theirs with the frame's line.  step builds the new state from its four checked floats, so neither
 QpProblem's nor RobotState's public check runs inside the loop.  Numpy's
 floating-point warnings are off for the whole run: a non-finite value
 raises where it is checked.
@@ -216,6 +216,11 @@ def sensed_agents(scene, ego_position, rho0: float, frame: int):
     return ids[near], pos[near], runs[near]
 
 
+# horizon_frames' ceiling, over five minutes at 30 fps; a longer horizon
+# only asks predict for memory (tau_frames <= horizon_frames is bounded too)
+MAX_HORIZON_FRAMES = 10_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one run needs besides the scene and the task.
@@ -232,7 +237,8 @@ class SimConfig:
     state eta, epsilon and lambda_initial; a config one of them refuses
     is a ConfigError.  k_acc * dt must also be below 2: tracking maps the
     velocity error e to (1 - k_acc * dt) e each frame, which shrinks only
-    then.  The integer fields take ints only, not booleans.
+    then.  The integer fields take ints only, not booleans, and
+    horizon_frames is at most MAX_HORIZON_FRAMES.
     """
 
     dt: float = 1.0 / 30.0
@@ -262,6 +268,8 @@ class SimConfig:
         # and the horizon must cover one window
         integer("tau_frames", self.tau_frames, ConfigError, 2)
         integer("horizon_frames", self.horizon_frames, ConfigError, self.tau_frames)
+        if self.horizon_frames > MAX_HORIZON_FRAMES:
+            raise ConfigError(f"horizon_frames must be at most {MAX_HORIZON_FRAMES}")
         try:
             # the barrier owns the checks of k_rep, rho0 and delta
             self.cbf
@@ -410,6 +418,12 @@ def window_step(config, margin, ended, sensed, frame, position):
                 config.cbf, config.alpha_slope, positions[:, :width], revealed[:, :width],
                 EgoWindow(ego[:width], config.dt), margin.lam, lengths=n,
             )
+            if not -0.5 < loss < 0.5:
+                # arctan(r) / pi rounds to +-1/2 once |r| passes about 5.8e15
+                raise ConfigError(
+                    f"the window loss saturated at frame {frame}: the worst gap plus the "
+                    "margin outgrew the squash; lower eta, lambda_initial or alpha_slope"
+                )
         margin.update(loss)
     if sensed is None:
         return NO_PREDICTIONS
@@ -509,8 +523,12 @@ def run(
                             )
                             + "\n"
                         )
-                    accel = track_velocity(config.k_acc, state.velocity, command)
-                    state = step(state, accel, config.dt)
+                    try:
+                        accel = track_velocity(config.k_acc, state.velocity, command)
+                        state = step(state, accel, config.dt)
+                    except InputError:
+                        # an ego flung past the float range fails as the frame's check
+                        raise InputError(f"{NOT_FINITE} at frame {frame}") from None
 
                 if (offset + 1) % tau == 0:
                     # the window's last frame closes it; the next window is

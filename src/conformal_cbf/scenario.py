@@ -177,7 +177,8 @@ def load_annotations(
     float() do; any token it refuses (an integer beyond int64, say)
     sends the file to the line-by-line parser.  That parser defines the
     format: it accepts the same files, gives the same table, and names
-    the first bad line.
+    the first bad line.  The file is read once, and the parse works on
+    its bytes.
 
     When record_table has left a table beside the file, and the file
     still holds the bytes the table was made from and label_filter keeps
@@ -200,10 +201,11 @@ def load_annotations(
     keep = None if label_filter is None else set(label_filter)
     name = _stem(path) if scene_name is None else scene_name
     table = str(path) + TABLE_SUFFIX
+    raw = _read(path)
     # a file never recorded pays this one test, and no digest
-    scene = _recorded(table, path, keep, name, fps) if os.path.exists(table) else None
+    scene = _recorded(table, raw, keep, name, fps) if os.path.exists(table) else None
     if scene is None:
-        scene = _parse(path, keep, name, fps)[0]
+        scene = _parse(raw, keep, name, fps)[0]
     if not scene.n_frames:
         warnings.warn(f"no agents survived parsing {path}", stacklevel=2)
     return scene
@@ -218,8 +220,9 @@ def record_table(path):
     set from, the SHA-256 digest of the file's bytes and the label
     filter.  It is written to a temporary file in the same directory and
     then moved over the old table, so a reader finds one whole table or
-    the other.  A file whose track or frame numbers do not all fit int64
-    gets none, as does one that changed while it was parsed.
+    the other.  The file is read once, and the table is built from the
+    bytes it digests.  A file whose track or frame numbers do not all fit
+    int64 gets none.
 
     Returns:
         (scene, unrecorded): the frame set, and None once the table is
@@ -232,14 +235,12 @@ def record_table(path):
     keep = set(DEFAULT_LABEL_FILTER)
     raw = _read(path)
     # load_annotations' default scene name and fps
-    scene, (track, frame, xy, labels) = _parse(path, keep, _stem(path), 30.0)
+    scene, (track, frame, xy, labels) = _parse(raw, keep, _stem(path), 30.0)
     if not scene.n_frames:
         warnings.warn(f"no agents survived parsing {path}", stacklevel=2)
     track, frame = _int_column(track), _int_column(frame)
     if track.dtype != np.int64 or frame.dtype != np.int64:
         return scene, "a track or frame number does not fit int64"
-    if _read(path) != raw:
-        return scene, "the file changed while it was parsed"
     meta = {
         "format": _TABLE_FORMAT,
         "sha256": _digest(raw),
@@ -266,28 +267,30 @@ def _stem(path) -> str:
     return str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
 
 
-def _parse(path, keep, name, fps):
-    """The file's frame set, parsed, and the columns it was built from."""
-    columns = _parse_plain(path, keep)
+def _parse(raw, keep, name, fps):
+    """The frame set of a file's bytes, parsed, and the columns it was
+    built from."""
+    columns = _parse_plain(raw, keep)
     if columns is not None:
         try:
             return ScenarioFrameSet(name, fps, *columns), columns
         except InputError:
             pass  # a duplicate row: the line parser names its line
-    columns = _parse_lines(path, keep)
+    columns = _parse_lines(raw, keep)
     return ScenarioFrameSet(name, fps, *columns), columns
 
 
-def _recorded(table, path, keep, name, fps):
-    """The frame set of the file's table, or None when the table was made
-    from other bytes or another label filter, or is damaged."""
+def _recorded(table, raw, keep, name, fps):
+    """The frame set of the table of a file holding raw, or None when the
+    table was made from other bytes or another label filter, or is
+    damaged."""
     try:
         # np.load leaves a file it opened itself open when the zip is bad
         with open(table, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             meta = json.loads(npz["meta"].tobytes())
             if (meta["format"], meta["filter"]) != (_TABLE_FORMAT, _filter_key(keep)):
                 return None
-            if meta["sha256"] != _digest(_read(path)):
+            if meta["sha256"] != _digest(raw):
                 return None
             track, frame, xy = npz["track"], npz["frame"], npz["xy"]
             labels = dict(meta["labels"])
@@ -338,18 +341,18 @@ _PLAIN_ROW = np.dtype(
 )
 
 
-def _parse_plain(path, keep):
-    """Columns of a plain file, or None when it needs _parse_lines."""
-    raw = _read(path)
+def _parse_plain(raw, keep):
+    """Columns of a plain file's bytes, or None when they need
+    _parse_lines."""
     if raw.translate(None, _PLAIN):
         return None
     if not raw.strip():
         return [], [], np.zeros((0, 2)), {}
-    del raw  # numpy reads the file itself, with universal newlines
     try:
+        # on these bytes splitlines breaks lines where universal newlines do
         rows = np.loadtxt(
-            path, dtype=_PLAIN_ROW, comments=None, quotechar=None, ndmin=1,
-            encoding="ascii",
+            raw.decode("ascii").splitlines(), dtype=_PLAIN_ROW, comments=None,
+            quotechar=None, ndmin=1, encoding="ascii",
         )
     except (ValueError, OverflowError):
         return None
@@ -374,10 +377,9 @@ def _parse_plain(path, keep):
     return track, frame, xy, labels
 
 
-def _parse_lines(path, keep):
-    """Columns of any annotation file, line by line; raises ParseError at
-    the first bad line."""
-    raw = _read(path)
+def _parse_lines(raw, keep):
+    """Columns of any annotation file's bytes, line by line; raises
+    ParseError at the first bad line."""
     # universal newlines, as text-mode reading applies them
     raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
@@ -428,10 +430,11 @@ def _parse_lines(path, keep):
 def synth_scene(spec: dict) -> ScenarioFrameSet:
     """Build a scene from waypoint schedules.
 
-    The spec is a mapping with scene_name, fps, duration, and agents;
-    each agent has id, label, and waypoints as [time_s, [x, y]] pairs
-    with strictly increasing times.  Positions are piecewise-linear
-    between waypoints and the agent is present only inside its schedule.
+    The spec is a mapping with scene_name (a string), fps, duration, and
+    agents; each agent has id, label (a string, Pedestrian when left
+    out), and waypoints as [time_s, [x, y]] pairs with strictly
+    increasing times.  Positions are piecewise-linear between waypoints
+    and the agent is present only inside its schedule.
 
     Raises:
         ConfigError: missing keys, bad values, a malformed agent entry or
@@ -441,13 +444,15 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
             names it as agents[i].
     """
     try:
-        name = str(spec["scene_name"])
+        name = spec["scene_name"]
         fps, duration = (
             float(scalar(key, spec[key], ConfigError, "positive")) for key in ("fps", "duration")
         )
         agents = spec["agents"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad scene spec: {exc}") from None
+    if not isinstance(name, str):
+        raise ConfigError("scene_name must be a string")
     if not isinstance(agents, (list, tuple)):
         raise ConfigError("agents must be a list of agent entries")
     try:
@@ -466,7 +471,9 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
         key = f"agents[{i}]"
         try:
             agent_id = integer(f"{key} id", entry["id"], ConfigError)
-            label = str(entry.get("label", "Pedestrian"))
+            label = entry.get("label", "Pedestrian")
+            if not isinstance(label, str):
+                raise ConfigError(f"{key} label must be a string")
             waypoints = entry["waypoints"]
             times = np.array(
                 [scalar(f"{key} waypoint time", w[0], ConfigError) for w in waypoints],

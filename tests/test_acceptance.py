@@ -417,7 +417,7 @@ def test_08_tighter_targets_give_more_clearance(crossing_runs):
 # ---------------------------------------------------------------------------
 # command-line determinism
 
-def test_09_fixed_seed_outputs_are_byte_identical(tmp_path, monkeypatch):
+def test_09_fixed_seed_outputs_are_byte_identical(tmp_path):
     scene_path = tmp_path / "standing.yaml"
     assert main(["make-scene", "--name", "standing", "--out", str(scene_path)]) == 0
     config = {
@@ -443,7 +443,6 @@ def test_09_fixed_seed_outputs_are_byte_identical(tmp_path, monkeypatch):
     }
     config_path = tmp_path / "config.yaml"
     config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
-    monkeypatch.delenv("CONFORMAL_CBF_WORKERS", raising=False)
 
     def invoke(command, out, *extra):
         out_path = tmp_path / out

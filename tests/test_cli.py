@@ -5,16 +5,18 @@ touches the engine internals directly.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
 
 import yaml
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _golden import CROSSING
@@ -346,9 +348,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "overrides, scene, message, frames",
         [
-            # the first tracking acceleration overflows
+            # the first tracking acceleration overflows, which fails as the
+            # frame's own check does
             ({"start_velocity": [1e308, 0.0]}, "crossing",
-             "acceleration must be a finite planar vector", 1),
+             "config error: reference and rows must be finite at frame 0\n", 1),
             # the ego is flung so far that the reference velocity of the
             # third frame overflows
             ({"attract_gain": 1e150}, "crossing",
@@ -359,8 +362,13 @@ class TestExitCodes:
             # numpy's overflow warnings do not repeat it
             ({"dt": 1.0 / 30.0, "predictor": "ground-truth-oracle"}, "flicker",
              "config error: reference and rows must be finite at frame 20\n", 20),
+            # a k_att past int64 flings the ego out of the float range, and
+            # tracking overflows before the reference does (the config fuzz
+            # found this)
+            ({"k_att": 2**64}, "crossing",
+             "config error: reference and rows must be finite at frame 16\n", 17),
         ],
-        ids=["first-frame", "mid-run", "overflowing-prediction"],
+        ids=["first-frame", "mid-run", "overflowing-prediction", "int-gain-past-int64"],
     )
     def test_blow_up_exits_2(self, tmp_path, capsys, overrides, scene, message, frames):
         path = tmp_path / "config.yaml"
@@ -399,6 +407,39 @@ class TestExitCodes:
         # the trace stops at the frame whose integration failed
         assert len(trace.read_text(encoding="utf-8").splitlines()) == frames
 
+
+    @pytest.mark.parametrize(
+        "overrides, frame",
+        [({"eta": 1e17, "epsilon": 0.4}, 15), ({"eta": 1e308, "epsilon": -0.4}, 15),
+         ({"lambda_initial": 1e17}, 10), ({"alpha_slope": 1e300}, 15)],
+        ids=["eta-eps+0.4", "eta-eps-0.4", "lambda_initial", "alpha_slope"],
+    )
+    def test_a_saturated_window_loss_names_its_keys(self, tmp_path, capsys, overrides, frame):
+        # once |G + lam| passes about 5.8e15, arctan(r) / pi rounds to 1/2
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(dict(CROSSING, max_frames=50, **overrides)),
+                        encoding="utf-8")
+        out = tmp_path / "m.csv"
+        code = main(["run", "--config", str(path), "--scene", make_scene(tmp_path, "crossing"),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: the window loss saturated at frame {frame}: the worst gap plus "
+            "the margin outgrew the squash; lower eta, lambda_initial or alpha_slope\n"
+        )
+        assert not out.exists()
+
+    def test_a_horizon_past_its_ceiling_names_its_key(self, tmp_path, capsys):
+        # 10**20 frames made predict fail with "Maximum allowed size exceeded"
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(dict(CROSSING, max_frames=50, horizon_frames=10**20)),
+                        encoding="utf-8")
+        out = tmp_path / "m.csv"
+        code = main(["run", "--config", str(path), "--scene", make_scene(tmp_path, "crossing"),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: horizon_frames must be at most 10000\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -463,6 +504,14 @@ class TestConfigNumbers:
         assert code == want_code == 0
         assert out.read_bytes() == want.read_bytes()
 
+    # the type that owns a key refuses its bad value, by the key's name
+    RULES = {"eta": "must be positive and finite", "k_acc": "must be positive and finite",
+             "dt": "must be positive and finite", "attract_gain": "must be positive and finite",
+             "k_att": "must be positive and finite", "k_rep": "must be positive and finite",
+             "goal_radius": "must be nonnegative and finite",
+             "predictor_value_bound": "must be nonnegative and finite",
+             "max_frames": "must be an integer >= 1", "seed": "must be an integer >= 0"}
+
     @pytest.mark.parametrize(
         "key, value",
         [("eta", "abc"), ("k_acc", "[1, 2]"), ("dt", "true"), ("attract_gain", "fast"),
@@ -473,8 +522,7 @@ class TestConfigNumbers:
         base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != key})
         code, out = self._run(tmp_path, "bad", base + f"{key}: {value}\n")
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key} must be a number")
+        assert capsys.readouterr().err == f"config error: {key} {self.RULES[key]}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -498,9 +546,7 @@ class TestConfigNumbers:
         base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != key})
         code, out = self._run(tmp_path, "big", base + f"{key}: 1{'0' * 400}\n")
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key} must be a finite number")
-        assert len(err.splitlines()) == 1
+        assert capsys.readouterr().err == f"config error: {key} {self.RULES[key]}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("where", ["config", "scene"])
@@ -522,31 +568,51 @@ class TestConfigNumbers:
         assert err.startswith(message) and "4300" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["config", "scene"])
+    def test_a_yaml_syntax_error_is_one_line(self, tmp_path, capsys, where):
+        code, message = {"config": (2, "config error: bad config file"),
+                         "scene": (3, "data error: bad scene spec file")}[where]
+        broken = tmp_path / "broken.yaml"
+        broken.write_text("dt: [1, 2\ngoal: [1, 2]\n", encoding="utf-8")
+        config, scene = write_config(tmp_path), make_scene(tmp_path)
+        config, scene = (broken, scene) if where == "config" else (config, broken)
+        out = tmp_path / "m.csv"
+        assert main(["run", "--config", str(config), "--scene", str(scene),
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "line 2, column 5" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
-        "agents",
-        [None, 5, [{"id": 1, "waypoints": 5}],
-         *([{"id": 1, "waypoints": [first, [1.0, [0.0, 0.0]]]}]
-           for first in ([0.0], [0.0, [0.0]], [0.0, "ab"], [0.0, [10**400, 0.0]],
-                         [False, [5.0, 1.0]], ["2", [5.0, 1.0]], [0.0, [5.0, True]],
-                         [0.0, ["6", 1.0]])),
-         [{"id": True, "waypoints": [[False, [5.0, True]], ["2", ["6", 1.0]]]}],
-         [{"id": 1.7, "waypoints": [[0.0, [5.0, 1.0]], [1.0, [6.0, 1.0]]]}],
-         [{"id": 1, "waypoints": [[0.0, [1.0e308, 0.0]], [1.0, [-1.0e308, 0.0]]]}]],
+        "malformed",
+        [*({"agents": agents} for agents in (
+            None, 5, [{"id": 1, "waypoints": 5}],
+            *([{"id": 1, "waypoints": [first, [1.0, [0.0, 0.0]]]}]
+              for first in ([0.0], [0.0, [0.0]], [0.0, "ab"], [0.0, [10**400, 0.0]],
+                            [False, [5.0, 1.0]], ["2", [5.0, 1.0]], [0.0, [5.0, True]],
+                            [0.0, ["6", 1.0]])),
+            [{"id": True, "waypoints": [[False, [5.0, True]], ["2", ["6", 1.0]]]}],
+            [{"id": 1.7, "waypoints": [[0.0, [5.0, 1.0]], [1.0, [6.0, 1.0]]]}],
+            [{"id": 1, "waypoints": [[0.0, [1.0e308, 0.0]], [1.0, [-1.0e308, 0.0]]]}],
+            [{"id": 1, "label": None, "waypoints": [[0.0, [5.0, 1.0]], [1.0, [6.0, 1.0]]]}],
+         )),
+         {"scene_name": None}],
         ids=["null", "number", "waypoints-number", "waypoint-short", "point-short",
              "point-string", "coordinate-too-large", "time-bool", "time-string",
              "coordinate-bool", "coordinate-string", "id-bool", "id-fraction",
-             "interpolation-past-the-float-range"],
+             "interpolation-past-the-float-range", "label-null", "scene_name-null"],
     )
-    def test_malformed_scene_spec_names_its_key(self, tmp_path, capsys, agents):
+    def test_malformed_scene_spec_names_its_key(self, tmp_path, capsys, malformed):
         scene = tmp_path / "scene.yaml"
-        spec = {"scene_name": "s", "fps": 10.0, "duration": 1.0, "agents": agents}
+        spec = {"scene_name": "s", "fps": 10.0, "duration": 1.0, "agents": [], **malformed}
         scene.write_text(yaml.safe_dump(spec), encoding="utf-8")
         out = tmp_path / "m.csv"
         code = main(["run", "--config", write_config(tmp_path), "--scene", str(scene),
                      "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "agents" in err
+        assert err.startswith("config error: ") and next(iter(malformed)) in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
@@ -621,19 +687,29 @@ NOT_A_NUMBER = st.sampled_from(
     [(".inf", None), ("-.inf", None), (".nan", None), ("true", None), ("false", None),
      ("abc", None), ("'2'", None), ("null", None), (None, None)]
 )
+# a scene name or label is any string, quoted or not; a number, a bool, a
+# list or null is none, and a left-out label is Pedestrian
+NAMES = st.sampled_from([("fuzz", "fuzz"), ("Pedestrian", "Pedestrian"), ("'12'", "12"),
+                         ("'null'", "null"), ('""', "")])
+NOT_A_STRING = st.sampled_from([("null", None), ("12", None), ("1e1", None), (".nan", None),
+                                ("true", None), ("[a]", None), ("{a: 1}", None)])
 SPOILERS = {"number": st.one_of(NOT_A_NUMBER, st.just((HUGE, None))),
-            "id": st.one_of(NOT_A_NUMBER, st.sampled_from([("1.7", None), ("1e1", None)]))}
+            "id": st.one_of(NOT_A_NUMBER, st.sampled_from([("1.7", None), ("1e1", None)])),
+            "scene_name": st.one_of(NOT_A_STRING, st.just((None, None))),
+            "label": NOT_A_STRING}
 
 
 @st.composite
 def scene_specs(draw):
     """The text of a small scene spec with at most one slot spoiled, and
     whether one is."""
-    slots = {("fps",): draw(FPS), ("duration",): draw(numbers(0.1))}
+    slots = {("scene_name",): draw(NAMES), ("fps",): draw(FPS),
+             ("duration",): draw(numbers(0.1))}
     agents = []
     ids = draw(st.lists(IDS, min_size=1, max_size=2, unique_by=lambda d: d[1]))
     for a, agent_id in enumerate(ids):
         slots[a, "id"] = agent_id
+        slots[a, "label"] = draw(st.one_of(NAMES, st.just((None, "Pedestrian"))))
         times = draw(st.lists(NUMBERS, min_size=2, max_size=3, unique_by=lambda d: d[1]))
         times.sort(key=lambda d: d[1])
         for w, time in enumerate(times):
@@ -645,32 +721,38 @@ def scene_specs(draw):
     # the one fps
     kind = None
     if draw(st.booleans()):
-        kind = draw(st.sampled_from(["fps", "duration", "id", "time", "x", "y"]))
+        kind = draw(st.sampled_from(["scene_name", "fps", "duration", "id", "label", "time",
+                                     "x", "y"]))
         spoiled = draw(st.sampled_from([key for key in slots if key[-1] == kind]))
-        slots[spoiled] = draw(SPOILERS["id" if kind == "id" else "number"])
+        slots[spoiled] = draw(SPOILERS.get(kind, SPOILERS["number"]))
 
     def text(*key):
         return slots[key][0]
 
-    lines = ["scene_name: fuzz"]
-    lines += [f"{key}: {text(key)}" for key in ("fps", "duration") if text(key) is not None]
+    lines = [f"{key}: {text(key)}" for key in ("scene_name", "fps", "duration")
+             if text(key) is not None]
     lines.append("agents:")
     for a, n in enumerate(agents):
-        lines.append("- label: Pedestrian")
-        if text(a, "id") is not None:
-            lines.append(f"  id: {text(a, 'id')}")
         waypoints = []
         for w in range(n):
             xy = ", ".join(v for v in (text(a, w, "x"), text(a, w, "y")) if v is not None)
             time = text(a, w, "time")
             waypoints.append(f"[[{xy}]]" if time is None else f"[{time}, [{xy}]]")
-        lines.append(f"  waypoints: [{', '.join(waypoints)}]")
+        lines.append(f"- waypoints: [{', '.join(waypoints)}]")
+        lines += [f"  {key}: {text(a, key)}" for key in ("id", "label")
+                  if text(a, key) is not None]
     return "\n".join(lines) + "\n", kind is not None
+
+
+SPEC_AGENT = "fps: 10\nduration: 2\nagents:\n- id: 1\n{}  waypoints: [[0, [5, 1]], [2, [6, 1]]]\n"
 
 
 class TestSceneSpecFuzz:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(scene_specs())
+    # a null name and label once became the strings 'None'
+    @example((SPEC_AGENT.format("  label: null\n") + "scene_name: s\n", True))
+    @example((SPEC_AGENT.format("") + "scene_name: null\n", True))
     def test_a_scene_spec_runs_or_exits_with_one_line(self, drawn):
         spec, spoiled = drawn
         with tempfile.TemporaryDirectory() as tmp:
@@ -696,6 +778,176 @@ class TestSceneSpecFuzz:
                 assert len(err.splitlines()) == 1, err
                 assert code != 2 or err.startswith("config error: ")
                 assert not out.exists()
+
+
+# Config documents and sweep grids drawn as YAML and flag text.  A draw of
+# a value is its text; None leaves the key out.
+SIM_KEYS = ("dt", "tau_frames", "horizon_frames", "alpha_slope", "k_acc", "k_rep", "k_att",
+            "rho0", "delta", "eta", "epsilon", "lambda_initial", "predictor", "max_frames",
+            "seed", "collision_distance", "relax_lambda_step", "relax_max_steps")
+CONFIG_KEYS = SIM_KEYS + ("start", "start_velocity", "goal", "goal_radius", "attract_gain",
+                          "predictor_value_bound", "predictor_dynamics_bound")
+# solve_with_relaxation makes up to relax_max_steps + 1 attempts a frame,
+# and a frame loop runs max_frames times, so these two stay small as ints
+BOUNDED = {"max_frames": (-2, 50), "relax_max_steps": (-2, 64)}
+NUMBER_TEXTS = st.one_of(
+    st.integers(-3, 100).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    # 1e-30 to 1e310 and their negatives, past the float range at the top
+    st.tuples(st.sampled_from(["", "-"]), st.integers(-30, 310)).map("{0[0]}1e{0[1]}".format),
+    # powers of ten as ints: from 10**6 to 10**9 an unchecked horizon would
+    # ask for gigabytes before failing, so they are left out
+    st.sampled_from([0, 1, 2, 3, 4, 5, 12, 20, 30, 100]).map(lambda k: str(10**k)),
+    st.sampled_from(["2E-1", "1.0e+2", ".5e1", "5e-324", str(2**64)]),
+)
+SCALARS = st.one_of(
+    NUMBER_TEXTS,
+    NUMBER_TEXTS,
+    st.sampled_from([".inf", "-.inf", ".nan", "true", "false", "null", "abc", "'1.0'",
+                     "'1e3'", "[1, 2]", "{a: 1}", "[1, 2", "'open"]),
+    st.sampled_from([HUGE, "-" + HUGE, "9" * 4301]),
+)
+SMALL_INTS = {key: st.one_of(st.integers(*least_most).map(str),
+                             SCALARS.filter(lambda t: not t.lstrip("-").isdigit()))
+              for key, least_most in BOUNDED.items()}
+POINTS = st.lists(SCALARS, min_size=1, max_size=3).map(lambda xs: f"[{', '.join(xs)}]")
+VALUES = {
+    **{key: st.one_of(POINTS, SCALARS) for key in ("start", "start_velocity", "goal")},
+    **SMALL_INTS,
+    "predictor": st.one_of(
+        st.sampled_from(["constant-velocity", "ground-truth-oracle", "noise-bounded-oracle"]),
+        SCALARS),
+}
+UNKNOWN_KEYS = ["bogus", "Eta", "k_rep2", "workers", "scene_name"]
+
+
+def rarely():
+    """True about one time in eight."""
+    return st.tuples(st.booleans(), st.booleans(), st.booleans()).map(all)
+
+
+def crossing_text(doc):
+    """A config's text from the text of each value; None leaves a key out."""
+    doc = {**{key: json.dumps(value) for key, value in CROSSING.items()}, **doc}
+    return "".join(f"{key}: {text}\n" for key, text in doc.items() if text is not None)
+
+
+@st.composite
+def config_docs(draw):
+    """The text of a crossing config with max_frames at most 50 and a few
+    keys changed, left out or added."""
+    doc = {"max_frames": str(draw(st.integers(1, 50)))}
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=3, unique=True)):
+        doc[key] = draw(st.one_of(st.none(), VALUES.get(key, SCALARS)))
+    if draw(rarely()):
+        doc[draw(st.sampled_from(UNKNOWN_KEYS))] = draw(SCALARS)
+    return crossing_text(doc)
+
+
+GRID_NAMES = list(SIM_KEYS) + ["eps", "tau", "a", "lambda", "goal", "nope"]
+GRID_TOKENS = st.one_of(
+    st.integers(-3, 100).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["1e3", "inf", "-inf", "nan", "1e400", "abc", "true", "", " 2 ", HUGE,
+                     "9" * 4301]),
+)
+
+
+@st.composite
+def grids(draw):
+    """One or two --grid flags of up to two values each; the bounded
+    fields take only small ints or a value that is no int."""
+    flags = []
+    for name in draw(st.lists(st.sampled_from(GRID_NAMES), min_size=1, max_size=2, unique=True)):
+        field = {"tau": "tau_frames"}.get(name, name)
+        tokens = GRID_TOKENS
+        if field in BOUNDED:
+            tokens = st.one_of(st.integers(*BOUNDED[field]).map(str),
+                               GRID_TOKENS.filter(lambda t: not t.strip().lstrip("-").isdigit()))
+        values = draw(st.lists(tokens, min_size=1, max_size=2))
+        flags.append(name if draw(rarely()) else f"{name}={','.join(values)}")
+    return flags
+
+
+def _main_in_process(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# the exit-2 lines that name no key: the engine's finiteness check, which
+# the README documents, and a config file YAML or Python cannot read
+KEYLESS = ("config error: reference and rows must be finite at frame ",
+           "config error: bad config file ")
+
+
+@functools.cache
+def crossing_scene_text():
+    # dumping the spec takes about 30 ms, longer than most drawn runs
+    return yaml.safe_dump(BUILTIN_SCENES["crossing"])
+
+
+class TestConfigFuzz:
+    def _check(self, argv, named, cells, items=()):
+        """Run argv in process on the crossing scene; an exit-2 line names
+        a key of named or quotes a grid name of items, and an exit 0
+        writes cells rows."""
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            scene = tmp / "crossing.yaml"
+            scene.write_text(crossing_scene_text(), encoding="utf-8")
+            out = tmp / "m.csv"
+            code, err = _main_in_process(argv + ["--scene", str(scene), "--out", str(out)])
+            assert code in (0, 2, 3, 4), err
+            assert "Traceback" not in err
+            if code == 0:
+                lines = out.read_text(encoding="utf-8").splitlines()
+                assert lines[0] == CSV_HEADER and len(lines) == 1 + cells
+                failed = [line for line in lines if line.endswith("failed")]
+                notes = err.splitlines()
+                assert len(notes) == len(failed), err
+                # a cell fails only by the package's own errors
+                assert all(note.startswith("sweep: cell ") and any(
+                    f": {kind}: " in note for kind in ("ConfigError", "InputError",
+                                                       "InfeasibleRunError"))
+                    for note in notes), err
+            elif code in (2, 3):
+                assert len(err.splitlines()) == 1, err
+                assert not out.exists()
+            if code == 2 and not err.startswith(KEYLESS):
+                assert err.startswith("config error: "), err
+                # a key by its whole name, or a grid name quoted as given
+                assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err)
+                           for name in named) or any(f"'{item}" in err for item in items), err
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(config_docs())
+    # what the fuzz found: a saturated loss and a horizon past numpy's
+    # array size named no key, and an int gain past int64 overflowed the
+    # tracking acceleration, whose message named none either
+    @example(crossing_text({"max_frames": "50", "eta": "1e17", "epsilon": "0.4"}))
+    @example(crossing_text({"max_frames": "50", "horizon_frames": str(10**20)}))
+    @example(crossing_text({"max_frames": "50", "k_att": str(2**64)}))
+    def test_a_config_document_runs_or_exits_with_one_line(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.yaml"
+            config.write_text(text, encoding="utf-8")
+            self._check(["run", "--config", str(config)], CONFIG_KEYS + tuple(UNKNOWN_KEYS), 1)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(grids())
+    def test_a_grid_sweeps_or_exits_with_one_line(self, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.yaml"
+            config.write_text(yaml.safe_dump(dict(CROSSING, max_frames=20)), encoding="utf-8")
+            argv = ["sweep", "--config", str(config)]
+            for flag in flags:
+                argv += ["--grid", flag]
+            cells = math.prod(len([v for v in flag.partition("=")[2].split(",") if v.strip()])
+                              for flag in flags)
+            self._check(argv, CONFIG_KEYS, cells, [flag.partition("=")[0] for flag in flags])
 
 
 class TestValidateAnnotations:
@@ -768,16 +1020,15 @@ class TestSweepCommand:
             "sweep: cell epsilon=0.6 failed: ConfigError: epsilon must lie in (-1/2, 1/2)"
         ]
 
-    def test_worker_count_not_in_bytes(self, tmp_path, monkeypatch):
+    def test_worker_count_not_in_bytes(self, tmp_path):
         cfg = write_config(tmp_path, max_frames=150)
         scene = make_scene(tmp_path)
         args = ["sweep", "--config", cfg, "--scene", scene,
                 "--grid", "eps=-0.2,0.2"]
         serial = tmp_path / "serial.csv"
         assert main(args + ["--out", str(serial), "--workers", "1"]) == 0
-        monkeypatch.setenv("CONFORMAL_CBF_WORKERS", "2")
         pooled = tmp_path / "pooled.csv"
-        assert main(args + ["--out", str(pooled)]) == 0
+        assert main(args + ["--out", str(pooled), "--workers", "2"]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
 
     def test_rejects_malformed_grids(self, tmp_path, capsys):
@@ -794,18 +1045,21 @@ class TestSweepCommand:
         assert main(base + ["--grid", "predictor=1"]) == 2
         assert capsys.readouterr().err.startswith("config error: predictor ")
 
-    def test_bad_workers_env_exits_2(self, tmp_path, monkeypatch):
+    def test_the_environment_sets_no_worker_count(self, tmp_path, monkeypatch):
+        # --workers, default 1, is the only way to set the worker count
         monkeypatch.setenv("CONFORMAL_CBF_WORKERS", "many")
+        out = tmp_path / "t.csv"
         code = main(
             [
                 "sweep",
                 "--config", write_config(tmp_path, max_frames=150),
                 "--scene", make_scene(tmp_path),
-                "--out", str(tmp_path / "t.csv"),
+                "--out", str(out),
                 "--grid", "eps=0.0",
             ]
         )
-        assert code == 2
+        assert code == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 2
 
 
 class TestMakeScene:

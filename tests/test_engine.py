@@ -43,6 +43,7 @@ from conformal_cbf.conformal import (
     window_loss,
 )
 from conformal_cbf.engine import (
+    MAX_HORIZON_FRAMES,
     RobotState,
     RobotTask,
     SimConfig,
@@ -176,11 +177,20 @@ class TestConfigValidation:
             ),
             # unset, the step is eta * (1/2 - epsilon), which underflows to 0
             {"relax_lambda_step": None, "eta": 5.0e-324, "epsilon": 0.4},
+            # past the ceiling a horizon only asks predict for memory: 10**9
+            # frames asked for 14.9 GiB, and tau_frames is bounded with it
+            {"horizon_frames": MAX_HORIZON_FRAMES + 1},
+            {"horizon_frames": 10**9},
+            {"horizon_frames": 10**20, "tau_frames": 10**20},
         ],
     )
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ConfigError, match=next(iter(overrides))):
             replace(BASE, **overrides)
+
+    def test_the_horizon_ceiling_is_a_horizon(self):
+        cfg = replace(BASE, tau_frames=MAX_HORIZON_FRAMES, horizon_frames=MAX_HORIZON_FRAMES)
+        assert cfg.horizon_frames == MAX_HORIZON_FRAMES == 10_000
 
     def test_defaults_derive_from_barrier(self):
         cfg = BASE

@@ -27,6 +27,19 @@ def test_outputs_match_golden(name, tmp_path):
         assert line == want, f"trace line {i + 1} differs"
 
 
+@pytest.mark.parametrize("name", ["crossing_eps-0.4", "standing_noise", "crowd16_ground_truth"])
+def test_int_spellings_of_float_keys_match_golden(name, tmp_path):
+    """A float key written as a YAML int (k_rep: 2000, eta: 1) gives the
+    outputs of its float spelling, byte for byte."""
+    config, spec = CASES[name]
+    ints = {key: int(value) for key, value in config.items()
+            if isinstance(value, float) and value.is_integer()}
+    assert {"k_rep", "rho0", "alpha_slope", "goal_radius"} <= set(ints)
+    csv, trace = run_case(name, {**config, **ints}, spec, tmp_path)
+    assert csv == (GOLDEN / f"{name}.csv").read_bytes()
+    assert trace == (GOLDEN / f"{name}.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize("name", ["crowd16", "crowd16_ground_truth", "standing_noise"])
 def test_runs_build_no_trajectory_objects(name, tmp_path, monkeypatch):
     """Prediction, rows and scoring work on arrays for any predictor kind,

@@ -155,10 +155,10 @@ def test_column_reader_agrees_with_the_line_parser(tmp_path_factory, text, label
     path = tmp_path_factory.mktemp("c") / "a.txt"
     path.write_bytes(text.encode("utf-8"))
     keep = None if label_filter is None else set(label_filter)
-    plain = _parse_plain(path, keep)
+    plain = _parse_plain(path.read_bytes(), keep)
     if plain is None:
         return
-    track, frame, xy, labels = _parse_lines(path, keep)
+    track, frame, xy, labels = _parse_lines(path.read_bytes(), keep)
     assert np.asarray(plain[0]).tolist() == track
     assert np.asarray(plain[1]).tolist() == frame
     assert plain[2].tobytes() == xy.tobytes()
@@ -170,7 +170,7 @@ def test_plain_files_take_the_column_reader(tmp_path):
     path.write_bytes(
         b'1 10 20 30 40 7 0 0 0 "Pedestrian"\r\n2 1.5 2 3 4e1 7 1 0 0 "Pedestrian"\r\n'
     )
-    track, frame, xy, labels = _parse_plain(path, {"Pedestrian"})
+    track, frame, xy, labels = _parse_plain(path.read_bytes(), {"Pedestrian"})
     assert track.tolist() == [1] and frame.tolist() == [7]
     assert xy.tolist() == [[20.0, 30.0]] and labels == {1: "Pedestrian"}
 
