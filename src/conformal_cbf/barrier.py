@@ -68,9 +68,9 @@ class PotentialFieldCbf:
     delta: float
 
     def __post_init__(self):
-        scalar("k_rep", self.k_rep, InputError, "positive")
-        scalar("rho0", self.rho0, InputError, "positive")
-        if not 0.0 < scalar("delta", self.delta, InputError) < 1.0:
+        scalar("k_rep", self.k_rep, "positive")
+        scalar("rho0", self.rho0, "positive")
+        if not 0.0 < scalar("delta", self.delta) < 1.0:
             raise InputError("delta must lie in (0, 1)")
         if self.min_distance > 0.5 * self.rho0:
             raise InputError(
@@ -107,11 +107,11 @@ class AffineConstraint:
     agent_id: int
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", point("normal", self.normal, InputError))
-        scalar("offset", self.offset, InputError)
+        object.__setattr__(self, "normal", point("normal", self.normal))
+        scalar("offset", self.offset)
 
     def residual(self, u: np.ndarray) -> float:
-        return float(self.normal @ floats("u", u, InputError) + self.offset)
+        return float(self.normal @ floats("u", u) + self.offset)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class BoundSet:
 
     def __post_init__(self):
         for name in ("m_h", "e_v", "e_d"):
-            scalar(name, getattr(self, name), InputError, "nonnegative")
+            scalar(name, getattr(self, name), "nonnegative")
 
 
 def barrier_terms(
@@ -160,7 +160,7 @@ def barrier_terms(
         SingularityError: some offset (in where) is shorter than
             cbf.min_distance (zero, for coincident positions).
     """
-    diff = floats("diff", diff, InputError)
+    diff = floats("diff", diff)
     d = np.sqrt(np.vecdot(diff, diff))
     if where is not None:
         d = np.where(where, d, cbf.rho0)

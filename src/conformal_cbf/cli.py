@@ -5,14 +5,15 @@ one-to-one, plus the task keys (start, start_velocity, goal, goal_radius,
 attract_gain) and the predictor keys (predictor, predictor_value_bound,
 predictor_dynamics_bound).  This module only parses them and routes each
 key to the type that owns it, SimConfig, RobotTask or PredictorKind, whose
-check refuses a bad value by the key's name.  Flags override file values.
-Configs and scene specs are the only YAML the package reads, both here and
-with one loader.  Metric tables are CSV with a fixed header and
-repr-formatted floats, so an identical invocation produces a byte-identical
-file; a sweep cell that failed fills its row with "failed" and says why on
-stderr.  validate-annotations also records the table it checked beside
-the file, which later loads of the unchanged file read in place of
-parsing it (scenario.record_table).
+check refuses a bad value by the key's name.  A sweep's --grid values
+override the file's cell by cell.  Configs, scene specs and grid values
+are the only YAML the package reads, all here and with one loader.  Metric
+tables are CSV with a fixed header and repr-formatted floats, so an
+identical invocation produces a byte-identical file; a sweep cell that
+failed fills its row with "failed" and says why on stderr.
+validate-annotations also records the table it checked beside the file,
+which later loads of the unchanged file read in place of parsing it
+(scenario.record_table).
 
 Exit codes: 0 success, 2 configuration, 3 data (a malformed or unreadable
 file, or a scene that puts an agent on the ego, where the barrier is
@@ -24,18 +25,19 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import yaml
 
 from conformal_cbf.engine import RobotState, RobotTask, SimConfig, run, sweep
 from conformal_cbf.errors import (
-    ConfigError,
-    InfeasibleRunError,
+    InfeasibleError,
     InputError,
     ParseError,
     SingularityError,
+    integer,
     point,
+    scalar,
 )
 from conformal_cbf.predictor import CONSTANT_VELOCITY, PredictorKind
 from conformal_cbf.scenario import load_annotations, record_table, synth_scene
@@ -50,7 +52,7 @@ _GRID_ALIASES = {
     "a": "alpha_slope",
     "lambda": "lambda_initial",
 }
-# a grid's values are cast to int for these fields, to float for the rest
+# a grid's values must be ints for these fields and become floats for the rest
 _INT_FIELDS = {f.name for f in fields(SimConfig) if f.type is int}
 
 
@@ -167,11 +169,11 @@ BUILTIN_SCENES = _builtin_scenes()
 
 
 def read_config_file(path) -> dict:
-    doc = _read_yaml(path, "config", ConfigError)
+    doc = _read_yaml(path, "config", InputError)
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} is not a flat key-value mapping")
+        raise InputError(f"config {path} is not a flat key-value mapping")
     return doc
 
 
@@ -183,7 +185,7 @@ def load_scene_spec(path) -> dict:
     return spec
 
 
-def build_setup(doc: dict, seed_override=None):
+def build_setup(doc: dict):
     """Split a flat config mapping into a SimConfig and a RobotTask."""
     sim_names = {f.name for f in fields(SimConfig)} - {"predictor"}
     sim_kwargs: dict = {}
@@ -203,18 +205,14 @@ def build_setup(doc: dict, seed_override=None):
         elif key in sim_names:
             sim_kwargs[key] = value
         else:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise InputError(f"unknown config key {key!r}")
     predictor = PredictorKind(kind=kind, value_bound=value_bound, dynamics_bound=dynamics_bound)
     config = SimConfig(predictor=predictor, **sim_kwargs)
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
 
     if "goal" not in task_kwargs:
-        raise ConfigError("config must set goal: [x, y]")
-    start, velocity, goal = (
-        point(key, task_kwargs.get(key, [0.0, 0.0]), ConfigError)
-        for key in ("start", "start_velocity", "goal")
-    )
+        raise InputError("config must set goal: [x, y]")
+    start, velocity, goal = (point(key, task_kwargs.get(key, [0.0, 0.0]))
+                             for key in ("start", "start_velocity", "goal"))
     task = RobotTask(
         start=RobotState(position=start, velocity=velocity),
         goal=goal,
@@ -226,11 +224,11 @@ def build_setup(doc: dict, seed_override=None):
 
 def load_scene_for(config: SimConfig, args):
     if (args.annotations is None) == (args.scene is None):
-        raise ConfigError("exactly one of --annotations or --scene is required")
+        raise InputError("exactly one of --annotations or --scene is required")
     if args.annotations is not None:
         fps = 1.0 / config.dt
         if not math.isfinite(fps):
-            raise ConfigError(f"dt {config.dt!r} is too small: its frame rate 1/dt is not finite")
+            raise InputError(f"dt {config.dt!r} is too small: its frame rate 1/dt is not finite")
         # snap to a whole rate, never to 0 frames per second
         whole = round(fps)
         if whole >= 1 and abs(fps - whole) < 1e-6:
@@ -244,23 +242,37 @@ def parse_grid(grid_args) -> dict:
     for item in grid_args:
         key, sep, raw = item.partition("=")
         if not sep:
-            raise ConfigError(f"grid {item!r} must look like name=v1,v2,...")
+            raise InputError(f"grid {item!r} must look like name=v1,v2,...")
         name = _GRID_ALIASES.get(key.strip(), key.strip())
         if name == "predictor":
-            raise ConfigError("predictor takes no number, so it cannot be swept")
+            raise InputError("predictor takes no number, so it cannot be swept")
         if name in grid:
-            raise ConfigError(f"duplicate grid key {name!r}")
+            raise InputError(f"duplicate grid key {name!r}")
         tokens = [tok for tok in (s.strip() for s in raw.split(",")) if tok]
         if not tokens:
-            raise ConfigError(f"grid {item!r} has no values")
-        cast = int if name in _INT_FIELDS else float
-        try:
-            grid[name] = [cast(tok) for tok in tokens]
-        except ValueError:
-            raise ConfigError(f"grid {item!r} has a non-numeric value") from None
+            raise InputError(f"grid {item!r} has no values")
+        grid[name] = [_grid_number(name, item, tok) for tok in tokens]
     if not grid:
-        raise ConfigError("sweep requires at least one --grid")
+        raise InputError("sweep requires at least one --grid")
     return grid
+
+
+def _grid_number(name, item, token):
+    """A token of grid item read as the config file reads a value, as its
+    field takes it: an int field's by the integer rule, a float field's
+    as a float (an int too large for one is not finite)."""
+    try:
+        value = yaml.load(token, Loader=_Loader)
+    except ValueError as exc:
+        # a value Python refuses, such as an int of 4301 digits
+        raise InputError(f"grid {item!r}: {exc}") from None
+    except yaml.YAMLError:
+        value = None
+    if type(value) not in (int, float):
+        raise InputError(f"grid {item!r} has a non-numeric value")
+    if name in _INT_FIELDS:
+        return integer(name, value)
+    return value if type(value) is float else float(scalar(name, value))
 
 
 def _num(value) -> str:
@@ -297,7 +309,7 @@ def _write_csv(path, rows) -> None:
 
 
 def _cmd_run(args) -> int:
-    config, task = build_setup(read_config_file(args.config), args.seed)
+    config, task = build_setup(read_config_file(args.config))
     scene = load_scene_for(config, args)
     metrics = run(config, scene, task, trace_path=args.trace)
     _write_csv(
@@ -308,7 +320,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config, task = build_setup(read_config_file(args.config), args.seed)
+    config, task = build_setup(read_config_file(args.config))
     scene = load_scene_for(config, args)
     grid = parse_grid(args.grid or [])
     rows = sweep(config, grid, scene, task, workers=args.workers)
@@ -348,7 +360,7 @@ def _cmd_validate(args) -> int:
 def _cmd_make_scene(args) -> int:
     if args.name not in BUILTIN_SCENES:
         known = ", ".join(sorted(BUILTIN_SCENES))
-        raise ConfigError(f"unknown scene {args.name!r}; available: {known}")
+        raise InputError(f"unknown scene {args.name!r}; available: {known}")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump(BUILTIN_SCENES[args.name], fh, sort_keys=True)
     return 0
@@ -368,14 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scene", help="synthetic scene spec (YAML)")
     run_p.add_argument("--out", required=True, help="metrics CSV path")
     run_p.add_argument("--trace", help="optional per-frame JSONL trace path")
-    run_p.add_argument("--seed", type=int, help="override the config seed")
 
     sweep_p = sub.add_parser("sweep", help="run a parameter grid")
     sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--annotations")
     sweep_p.add_argument("--scene")
     sweep_p.add_argument("--out", required=True)
-    sweep_p.add_argument("--seed", type=int)
     sweep_p.add_argument(
         "--grid",
         action="append",
@@ -412,14 +422,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _DISPATCH[args.command](args)
-    except InfeasibleRunError as exc:
+    except InfeasibleError as exc:
         print(f"infeasible run: {exc}", file=sys.stderr)
         print(json.dumps(exc.diagnostics, sort_keys=True), file=sys.stderr)
         return 4
     except ParseError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, InputError) as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

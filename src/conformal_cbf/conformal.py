@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from conformal_cbf.barrier import BoundSet, PotentialFieldCbf, barrier_terms
-from conformal_cbf.errors import ConfigError, InputError, floats, integer, scalar
+from conformal_cbf.errors import InputError, floats, integer, scalar
 from conformal_cbf.predictor import velocities
 
 #: Window verdict when no agent was in range: the margin must not move.
@@ -66,12 +66,12 @@ class EgoWindow(NamedTuple):
 
 def squash(r: float) -> float:
     """s(r) = arctan(r) / pi, the window loss of a worst gap r."""
-    return math.atan(scalar("squashing input", r, InputError)) / math.pi
+    return math.atan(scalar("squashing input", r)) / math.pi
 
 
 def squash_inverse(y: float) -> float:
     """s^-1(y) = tan(pi * y) for y in (-1/2, 1/2)."""
-    if not -0.5 < scalar("squashing inverse argument", y, InputError) < 0.5:
+    if not -0.5 < scalar("squashing inverse argument", y) < 0.5:
         raise InputError("squashing inverse needs an argument in (-1/2, 1/2)")
     return math.tan(math.pi * y)
 
@@ -95,10 +95,10 @@ class ConformalState:
     loss_history: list = field(default_factory=list)
 
     def __post_init__(self):
-        scalar("lambda_initial (the starting margin lam)", self.lam, ConfigError)
-        scalar("eta", self.eta, ConfigError, "positive")
-        if not -0.5 < scalar("epsilon", self.epsilon, ConfigError) < 0.5:
-            raise ConfigError("epsilon must lie in (-1/2, 1/2)")
+        scalar("lambda_initial (the starting margin lam)", self.lam)
+        scalar("eta", self.eta, "positive")
+        if not -0.5 < scalar("epsilon", self.epsilon) < 0.5:
+            raise InputError("epsilon must lie in (-1/2, 1/2)")
         if self.lambda_initial is None:
             self.lambda_initial = self.lam
 
@@ -106,7 +106,7 @@ class ConformalState:
         """Apply one window's verdict; NO_AGENTS leaves everything as is."""
         if loss is NO_AGENTS:
             return self
-        if not -0.5 < scalar("loss", loss, InputError) < 0.5:
+        if not -0.5 < scalar("loss", loss) < 0.5:
             raise InputError("loss must lie in (-1/2, 1/2)")
         self.lam = self.lam + self.eta * (self.epsilon - loss)
         self.loss_history.append(loss)
@@ -149,8 +149,8 @@ def window_loss(
     """
     if ego.n_samples < 2:
         raise InputError("ego window needs at least 2 samples")
-    predicted = floats("predicted", predicted, InputError)
-    actual = floats("actual", actual, InputError)
+    predicted = floats("predicted", predicted)
+    actual = floats("actual", actual)
     if predicted.shape != actual.shape or predicted.shape[1:] != (ego.n_samples, 2):
         raise InputError("predicted and actual arrays must be (m, ego samples, 2)")
     if not len(predicted):
@@ -167,7 +167,7 @@ def window_loss(
             raise InputError("lengths must be one integer in [2, n] per agent")
         if shortest < ego.n_samples:
             valid = np.arange(ego.n_samples) < lengths[:, None]
-    scalar("lam", lam, InputError)
+    scalar("lam", lam)
     # (predicted/actual, agent, sample, xy): one kernel call scores them all,
     # and when some agent's prefix is short its later samples are masked
     h, grad_ego = barrier_terms(cbf, ego.positions - tracks, where=valid)
@@ -185,7 +185,7 @@ def window_loss(
 def lambda_safe_bound(bounds: BoundSet, alpha_slope: float, epsilon_safe: float) -> float:
     """Margin level below which the window loss cannot exceed epsilon_safe,
     given the regularity and prediction-error bounds; alpha_slope is M_alpha."""
-    scalar("alpha_slope", alpha_slope, InputError, "positive")
+    scalar("alpha_slope", alpha_slope, "positive")
     return (
         squash_inverse(epsilon_safe)
         - bounds.e_d
@@ -207,17 +207,18 @@ def risk_bound(state: ConformalState, lambda_safe: float, k_prime: int):
         certifies a loss level epsilon_safe <= epsilon.
 
     Raises:
-        ConfigError: the state started below lambda_safe - eta, where
-            the guarantee does not apply.
+        InputError: k_prime is not an integer in [1, recorded losses],
+            lambda_safe is not finite, or the state started below
+            lambda_safe - eta, where the guarantee does not apply.
     """
-    integer("k_prime", k_prime, InputError, 1)
+    integer("k_prime", k_prime, 1)
     if k_prime > len(state.loss_history):
         raise InputError(
             f"k_prime {k_prime} exceeds {len(state.loss_history)} recorded losses"
         )
-    scalar("lambda_safe", lambda_safe, InputError)
+    scalar("lambda_safe", lambda_safe)
     if state.lambda_initial < lambda_safe - state.eta:
-        raise ConfigError(
+        raise InputError(
             "the initial margin sits below lambda_safe - eta; "
             "the risk bound does not cover this configuration"
         )

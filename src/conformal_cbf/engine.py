@@ -68,14 +68,15 @@ finite") at that frame.  The projection problem is built from those
 arrays with qp.unchecked_problem.  step and track_velocity check the
 shapes of their vectors but the finiteness of their result only: a
 non-finite input, or an overflow, always makes the result non-finite,
-and run reports theirs with the frame's line.  step builds the new state from its four checked floats, so neither
-QpProblem's nor RobotState's public check runs inside the loop.  Numpy's
-floating-point warnings are off for the whole run: a non-finite value
-raises where it is checked.
+and run reports theirs with the frame's line.  step builds the new state
+from its four checked floats, so neither QpProblem's nor RobotState's
+public check runs inside the loop.  Numpy's floating-point warnings are
+off for the whole run: a non-finite value raises where it is checked.
 """
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -86,16 +87,7 @@ import numpy as np
 
 from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms_unchecked
 from conformal_cbf.conformal import NO_AGENTS, ConformalState, EgoWindow, window_loss
-from conformal_cbf.errors import (
-    ConfigError,
-    InfeasibleError,
-    InfeasibleRunError,
-    InputError,
-    floats,
-    integer,
-    point,
-    scalar,
-)
+from conformal_cbf.errors import InfeasibleError, InputError, floats, integer, point, scalar
 from conformal_cbf.predictor import (
     CONSTANT_VELOCITY,
     NO_PREDICTIONS,
@@ -115,7 +107,7 @@ class RobotState:
 
     def __post_init__(self):
         for name in ("position", "velocity"):
-            object.__setattr__(self, name, point(name, getattr(self, name), InputError))
+            object.__setattr__(self, name, point(name, getattr(self, name)))
 
 
 def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
@@ -130,8 +122,8 @@ def step(state: RobotState, accel: np.ndarray, dt: float) -> RobotState:
             not planar, or the new state is not finite (a non-finite
             acceleration, or one that overflows the state).
     """
-    scalar("dt", dt, InputError, "positive")
-    a = floats("accel", accel, InputError)
+    scalar("dt", dt, "positive")
+    a = floats("accel", accel)
     if a.shape != (2,):
         raise InputError("acceleration must be a planar vector")
     ax, ay = a.tolist()
@@ -165,8 +157,8 @@ def track_velocity(k_acc: float, velocity: np.ndarray, commanded: np.ndarray) ->
         InputError: the velocities are not planar, or the acceleration
             is not finite (a non-finite velocity, or an overflow).
     """
-    v = floats("velocity", velocity, InputError)
-    c = floats("commanded", commanded, InputError)
+    v = floats("velocity", velocity)
+    c = floats("commanded", commanded)
     if v.shape != (2,) or c.shape != (2,):
         raise InputError("track_velocity expects planar velocities")
     vx, vy = v.tolist()
@@ -188,9 +180,9 @@ class RobotTask:
     goal_radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "goal", point("goal", self.goal, InputError))
-        scalar("attract_gain", self.attract_gain, InputError, "positive")
-        scalar("goal_radius", self.goal_radius, InputError, "nonnegative")
+        object.__setattr__(self, "goal", point("goal", self.goal))
+        scalar("attract_gain", self.attract_gain, "positive")
+        scalar("goal_radius", self.goal_radius, "nonnegative")
 
 
 def reference_control(task: RobotTask, state: RobotState) -> np.ndarray:
@@ -209,9 +201,9 @@ def sensed_agents(scene, ego_position, rho0: float, frame: int):
     """rows_at for the agents at a frame strictly inside the sensing
     radius: ids (ascending), (k, 2) positions and (k, 3) runs.  An agent
     exactly at distance rho0 is not sensed."""
-    scalar("rho0", rho0, InputError, "positive")
+    scalar("rho0", rho0, "positive")
     ids, pos, runs = scene.rows_at(frame)
-    apart = pos - floats("ego_position", ego_position, InputError)
+    apart = pos - floats("ego_position", ego_position)
     near = np.sqrt(np.vecdot(apart, apart)) < rho0
     return ids[near], pos[near], runs[near]
 
@@ -234,11 +226,11 @@ class SimConfig:
     of the class-kappa function alpha(h) = alpha_slope * h and k_acc the
     gain of the tracking law; SimConfig checks that both are positive and
     finite.  The barrier checks k_rep, rho0 and delta, and the margin
-    state eta, epsilon and lambda_initial; a config one of them refuses
-    is a ConfigError.  k_acc * dt must also be below 2: tracking maps the
-    velocity error e to (1 - k_acc * dt) e each frame, which shrinks only
-    then.  The integer fields take ints only, not booleans, and
-    horizon_frames is at most MAX_HORIZON_FRAMES.
+    state eta, epsilon and lambda_initial; each refuses a bad value with
+    an InputError naming its key, as SimConfig does.  k_acc * dt must also
+    be below 2: tracking maps the velocity error e to (1 - k_acc * dt) e
+    each frame, which shrinks only then.  The integer fields take ints
+    only, not booleans, and horizon_frames is at most MAX_HORIZON_FRAMES.
     """
 
     dt: float = 1.0 / 30.0
@@ -261,40 +253,37 @@ class SimConfig:
     relax_max_steps: int = 8
 
     def __post_init__(self):
-        scalar("dt", self.dt, ConfigError, "positive")
+        scalar("dt", self.dt, "positive")
         if not isinstance(self.predictor, PredictorKind):
-            raise ConfigError(f"predictor must be a PredictorKind, got {self.predictor!r}")
+            raise InputError(f"predictor must be a PredictorKind, got {self.predictor!r}")
         # a window needs two samples before its motion can be differenced,
         # and the horizon must cover one window
-        integer("tau_frames", self.tau_frames, ConfigError, 2)
-        integer("horizon_frames", self.horizon_frames, ConfigError, self.tau_frames)
+        integer("tau_frames", self.tau_frames, 2)
+        integer("horizon_frames", self.horizon_frames, self.tau_frames)
         if self.horizon_frames > MAX_HORIZON_FRAMES:
-            raise ConfigError(f"horizon_frames must be at most {MAX_HORIZON_FRAMES}")
-        try:
-            # the barrier owns the checks of k_rep, rho0 and delta
-            self.cbf
-        except InputError as exc:
-            raise ConfigError(str(exc)) from None
+            raise InputError(f"horizon_frames must be at most {MAX_HORIZON_FRAMES}")
+        # the barrier owns the checks of k_rep, rho0 and delta
+        self.cbf
         for name in ("alpha_slope", "k_acc"):
-            scalar(name, getattr(self, name), ConfigError, "positive")
+            scalar(name, getattr(self, name), "positive")
         self.margin()
         if self.k_acc * self.dt >= 2.0:
             # tracking maps the velocity error e to (1 - k_acc * dt) e
-            raise ConfigError(
+            raise InputError(
                 f"k_acc * dt must be below 2 for velocity tracking to settle; "
                 f"k_acc {self.k_acc!r} and dt {self.dt!r} give {self.k_acc * self.dt!r}"
             )
         for name in ("k_att", "collision_distance", "relax_lambda_step"):
             if getattr(self, name) is not None:
-                scalar(name, getattr(self, name), ConfigError, "positive")
+                scalar(name, getattr(self, name), "positive")
         if not self.relaxation_step() > 0.0:
             # only the default can get here: eta * (1/2 - epsilon) underflows
-            raise ConfigError(
+            raise InputError(
                 f"relax_lambda_step must be positive; unset, it is eta * (1/2 - epsilon), "
                 f"which eta {self.eta!r} and epsilon {self.epsilon!r} make 0"
             )
         for name, least in (("max_frames", 1), ("seed", 0), ("relax_max_steps", 0)):
-            integer(name, getattr(self, name), ConfigError, least)
+            integer(name, getattr(self, name), least)
 
     @cached_property
     def cbf(self) -> PotentialFieldCbf:
@@ -356,8 +345,10 @@ def frame_command(config, task, state, predicted, k, lam, frame):
     predicted the window's Predictions and lam its margin; frame names
     the frame in errors.  Returns (command, inflation, ids): the (2,)
     command, the relaxation's offset inflation (0.0 when none was
-    needed), and the ids of the agents that gave a row.  Raises InputError when the reference or a row offset is not
-    finite, and InfeasibleRunError when relaxation runs out.
+    needed), and the ids of the agents that gave a row.  Raises
+    InputError when the reference or a row offset is not finite, and
+    InfeasibleError, with diagnostics of the frame's state, when
+    relaxation runs out.
     """
     normals, offsets, ids = _rows(
         config.cbf, config.alpha_slope, predicted, k, state.position, config.rho0, lam
@@ -376,7 +367,7 @@ def frame_command(config, task, state, predicted, k, lam, frame):
             config.relax_max_steps,
         )
     except InfeasibleError as exc:
-        raise InfeasibleRunError(
+        raise InfeasibleError(
             f"no feasible velocity at frame {frame} after "
             f"{config.relax_max_steps} relaxation steps",
             diagnostics={
@@ -420,7 +411,7 @@ def window_step(config, margin, ended, sensed, frame, position):
             )
             if not -0.5 < loss < 0.5:
                 # arctan(r) / pi rounds to +-1/2 once |r| passes about 5.8e15
-                raise ConfigError(
+                raise InputError(
                     f"the window loss saturated at frame {frame}: the worst gap plus the "
                     "margin outgrew the squash; lower eta, lambda_initial or alpha_slope"
                 )
@@ -456,16 +447,16 @@ def run(
             frame (state, margin, constraint count, QP status).
 
     Raises:
-        ConfigError: config.dt disagrees with the scene's frame rate.
-        InfeasibleRunError: the constraint set stayed empty even after
-            exhausting relaxation; diagnostics carry the frame state.
+        InputError: config.dt disagrees with the scene's frame rate.
+        InfeasibleError: the constraint set stayed empty even after
+            exhausting relaxation; its diagnostics carry the frame state.
     """
     if config.k_att is not None:
         task = replace(task, attract_gain=config.k_att)
     # bitwise the scene's grid, when it has one, so windows align exactly
     dt = scene.dt if scene.n_frames else config.dt
     if not math.isclose(config.dt, dt, rel_tol=1e-9, abs_tol=0.0):
-        raise ConfigError(f"config dt {config.dt} does not match scene frame rate 1/{scene.fps}")
+        raise InputError(f"config dt {config.dt} does not match scene frame rate 1/{scene.fps}")
     config = replace(config, dt=dt)
 
     margin = config.margin()
@@ -692,22 +683,26 @@ def sweep(
     is independent and uses the base seed, so results do not depend on
     workers; failures become rows with error text and the sweep
     continues.  Each worker receives the base config, scene and task
-    once, when the pool starts, and each cell only its overrides.
+    once, when the pool starts, and each cell only its overrides.  The
+    pool starts all its workers up front, so it has no more than there
+    are cells or CPUs this process may run on.
     """
-    integer("workers", workers, ConfigError, 1)
+    integer("workers", workers, 1)
     known = {f.name for f in fields(SimConfig)}
     for name in grid:
         if name not in known:
-            raise ConfigError(f"unknown sweep parameter {name!r}")
+            raise InputError(f"unknown sweep parameter {name!r}")
         if not list(grid[name]):
-            raise ConfigError(f"sweep parameter {name!r} has no values")
+            raise InputError(f"sweep parameter {name!r} has no values")
     names = list(grid)
     cells = [dict(zip(names, combo)) for combo in product(*(list(grid[n]) for n in names))]
-    if workers == 1 or len(cells) <= 1:
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(workers, len(cells), cpus)
+    if workers == 1:
         return [_cell_row(cell, base, scene, task) for cell in cells]
-    # the pool forks all its workers up front: no more than there are cells
     with ProcessPoolExecutor(
-        max_workers=min(workers, len(cells)),
+        max_workers=workers,
         initializer=_init_worker,
         initargs=(base, scene, task),
     ) as pool:

@@ -54,7 +54,7 @@ class PredictorKind:
         if self.kind not in _KINDS:
             raise InputError(f"predictor must be one of {', '.join(_KINDS)}; got {self.kind!r}")
         for name in ("value_bound", "dynamics_bound"):
-            scalar(f"predictor_{name}", getattr(self, name), InputError, "nonnegative")
+            scalar(f"predictor_{name}", getattr(self, name), "nonnegative")
 
 
 def velocities(positions, dt: float, lengths=None) -> np.ndarray:
@@ -80,7 +80,7 @@ def velocities(positions, dt: float, lengths=None) -> np.ndarray:
         InputError: fewer than two samples, or a length that is not an
             integer in [2, n].
     """
-    p = floats("positions", positions, InputError)
+    p = floats("positions", positions)
     n = p.shape[-2]
     if n < 2:
         if not math.prod(p.shape[:-2]):
@@ -188,10 +188,10 @@ def predict(
         InputError: shapes disagree, an input the kind needs is missing,
             or a predicted position is not finite.
     """
-    integer("horizon_frames", horizon_frames, InputError, 2)
-    scalar("dt", dt, InputError, "positive")
+    integer("horizon_frames", horizon_frames, 2)
+    scalar("dt", dt, "positive")
     ids = np.asarray(ids)
-    histories = floats("histories", histories, InputError)
+    histories = floats("histories", histories)
     m = len(ids)
     if ids.ndim != 1 or histories.ndim != 3 or histories.shape[0] != m or (
         histories.shape[1] < 2 or histories.shape[2] != 2
@@ -207,7 +207,7 @@ def predict(
     else:
         if futures is None or future_lengths is None:
             raise InputError(f"{kind.kind} needs the recorded future")
-        futures = floats("futures", futures, InputError)
+        futures = floats("futures", futures)
         n = np.asarray(future_lengths, dtype=np.intp)
         if futures.ndim != 3 or futures.shape[0] != m or futures.shape[2] != 2 or (
             n.shape != (m,) or (n < 0).any() or (n > futures.shape[1]).any()
@@ -223,7 +223,7 @@ def predict(
             raise InputError(
                 "noise-bounded-oracle needs cbf, ego_positions, start_frame and seed"
             )
-        ego = floats("ego_positions", ego_positions, InputError)
+        ego = floats("ego_positions", ego_positions)
         if ego.shape == (futures.shape[1], 2):
             ego = ego[:width]
         elif ego.shape != (2,):

@@ -67,9 +67,9 @@ class QpProblem:
     ids: np.ndarray
 
     def __init__(self, reference, normals, offsets, ids):
-        ref = floats("reference", reference, InputError)
-        a = floats("normals", normals, InputError)
-        b = floats("offsets", offsets, InputError)
+        ref = floats("reference", reference)
+        a = floats("normals", normals)
+        b = floats("offsets", offsets)
         ids = np.asarray(ids)
         if ref.shape != (2,):
             raise InputError("reference must be a planar vector")
@@ -179,8 +179,8 @@ def solve_with_relaxation(
         InputError: an inflated attempt's offsets overflow.
         InfeasibleError: still empty at the largest inflation.
     """
-    scalar("lambda_step", lambda_step, InputError, "positive")
-    integer("max_steps", max_steps, InputError, 0)
+    scalar("lambda_step", lambda_step, "positive")
+    integer("max_steps", max_steps, 0)
     attempt = problem
     for k in range(max_steps + 1):
         inflation = k * lambda_step

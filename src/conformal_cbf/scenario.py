@@ -41,7 +41,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from conformal_cbf.errors import ConfigError, InputError, ParseError, floats, integer, point, scalar
+from conformal_cbf.errors import InputError, ParseError, floats, integer, point, scalar
 
 DEFAULT_LABEL_FILTER = ("Pedestrian",)
 # the checked table of an annotation file sits at its path plus this
@@ -62,7 +62,7 @@ class ScenarioFrameSet:
     """
 
     def __init__(self, scene_name, fps, track, frame, xy, labels):
-        scalar("fps", fps, InputError, "positive")
+        scalar("fps", fps, "positive")
         self.scene_name = scene_name
         self.fps = fps
         self.labels = labels
@@ -81,7 +81,7 @@ class ScenarioFrameSet:
         end = np.concatenate((cut, [len(track)])).astype(np.intp)
         run_start = np.repeat(start, end - start)
         run_end = np.repeat(end, end - start)
-        xy = floats("xy", xy, InputError)
+        xy = floats("xy", xy)
         if xy.shape != (len(track), 2) or not np.isfinite(xy).all():
             raise InputError("positions must be finite, one (x, y) per row")
         self.track_positions = xy[by_track]
@@ -437,7 +437,7 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
     and the agent is present only inside its schedule.
 
     Raises:
-        ConfigError: missing keys, bad values, a malformed agent entry or
+        InputError: missing keys, bad values, a malformed agent entry or
             waypoint, a non-monotone schedule, a duration and fps whose
             frame grid numpy refuses to build, or waypoints whose
             interpolation leaves the float range.  An agent's message
@@ -445,20 +445,18 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
     """
     try:
         name = spec["scene_name"]
-        fps, duration = (
-            float(scalar(key, spec[key], ConfigError, "positive")) for key in ("fps", "duration")
-        )
+        fps, duration = (float(scalar(k, spec[k], "positive")) for k in ("fps", "duration"))
         agents = spec["agents"]
     except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad scene spec: {exc}") from None
+        raise InputError(f"bad scene spec: {exc}") from None
     if not isinstance(name, str):
-        raise ConfigError("scene_name must be a string")
+        raise InputError("scene_name must be a string")
     if not isinstance(agents, (list, tuple)):
-        raise ConfigError("agents must be a list of agent entries")
+        raise InputError("agents must be a list of agent entries")
     try:
         t = np.arange(int(round(duration * fps)) + 1) / fps
     except (ValueError, OverflowError, MemoryError):
-        raise ConfigError(
+        raise InputError(
             "duration * fps must give a frame grid that numpy can build"
         ) from None
 
@@ -470,26 +468,24 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
     for i, entry in enumerate(agents):
         key = f"agents[{i}]"
         try:
-            agent_id = integer(f"{key} id", entry["id"], ConfigError)
+            agent_id = integer(f"{key} id", entry["id"])
             label = entry.get("label", "Pedestrian")
             if not isinstance(label, str):
-                raise ConfigError(f"{key} label must be a string")
+                raise InputError(f"{key} label must be a string")
             waypoints = entry["waypoints"]
-            times = np.array(
-                [scalar(f"{key} waypoint time", w[0], ConfigError) for w in waypoints],
-                dtype=np.float64,
-            )
-            points = np.array([point(f"{key} waypoint", w[1], ConfigError) for w in waypoints])
+            times = np.array([scalar(f"{key} waypoint time", w[0]) for w in waypoints],
+                             dtype=np.float64)
+            points = np.array([point(f"{key} waypoint", w[1]) for w in waypoints])
         except (KeyError, TypeError, IndexError) as exc:
-            raise ConfigError(f"bad {key} entry: {exc}") from None
+            raise InputError(f"bad {key} entry: {exc}") from None
         if agent_id in seen:
-            raise ConfigError(f"{key} repeats agent id {agent_id}")
+            raise InputError(f"{key} repeats agent id {agent_id}")
         seen.add(agent_id)
         if len(waypoints) < 2:
-            raise ConfigError(f"{key} needs at least 2 waypoints")
+            raise InputError(f"{key} needs at least 2 waypoints")
         # not np.diff, which overflows between times of opposite sign
         if np.any(times[1:] <= times[:-1]):
-            raise ConfigError(f"{key} has a non-monotone waypoint schedule")
+            raise InputError(f"{key} has a non-monotone waypoint schedule")
         labels[agent_id] = label
         present = np.flatnonzero((t >= times[0]) & (t <= times[-1]))
         track += [agent_id] * len(present)
@@ -499,7 +495,7 @@ def synth_scene(spec: dict) -> ScenarioFrameSet:
             np.interp(t[present], times, points[:, 1]),
         ], axis=1)
         if not np.isfinite(path).all():
-            raise ConfigError(f"{key} waypoints interpolate to positions past the float range")
+            raise InputError(f"{key} waypoints interpolate to positions past the float range")
         xy.append(path)
     xy = np.concatenate(xy) if xy else np.zeros((0, 2))
     return ScenarioFrameSet(name, fps, track, frame, xy, labels)

@@ -29,7 +29,7 @@ from conformal_cbf.barrier import (
     gradient_norm_bound,
 )
 from conformal_cbf.engine import SimConfig, _rows
-from conformal_cbf.errors import ConfigError, InputError, SingularityError
+from conformal_cbf.errors import InputError, SingularityError
 from conformal_cbf.predictor import Predictions
 
 CBF = PotentialFieldCbf(k_rep=2.0, rho0=10.0, delta=0.5)
@@ -213,7 +213,7 @@ def test_class_kappa_lipschitz_property():
 
 def test_class_kappa_validation():
     for slope in (0.0, -2.0, math.inf, math.nan):
-        with pytest.raises(ConfigError, match="^alpha_slope must be positive and finite"):
+        with pytest.raises(InputError, match="^alpha_slope must be positive and finite"):
             SimConfig(alpha_slope=slope)
 
 

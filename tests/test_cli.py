@@ -6,6 +6,7 @@ touches the engine internals directly.
 
 import contextlib
 import functools
+import inspect
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _golden import CROSSING
+from conformal_cbf import errors
 from conformal_cbf.cli import BUILTIN_SCENES, CSV_HEADER, main
 from conformal_cbf.scenario import synth_scene
 
@@ -122,27 +124,47 @@ class TestRunCommand:
         assert len(trace.read_text(encoding="utf-8").splitlines()) == 50
 
     def test_seed_flag_steers_the_noise_oracle(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            predictor="noise-bounded-oracle",
-            predictor_value_bound=2.0,
-            predictor_dynamics_bound=0.5,
-            max_frames=200,
-        )
         scene = make_scene(tmp_path)
         outs = {}
-        for tag, seed in (("a", "0"), ("b", "0"), ("c", "1")):
+        for tag, seed in (("a", 0), ("b", 0), ("c", 1)):
+            cfg = write_config(
+                tmp_path,
+                predictor="noise-bounded-oracle",
+                predictor_value_bound=2.0,
+                predictor_dynamics_bound=0.5,
+                max_frames=200,
+                seed=seed,
+            )
             out = tmp_path / f"{tag}.csv"
-            assert main(
-                ["run", "--config", cfg, "--scene", scene,
-                 "--out", str(out), "--seed", seed]
-            ) == 0
+            assert main(["run", "--config", cfg, "--scene", scene, "--out", str(out)]) == 0
             outs[tag] = out.read_bytes()
         assert outs["a"] == outs["b"]
         assert outs["a"] != outs["c"]
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_seed_is_no_flag(self, tmp_path, capsys, command):
+        # the config's seed key, or a --grid seed=..., is the one way to set it
+        out = tmp_path / "m.csv"
+        argv = [command, "--config", write_config(tmp_path), "--scene", make_scene(tmp_path),
+                "--out", str(out), "--seed", "1"]
+        assert main(argv + (["--grid", "eps=0.0"] if command == "sweep" else [])) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
+    def test_one_exception_type_per_fault(self):
+        # a bad value exits 2, bad data 3 (a malformed file, or an agent on
+        # the ego) and an infeasible run 4
+        types = {name for name, value in vars(errors).items()
+                 if isinstance(value, type) and issubclass(value, Exception)}
+        assert types == {"InputError", "ParseError", "SingularityError", "InfeasibleError"}
+        # the rules raise InputError themselves and take no error type
+        for rule in (errors.scalar, errors.integer, errors.point, errors.floats):
+            assert "error" not in inspect.signature(rule).parameters
+        with pytest.raises(errors.InputError, match="^eta must be positive and finite$"):
+            errors.scalar("eta", True, "positive")
+
     def test_unknown_flag_prints_usage_and_exits_2(self, tmp_path, capsys):
         assert main(["run", "--bogus"]) == 2
         assert "usage" in capsys.readouterr().err.lower()
@@ -262,11 +284,12 @@ class TestExitCodes:
             predictor="noise-bounded-oracle",
             predictor_value_bound=2.0,
             predictor_dynamics_bound=0.5,
+            seed=-1,
         )
         out = tmp_path / "m.csv"
         code = main(
             ["run", "--config", cfg, "--scene", make_scene(tmp_path),
-             "--out", str(out), "--seed", "-1"]
+             "--out", str(out)]
         )
         assert code == 2
         assert "seed" in capsys.readouterr().err
@@ -849,9 +872,15 @@ GRID_NAMES = list(SIM_KEYS) + ["eps", "tau", "a", "lambda", "goal", "nope"]
 GRID_TOKENS = st.one_of(
     st.integers(-3, 100).map(str),
     st.floats(-1e3, 1e3).map(repr),
+    # float and exponent spellings of ints, which an int field refuses by name
+    st.integers(-3, 100).map("{}.0".format),
+    st.tuples(st.sampled_from(["", "-"]), st.integers(0, 400), st.sampled_from("eE")).map(
+        "{0[0]}1{0[2]}{0[1]}".format),
     st.sampled_from(["1e3", "inf", "-inf", "nan", "1e400", "abc", "true", "", " 2 ", HUGE,
                      "9" * 4301]),
 )
+# JSON's number grammar, which every grid token that is a number here follows
+NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 
 
 @st.composite
@@ -893,7 +922,7 @@ class TestConfigFuzz:
     def _check(self, argv, named, cells, items=()):
         """Run argv in process on the crossing scene; an exit-2 line names
         a key of named or quotes a grid name of items, and an exit 0
-        writes cells rows."""
+        writes cells rows.  Returns the stderr text."""
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             scene = tmp / "crossing.yaml"
@@ -910,8 +939,7 @@ class TestConfigFuzz:
                 assert len(notes) == len(failed), err
                 # a cell fails only by the package's own errors
                 assert all(note.startswith("sweep: cell ") and any(
-                    f": {kind}: " in note for kind in ("ConfigError", "InputError",
-                                                       "InfeasibleRunError"))
+                    f": {kind}: " in note for kind in ("InputError", "InfeasibleError"))
                     for note in notes), err
             elif code in (2, 3):
                 assert len(err.splitlines()) == 1, err
@@ -921,6 +949,7 @@ class TestConfigFuzz:
                 # a key by its whole name, or a grid name quoted as given
                 assert any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", err)
                            for name in named) or any(f"'{item}" in err for item in items), err
+        return err
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(config_docs())
@@ -938,6 +967,10 @@ class TestConfigFuzz:
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(grids())
+    # what the fuzz found: an int field's exponent or float spelling read
+    # as a non-numeric value
+    @example(["tau=1e1"])
+    @example(["tau=10.0"])
     def test_a_grid_sweeps_or_exits_with_one_line(self, flags):
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "config.yaml"
@@ -947,7 +980,12 @@ class TestConfigFuzz:
                 argv += ["--grid", flag]
             cells = math.prod(len([v for v in flag.partition("=")[2].split(",") if v.strip()])
                               for flag in flags)
-            self._check(argv, CONFIG_KEYS, cells, [flag.partition("=")[0] for flag in flags])
+            err = self._check(argv, CONFIG_KEYS, cells, [flag.partition("=")[0] for flag in flags])
+        # a flag whose tokens are all numbers is never called non-numeric
+        for flag in flags:
+            if f"grid {flag!r} has a non-numeric value" in err:
+                assert not all(NUMBER.fullmatch(tok.strip())
+                               for tok in flag.partition("=")[2].split(",") if tok.strip()), err
 
 
 class TestValidateAnnotations:
@@ -1017,7 +1055,7 @@ class TestSweepCommand:
         assert rows[0].split(",")[3:] == ["failed"] * 5
         assert "failed" not in rows[1]
         assert capsys.readouterr().err.splitlines() == [
-            "sweep: cell epsilon=0.6 failed: ConfigError: epsilon must lie in (-1/2, 1/2)"
+            "sweep: cell epsilon=0.6 failed: InputError: epsilon must lie in (-1/2, 1/2)"
         ]
 
     def test_worker_count_not_in_bytes(self, tmp_path):

@@ -18,7 +18,7 @@ from conformal_cbf.conformal import (
     squash_inverse,
     window_loss,
 )
-from conformal_cbf.errors import ConfigError, InputError
+from conformal_cbf.errors import InputError
 from conformal_cbf.qp import QpProblem, solve
 
 CBF = PotentialFieldCbf(k_rep=2.0, rho0=10.0, delta=0.5)
@@ -218,12 +218,12 @@ class TestUpdate:
         assert isinstance(state.lam, Fraction)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             ConformalState(lam=0.0, eta=0.0, epsilon=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             ConformalState(lam=0.0, eta=-1.0, epsilon=0.0)
         for bad_eps in (-0.5, 0.5, 0.7, math.nan):
-            with pytest.raises(ConfigError):
+            with pytest.raises(InputError):
                 ConformalState(lam=0.0, eta=1.0, epsilon=bad_eps)
         state = ConformalState(lam=0.0, eta=1.0, epsilon=0.0)
         for bad_loss in (-0.5, 0.5, math.nan):
@@ -296,7 +296,7 @@ class TestRiskBound:
     def test_initial_lambda_admissibility_checked(self):
         state = ConformalState(lam=0.0, eta=1.0, epsilon=0.0)
         state.update(0.1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             risk_bound(state, lambda_safe=2.0, k_prime=1)
 
     def test_boundary_admissibility_allowed(self):

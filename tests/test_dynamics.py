@@ -23,7 +23,7 @@ from conformal_cbf.engine import (
     step,
     track_velocity,
 )
-from conformal_cbf.errors import ConfigError, InputError
+from conformal_cbf.errors import InputError
 
 SETTINGS = settings(max_examples=400, deadline=None)
 # every finite double, so +-0.0, subnormals and values near the overflow
@@ -199,7 +199,7 @@ def test_track_velocity_zero_iff_matched():
 
 def test_actuator_gain_validation():
     for gain in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ConfigError, match="^k_acc must be positive and finite"):
+        with pytest.raises(InputError, match="^k_acc must be positive and finite"):
             SimConfig(k_acc=gain)
 
 

@@ -52,7 +52,7 @@ from conformal_cbf.engine import (
     step,
     sweep,
 )
-from conformal_cbf.errors import ConfigError, InfeasibleRunError, InputError, SingularityError
+from conformal_cbf.errors import InfeasibleError, InputError, SingularityError
 from conformal_cbf.predictor import GROUND_TRUTH, NOISE_BOUNDED, PredictorKind, predict
 from conformal_cbf.qp import QpProblem, solve_with_relaxation
 from conformal_cbf.scenario import ScenarioFrameSet, synth_scene
@@ -185,7 +185,7 @@ class TestConfigValidation:
         ],
     )
     def test_rejects_bad_values(self, overrides):
-        with pytest.raises(ConfigError, match=next(iter(overrides))):
+        with pytest.raises(InputError, match=next(iter(overrides))):
             replace(BASE, **overrides)
 
     def test_the_horizon_ceiling_is_a_horizon(self):
@@ -245,7 +245,7 @@ TOO_LARGE_FOR_A_FLOAT = {
         lambda: make_task([0.0, 0.0], [1.0, 1.0], radius=HUGE), InputError, "goal_radius"
     ),
     **{
-        f"ConformalState-{name}": (lambda name=name: _margin(**{name: HUGE}), ConfigError, name)
+        f"ConformalState-{name}": (lambda name=name: _margin(**{name: HUGE}), InputError, name)
         for name in ("lam", "eta", "epsilon")
     },
     "ConformalState.update": (lambda: _margin().update(HUGE), InputError, "loss"),
@@ -283,7 +283,7 @@ TOO_LARGE_FOR_A_FLOAT = {
         lambda: sensed_agents(scene_from_frames({}), [0.0, 0.0], HUGE, 0), InputError, "rho0"
     ),
     **{
-        f"synth_scene-{key}": (lambda key=key: synth_scene(_spec(**{key: HUGE})), ConfigError, key)
+        f"synth_scene-{key}": (lambda key=key: synth_scene(_spec(**{key: HUGE})), InputError, key)
         for key in ("fps", "duration")
     },
     "RobotState-position": (
@@ -386,7 +386,7 @@ NOT_AN_INTEGER = {
     "sweep-workers": (
         lambda: sweep(BASE, {"eta": [1.0]}, scene_from_frames({}), make_task((0, 0), (1, 0)),
                       workers=True),
-        ConfigError,
+        InputError,
         "workers",
     ),
 }
@@ -642,7 +642,7 @@ class TestInfeasibleRun:
 
     def test_exhausted_relaxation_aborts_with_diagnostics(self):
         cfg, scene, task = self._flanked()
-        with pytest.raises(InfeasibleRunError) as excinfo:
+        with pytest.raises(InfeasibleError) as excinfo:
             run(replace(cfg, relax_max_steps=0), scene, task)
         diag = excinfo.value.diagnostics
         assert diag["frame"] == 2
@@ -686,7 +686,7 @@ class TestDeterminism:
         assert a.lambda_trace != b.lambda_trace
 
     def test_dt_must_match_the_scene(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             run(
                 replace(BASE, dt=1.0 / 30.0),
                 standing_scene(),
@@ -723,7 +723,7 @@ class TestSweep:
 
     def test_failed_cells_become_rows_and_the_sweep_continues(self):
         rows = sweep(self.CFG, {"epsilon": [0.6, 0.0]}, self.SCENE, self._task())
-        assert rows[0].metrics is None and "ConfigError" in rows[0].error
+        assert rows[0].metrics is None and "InputError" in rows[0].error
         assert rows[1].error is None and rows[1].metrics is not None
 
     def test_workers_do_not_change_results(self):
@@ -732,10 +732,12 @@ class TestSweep:
         parallel = sweep(self.CFG, grid, self.SCENE, self._task(), workers=2)
         assert serial == parallel
 
-    def test_pool_starts_no_more_workers_than_cells(self, monkeypatch):
-        # the pool forks all its workers up front; this one maps serially
-        # in this process, so no process is started, and records what the
-        # workers would receive
+    @staticmethod
+    def _serial_pool(monkeypatch):
+        """Rebind the engine's pool to one that maps serially in this
+        process, so no process is started, and records what the workers
+        would receive: (max_workers per pool, initargs per pool, payloads
+        per map)."""
         started, sent, payloads = [], [], []
 
         class SerialPool:
@@ -757,6 +759,13 @@ class TestSweep:
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(engine, "_worker_scene", None)
+        return started, sent, payloads
+
+    def test_pool_starts_no_more_workers_than_cells(self, monkeypatch):
+        # the pool forks all its workers up front
+        started, sent, payloads = self._serial_pool(monkeypatch)
+        # as many CPUs as the test asks for pooled workers at most
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         task = self._task()
         grid = {"epsilon": [-0.2, 0.2]}
         rows = sweep(self.CFG, grid, self.SCENE, task, workers=64)
@@ -774,7 +783,27 @@ class TestSweep:
         rows = sweep(self.CFG, grid, self.SCENE, task, workers=2)
         assert payloads[-1] == [{"epsilon": 0.6}, {"epsilon": 0.0}]
         assert rows == sweep(self.CFG, grid, self.SCENE, task)
-        assert rows[0].metrics is None and rows[0].error.startswith("ConfigError: epsilon")
+        assert rows[0].metrics is None and rows[0].error.startswith("InputError: epsilon")
+
+    def test_pool_starts_no_more_workers_than_cpus(self, monkeypatch):
+        # the pool forks all its workers up front, so a huge --workers over
+        # a huge grid would ask for as many processes; the fake pool starts
+        # none, and the count comes from a faked CPU set
+        started, _, _ = self._serial_pool(monkeypatch)
+        task = self._task()
+        grid = {"eta": [1.0, 2.0, 3.0, 4.0]}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        rows = sweep(self.CFG, grid, self.SCENE, task, workers=5000)
+        assert started == [3]
+        # without an affinity call the CPU count caps it
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sweep(self.CFG, grid, self.SCENE, task, workers=5000) == rows
+        assert started == [3, 2]
+        # one CPU runs the cells in this process, with the pool's rows
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert sweep(self.CFG, grid, self.SCENE, task, workers=5000) == rows
+        assert started == [3, 2]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -783,7 +812,7 @@ class TestSweep:
     @settings(max_examples=12, derandomize=True, deadline=None)
     @given(
         raising=st.integers(0, 2),
-        error=st.sampled_from([KeyboardInterrupt, SystemExit, ValueError, ConfigError]),
+        error=st.sampled_from([KeyboardInterrupt, SystemExit, ValueError, InputError]),
         workers=st.sampled_from([1, 2]),
     )
     def test_a_cell_that_raises(self, raising, error, workers):
@@ -814,11 +843,11 @@ class TestSweep:
         assert multiprocessing.active_children() == []
 
     def test_rejects_bad_grids(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             sweep(self.CFG, {"not_a_field": [1]}, self.SCENE, self._task())
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             sweep(self.CFG, {"epsilon": []}, self.SCENE, self._task())
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             sweep(self.CFG, {}, self.SCENE, self._task(), workers=0)
 
 
@@ -1121,7 +1150,7 @@ def trace_before(config, frames, cut):
         path = os.path.join(tmp, "trace.jsonl")
         try:
             run(config, scene_from_frames(frames), task, trace_path=path)
-        except (InfeasibleRunError, InputError, SingularityError):
+        except (InfeasibleError, InputError, SingularityError):
             pass
         with open(path, encoding="utf-8") as fh:
             return [line for line in fh if json.loads(line)["frame"] < cut]

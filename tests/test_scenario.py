@@ -6,7 +6,7 @@ import pytest
 from _oracles import scene_from_frames
 from conformal_cbf.cli import load_scene_spec
 from conformal_cbf.engine import RobotState, RobotTask, reference_control, sensed_agents
-from conformal_cbf.errors import ConfigError, InputError, ParseError
+from conformal_cbf.errors import InputError, ParseError
 from conformal_cbf.scenario import ScenarioFrameSet, load_annotations, synth_scene
 
 
@@ -253,25 +253,25 @@ class TestSynthScene:
     def test_duplicate_id_rejected(self):
         spec = self.spec()
         spec["agents"].append(dict(spec["agents"][0]))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             synth_scene(spec)
 
     def test_non_monotone_schedule_rejected(self):
         spec = self.spec()
         spec["agents"][0]["waypoints"] = [[0.0, [0.0, 0.0]], [0.0, [1.0, 0.0]]]
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             synth_scene(spec)
 
     def test_too_few_waypoints_rejected(self):
         spec = self.spec()
         spec["agents"][0]["waypoints"] = [[0.0, [0.0, 0.0]]]
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             synth_scene(spec)
 
     def test_a_frame_grid_numpy_refuses_names_duration_and_fps(self):
         spec = {"scene_name": "s", "fps": 10.0, "duration": 1.0e300,
                 "agents": [{"id": 1, "waypoints": [[0.0, [0.0, 0.0]], [1.0, [1.0, 0.0]]]}]}
-        with pytest.raises(ConfigError, match="duration.*fps"):
+        with pytest.raises(InputError, match="duration.*fps"):
             synth_scene(spec)
 
     def test_waypoint_times_of_opposite_sign_near_the_float_limit(self):
@@ -282,7 +282,7 @@ class TestSynthScene:
         assert all(1 in scene.frames[f] for f in range(31))
 
     def test_missing_keys_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             synth_scene({"scene_name": "x"})
 
     def test_yaml_spec_round_trip(self, tmp_path):
