@@ -57,20 +57,39 @@ _INT_FIELDS = {f.name for f in fields(SimConfig) if f.type is int}
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The safe loader, libyaml's when present, that also reads exponent
-    numbers as floats.
-
-    PyYAML's float pattern needs a dot and a signed exponent, so it reads
-    1e6, 1.0e6 and 2E-3 as strings; YAML 1.2 reads them as numbers, and
-    so does this loader.  yaml's own loaders are left as they are.
+    """The safe loader, libyaml's when present, with YAML 1.2's core-schema
+    numbers: an int is decimal (012 is 12), 0o octal or 0x hexadecimal, and
+    a float has a dot or an exponent (-.5, 1e6, 2E-3) or is .inf or .nan,
+    so YAML 1.1's 1_000, 1:30 and 0b1 are strings.  Its resolver table is a
+    copy without yaml's number entries, so yaml's own loaders are untouched.
     """
 
 
+_INT, _FLOAT = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+_Loader.yaml_implicit_resolvers = {
+    first: [entry for entry in entries if entry[0] not in (_INT, _FLOAT)]
+    for first, entries in _Loader.yaml_implicit_resolvers.items()
+}
+# an int is tried before a float, whose pattern would also match it
 _Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    _INT, re.compile(r"^(?:[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+)$"), list("-+0123456789")
+)
+_Loader.add_implicit_resolver(
+    _FLOAT,
+    re.compile(r"^(?:[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?"
+               r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN))$"),
     list("-+0123456789."),
 )
+
+
+def _construct_int(loader, node):
+    # yaml's own reads 012 as octal; int() takes the 0o and 0x prefixes
+    text = loader.construct_scalar(node)
+    return int(text, {"0o": 8, "0x": 16}.get(text[:2], 10))
+
+
+# yaml's float constructor reads the forms above as YAML 1.2 does
+_Loader.add_constructor(_INT, _construct_int)
 
 
 def _read_yaml(path, what, error):

@@ -217,20 +217,18 @@ MAX_HORIZON_FRAMES = 10_000
 class SimConfig:
     """Everything one run needs besides the scene and the task.
 
-    k_att, when set, overrides the task's attraction gain so sweeps can
-    vary it.  collision_distance and relax_lambda_step default to the
-    barrier's zero-level distance and eta * (1/2 - epsilon), which a
-    tiny eta can underflow to 0, a step SimConfig refuses.  The run
-    seed, a nonnegative integer, is forwarded to the predictor, which
-    derives all of its own randomness from it.  alpha_slope is the slope
-    of the class-kappa function alpha(h) = alpha_slope * h and k_acc the
-    gain of the tracking law; SimConfig checks that both are positive and
-    finite.  The barrier checks k_rep, rho0 and delta, and the margin
+    The run seed, a nonnegative integer, is forwarded to the predictor,
+    which derives all of its own randomness from it.  alpha_slope is the
+    slope of the class-kappa function alpha(h) = alpha_slope * h and k_acc
+    the gain of the tracking law; SimConfig checks that both are positive
+    and finite.  The barrier checks k_rep, rho0 and delta, and the margin
     state eta, epsilon and lambda_initial; each refuses a bad value with
     an InputError naming its key, as SimConfig does.  k_acc * dt must also
     be below 2: tracking maps the velocity error e to (1 - k_acc * dt) e
-    each frame, which shrinks only then.  The integer fields take ints
-    only, not booleans, and horizon_frames is at most MAX_HORIZON_FRAMES.
+    each frame, which shrinks only then.  Relaxation steps the offsets by
+    eta * (1/2 - epsilon), refused when a tiny eta underflows it to 0.  The
+    integer fields take ints only, not booleans, and horizon_frames is at
+    most MAX_HORIZON_FRAMES.
     """
 
     dt: float = 1.0 / 30.0
@@ -239,7 +237,6 @@ class SimConfig:
     alpha_slope: float = 0.1
     k_acc: float = 2.0
     k_rep: float = 20.0
-    k_att: float | None = None
     rho0: float = 400.0
     delta: float = 0.5
     eta: float = 100.0
@@ -248,8 +245,6 @@ class SimConfig:
     predictor: PredictorKind = PredictorKind(kind=CONSTANT_VELOCITY)
     max_frames: int = 2000
     seed: int = 0
-    collision_distance: float | None = None
-    relax_lambda_step: float | None = None
     relax_max_steps: int = 8
 
     def __post_init__(self):
@@ -273,14 +268,10 @@ class SimConfig:
                 f"k_acc * dt must be below 2 for velocity tracking to settle; "
                 f"k_acc {self.k_acc!r} and dt {self.dt!r} give {self.k_acc * self.dt!r}"
             )
-        for name in ("k_att", "collision_distance", "relax_lambda_step"):
-            if getattr(self, name) is not None:
-                scalar(name, getattr(self, name), "positive")
         if not self.relaxation_step() > 0.0:
-            # only the default can get here: eta * (1/2 - epsilon) underflows
             raise InputError(
-                f"relax_lambda_step must be positive; unset, it is eta * (1/2 - epsilon), "
-                f"which eta {self.eta!r} and epsilon {self.epsilon!r} make 0"
+                f"eta * (1/2 - epsilon), the relaxation step, must be positive; "
+                f"eta {self.eta!r} and epsilon {self.epsilon!r} make it 0"
             )
         for name, least in (("max_frames", 1), ("seed", 0), ("relax_max_steps", 0)):
             integer(name, getattr(self, name), least)
@@ -293,14 +284,8 @@ class SimConfig:
         """A fresh margin state at lambda_initial."""
         return ConformalState(lam=self.lambda_initial, eta=self.eta, epsilon=self.epsilon)
 
-    def collision_threshold(self) -> float:
-        if self.collision_distance is not None:
-            return self.collision_distance
-        return self.cbf.zero_level_distance()
-
     def relaxation_step(self) -> float:
-        if self.relax_lambda_step is not None:
-            return self.relax_lambda_step
+        """The offset inflation each relaxation attempt adds, eta * (1/2 - epsilon)."""
         return self.eta * (0.5 - self.epsilon)
 
 
@@ -341,14 +326,13 @@ class Window(NamedTuple):
 def frame_command(config, task, state, predicted, k, lam, frame):
     """The filtered velocity command at sample k of a window.
 
-    task has config.k_att applied, state is the ego's RobotState,
-    predicted the window's Predictions and lam its margin; frame names
-    the frame in errors.  Returns (command, inflation, ids): the (2,)
-    command, the relaxation's offset inflation (0.0 when none was
-    needed), and the ids of the agents that gave a row.  Raises
-    InputError when the reference or a row offset is not finite, and
-    InfeasibleError, with diagnostics of the frame's state, when
-    relaxation runs out.
+    state is the ego's RobotState, predicted the window's Predictions
+    and lam its margin; frame names the frame in errors.  Returns
+    (command, inflation, ids): the (2,) command, the relaxation's offset
+    inflation (0.0 when none was needed), and the ids of the agents that
+    gave a row.  Raises InputError when the reference or a row offset is
+    not finite, and InfeasibleError, with diagnostics of the frame's
+    state, when relaxation runs out.
     """
     normals, offsets, ids = _rows(
         config.cbf, config.alpha_slope, predicted, k, state.position, config.rho0, lam
@@ -451,8 +435,6 @@ def run(
         InfeasibleError: the constraint set stayed empty even after
             exhausting relaxation; its diagnostics carry the frame state.
     """
-    if config.k_att is not None:
-        task = replace(task, attract_gain=config.k_att)
     # bitwise the scene's grid, when it has one, so windows align exactly
     dt = scene.dt if scene.n_frames else config.dt
     if not math.isclose(config.dt, dt, rel_tol=1e-9, abs_tol=0.0):
@@ -542,7 +524,7 @@ def run(
     l_avg = sum(history) / len(history) if history else math.nan
     return RunMetrics(
         t_goal=t_goal,
-        n_collide=int(np.count_nonzero(nearest < config.collision_threshold())),
+        n_collide=int(np.count_nonzero(nearest < config.cbf.zero_level_distance())),
         d_min=float(nearest.min(initial=math.inf)),
         l_avg=l_avg,
         inflation_events=inflation_events,

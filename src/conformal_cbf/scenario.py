@@ -93,19 +93,16 @@ class ScenarioFrameSet:
         self._frame_positions = self.track_positions[row]
         frame = frame[row]
         lo = [0] + (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist() if len(frame) else []
-        present = frame[lo].tolist()
-        # frame -> (lo, hi) slice of the index, one entry per frame present
-        self._at = dict(zip(present, zip(lo, lo[1:] + [len(frame)])))
-        # the same slices as arrays: the frames present and where each one's
-        # entries start, with the index's length last
+        # the frames present, ascending, and where each one's entries start
+        # in the index, with the index's length last
         self._present = frame[lo]
         self._lo = np.array(lo + [len(frame)], dtype=np.intp)
         for a in (self.track_positions, self._track, self._runs, self._frame_positions,
                   self._present, self._lo):
             a.flags.writeable = False
-        self.n_frames = len(present)
-        self.start_frame = present[0] if present else 0
-        self.end_frame = present[-1] + 1 if present else 0  # first frame past the data
+        self.n_frames = len(lo)
+        self.start_frame = int(self._present[0]) if lo else 0
+        self.end_frame = int(self._present[-1]) + 1 if lo else 0  # first frame past the data
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -121,7 +118,7 @@ class ScenarioFrameSet:
         """Read-only frame index -> {agent_id -> (2,) position}."""
         if self._view is None:
             view = {}
-            for f in self._at:
+            for f in self._present.tolist():
                 ids, pos, _ = self.rows_at(f)
                 view[f] = MappingProxyType(dict(zip(ids.tolist(), pos)))
             self._view = MappingProxyType(view)
@@ -132,7 +129,7 @@ class ScenarioFrameSet:
         (k, 3) runs.  An agent's run is its row in track_positions and the
         numbers of contiguous samples that end at the frame and that
         start at it."""
-        lo, hi = self._at.get(frame, (0, 0))
+        lo, hi = self._lo[self._before(frame)], self._lo[self._before(frame + 1)]
         return self._track[lo:hi], self._frame_positions[lo:hi], self._runs[lo:hi]
 
     def rows_in(self, first: int, stop: int):
@@ -143,15 +140,15 @@ class ScenarioFrameSet:
             where each one's agents start in positions; and the (k, 2)
             positions of all of them, in frame order, then id order.
         """
-        # the frames present before each bound, searched only inside them,
-        # so a bound such as 2**63 never leaves the index's int64
-        i, j = (
-            0 if x <= self.start_frame else len(self._present) if x >= self.end_frame
-            else np.searchsorted(self._present, x)
-            for x in (first, stop)
-        )
+        i, j = self._before(first), self._before(stop)
         lo = self._lo[i]
         return self._present[i:j], self._lo[i:j] - lo, self._frame_positions[lo:self._lo[j]]
+
+    def _before(self, frame) -> int:
+        """How many frames present come before frame, searched only inside
+        them, so a bound such as 2**63 never leaves the index's int64."""
+        return (0 if frame <= self.start_frame else len(self._present)
+                if frame >= self.end_frame else int(np.searchsorted(self._present, frame)))
 
 
 def _int_column(values) -> np.ndarray:

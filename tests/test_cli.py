@@ -13,6 +13,7 @@ import math
 import re
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from _golden import CROSSING
 from conformal_cbf import errors
 from conformal_cbf.cli import BUILTIN_SCENES, CSV_HEADER, main
+from conformal_cbf.engine import SimConfig
 from conformal_cbf.scenario import synth_scene
 
 BASE_CONFIG = {
@@ -352,7 +354,7 @@ class TestExitCodes:
         code = main(["run", "--config", cfg, "--scene", make_scene(tmp_path), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: relax_lambda_step ")
+        assert err.startswith("config error: eta * (1/2 - epsilon), the relaxation step, ")
         assert "eta 5e-324" in err and "epsilon 0.4" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
@@ -385,10 +387,10 @@ class TestExitCodes:
             # numpy's overflow warnings do not repeat it
             ({"dt": 1.0 / 30.0, "predictor": "ground-truth-oracle"}, "flicker",
              "config error: reference and rows must be finite at frame 20\n", 20),
-            # a k_att past int64 flings the ego out of the float range, and
+            # a gain past int64 flings the ego out of the float range, and
             # tracking overflows before the reference does (the config fuzz
             # found this)
-            ({"k_att": 2**64}, "crossing",
+            ({"attract_gain": 2**64}, "crossing",
              "config error: reference and rows must be finite at frame 16\n", 17),
         ],
         ids=["first-frame", "mid-run", "overflowing-prediction", "int-gain-past-int64"],
@@ -530,7 +532,7 @@ class TestConfigNumbers:
     # the type that owns a key refuses its bad value, by the key's name
     RULES = {"eta": "must be positive and finite", "k_acc": "must be positive and finite",
              "dt": "must be positive and finite", "attract_gain": "must be positive and finite",
-             "k_att": "must be positive and finite", "k_rep": "must be positive and finite",
+             "k_rep": "must be positive and finite",
              "goal_radius": "must be nonnegative and finite",
              "predictor_value_bound": "must be nonnegative and finite",
              "max_frames": "must be an integer >= 1", "seed": "must be an integer >= 0"}
@@ -538,8 +540,11 @@ class TestConfigNumbers:
     @pytest.mark.parametrize(
         "key, value",
         [("eta", "abc"), ("k_acc", "[1, 2]"), ("dt", "true"), ("attract_gain", "fast"),
-         ("k_att", "x"), ("predictor_value_bound", "1e"), ("max_frames", "true"),
-         ("seed", "yes")],
+         ("predictor_value_bound", "1e"), ("max_frames", "true"),
+         ("seed", "yes"),
+         # YAML 1.1's sexagesimal, underscored and binary ints are strings
+         # in YAML 1.2
+         ("k_rep", "1:30"), ("seed", "1_000"), ("seed", "0b1")],
     )
     def test_non_numeric_value_names_its_key(self, tmp_path, capsys, key, value):
         base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != key})
@@ -654,12 +659,52 @@ class TestConfigNumbers:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    def test_null_leaves_an_optional_key_unset(self, tmp_path):
-        base = yaml.safe_dump(BASE_CONFIG)
-        code, out = self._run(tmp_path, "null", base + "k_att: null\n")
-        want_code, want = self._run(tmp_path, "plain", base)
+    @pytest.mark.parametrize("key", [f.name for f in fields(SimConfig)])
+    def test_null_names_its_key(self, tmp_path, capsys, key):
+        # no key is optional: null is a value, which the key's rule refuses
+        base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != key})
+        code, out = self._run(tmp_path, "null", base + f"{key}: null\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    # YAML 1.2's core schema: 010 is decimal, 0o is octal, and a float may
+    # start with its sign and dot
+    @pytest.mark.parametrize("key, spelling, plain",
+                             [("tau_frames", "010", "10"), ("tau_frames", "0o12", "10"),
+                              ("lambda_initial", "-.5", "-0.5"), ("lambda_initial", "+.5", "0.5")])
+    def test_yaml_1_2_numbers_in_a_config(self, tmp_path, key, spelling, plain):
+        base = yaml.safe_dump({k: v for k, v in BASE_CONFIG.items() if k != key})
+        code, out = self._run(tmp_path, "spelled", base + f"{key}: {spelling}\n")
+        want_code, want = self._run(tmp_path, "plain", base + f"{key}: {plain}\n")
         assert code == want_code == 0
         assert out.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("key, spelling, plain", [("fps", "010", "10"), ("fps", "0o12", "10"),
+                                                      ("y", "-.5", "-0.5"), ("y", "1_0", None),
+                                                      ("duration", "1:00", None)])
+    def test_yaml_1_2_numbers_in_a_scene_spec(self, tmp_path, capsys, key, spelling, plain):
+        config = write_config(tmp_path, max_frames=20)
+        outcomes = []
+        for name, value in (("spelled", spelling), ("plain", plain)):
+            if value is None:
+                continue
+            slots = {"fps": "10.0", "duration": "2.0", "y": "1.0", key: value}
+            scene = tmp_path / f"{name}.yaml"
+            scene.write_text("scene_name: s\nfps: {fps}\nduration: {duration}\nagents:\n"
+                             "- id: 1\n  waypoints: [[0.0, [5.0, {y}]], [2.0, [6.0, 1.0]]]\n"
+                             .format(**slots), encoding="utf-8")
+            out = tmp_path / f"{name}.csv"
+            code = main(["run", "--config", config, "--scene", str(scene), "--out", str(out)])
+            outcomes.append((code, out.read_bytes() if code == 0 else None))
+        if plain is None:
+            # a string where the spec wants a number
+            assert outcomes == [(2, None)]
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and len(err.splitlines()) == 1
+        else:
+            assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0
 
     @pytest.mark.parametrize("key, spelling, dotted", [("fps", "1e1", "10.0"),
                                                       ("duration", "2e0", "2.0")])
@@ -805,9 +850,9 @@ class TestSceneSpecFuzz:
 
 # Config documents and sweep grids drawn as YAML and flag text.  A draw of
 # a value is its text; None leaves the key out.
-SIM_KEYS = ("dt", "tau_frames", "horizon_frames", "alpha_slope", "k_acc", "k_rep", "k_att",
-            "rho0", "delta", "eta", "epsilon", "lambda_initial", "predictor", "max_frames",
-            "seed", "collision_distance", "relax_lambda_step", "relax_max_steps")
+SIM_KEYS = ("dt", "tau_frames", "horizon_frames", "alpha_slope", "k_acc", "k_rep", "rho0",
+            "delta", "eta", "epsilon", "lambda_initial", "predictor", "max_frames", "seed",
+            "relax_max_steps")
 CONFIG_KEYS = SIM_KEYS + ("start", "start_velocity", "goal", "goal_radius", "attract_gain",
                           "predictor_value_bound", "predictor_dynamics_bound")
 # solve_with_relaxation makes up to relax_max_steps + 1 attempts a frame,
@@ -842,7 +887,10 @@ VALUES = {
         st.sampled_from(["constant-velocity", "ground-truth-oracle", "noise-bounded-oracle"]),
         SCALARS),
 }
-UNKNOWN_KEYS = ["bogus", "Eta", "k_rep2", "workers", "scene_name"]
+# keys that name no setting: attract_gain, the barrier's zero level and
+# eta * (1/2 - epsilon) give their values
+DELETED_KEYS = ["k_att", "collision_distance", "relax_lambda_step"]
+UNKNOWN_KEYS = ["bogus", "Eta", "k_rep2", "workers", "scene_name", *DELETED_KEYS]
 
 
 def rarely():
@@ -868,7 +916,7 @@ def config_docs(draw):
     return crossing_text(doc)
 
 
-GRID_NAMES = list(SIM_KEYS) + ["eps", "tau", "a", "lambda", "goal", "nope"]
+GRID_NAMES = list(SIM_KEYS) + ["eps", "tau", "a", "lambda", "goal", "nope", *DELETED_KEYS]
 GRID_TOKENS = st.one_of(
     st.integers(-3, 100).map(str),
     st.floats(-1e3, 1e3).map(repr),
@@ -958,7 +1006,7 @@ class TestConfigFuzz:
     # tracking acceleration, whose message named none either
     @example(crossing_text({"max_frames": "50", "eta": "1e17", "epsilon": "0.4"}))
     @example(crossing_text({"max_frames": "50", "horizon_frames": str(10**20)}))
-    @example(crossing_text({"max_frames": "50", "k_att": str(2**64)}))
+    @example(crossing_text({"max_frames": "50", "attract_gain": str(2**64)}))
     def test_a_config_document_runs_or_exits_with_one_line(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "config.yaml"
@@ -1082,6 +1130,44 @@ class TestSweepCommand:
         # a field that takes no number cannot be swept from the command line
         assert main(base + ["--grid", "predictor=1"]) == 2
         assert capsys.readouterr().err.startswith("config error: predictor ")
+        # YAML 1.1's underscored, sexagesimal and binary ints are no YAML 1.2
+        # numbers
+        for token in ("seed=1_000", "eps=1:30", "seed=0b1"):
+            assert main(base + ["--grid", token]) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: grid {token!r} has a non-numeric value\n"
+
+    @pytest.mark.parametrize("where", ["config", "grid"])
+    @pytest.mark.parametrize("key", DELETED_KEYS)
+    def test_a_deleted_key_exits_2(self, tmp_path, capsys, where, key):
+        # the attraction gain is the task's attract_gain, a collision is the
+        # barrier's h < 0 and relaxation steps by eta * (1/2 - epsilon), so
+        # these keys are no settings any more
+        out = tmp_path / "t.csv"
+        if where == "config":
+            argv = ["run", "--config", write_config(tmp_path, **{key: 1.0})]
+            message = f"config error: unknown config key {key!r}\n"
+        else:
+            argv = ["sweep", "--config", write_config(tmp_path), "--grid", f"{key}=1.0"]
+            message = f"config error: unknown sweep parameter {key!r}\n"
+        assert main(argv + ["--scene", make_scene(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token, plain", [("tau=010", "tau=10"), ("tau=0o12", "tau=10"),
+                                              ("lambda=-.5", "lambda=-0.5"),
+                                              ("eps=+.2", "eps=0.2")])
+    def test_yaml_1_2_numbers_in_a_grid(self, tmp_path, capsys, token, plain):
+        cfg, scene = write_config(tmp_path, max_frames=60), make_scene(tmp_path)
+        tables = []
+        for name, flag in (("spelled", token), ("plain", plain)):
+            out = tmp_path / f"{name}.csv"
+            assert main(["sweep", "--config", cfg, "--scene", scene, "--out", str(out),
+                         "--grid", flag]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        # no cell failed
+        assert capsys.readouterr().err == ""
 
     def test_the_environment_sets_no_worker_count(self, tmp_path, monkeypatch):
         # --workers, default 1, is the only way to set the worker count

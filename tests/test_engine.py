@@ -13,7 +13,7 @@ import multiprocessing
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from unittest import mock
 
@@ -144,10 +144,7 @@ class TestConfigValidation:
             {"epsilon": 0.5},
             {"epsilon": -0.5},
             {"eta": 0.0},
-            {"k_att": 0.0},
             {"max_frames": 0},
-            {"collision_distance": -2.0},
-            {"relax_lambda_step": 0.0},
             {"relax_max_steps": -1},
             {"k_rep": 0.0},
             {"k_rep": 1e200},
@@ -171,12 +168,13 @@ class TestConfigValidation:
             {"predictor": 1.0},
             *(
                 {name: HUGE}
-                for name in ("dt", "alpha_slope", "k_acc", "k_rep", "k_att", "rho0", "delta",
-                             "eta", "epsilon", "lambda_initial", "collision_distance",
-                             "relax_lambda_step")
+                for name in ("dt", "alpha_slope", "k_acc", "k_rep", "rho0", "delta", "eta",
+                             "epsilon", "lambda_initial")
             ),
-            # unset, the step is eta * (1/2 - epsilon), which underflows to 0
-            {"relax_lambda_step": None, "eta": 5.0e-324, "epsilon": 0.4},
+            # the relaxation step eta * (1/2 - epsilon) underflows to 0
+            {"eta": 5.0e-324, "epsilon": 0.4},
+            # no field is optional: each refuses None by its own rule
+            *({f.name: None} for f in fields(SimConfig)),
             # past the ceiling a horizon only asks predict for memory: 10**9
             # frames asked for 14.9 GiB, and tau_frames is bounded with it
             {"horizon_frames": MAX_HORIZON_FRAMES + 1},
@@ -194,10 +192,7 @@ class TestConfigValidation:
 
     def test_defaults_derive_from_barrier(self):
         cfg = BASE
-        assert cfg.collision_threshold() == cfg.cbf.zero_level_distance()
         assert cfg.relaxation_step() == cfg.eta * (0.5 - cfg.epsilon)
-        assert replace(cfg, collision_distance=3.0).collision_threshold() == 3.0
-        assert replace(cfg, relax_lambda_step=7.0).relaxation_step() == 7.0
 
 
 def _cbf(**kwargs):
@@ -555,11 +550,10 @@ class TestMarginAdaptation:
             BASE,
             rho0=100.0,
             epsilon=-0.2,
-            k_att=0.003,
             max_frames=1100,
         )
         scene = standing_scene(position=(15.0, 3.0), duration=110.0)
-        task = make_task((0.0, 0.0), (300.0, 0.0), gain=1.0, radius=1.0)
+        task = make_task((0.0, 0.0), (300.0, 0.0), gain=0.003, radius=1.0)
         return cfg, run(cfg, scene, task)
 
     def test_trace_shape_and_bootstrap(self):
@@ -587,8 +581,9 @@ class TestMarginAdaptation:
 
 
 class TestCollisionAccounting:
-    def test_counts_frames_below_the_override_threshold(self):
-        # an agent parked one pixel away for exactly three frames
+    def test_counts_frames_below_the_barrier_threshold(self):
+        # an agent parked one pixel away for exactly three frames, well
+        # inside the barrier's zero-level distance of about 2.8 px
         pos = np.array([1.0, 0.0])
         scene = scene_from_frames(
             {f: {7: pos} for f in range(3)}, labels={7: "Pedestrian"}, name="brush"
@@ -598,9 +593,9 @@ class TestCollisionAccounting:
             tau_frames=2,
             horizon_frames=4,
             rho0=25.0,
-            collision_distance=5.0,
             max_frames=30,
         )
+        assert 1.0 < cfg.cbf.zero_level_distance()
         metrics = run(cfg, scene, make_task((0.0, 0.0), (50.0, 0.0), gain=0.1))
         assert metrics.n_collide == 3
         # the robot closes in on the parked agent while it is present
@@ -608,6 +603,19 @@ class TestCollisionAccounting:
         # too transient to score: one-sample future, margin frozen
         assert math.isnan(metrics.l_avg)
         assert all(lam == 0.0 for _, lam in metrics.lambda_trace)
+
+    @pytest.mark.parametrize("closer, collided", [(False, 0), (True, 1)])
+    def test_a_frame_exactly_at_the_threshold_is_no_collision(self, closer, collided):
+        # the ego starts at the origin and the agent stands at (d, 0) on
+        # the first frame only; sqrt(d * d) is d, so the distance is d
+        cfg = replace(BASE, tau_frames=2, horizon_frames=4, max_frames=5)
+        d = cfg.cbf.zero_level_distance()
+        if closer:
+            d = math.nextafter(d, 0.0)
+        scene = scene_from_frames({0: {7: np.array([d, 0.0])}}, labels={7: "Pedestrian"})
+        metrics = run(cfg, scene, make_task((0.0, 0.0), (50.0, 0.0)))
+        assert metrics.d_min == d
+        assert metrics.n_collide == collided
 
 
 class TestInfeasibleRun:
@@ -653,7 +661,9 @@ class TestInfeasibleRun:
     def test_inflation_rescues_the_squeeze(self):
         cfg, scene, task = self._flanked()
         metrics = run(
-            replace(cfg, relax_lambda_step=10.0, relax_max_steps=3), scene, task
+            # steps of eta / 2 = 0.5, up to the inflation of 30 that three
+            # steps of 10 once reached
+            replace(cfg, relax_max_steps=60), scene, task
         )
         assert metrics.inflation_events >= 1
         assert metrics.t_goal is None
@@ -976,12 +986,13 @@ def distance_cases(draw):
     """A seeded scene of agents on straight lines, each present on its own
     frames (so tracks have gaps and some frames hold no agent), a task
     whose goal the ego may reach mid-run, and max_frames up to well past
-    the scene's end.  The ego starts at (0.5, 0.25) and agents sit on odd
-    multiples of 1/8 px, so no agent starts on the ego; agent 99, when
-    drawn, stands exactly collision_distance from the ego's start."""
+    the scene's end.  The ego starts at the origin and agents sit on odd
+    multiples of 1/8 px, so no agent starts on the ego.  k_rep sets the
+    barrier's zero-level distance d, from about 0.7 to 3.7 px; agent 99,
+    when drawn, stands at (d, 0), exactly d from the ego's start, since
+    sqrt(d * d) is d."""
     first = draw(st.integers(-5, 20))
     span = draw(st.integers(1, 40))
-    collision_d = draw(st.sampled_from([1.0, 2.0, 3.0, 6.0]))
     frames = {}
     for agent_id in range(draw(st.integers(0, 5))):
         origin = draw(st.tuples(st.integers(-120, 120), st.integers(-80, 80)))
@@ -991,21 +1002,20 @@ def distance_cases(draw):
             x = (2 * origin[0] + 1) / 8.0 + k * speed[0] / 4.0
             y = (2 * origin[1] + 1) / 8.0 + k * speed[1] / 4.0
             frames.setdefault(f, {})[agent_id] = np.array([x, y])
-    if draw(st.booleans()):
-        frames.setdefault(first, {})[99] = np.array([0.5 + collision_d, 0.25])
     tau = draw(st.integers(2, 5))
     config = SimConfig(
         dt=0.1,
         tau_frames=tau,
         horizon_frames=tau + draw(st.integers(0, 6)),
-        k_rep=1.0,
+        k_rep=draw(st.sampled_from([1.0, 4.0, 9.0, 36.0])),
         rho0=30.0,
-        collision_distance=collision_d,
         relax_max_steps=40,
         max_frames=draw(st.integers(1, 2 * span + 20)),
     )
-    goal = (0.5 + draw(st.integers(-40, 40)), 0.25 + draw(st.integers(-40, 40)))
-    task = make_task((0.5, 0.25), goal, gain=draw(st.sampled_from([0.5, 2.0])),
+    if draw(st.booleans()):
+        frames.setdefault(first, {})[99] = np.array([config.cbf.zero_level_distance(), 0.0])
+    goal = (draw(st.integers(-40, 40)), draw(st.integers(-40, 40)))
+    task = make_task((0.0, 0.0), goal, gain=draw(st.sampled_from([0.5, 2.0])),
                      radius=draw(st.sampled_from([0.0, 1.0, 4.0])))
     return scene_from_frames(frames), config, task
 
@@ -1029,7 +1039,7 @@ def test_distances_after_the_run_equal_the_per_frame_scan(case):
     # every frame run made one step but the goal frame; the goal frame's
     # position is the last step's, and the step past max_frames is not run
     positions = [s.position for s in states][: config.max_frames]
-    d_min, n_collide = distance_reference(scene, positions, config.collision_threshold())
+    d_min, n_collide = distance_reference(scene, positions, config.cbf.zero_level_distance())
     assert metrics.d_min == d_min
     assert metrics.n_collide == n_collide
     assert type(metrics.d_min) is float and type(metrics.n_collide) is int
