@@ -1,11 +1,9 @@
 """Command-line front end: runs, sweeps, annotation checks, scene stamps.
 
-Configs are flat YAML mappings whose keys mirror SimConfig field names
-one-to-one, plus the task keys (start, start_velocity, goal, goal_radius,
-attract_gain) and the predictor keys (predictor, predictor_value_bound,
-predictor_dynamics_bound).  This module only parses them and routes each
-key to the type that owns it, SimConfig, RobotTask or PredictorKind, whose
-check refuses a bad value by the key's name.  A sweep's --grid values
+Configs are flat YAML mappings whose keys are the field names of
+SimConfig and RobotTask, one key per field.  This module only parses them
+and hands each key to the type whose field it names, whose check refuses
+a bad value by the key's name.  A sweep's --grid values
 override the file's cell by cell.  Configs, scene specs and grid values
 are the only YAML the package reads, all here and with one loader.  Metric
 tables are CSV with a fixed header and repr-formatted floats, so an
@@ -25,26 +23,24 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import fields
 
 import yaml
 
-from conformal_cbf.engine import RobotState, RobotTask, SimConfig, run, sweep
+from conformal_cbf.engine import RobotTask, SimConfig, run, sweep
 from conformal_cbf.errors import (
     InfeasibleError,
     InputError,
     ParseError,
     SingularityError,
     integer,
-    point,
     scalar,
 )
-from conformal_cbf.predictor import CONSTANT_VELOCITY, PredictorKind
 from conformal_cbf.scenario import load_annotations, record_table, synth_scene
 
 CSV_HEADER = "epsilon,eta,tau,t_goal,n_collide,d_min,l_avg,inflation_events"
 
-_TASK_KEYS = ("start", "start_velocity", "goal", "goal_radius", "attract_gain")
 # sweep flags accept the usual short spellings for the swept quantities
 _GRID_ALIASES = {
     "eps": "epsilon",
@@ -205,40 +201,17 @@ def load_scene_spec(path) -> dict:
 
 
 def build_setup(doc: dict):
-    """Split a flat config mapping into a SimConfig and a RobotTask."""
-    sim_names = {f.name for f in fields(SimConfig)} - {"predictor"}
-    sim_kwargs: dict = {}
-    task_kwargs: dict = {}
-    kind = CONSTANT_VELOCITY
-    value_bound = 0.0
-    dynamics_bound = 0.0
-    for key, value in doc.items():
-        if key in _TASK_KEYS:
-            task_kwargs[key] = value
-        elif key == "predictor":
-            kind = value
-        elif key == "predictor_value_bound":
-            value_bound = value
-        elif key == "predictor_dynamics_bound":
-            dynamics_bound = value
-        elif key in sim_names:
-            sim_kwargs[key] = value
-        else:
+    """Split a flat config mapping into a SimConfig and a RobotTask by
+    field name."""
+    sim_keys = {f.name for f in fields(SimConfig)}
+    task_keys = {f.name for f in fields(RobotTask)}
+    for key in doc:
+        if key not in sim_keys | task_keys:
             raise InputError(f"unknown config key {key!r}")
-    predictor = PredictorKind(kind=kind, value_bound=value_bound, dynamics_bound=dynamics_bound)
-    config = SimConfig(predictor=predictor, **sim_kwargs)
-
-    if "goal" not in task_kwargs:
+    config = SimConfig(**{key: value for key, value in doc.items() if key in sim_keys})
+    if "goal" not in doc:
         raise InputError("config must set goal: [x, y]")
-    start, velocity, goal = (point(key, task_kwargs.get(key, [0.0, 0.0]))
-                             for key in ("start", "start_velocity", "goal"))
-    task = RobotTask(
-        start=RobotState(position=start, velocity=velocity),
-        goal=goal,
-        attract_gain=task_kwargs.get("attract_gain", 1.0),
-        goal_radius=task_kwargs.get("goal_radius", 2.0),
-    )
-    return config, task
+    return config, RobotTask(**{key: value for key, value in doc.items() if key in task_keys})
 
 
 def load_scene_for(config: SimConfig, args):
@@ -252,8 +225,23 @@ def load_scene_for(config: SimConfig, args):
         whole = round(fps)
         if whole >= 1 and abs(fps - whole) < 1e-6:
             fps = float(whole)
-        return load_annotations(args.annotations, fps=fps)
+        return _warning_lines(load_annotations, args.annotations, fps=fps)
     return synth_scene(load_scene_spec(args.scene))
+
+
+def _warning_lines(load, *args, **kwargs):
+    """load(*args, **kwargs), printing each UserWarning it gives (an
+    annotation file that leaves no agent) as one 'warning: ' line on
+    stderr, not in Python's form with its source line; other warnings
+    are given on as they came."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = load(*args, **kwargs)
+    for w in caught:
+        if w.category is UserWarning:
+            print(f"warning: {w.message}", file=sys.stderr)
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return result
 
 
 def parse_grid(grid_args) -> dict:
@@ -360,7 +348,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        scene, unrecorded = record_table(args.annotations)
+        scene, unrecorded = _warning_lines(record_table, args.annotations)
     except ParseError as exc:
         # the message already names the line
         print(f"{args.annotations}: {exc}", file=sys.stderr)

@@ -55,8 +55,9 @@ identically, so the results are bitwise those of the array formulas
 (tests/test_dynamics.py compares them with ==).  Only elementwise
 arithmetic is moved this way.  Distances stay on numpy: a reduction such
 as np.vecdot need not equal x*x + y*y bit for bit, so the goal distance
-and tracking error keep their numpy forms, and d_min is one batched
-np.vecdot over the whole run.  No float expression divides by anything
+and the traced tracking error are math.sqrt of one np.vecdot, bitwise
+the 1-D np.linalg.norm, and d_min is one batched np.vecdot over the
+whole run.  No float expression divides by anything
 that can be zero (dt is checked positive first).
 
 Each value of a frame is checked once, where it is made.  _rows keeps
@@ -88,13 +89,7 @@ import numpy as np
 from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms_unchecked
 from conformal_cbf.conformal import NO_AGENTS, ConformalState, EgoWindow, window_loss
 from conformal_cbf.errors import InfeasibleError, InputError, floats, integer, point, scalar
-from conformal_cbf.predictor import (
-    CONSTANT_VELOCITY,
-    NO_PREDICTIONS,
-    Predictions,
-    PredictorKind,
-    predict,
-)
+from conformal_cbf.predictor import CONSTANT_VELOCITY, KINDS, NO_PREDICTIONS, Predictions, predict
 from conformal_cbf.qp import NOT_FINITE, solve_with_relaxation, unchecked_problem
 
 
@@ -172,15 +167,18 @@ def track_velocity(k_acc: float, velocity: np.ndarray, commanded: np.ndarray) ->
 
 @dataclass(frozen=True)
 class RobotTask:
-    """Start state, goal point, attraction gain, and arrival radius."""
+    """Goal point, start position and velocity, attraction gain, and
+    arrival radius; each point is checked and stored as a (2,) array."""
 
-    start: RobotState
     goal: np.ndarray
-    attract_gain: float
-    goal_radius: float
+    start: np.ndarray = (0.0, 0.0)
+    start_velocity: np.ndarray = (0.0, 0.0)
+    attract_gain: float = 1.0
+    goal_radius: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "goal", point("goal", self.goal))
+        for name in ("start", "start_velocity", "goal"):
+            object.__setattr__(self, name, point(name, getattr(self, name)))
         scalar("attract_gain", self.attract_gain, "positive")
         scalar("goal_radius", self.goal_radius, "nonnegative")
 
@@ -217,10 +215,12 @@ MAX_HORIZON_FRAMES = 10_000
 class SimConfig:
     """Everything one run needs besides the scene and the task.
 
-    The run seed, a nonnegative integer, is forwarded to the predictor,
-    which derives all of its own randomness from it.  alpha_slope is the
-    slope of the class-kappa function alpha(h) = alpha_slope * h and k_acc
-    the gain of the tracking law; SimConfig checks that both are positive
+    predictor is one of predictor.KINDS; predictor_value_bound and
+    predictor_dynamics_bound, nonnegative, are read by the noise-bounded
+    oracle alone.  The run seed, a nonnegative integer, is read by the
+    predictor, which derives all of its own randomness from it.
+    alpha_slope is the slope of the class-kappa function
+    alpha(h) = alpha_slope * h and k_acc the gain of the tracking law; SimConfig checks that both are positive
     and finite.  The barrier checks k_rep, rho0 and delta, and the margin
     state eta, epsilon and lambda_initial; each refuses a bad value with
     an InputError naming its key, as SimConfig does.  k_acc * dt must also
@@ -242,15 +242,19 @@ class SimConfig:
     eta: float = 100.0
     epsilon: float = 0.0
     lambda_initial: float = 0.0
-    predictor: PredictorKind = PredictorKind(kind=CONSTANT_VELOCITY)
+    predictor: str = CONSTANT_VELOCITY
+    predictor_value_bound: float = 0.0
+    predictor_dynamics_bound: float = 0.0
     max_frames: int = 2000
     seed: int = 0
     relax_max_steps: int = 8
 
     def __post_init__(self):
+        if self.predictor not in KINDS:
+            raise InputError(f"predictor must be one of {', '.join(KINDS)}; got {self.predictor!r}")
+        for name in ("predictor_value_bound", "predictor_dynamics_bound"):
+            scalar(name, getattr(self, name), "nonnegative")
         scalar("dt", self.dt, "positive")
-        if not isinstance(self.predictor, PredictorKind):
-            raise InputError(f"predictor must be a PredictorKind, got {self.predictor!r}")
         # a window needs two samples before its motion can be differenced,
         # and the horizon must cover one window
         integer("tau_frames", self.tau_frames, 2)
@@ -404,17 +408,8 @@ def window_step(config, margin, ended, sensed, frame, position):
         return NO_PREDICTIONS
     ids, histories, futures, future_lengths = sensed
     return predict(
-        config.predictor,
-        ids,
-        histories,
-        config.horizon_frames,
-        config.dt,
-        futures=futures,
-        future_lengths=future_lengths,
-        start_frame=frame,
-        seed=config.seed,
-        cbf=config.cbf,
-        ego_positions=position,
+        config, ids, histories, futures=futures, future_lengths=future_lengths,
+        start_frame=frame, ego_positions=position,
     )
 
 
@@ -442,7 +437,7 @@ def run(
     config = replace(config, dt=dt)
 
     margin = config.margin()
-    state = task.start
+    state = RobotState(position=task.start, velocity=task.start_velocity)
     start = scene.start_frame
     tau = config.tau_frames
     # frames from scene.end_frame on hold no agent, so nothing is recorded
@@ -478,6 +473,7 @@ def run(
                     if inflation > 0.0:
                         inflation_events += 1
                     if trace_fh is not None:
+                        error = state.velocity - command
                         trace_fh.write(
                             json.dumps(
                                 {
@@ -489,9 +485,7 @@ def run(
                                     "status": "relaxed" if inflation > 0.0 else "ok",
                                     "inflation": float(inflation),
                                     "command": command.tolist(),
-                                    "tracking_error": float(
-                                        np.linalg.norm(state.velocity - command)
-                                    ),
+                                    "tracking_error": math.sqrt(np.vecdot(error, error)),
                                 }
                             )
                             + "\n"
@@ -556,7 +550,7 @@ def _window_edge(config, margin, scene, state, frame, ended, sense=True):
         ids, runs = ids[keep], runs[keep]
     row, after = runs[:, 0], runs[:, 2]
     if len(ids):
-        oracle = config.predictor.kind != CONSTANT_VELOCITY
+        oracle = config.predictor != CONSTANT_VELOCITY
         n = config.horizon_frames if oracle else config.tau_frames
         # after >= 1, so the first two offsets stay -2 and -1
         sample = np.minimum(np.arange(-2, n), after[:, None] - 1)

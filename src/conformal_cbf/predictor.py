@@ -6,11 +6,14 @@ differences at the window edges.  velocities applies the rule to whole
 stacks of windows at once, so predicted and revealed motion are
 differentiated identically wherever they are compared.
 
-predict works on a whole window at once: it takes the ids, histories
-and recorded futures of m agents as arrays and returns Predictions, the
-(m, H, 2) positions and velocities with one length per agent.  Three
-predictor kinds are available.  "constant-velocity" extrapolates the
-last observed displacement, one broadcast for all agents.  The two
+predict works on a whole window at once: it takes the run's config and
+the ids, histories and recorded futures of m agents as arrays and
+returns Predictions, the (m, H, 2) positions and velocities with one
+length per agent.  It reads the predictor kind, its two bounds, the
+horizon, dt, the seed and the barrier off the config by attribute, so
+they are checked once, where the config is made.  Three predictor kinds
+are available.  "constant-velocity" extrapolates the last observed
+displacement, one broadcast for all agents.  The two
 oracle kinds replay the actual future and exist for tests and
 calibration studies: "ground-truth-oracle" returns it untouched, and
 "noise-bounded-oracle" perturbs it while enforcing stated bounds on the
@@ -28,33 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conformal_cbf.barrier import PotentialFieldCbf, barrier_terms
-from conformal_cbf.errors import InputError, floats, integer, scalar
+from conformal_cbf.barrier import barrier_terms
+from conformal_cbf.errors import InputError, floats
 
 CONSTANT_VELOCITY = "constant-velocity"
 GROUND_TRUTH = "ground-truth-oracle"
 NOISE_BOUNDED = "noise-bounded-oracle"
-_KINDS = (CONSTANT_VELOCITY, GROUND_TRUTH, NOISE_BOUNDED)
-
-
-@dataclass(frozen=True)
-class PredictorKind:
-    """Which predictor to run, with the oracle noise bounds.
-
-    value_bound and dynamics_bound are only consulted by the
-    noise-bounded oracle.  Their errors name them by their config keys,
-    predictor_value_bound and predictor_dynamics_bound.
-    """
-
-    kind: str = CONSTANT_VELOCITY
-    value_bound: float = 0.0
-    dynamics_bound: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InputError(f"predictor must be one of {', '.join(_KINDS)}; got {self.kind!r}")
-        for name in ("value_bound", "dynamics_bound"):
-            scalar(f"predictor_{name}", getattr(self, name), "nonnegative")
+KINDS = (CONSTANT_VELOCITY, GROUND_TRUTH, NOISE_BOUNDED)
 
 
 def velocities(positions, dt: float, lengths=None) -> np.ndarray:
@@ -141,28 +124,25 @@ _SCALES = np.ldexp(1.0, -np.arange(80))
 
 
 def predict(
-    kind: PredictorKind,
+    config,
     ids,
     histories,
-    horizon_frames: int,
-    dt: float,
     *,
     futures=None,
     future_lengths=None,
     start_frame: int | None = None,
-    seed: int | None = None,
-    cbf: PotentialFieldCbf | None = None,
     ego_positions=None,
 ) -> Predictions:
     """Predicted positions of m agents over the coming horizon.
 
     Args:
-        kind: predictor selection and configuration.
+        config: the run's SimConfig; predict reads its predictor and the
+            two bounds, horizon_frames, dt, seed and cbf.  The seed makes
+            the noise-bounded oracle's perturbations reproducible, and
+            the barrier is the one whose flow term that oracle respects.
         ids: the agents' ids, (m,); the output keeps their order.
         histories: the last n >= 2 observed positions of each agent,
             (m, n, 2), all ending the frame before prediction starts.
-        horizon_frames: number of future frames to produce, at least 2.
-        dt: sampling interval of histories and futures.
         futures: each agent's recorded positions from the frame where
             prediction starts, (m, F, 2).  Required by the oracle kinds,
             ignored by constant-velocity.
@@ -170,10 +150,6 @@ def predict(
             of futures past them are never read.
         start_frame: frame where prediction starts; the noise-bounded
             oracle keys its random draws on (seed, start_frame, id).
-        seed: the run's seed, which makes the noise-bounded oracle's
-            perturbations reproducible; required by that kind only.
-        cbf: barrier whose flow term the noise-bounded oracle must
-            respect; required by that kind only.
         ego_positions: ego position(s) the noise-bounded oracle checks
             its dynamics bound against, either one (2,) point or one per
             future sample, (F, 2).
@@ -188,8 +164,7 @@ def predict(
         InputError: shapes disagree, an input the kind needs is missing,
             or a predicted position is not finite.
     """
-    integer("horizon_frames", horizon_frames, 2)
-    scalar("dt", dt, "positive")
+    kind, horizon_frames, dt = config.predictor, config.horizon_frames, config.dt
     ids = np.asarray(ids)
     histories = floats("histories", histories)
     m = len(ids)
@@ -198,7 +173,7 @@ def predict(
     ):
         raise InputError("histories must be (m, n >= 2, 2), one per id")
 
-    if kind.kind == CONSTANT_VELOCITY:
+    if kind == CONSTANT_VELOCITY:
         last = histories[:, -1:]
         step = last - histories[:, -2:-1]
         offsets = np.arange(1, horizon_frames + 1, dtype=np.float64)[:, None]
@@ -206,7 +181,7 @@ def predict(
         lengths = np.full(m, horizon_frames, dtype=np.intp)
     else:
         if futures is None or future_lengths is None:
-            raise InputError(f"{kind.kind} needs the recorded future")
+            raise InputError(f"{kind} needs the recorded future")
         futures = floats("futures", futures)
         n = np.asarray(future_lengths, dtype=np.intp)
         if futures.ndim != 3 or futures.shape[0] != m or futures.shape[2] != 2 or (
@@ -218,23 +193,19 @@ def predict(
         width = lengths.max(initial=0)
         valid = np.arange(width) < lengths[:, None]
         positions = np.where(valid[..., None], futures[keep, :width], 0.0)
-    if kind.kind == NOISE_BOUNDED:
-        if cbf is None or ego_positions is None or start_frame is None or seed is None:
-            raise InputError(
-                "noise-bounded-oracle needs cbf, ego_positions, start_frame and seed"
-            )
+    if kind == NOISE_BOUNDED:
+        if ego_positions is None or start_frame is None:
+            raise InputError("noise-bounded-oracle needs ego_positions and start_frame")
         ego = floats("ego_positions", ego_positions)
         if ego.shape == (futures.shape[1], 2):
             ego = ego[:width]
         elif ego.shape != (2,):
             raise InputError("ego_positions must be one point or one per sample")
-        positions = _noise_bounded(
-            kind, ids, positions, lengths, valid, start_frame, seed, dt, cbf, ego
-        )
+        positions = _noise_bounded(config, ids, positions, lengths, valid, start_frame, ego)
     if not np.isfinite(positions).all():
         raise InputError("predicted positions must be finite")
     # constant-velocity lengths are the whole horizon: checking them only costs
-    vels = velocities(positions, dt, None if kind.kind == CONSTANT_VELOCITY else lengths)
+    vels = velocities(positions, dt, None if kind == CONSTANT_VELOCITY else lengths)
     return Predictions(ids=ids, positions=positions, velocities=vels, lengths=lengths)
 
 
@@ -247,38 +218,40 @@ def _key_entry(x) -> int:
     return x if x >= 0 else x % 2**64
 
 
-def _noise_bounded(kind, ids, truth, lengths, valid, start_frame, seed, dt, cbf, ego):
+def _noise_bounded(config, ids, truth, lengths, valid, start_frame, ego):
     """Perturbed truths.
 
     Each agent's perturbation is drawn from its own generator, keyed on
     (seed, start_frame, agent id) through _key_entry, with radius at most
-    value_bound.  It is then shrunk by the first factor 2^-k, k = 0..79,
-    for which the flow-term error stays within dynamics_bound at every
-    sample; no factor passing leaves the truth.  All factors of all
-    agents are checked in one barrier_terms call.  A factor putting a
+    predictor_value_bound.  It is then shrunk by the first factor 2^-k,
+    k = 0..79, for which the flow-term error stays within
+    predictor_dynamics_bound at every sample; no factor passing leaves
+    the truth.  All factors of all agents are checked in one
+    barrier_terms call.  A factor putting a
     sample on the ego fails, and so does every factor when the truth
     itself does.
     """
+    cbf, seed = config.cbf, config.seed
     noise = np.zeros_like(truth)
     frame_key = _key_entry(start_frame)
     for j, (agent_id, n) in enumerate(zip(ids.tolist(), lengths.tolist())):
         rng = np.random.default_rng([seed, frame_key, _key_entry(agent_id)])
         angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        radii = kind.value_bound * rng.uniform(0.0, 1.0, size=n)
+        radii = config.predictor_value_bound * rng.uniform(0.0, 1.0, size=n)
         noise[j, :n] = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     # (agent, truth then factor k, sample, xy)
     tracks = np.concatenate(
         [truth[:, None], truth[:, None] + _SCALES[:, None, None] * noise[:, None]],
         axis=1,
     )
-    vels = velocities(tracks, dt, lengths[:, None])
+    vels = velocities(tracks, config.dt, lengths[:, None])
     diff = ego - tracks
     singular = np.sqrt(np.vecdot(diff, diff)) < cbf.min_distance
     diff[singular] = cbf.rho0  # an offset the barrier is defined at
     _, grad_ego = barrier_terms(cbf, diff)
     # the agent-side gradient is -grad_ego
     q = np.vecdot(-grad_ego, vels)
-    over = np.abs(q[:, 1:] - q[:, :1]) > kind.dynamics_bound
+    over = np.abs(q[:, 1:] - q[:, :1]) > config.predictor_dynamics_bound
     fails = over | singular[:, 1:] | singular[:, :1]
     passes = ~(fails & valid[:, None]).any(axis=-1)
     pick = np.where(passes.any(axis=1), passes.argmax(axis=1) + 1, 0)

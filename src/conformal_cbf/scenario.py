@@ -84,13 +84,16 @@ class ScenarioFrameSet:
         xy = floats("xy", xy)
         if xy.shape != (len(track), 2) or not np.isfinite(xy).all():
             raise InputError("positions must be finite, one (x, y) per row")
-        self.track_positions = xy[by_track]
+        # np.take gathers rows of an (n, 2) array far faster than indexing
+        self.track_positions = np.take(xy, by_track, axis=0)
         # the frame index, in (frame, track) order: each entry's track, its
-        # table row and the samples of its run up to and from its frame
-        row = np.lexsort((track, frame))
+        # table row and the samples of its run up to and from its frame.  The
+        # rows are in (track, frame) order, whose pairs are unique, so a
+        # stable sort by frame alone keeps the tracks of a frame ascending
+        row = np.argsort(frame, kind="stable")
         self._track = track[row]
         self._runs = np.stack([row, row + 1 - run_start[row], run_end[row] - row], axis=1)
-        self._frame_positions = self.track_positions[row]
+        self._frame_positions = np.take(self.track_positions, row, axis=0)
         frame = frame[row]
         lo = [0] + (np.flatnonzero(frame[1:] != frame[:-1]) + 1).tolist() if len(frame) else []
         # the frames present, ascending, and where each one's entries start

@@ -450,22 +450,23 @@ def sensed_reference(frames, ego, rho0, frame):
     ]
 
 
-def predict_reference(
-    kind, histories, horizon_frames, *, futures=None, cbf=None, ego_positions=None, seed=None
-):
+def predict_reference(config, histories, *, futures=None, ego_positions=None):
     """The per-agent predictor the array form replaced: agent_id ->
     Window, in id order, from id-keyed history and future Window
-    mappings.  Agents with fewer than two history samples or no recorded
-    future are skipped."""
+    mappings, with the predictor, its bounds, the horizon, the barrier
+    and the seed read off the SimConfig as predict reads them.  Agents
+    with fewer than two history samples or no recorded future are
+    skipped."""
     from conformal_cbf.errors import InputError
     from conformal_cbf.predictor import CONSTANT_VELOCITY, GROUND_TRUTH
 
+    horizon_frames = config.horizon_frames
     out = {}
     for agent_id in sorted(histories):
         history = histories[agent_id]
         if history.n_samples < 2:
             continue
-        if kind.kind == CONSTANT_VELOCITY:
+        if config.predictor == CONSTANT_VELOCITY:
             out[agent_id] = _constant_velocity_reference(history, horizon_frames)
             continue
         future = futures.get(agent_id) if futures else None
@@ -474,10 +475,10 @@ def predict_reference(
         if future.start_frame != history.end_frame:
             raise InputError(f"future of agent {agent_id} does not abut its history")
         truth = future.prefix(min(horizon_frames, future.n_samples))
-        if kind.kind == GROUND_TRUTH:
+        if config.predictor == GROUND_TRUTH:
             out[agent_id] = truth
         else:
-            out[agent_id] = _noise_bounded_reference(kind, truth, cbf, ego_positions, seed)
+            out[agent_id] = _noise_bounded_reference(config, truth, ego_positions)
     return out
 
 
@@ -489,31 +490,31 @@ def _constant_velocity_reference(history, horizon):
     )
 
 
-def noise_reference(kind, start_frame, agent_id, n, *, seed):
+def noise_reference(config, start_frame, agent_id, n):
     """The (n, 2) perturbation the noise-bounded oracle draws for one
     agent before shrinking it.  A negative frame or id enters the key
     as its 64-bit two's-complement pattern."""
-    key = [seed] + [x if x >= 0 else x + 2**64 for x in (int(start_frame), int(agent_id))]
+    key = [config.seed] + [x if x >= 0 else x + 2**64 for x in (int(start_frame), int(agent_id))]
     rng = np.random.default_rng(key)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    radii = kind.value_bound * rng.uniform(0.0, 1.0, size=n)
+    radii = config.predictor_value_bound * rng.uniform(0.0, 1.0, size=n)
     return radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _noise_bounded_reference(kind, truth, cbf, ego_positions, seed):
+def _noise_bounded_reference(config, truth, ego_positions):
     """Halve the perturbation until the flow-term error stays within the
     dynamics bound, at most 80 times; the truth when none complies."""
     n = truth.n_samples
     ego = np.asarray(ego_positions, dtype=np.float64)
     if ego.shape == (2,):
         ego = np.broadcast_to(ego, (n, 2))
-    noise = noise_reference(kind, truth.start_frame, truth.agent_id, n, seed=seed)
+    noise = noise_reference(config, truth.start_frame, truth.agent_id, n)
     scale = 1.0
     for _ in range(80):
         candidate = Window(
             truth.agent_id, truth.start_frame, truth.dt, truth.positions + scale * noise
         )
-        if _flow_error_ok(kind.dynamics_bound, cbf, ego, truth, candidate):
+        if _flow_error_ok(config.predictor_dynamics_bound, config.cbf, ego, truth, candidate):
             return candidate
         scale *= 0.5
     return truth

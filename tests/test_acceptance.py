@@ -44,15 +44,9 @@ from conformal_cbf.conformal import (
     lambda_safe_bound,
     window_loss,
 )
-from conformal_cbf.engine import RobotState, RobotTask, SimConfig, run, sensed_agents
+from conformal_cbf.engine import RobotTask, SimConfig, run, sensed_agents
 from conformal_cbf.errors import ParseError
-from conformal_cbf.predictor import (
-    CONSTANT_VELOCITY,
-    GROUND_TRUTH,
-    NOISE_BOUNDED,
-    PredictorKind,
-    predict,
-)
+from conformal_cbf.predictor import CONSTANT_VELOCITY, GROUND_TRUTH, NOISE_BOUNDED, predict
 from conformal_cbf.qp import QpProblem, solve
 from conformal_cbf.scenario import load_annotations, synth_scene
 
@@ -160,6 +154,11 @@ def test_03_certified_margin_keeps_window_loss_at_target():
     with verdict(3, "certified margin keeps every window loss at or under target"):
         for pair_index, (e_v, e_d) in enumerate(((0.5, 0.1), (5.0, 1.0))):
             bounds = bound_set_for(cbf, e_v, e_d)
+            noise = SimConfig(
+                dt=dt, tau_frames=2, horizon_frames=n, k_rep=cbf.k_rep, rho0=cbf.rho0,
+                delta=cbf.delta, predictor=NOISE_BOUNDED, predictor_value_bound=e_v,
+                predictor_dynamics_bound=e_d,
+            )
             violations = 0
             for i in range(1000):
                 rng = np.random.default_rng([3, pair_index, i])
@@ -190,16 +189,12 @@ def test_03_certified_margin_keeps_window_loss_at_target():
                         )
                 history = np.vstack([agent[0] - rng.uniform(-4.0, 4.0, 2), agent[0]])
                 predicted = predict(
-                    PredictorKind(kind=NOISE_BOUNDED, value_bound=e_v, dynamics_bound=e_d),
+                    replace(noise, seed=i),
                     [9],
                     history[None],
-                    n,
-                    dt,
                     futures=agent[None],
                     future_lengths=[n],
                     start_frame=100,
-                    seed=i,
-                    cbf=cbf,
                     ego_positions=ego,
                 )
                 loss = window_loss(
@@ -285,19 +280,14 @@ CROSSING_CONFIG = SimConfig(
     eta=0.5,
     epsilon=0.0,
     lambda_initial=0.0,
-    predictor=PredictorKind(kind=CONSTANT_VELOCITY),
+    predictor=CONSTANT_VELOCITY,
     max_frames=1150,
     seed=0,
 )
 
 # the robot creeps, so each crossing pedestrian is met over and over and
 # the run accumulates a couple hundred calibration windows
-CROSSING_TASK = RobotTask(
-    start=RobotState(position=np.zeros(2), velocity=np.zeros(2)),
-    goal=np.array([200.0, 0.0]),
-    attract_gain=0.02,
-    goal_radius=2.0,
-)
+CROSSING_TASK = RobotTask(goal=[200.0, 0.0], attract_gain=0.02, goal_radius=2.0)
 
 
 def _replay_window_losses(config, scene, trace_path):
@@ -328,7 +318,7 @@ def _replay_window_losses(config, scene, trace_path):
             history = history_window(scene.frames, agent_id, w0, tau, scene.dt)
             if history is not None and history.n_samples >= 2:
                 histories[agent_id] = history
-        predicted = predict_reference(config.predictor, histories, config.horizon_frames)
+        predicted = predict_reference(config, histories)
         worst = None
         for agent_id in sorted(predicted):
             actual = future_reference(scene.frames, agent_id, w0, tau)
@@ -381,7 +371,7 @@ def test_06_perfect_predictions_pin_margin_and_loss_at_zero():
             scene = synth_scene(BUILTIN_SCENES[scene_name])
             config = replace(
                 CROSSING_CONFIG,
-                predictor=PredictorKind(kind=GROUND_TRUTH),
+                predictor=GROUND_TRUTH,
                 max_frames=frames,
             )
             metrics = run(config, scene, CROSSING_TASK)

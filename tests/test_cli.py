@@ -851,10 +851,9 @@ class TestSceneSpecFuzz:
 # Config documents and sweep grids drawn as YAML and flag text.  A draw of
 # a value is its text; None leaves the key out.
 SIM_KEYS = ("dt", "tau_frames", "horizon_frames", "alpha_slope", "k_acc", "k_rep", "rho0",
-            "delta", "eta", "epsilon", "lambda_initial", "predictor", "max_frames", "seed",
-            "relax_max_steps")
-CONFIG_KEYS = SIM_KEYS + ("start", "start_velocity", "goal", "goal_radius", "attract_gain",
-                          "predictor_value_bound", "predictor_dynamics_bound")
+            "delta", "eta", "epsilon", "lambda_initial", "predictor", "predictor_value_bound",
+            "predictor_dynamics_bound", "max_frames", "seed", "relax_max_steps")
+CONFIG_KEYS = SIM_KEYS + ("start", "start_velocity", "goal", "goal_radius", "attract_gain")
 # solve_with_relaxation makes up to relax_max_steps + 1 attempts a frame,
 # and a frame loop runs max_frames times, so these two stay small as ints
 BOUNDED = {"max_frames": (-2, 50), "relax_max_steps": (-2, 64)}
@@ -1069,6 +1068,21 @@ class TestValidateAnnotations:
         assert main(argv) == 3
         assert capsys.readouterr().err.count("line 2") == 1
 
+    @pytest.mark.parametrize("command", ["validate-annotations", "run"])
+    def test_a_file_that_leaves_no_agent_warns_in_one_line(self, tmp_path, capsys, command):
+        path = tmp_path / "bikers.txt"
+        path.write_text('1 10 20 30 40 0 0 0 0 "Biker"\n1 12 22 32 42 1 0 0 0 "Biker"\n',
+                        encoding="utf-8")
+        argv = [command, "--annotations", str(path)]
+        if command == "run":
+            config = tmp_path / "config.yaml"
+            config.write_text("dt: 0.1\ngoal: [10.0, 0.0]\nmax_frames: 20\n", encoding="utf-8")
+            argv += ["--config", str(config), "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: no agents survived parsing {path}"
+        ]
+
 
 class TestSweepCommand:
     def test_rows_follow_grid_order(self, tmp_path):
@@ -1105,6 +1119,17 @@ class TestSweepCommand:
         assert capsys.readouterr().err.splitlines() == [
             "sweep: cell epsilon=0.6 failed: InputError: epsilon must lie in (-1/2, 1/2)"
         ]
+
+    def test_a_predictor_bound_sweeps_like_any_float_key(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        cfg = write_config(tmp_path, predictor="noise-bounded-oracle",
+                           predictor_dynamics_bound=0.5, max_frames=150)
+        code = main(["sweep", "--config", cfg, "--scene", make_scene(tmp_path),
+                     "--out", str(out), "--grid", "predictor_value_bound=0,1,2.5"])
+        assert code == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 3 and not [row for row in rows if "failed" in row]
+        assert capsys.readouterr().err == ""
 
     def test_worker_count_not_in_bytes(self, tmp_path):
         cfg = write_config(tmp_path, max_frames=150)

@@ -241,10 +241,7 @@ def test_float_track_velocity_is_bitwise_the_array_formula(velocity, commanded, 
 @SETTINGS
 @given(goal=vec, position=vec, gain=positive)
 def test_float_reference_control_is_bitwise_the_array_formula(goal, position, gain):
-    task = RobotTask(
-        start=RobotState(position=[0.0, 0.0], velocity=[0.0, 0.0]),
-        goal=goal, attract_gain=gain, goal_radius=1.0,
-    )
+    task = RobotTask(goal=goal, attract_gain=gain, goal_radius=1.0)
     state = RobotState(position=position, velocity=[0.0, 0.0])
     # an overflow here is left to the frame's finiteness check (see engine)
     got = reference_control(task, state)

@@ -53,21 +53,13 @@ from conformal_cbf.engine import (
     sweep,
 )
 from conformal_cbf.errors import InfeasibleError, InputError, SingularityError
-from conformal_cbf.predictor import GROUND_TRUTH, NOISE_BOUNDED, PredictorKind, predict
+from conformal_cbf.predictor import GROUND_TRUTH, NOISE_BOUNDED, predict
 from conformal_cbf.qp import QpProblem, solve_with_relaxation
 from conformal_cbf.scenario import ScenarioFrameSet, synth_scene
 
 
 def make_task(start, goal, gain=1.0, radius=2.0):
-    return RobotTask(
-        start=RobotState(
-            position=np.array(start, dtype=np.float64),
-            velocity=np.zeros(2),
-        ),
-        goal=np.array(goal, dtype=np.float64),
-        attract_gain=gain,
-        goal_radius=radius,
-    )
+    return RobotTask(start=start, goal=goal, attract_gain=gain, goal_radius=radius)
 
 
 def shuttle(agent_id, x, amp, half_period, duration, start_sign=1):
@@ -163,8 +155,8 @@ class TestConfigValidation:
             {"eta": True},
             {"epsilon": False},
             {"lambda_initial": True},
-            # a predictor is a PredictorKind, not its name
-            {"predictor": "ground-truth-oracle"},
+            # a predictor is one of the three kinds, by name
+            {"predictor": "perfect"},
             {"predictor": 1.0},
             *(
                 {name: HUGE}
@@ -224,10 +216,8 @@ def _one_window_loss(lam):
 # case -> (build with HUGE at one field, the error, the field it names)
 TOO_LARGE_FOR_A_FLOAT = {
     **{
-        f"PredictorKind-{name}": (
-            lambda name=name: PredictorKind(**{name: HUGE}), InputError, f"predictor_{name}"
-        )
-        for name in ("value_bound", "dynamics_bound")
+        f"SimConfig-{name}": (lambda name=name: SimConfig(**{name: HUGE}), InputError, name)
+        for name in ("predictor_value_bound", "predictor_dynamics_bound")
     },
     **{
         f"PotentialFieldCbf-{name}": (lambda name=name: _cbf(**{name: HUGE}), InputError, name)
@@ -266,9 +256,6 @@ TOO_LARGE_FOR_A_FLOAT = {
     "solve_with_relaxation-lambda_step": (
         lambda: solve_with_relaxation(_no_rows(), HUGE, 1), InputError, "lambda_step"
     ),
-    "predict-dt": (
-        lambda: predict(PredictorKind(), [1], np.zeros((1, 2, 2)), 4, HUGE), InputError, "dt"
-    ),
     "ScenarioFrameSet-fps": (
         lambda: ScenarioFrameSet("s", HUGE, [], [], np.zeros((0, 2)), {}),
         InputError,
@@ -284,11 +271,14 @@ TOO_LARGE_FOR_A_FLOAT = {
     "RobotState-position": (
         lambda: RobotState(position=[HUGE, 0.0], velocity=[0.0, 0.0]), InputError, "position"
     ),
-    "RobotTask-goal": (
-        lambda: RobotTask(start=_at_origin(), goal=[0.0, HUGE], attract_gain=1.0, goal_radius=1.0),
-        InputError,
-        "goal",
-    ),
+    **{
+        f"RobotTask-{name}": (
+            lambda name=name: RobotTask(**{"goal": [1.0, 1.0], name: [0.0, HUGE]}),
+            InputError,
+            name,
+        )
+        for name in ("goal", "start", "start_velocity")
+    },
     "AffineConstraint-normal": (
         lambda: barrier.AffineConstraint(normal=[HUGE, 0.0], offset=0.0, agent_id=1),
         InputError,
@@ -314,13 +304,13 @@ TOO_LARGE_FOR_A_FLOAT = {
         )
     },
     "predict-histories": (
-        lambda: predict(PredictorKind(), [1], [[[HUGE, 0.0], [0.0, 0.0]]], 4, 0.1),
+        lambda: predict(SimConfig(), [1], [[[HUGE, 0.0], [0.0, 0.0]]]),
         InputError,
         "histories",
     ),
     "predict-futures": (
         lambda: predict(
-            PredictorKind(kind=GROUND_TRUTH), [1], np.zeros((1, 2, 2)), 4, 0.1,
+            SimConfig(predictor=GROUND_TRUTH), [1], np.zeros((1, 2, 2)),
             futures=[[[HUGE, 0.0], [0.0, 0.0]]], future_lengths=[2],
         ),
         InputError,
@@ -364,10 +354,9 @@ def test_an_int_too_large_for_a_float_is_refused_by_name(case):
 # case -> (call with a value that is no int, or a bool, at one integer
 # parameter, the error, the parameter it names)
 NOT_AN_INTEGER = {
-    "predict-horizon_frames": (
-        lambda: predict(PredictorKind(), [1], np.zeros((1, 2, 2)), 2.5, 0.1),
-        InputError,
-        "horizon_frames",
+    # predict reads the horizon off the config, which checks it
+    "SimConfig-horizon_frames": (
+        lambda: SimConfig(tau_frames=2, horizon_frames=2.5), InputError, "horizon_frames"
     ),
     "solve_with_relaxation-max_steps": (
         lambda: solve_with_relaxation(_no_rows(), 1.0, 2.5), InputError, "max_steps"
@@ -421,7 +410,7 @@ class TestGroundTruthFixedPoint:
 
     CFG = replace(
         BASE,
-        predictor=PredictorKind(kind=GROUND_TRUTH),
+        predictor=GROUND_TRUTH,
         max_frames=400,
     )
     TASK_ARGS = ((0.0, 0.0), (70.0, 0.0))
@@ -486,9 +475,7 @@ class TestGroundTruthFixedPoint:
                 )
                 for agent_id in histories
             }
-            preds = predict_reference(
-                cfg.predictor, histories, cfg.horizon_frames, futures=futures, seed=cfg.seed
-            )
+            preds = predict_reference(cfg, histories, futures=futures)
 
             here = np.array(r["position"])
             rows = []
@@ -674,7 +661,9 @@ class TestDeterminism:
         scene = crossing_scene(duration=15.0)
         cfg = replace(
             BASE,
-            predictor=PredictorKind(kind=NOISE_BOUNDED, value_bound=2.0, dynamics_bound=0.5),
+            predictor=NOISE_BOUNDED,
+            predictor_value_bound=2.0,
+            predictor_dynamics_bound=0.5,
             max_frames=150,
             seed=0,
         )
@@ -685,9 +674,9 @@ class TestDeterminism:
         scene = crossing_scene(duration=15.0)
         cfg = replace(
             BASE,
-            predictor=PredictorKind(
-                kind=NOISE_BOUNDED, value_bound=2.0, dynamics_bound=0.5
-            ),
+            predictor=NOISE_BOUNDED,
+            predictor_value_bound=2.0,
+            predictor_dynamics_bound=0.5,
             max_frames=150,
         )
         task = make_task((0.0, 0.0), (70.0, 0.0), gain=0.5, radius=3.0)
@@ -1027,7 +1016,7 @@ def test_distances_after_the_run_equal_the_per_frame_scan(case):
     per-frame scan of each frame the run reached, goal frame included,
     with ==."""
     scene, config, task = case
-    states = [task.start]
+    states = [RobotState(position=task.start, velocity=task.start_velocity)]
 
     def step(*args):
         states.append(engine_step(*args))
@@ -1115,7 +1104,7 @@ def test_window_step_refuses_tracks_that_do_not_match_the_predictions():
     """A hand-made window whose revealed tracks are not one per predicted
     agent is refused, not scored as if nobody was there."""
     histories = np.array([[[0.0, 10.0], [0.5, 10.0]], [[5.0, 5.0], [5.0, 4.0]]])
-    predicted = engine.predict(BASE.predictor, [1, 2], histories, 10, 0.1)
+    predicted = engine.predict(BASE, [1, 2], histories)
     ego = np.zeros((5, 2))
     for revealed, lengths in [(np.ones((1, 5, 2)), [1]), (np.ones((2, 5, 2)), [5])]:
         margin = BASE.margin()
@@ -1194,8 +1183,8 @@ def test_the_filter_acts_on_nothing_the_scene_shows_later(seed, n_agents, cut, e
     n_agents=st.integers(1, 12),
     cut=st.integers(1, 150),
     kind=st.sampled_from([
-        PredictorKind(kind=GROUND_TRUTH),
-        PredictorKind(kind=NOISE_BOUNDED, value_bound=2.0, dynamics_bound=0.5),
+        dict(predictor=GROUND_TRUTH),
+        dict(predictor=NOISE_BOUNDED, predictor_value_bound=2.0, predictor_dynamics_bound=0.5),
     ]),
 )
 def test_recorded_futures_reach_the_filter_only_through_predict(seed, n_agents, cut, kind):
@@ -1205,7 +1194,7 @@ def test_recorded_futures_reach_the_filter_only_through_predict(seed, n_agents, 
     at each window that starts before the cut, writes every trace row
     before it byte-identical."""
     frames = seeded_crowd(seed, n_agents)
-    config = SimConfig(predictor=kind, seed=3, **CAUSAL)
+    config = SimConfig(seed=3, **kind, **CAUSAL)
     real_predict = engine.predict
     recorded = {}
 

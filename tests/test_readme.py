@@ -1,6 +1,6 @@
 """The README's Python examples run and print what they say they print,
 and its table of config keys lists the keys a config may set, each with
-its default.
+its default: one key per field of SimConfig and RobotTask.
 
 The ```python blocks of README.md run in order in one namespace, as a
 reader would paste them.  Each block's output must equal the ``# ``
@@ -16,8 +16,8 @@ from pathlib import Path
 
 import yaml
 
-from conformal_cbf.cli import _TASK_KEYS, build_setup
-from conformal_cbf.engine import SimConfig
+from conformal_cbf.cli import build_setup
+from conformal_cbf.engine import RobotTask, SimConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -60,8 +60,7 @@ def test_readme_examples_print_what_they_say():
 def test_readme_lists_every_config_key_with_its_default():
     rows = config_table()
     keys = [key for key, _ in rows]
-    accepted = ({f.name for f in fields(SimConfig)}
-                | {"predictor_value_bound", "predictor_dynamics_bound"} | set(_TASK_KEYS))
+    accepted = {f.name for f in fields(SimConfig)} | {f.name for f in fields(RobotTask)}
     assert len(keys) == len(set(keys)) == 22
     assert set(keys) == accepted
     # setting a key to its listed default changes nothing

@@ -186,12 +186,7 @@ class TestFrameSetQueries:
 
 class TestRobotTask:
     def task(self):
-        return RobotTask(
-            start=RobotState(position=[0.0, 0.0], velocity=[0.0, 0.0]),
-            goal=[10.0, 5.0],
-            attract_gain=0.5,
-            goal_radius=1.0,
-        )
+        return RobotTask(goal=[10.0, 5.0], attract_gain=0.5, goal_radius=1.0)
 
     def test_reference_control_points_at_goal(self):
         t = self.task()
@@ -205,12 +200,7 @@ class TestRobotTask:
 
     def test_validation(self):
         with pytest.raises(Exception):
-            RobotTask(
-                start=RobotState(position=[0.0, 0.0], velocity=[0.0, 0.0]),
-                goal=[10.0, 5.0],
-                attract_gain=0.0,
-                goal_radius=1.0,
-            )
+            RobotTask(goal=[10.0, 5.0], attract_gain=0.0, goal_radius=1.0)
 
 
 class TestSynthScene:

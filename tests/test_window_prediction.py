@@ -28,24 +28,19 @@ from _oracles import (
 )
 from conformal_cbf.engine import RobotState, SimConfig, _window_edge, sensed_agents
 from conformal_cbf.errors import InputError
-from conformal_cbf.predictor import (
-    CONSTANT_VELOCITY,
-    GROUND_TRUTH,
-    NOISE_BOUNDED,
-    PredictorKind,
-    predict,
-)
+from conformal_cbf.predictor import CONSTANT_VELOCITY, GROUND_TRUTH, NOISE_BOUNDED, predict
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
+# a predictor's config fields
 kinds = st.one_of(
-    st.just(PredictorKind(kind=CONSTANT_VELOCITY)),
-    st.just(PredictorKind(kind=GROUND_TRUTH)),
+    st.just(dict(predictor=CONSTANT_VELOCITY)),
+    st.just(dict(predictor=GROUND_TRUTH)),
     st.builds(
-        PredictorKind,
-        kind=st.just(NOISE_BOUNDED),
-        value_bound=st.sampled_from([0.0, 0.5, 4.0, 30.0]),
-        dynamics_bound=st.sampled_from([0.0, 1e-3, 0.1, 1e9]),
+        dict,
+        predictor=st.just(NOISE_BOUNDED),
+        predictor_value_bound=st.sampled_from([0.0, 0.5, 4.0, 30.0]),
+        predictor_dynamics_bound=st.sampled_from([0.0, 1e-3, 0.1, 1e9]),
     ),
 )
 
@@ -63,7 +58,7 @@ def scenes(draw):
     return frames
 
 
-def reference_window(config, kind, cbf, scene, ego, frame):
+def reference_window(config, scene, ego, frame):
     """The per-agent path the engine took: one history and one future
     Window per sensed agent, predict_reference, predictions with fewer
     than two samples dropped, stack_reference."""
@@ -74,17 +69,14 @@ def reference_window(config, kind, cbf, scene, ego, frame):
         if history is not None and history.n_samples >= 2:
             histories[agent_id] = history
     futures = None
-    if kind.kind != CONSTANT_VELOCITY:
+    if config.predictor != CONSTANT_VELOCITY:
         futures = {
             i: future_window(scene.frames, i, frame, config.horizon_frames, scene.dt)
             for i in histories
         }
         futures = {i: f for i, f in futures.items() if f is not None}
         histories = {i: h for i, h in histories.items() if i in futures}
-    predictions = predict_reference(
-        kind, histories, config.horizon_frames, futures=futures, cbf=cbf, ego_positions=ego,
-        seed=config.seed,
-    )
+    predictions = predict_reference(config, histories, futures=futures, ego_positions=ego)
     return stack_reference({i: p for i, p in predictions.items() if p.n_samples >= 2})
 
 
@@ -97,9 +89,8 @@ def assert_same(got, want):
     assert len(got) == len(want.ids)
 
 
-def predicted_window(config, kind, scene, ego, frame):
+def predicted_window(config, scene, ego, frame):
     state = RobotState(position=np.asarray(ego, dtype=np.float64), velocity=np.zeros(2))
-    config = replace(config, predictor=kind)
     predicted = _window_edge(config, config.margin(), scene, state, frame, None).predicted
     return predicted
 
@@ -125,11 +116,12 @@ def test_array_prediction_matches_the_per_agent_reference(
     frames.setdefault(2, {})[1000] = ego + [rho0, 1.0]
     scene = scene_from_frames(frames)
     config = SimConfig(
-        dt=0.1, tau_frames=tau, horizon_frames=tau + extra, rho0=rho0, k_rep=k_rep, seed=seed
+        dt=0.1, tau_frames=tau, horizon_frames=tau + extra, rho0=rho0, k_rep=k_rep, seed=seed,
+        **kind,
     )
     for frame in sorted(starts | {3}):
-        got = predicted_window(config, kind, scene, ego, frame)
-        assert_same(got, reference_window(config, kind, config.cbf, scene, ego, frame))
+        got = predicted_window(config, scene, ego, frame)
+        assert_same(got, reference_window(config, scene, ego, frame))
         if frame == 3:
             assert 1000 not in got.ids.tolist()
 
@@ -160,14 +152,17 @@ def test_a_coincident_noise_scale_fails_alone(
     scale fails as in the per-agent halving loop and the others are still
     tried."""
     scene, path = line_scene(n_future)
-    kind = PredictorKind(kind=NOISE_BOUNDED, value_bound=value_bound, dynamics_bound=dynamics_bound)
-    config = SimConfig(dt=0.1, tau_frames=2, horizon_frames=12, rho0=1000.0, k_rep=2.0, seed=seed)
+    config = SimConfig(
+        dt=0.1, tau_frames=2, horizon_frames=12, rho0=1000.0, k_rep=2.0, seed=seed,
+        predictor=NOISE_BOUNDED, predictor_value_bound=value_bound,
+        predictor_dynamics_bound=dynamics_bound,
+    )
     sample = min(sample, n_future - 1)
     truth = path[2:]
-    noise = noise_reference(kind, 2, 4, n_future, seed=seed)
+    noise = noise_reference(config, 2, 4, n_future)
     ego = truth[sample] if on_truth else (truth + math.ldexp(1.0, -k) * noise)[sample]
-    got = predicted_window(config, kind, scene, ego, 2)
-    assert_same(got, reference_window(config, kind, config.cbf, scene, ego, 2))
+    got = predicted_window(config, scene, ego, 2)
+    assert_same(got, reference_window(config, scene, ego, 2))
     if (ego == truth[sample]).all():  # small scales can round onto the truth
         assert got.positions[0].tobytes() == truth.tobytes()
     elif dynamics_bound == 1e9:
@@ -180,29 +175,24 @@ def test_a_coincident_noise_scale_fails_alone(
 def test_predict_checks_its_inputs():
     ids = np.array([1, 2])
     histories = np.zeros((2, 2, 2))
-    cv = PredictorKind(kind=CONSTANT_VELOCITY)
+    # dt and horizon_frames are the config's, checked where it is made
+    cv = SimConfig(dt=0.1, tau_frames=2, horizon_frames=4)
     with pytest.raises(InputError):
-        predict(cv, ids, histories[:, :1], 4, 0.1)
+        predict(cv, ids, histories[:, :1])
     with pytest.raises(InputError):
-        predict(cv, ids[:1], histories, 4, 0.1)
-    with pytest.raises(InputError):
-        predict(cv, ids, histories, 4, 0.0)
+        predict(cv, ids[:1], histories)
     with pytest.raises(InputError), np.errstate(over="ignore"):
-        predict(cv, ids, np.full((2, 2, 2), 1e308) * [[[0.0], [1.0]]], 4, 0.1)
+        predict(cv, ids, np.full((2, 2, 2), 1e308) * [[[0.0], [1.0]]])
     with pytest.raises(InputError):
         predict(
-            PredictorKind(kind=GROUND_TRUTH), ids, histories, 4, 0.1,
+            replace(cv, predictor=GROUND_TRUTH), ids, histories,
             futures=np.zeros((1, 3, 2)), future_lengths=[3],
         )
-    noise = PredictorKind(kind=NOISE_BOUNDED, value_bound=1.0, dynamics_bound=1.0)
+    noise = replace(
+        cv, predictor=NOISE_BOUNDED, predictor_value_bound=1.0, predictor_dynamics_bound=1.0
+    )
     futures = dict(futures=np.ones((2, 3, 2)), future_lengths=[3, 2])
     with pytest.raises(InputError):
-        predict(
-            noise, ids, histories, 4, 0.1, cbf=SimConfig().cbf, ego_positions=[0.0, 0.0],
-            **futures,
-        )
+        predict(noise, ids, histories, ego_positions=[0.0, 0.0], **futures)
     with pytest.raises(InputError):
-        predict(
-            noise, ids, histories, 4, 0.1, start_frame=0, seed=0, cbf=SimConfig().cbf,
-            ego_positions=np.zeros((2, 2)), **futures,
-        )
+        predict(noise, ids, histories, start_frame=0, ego_positions=np.zeros((2, 2)), **futures)
